@@ -2,12 +2,14 @@
 pattern's canonical digest, one strongest record per (pattern, n).
 
 Strength order: exact beats lowerBound, larger lowerBound beats smaller;
-put never downgrades. Witnesses re-verify on load (dimensions, weight, and
+put never downgrades, and concurrent puts are serialized by a per-key
+lock file. Witnesses re-verify on load (dimensions, weight, and
 pattern-freeness); any mismatch raises CacheError with a rebuild hint.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from pathlib import Path
@@ -75,8 +77,22 @@ class CacheStore:
         return best
 
     def put(self, pattern: ZeroOneMatrix, record: ExtremalRecord) -> ExtremalRecord:
-        """Merge a record in, never downgrading; returns the stored record."""
+        """Merge a record in, never downgrading; returns the stored record.
+        The read-merge-write holds an exclusive lock on the key's lock file,
+        so concurrent writers (threads or processes) never lose records."""
         self._verify(pattern, record)
+        lock_path = self.directory / f"{canonical_key(pattern)}.lock"
+        try:
+            lock = os.open(lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
+        except OSError as exc:
+            raise CacheError(f"cannot open cache lock {lock_path}: {exc}") from exc
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            return self._merge(pattern, record)
+        finally:
+            os.close(lock)
+
+    def _merge(self, pattern: ZeroOneMatrix, record: ExtremalRecord) -> ExtremalRecord:
         doc = self._load(pattern)
         records = []
         merged = record
@@ -90,11 +106,14 @@ class CacheStore:
         records.sort(key=lambda r: (r.n, r.status, r.value))
         doc["records"] = [r.to_json_dict() for r in records]
         path = self._path(doc["patternKey"])
-        tmp = path.with_suffix(".tmp")
+        # The lock admits one writer per key at a time; the pid keeps this
+        # temp file apart from another process's even if that one skips it.
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
         try:
             tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
             os.replace(tmp, path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise CacheError(f"cannot write cache file {path}: {exc}") from exc
         return merged
 

@@ -41,7 +41,3 @@ class SplitMix64:
 
     def bernoulli(self, p: float) -> bool:
         return self.random() < p
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child stream (consumes one draw from this one)."""
-        return SplitMix64(self.next_u64())

@@ -4,10 +4,12 @@ ex(n, A) is the maximum weight of an n x n matrix avoiding the pattern A.
 Three routes are provided: a brute-force enumerator over all 2^(n^2)
 matrices with early containment pruning (the oracle), a row-by-row
 branch-and-bound with incremental containment detection through frontier
-sets of partial embeddings, and a randomized construction (sample, then
-destroy every copy by deleting one 1-entry) that yields certified A-free
-lower-bound witnesses. Every record carries its witness, which re-verifies
-independently: it is A-free and has the claimed weight.
+sets of partial embeddings, pruned by the exact extremal numbers of the
+shorter k x n matrices it solves first (the rectangular tail bound), and a
+randomized construction (sample, then destroy every copy by deleting one
+1-entry) that yields certified A-free lower-bound witnesses. Every record
+carries its witness, which re-verifies independently: it is A-free and has
+the claimed weight.
 """
 
 from __future__ import annotations
@@ -171,14 +173,24 @@ class _Frontier:
 def exact_ex(
     n: int, a: ZeroOneMatrix, budget_seconds: Optional[float] = None
 ) -> ExtremalRecord:
-    """Branch-and-bound filling the matrix row by row. Containment is
-    detected incrementally through frontier sets of partial embeddings;
-    pruning uses the optimistic bound (remaining rows contribute at most n
-    each). When the pattern has no all-zero row, witnesses are normalized so
-    that all-zero rows form a prefix (zero host rows cannot host any pattern
-    row and may be moved first without affecting containment). On budget
-    exhaustion the best witness found is returned as a lower bound with the
-    residual gap reported; correctness never degrades."""
+    """Branch-and-bound filling the matrix row by row, run bottom-up over
+    heights k = 1..n to compute tail[k] = ex(k x n; A). Containment is
+    detected incrementally through frontier sets of partial embeddings. The
+    bottom rows of an A-free matrix form an A-free matrix of their own, so
+    with r rows left the completion weighs at most tail[r]: each height is
+    pruned by the heights solved before it, and the heaviest-first mask
+    order lets a row stop its loop at the first mask whose weight plus the
+    tail below cannot beat the incumbent. tail[n] is the answer; the
+    per-height optima go to provenance["tailBounds"].
+
+    When the pattern has no all-zero row, witnesses are normalized so that
+    all-zero rows form a prefix (zero host rows cannot host any pattern row
+    and may be moved first without affecting containment). On budget
+    exhaustion at height k the best witness found is returned as a lower
+    bound: a k-row (or (k-1)-row) witness padded with all-zero top rows
+    when the pattern has no all-zero row, else the all-zero matrix. The
+    upper bound is the open bound on ex(k x n) plus n per row above it;
+    correctness never degrades."""
     if n < 1:
         raise DomainError("n must be positive")
     trivial = _trivial_record(n, a, "branch-and-bound")
@@ -191,6 +203,8 @@ def exact_ex(
     mask_order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
     normalize = all(m != 0 for m in a.row_masks)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    tail = [0]
+    tail_rows: tuple[int, ...] = ()  # a witness for tail[-1]
     best = -1
     best_rows: Optional[tuple[int, ...]] = None
     rows_sofar: list[int] = []
@@ -198,23 +212,20 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(idx: int, frontier: frozenset, weight: int, allow_zero: bool):
+    def rec(rows_left: int, frontier: frozenset, weight: int, allow_zero: bool):
         nonlocal best, best_rows, nodes, timed_out, open_bound
-        if weight + n * (n - idx) <= best:
-            return
-        if idx == n:
-            if weight > best:
-                best = weight
-                best_rows = tuple(rows_sofar)
-            return
+        below = tail[rows_left - 1]
         for mask in mask_order:
+            bound = weight + mask.bit_count() + below
+            if bound <= best:
+                return
             if timed_out:
-                open_bound = max(open_bound, weight + n * (n - idx))
+                open_bound = max(open_bound, bound)
                 return
             nodes += 1
             if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
                 timed_out = True
-                open_bound = max(open_bound, weight + n * (n - idx))
+                open_bound = max(open_bound, bound)
                 return
             if mask == 0 and normalize and not allow_zero:
                 continue
@@ -222,17 +233,31 @@ def exact_ex(
             if nf is None:
                 continue
             rows_sofar.append(mask)
-            rec(idx + 1, nf, weight + mask.bit_count(), allow_zero and mask == 0)
+            if rows_left == 1:
+                best = bound
+                best_rows = tuple(rows_sofar)
+            else:
+                rec(rows_left - 1, nf, bound - below, allow_zero and mask == 0)
             rows_sofar.pop()
-            if best == n * n:
-                return
 
-    rec(0, start_states, 0, True)
-    provenance: dict = {"solver": "branch-and-bound", "nodes": nodes}
+    for k in range(1, n + 1):
+        best, best_rows = -1, None
+        rec(k, start_states, 0, True)
+        if timed_out:
+            break
+        tail.append(best)
+        tail_rows = best_rows
+    provenance: dict = {"solver": "branch-and-bound", "nodes": nodes, "tailBounds": tail[1:]}
     if budget_seconds is not None:
         provenance["budgetSeconds"] = budget_seconds
     if timed_out:
-        upper = max(best, open_bound)
+        upper = max(best, open_bound) + n * (n - k)
+        # Zero top rows keep a witness A-free only when no pattern row is zero.
+        candidates = [(0, (0,) * n)]
+        for value, rows in ((best, best_rows), (tail[-1], tail_rows)):
+            if rows is not None and (normalize or len(rows) == n):
+                candidates.append((value, (0,) * (n - len(rows)) + rows))
+        best, best_rows = max(candidates)
         provenance["gap"] = upper - best
         provenance["upperBound"] = upper
         status = "lowerBound"

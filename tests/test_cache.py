@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -93,3 +94,28 @@ class TestCorruption:
         path.write_text(json.dumps(doc))
         with pytest.raises(CacheError, match="weight"):
             cache.get(K22, 2)
+
+
+def put_many(directory, ns, barrier):
+    barrier.wait(timeout=30)
+    cache = CacheStore(directory)
+    for n in ns:
+        cache.put(K22, make_record(n, n, "lowerBound", free_witness(n, n)))
+
+
+class TestConcurrency:
+    def test_concurrent_writers_keep_every_record(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(3)
+        shares = [range(2 + i, 20, 3) for i in range(3)]
+        procs = [ctx.Process(target=put_many, args=(tmp_path, ns, barrier)) for ns in shares]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+        assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
+        cache = CacheStore(tmp_path)
+        for n in range(2, 20):
+            got = cache.get(K22, n)
+            assert got is not None and got.value == n, f"record for n={n} lost"
+        assert not list(tmp_path.glob("*.tmp"))

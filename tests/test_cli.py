@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,15 @@ class TestDeterminism:
         assert code == 0 and out.count("\n") == 2
         code, out = run(capsys, ["--format", "text", "contains", files["fixture"], files["k22"]])
         assert "contains = True" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_m_patex_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "patex", "verify-suite", "--filter", "constants-arithmetic"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS constants-arithmetic" in proc.stdout

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import IDENTITY2, K22, random_matrix
+from conftest import IDENTITY2, K22, oracle_embedding, random_matrix
 from patex.count import count_copies
 from patex.errors import BudgetError, DomainError, UnsupportedError
 from patex.matrix import ZeroOneMatrix, find_embedding, parse_pattern
@@ -56,6 +56,17 @@ class TestExactMatchesOracle:
                 assert got.value == expect.value, f"pattern {a.row_strings()} n={n}"
                 assert find_embedding(got.witness, a) is None
 
+    def test_sweep_2x2_patterns_n4(self):
+        # n = 4 puts every height k = 1..3 of the tail bound to work
+        for bits in range(1, 16):
+            a = ZeroOneMatrix.from_rows([[(bits >> (2 * i + j)) & 1 for j in range(2)] for i in range(2)])
+            got = exact_ex(4, a)
+            assert got.status == "exact"
+            assert got.value == brute_force_ex(4, a).value, f"pattern {a.row_strings()}"
+            assert got.witness.weight == got.value
+            assert oracle_embedding(got.witness, a) is None
+            assert got.provenance["tailBounds"][-1] == got.value
+
     def test_sweep_rectangular_patterns(self):
         for rows, cols in ((2, 3), (3, 2)):
             for bits in range(1, 1 << (rows * cols)):
@@ -67,14 +78,33 @@ class TestExactMatchesOracle:
         assert exact_ex(4, K22).value == 9
         assert exact_ex(4, R12).value == 4
 
+    def test_tail_bounds_are_rectangular_optima(self):
+        rec = exact_ex(5, K22)
+        assert rec.provenance["tailBounds"] == [5, 6, 8, 10, 12]  # z(k, 5; 2)
+
     def test_budget_exhaustion_degrades_status_not_correctness(self):
         rec = exact_ex(6, K22, budget_seconds=0.02)
         assert rec.status in ("exact", "lowerBound")
         assert find_embedding(rec.witness, K22) is None
+        assert oracle_embedding(rec.witness, K22) is None
         assert rec.witness.weight == rec.value
         if rec.status == "lowerBound":
             assert rec.provenance["gap"] >= 0
             assert rec.provenance["upperBound"] >= rec.value
+            assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+            assert rec.provenance["upperBound"] >= 16  # z(6;2)
+
+    def test_budget_exhaustion_with_zero_pattern_row(self):
+        # zero top rows could host the pattern's zero row, so the padded
+        # witness is not allowed here; a zero budget stops at node 1024
+        a = ZeroOneMatrix.parse("00\n11\n11")
+        below = exact_ex(4, a).value
+        rec = exact_ex(6, a, budget_seconds=0)
+        assert rec.status == "lowerBound"
+        assert oracle_embedding(rec.witness, a) is None
+        assert rec.witness.weight == rec.value
+        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+        assert rec.provenance["upperBound"] >= below
 
 
 class TestDeletion:
