@@ -111,9 +111,14 @@ class TestConcurrency:
         procs = [ctx.Process(target=put_many, args=(tmp_path, ns, barrier)) for ns in shares]
         for p in procs:
             p.start()
-        for p in procs:
-            p.join(timeout=120)
-        assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
+        try:
+            for p in procs:
+                p.join(timeout=120)
+            assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
+        finally:
+            for p in procs:
+                if p.is_alive():
+                    p.terminate()
         cache = CacheStore(tmp_path)
         for n in range(2, 20):
             got = cache.get(K22, n)
