@@ -91,6 +91,7 @@ from .ohypergraph import (
     cut_probability,
     edges_cut,
     find_ordered_complete_t_partite,
+    heavy_label_classes,
     random_t_cut,
 )
 from .rng import DEFAULT_SEED, SplitMix64

@@ -23,7 +23,14 @@ from .classify import min_column_parts, min_row_parts
 from .count import _count_copies, stepping_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
 from .matrix import Embedding, ZeroOneMatrix, partition, verify_embedding
-from .ohypergraph import OrderedHypergraph, build_column_hypergraph, find_ordered_complete_t_partite
+# build_column_hypergraph is unused here but stays bound: perfbench/spans.py
+# traces the increment layer through this module's attributes.
+from .ohypergraph import (  # noqa: F401
+    OrderedHypergraph,
+    build_column_hypergraph,
+    find_ordered_complete_t_partite,
+    heavy_label_classes,
+)
 
 LOG10_CAP = 300.0
 
@@ -230,12 +237,37 @@ def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
 
 
 @dataclass(frozen=True)
+class HeavySearch:
+    """What one horizontal pass of a step searched before it embedded or
+    densified: whether heavy edges can exist at all (they need witness rows
+    in r distinct blocks, so k >= r), how many there were, how many label
+    classes they formed, how many of those the t-partite search examined,
+    and whether label_class_cap cut the classes short."""
+
+    possible: bool
+    edges: int
+    classes: int
+    examined: int
+    cap_hit: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "heavyPossible": self.possible,
+            "heavyEdges": self.edges,
+            "labelClasses": self.classes,
+            "labelClassesExamined": self.examined,
+            "labelClassCapHit": self.cap_hit,
+        }
+
+
+@dataclass(frozen=True)
 class StepResult:
     """Outcome of one increment step. kind "embedded" carries a verified
     certificate (coordinates relative to the step's input matrix); kind
     "densified" carries the chosen block, its exact copy count, the total
     and within-block ("narrow") totals, and whether the closed-form block
-    guarantee held."""
+    guarantee held. heavy has one entry per horizontal pass run (the grid
+    step runs one on the rows, then one on the columns)."""
 
     kind: str
     embedding: Optional[Embedding] = None
@@ -247,6 +279,7 @@ class StepResult:
     total: Optional[int] = None
     narrow_total: Optional[int] = None
     guarantee_met: Optional[bool] = None
+    heavy: tuple[HeavySearch, ...] = ()
 
 
 def _interval_sizes(cuts: Sequence[int], width: int) -> tuple[int, ...]:
@@ -320,7 +353,10 @@ def _horizontal_step(
     t: int,
     cuts: Sequence[int],
     label_class_cap: int,
+    total: Optional[int] = None,
 ) -> StepResult:
+    """total, when given, is the caller's K_{u,t} count of m; the step
+    counts it itself otherwise."""
     if k < 1 or m.rows % k:
         raise DivisibilityError(f"{k} does not divide row count {m.rows}")
     if u < 1:
@@ -328,22 +364,32 @@ def _horizontal_step(
     r = a.rows
     sizes = _interval_sizes(cuts, a.cols)
     band = m.rows // k
-    _, labels = build_column_hypergraph(m, t, k)
-    groups: dict[tuple[int, ...], set] = {}
-    for e, blocks in labels.phi.items():
-        if len(blocks) >= r:
-            groups.setdefault(tuple(sorted(blocks)[:r]), set()).add(e)
-    for label in sorted(groups)[:label_class_cap]:
-        sub = OrderedHypergraph(n=m.cols, t=t, edges=frozenset(groups[label]))
+    classes = heavy_label_classes(m, t, k, r)
+    labels = sorted(classes)
+    examined = labels[:label_class_cap]
+    found = dict(
+        possible=k >= r,
+        edges=sum(len(edges) for edges in classes.values()),
+        classes=len(labels),
+        cap_hit=len(labels) > label_class_cap,
+    )
+    for i, label in enumerate(examined):
+        sub = OrderedHypergraph(n=m.cols, t=t, edges=classes[label])
         parts = find_ordered_complete_t_partite(sub, sizes)
         if parts is None:
             continue
         emb = _assemble_embedding(m, a, cuts, label, parts, band)
-        return StepResult(kind="embedded", embedding=emb, label=label)
+        return StepResult(
+            kind="embedded",
+            embedding=emb,
+            label=label,
+            heavy=(HeavySearch(examined=i + 1, **found),),
+        )
     part = partition(m, k, "horizontal")
     counts = [_count_copies(b, u, t) for b in part.blocks]
     best = max(range(k), key=lambda p: (counts[p], -p))
-    total = _count_copies(m, u, t)
+    if total is None:
+        total = _count_copies(m, u, t)
     narrow_total = sum(counts)
     guarantee = counts[best] * 4 * r ** (u - 1) * u**u * k >= math.factorial(u) * total
     lo, hi = part.bounds[best]
@@ -356,6 +402,7 @@ def _horizontal_step(
         total=total,
         narrow_total=narrow_total,
         guarantee_met=guarantee,
+        heavy=(HeavySearch(examined=len(examined), **found),),
     )
 
 
@@ -397,11 +444,13 @@ def symmetric_increment_step(
     a: ZeroOneMatrix,
     k: int,
     label_class_cap: int = 10_000,
+    total: Optional[int] = None,
 ) -> StepResult:
     """Two-direction step for a t x t-partite pattern: a horizontal step on M
     followed by a vertical step (a horizontal step on the transpose) inside
     the chosen block, yielding a grid block whose composed guarantee is
-    (t!)^2 / (16 (rs)^(t-1) t^(2t)) * N / k^2."""
+    (t!)^2 / (16 (rs)^(t-1) t^(2t)) * N / k^2. total, when given, is the
+    caller's K_{t,t} count of M."""
     if m.rows % k or m.cols % k:
         raise DivisibilityError(f"{k} must divide both dimensions {m.rows}x{m.cols}")
     t_row, row_cuts = min_row_parts(a)
@@ -409,15 +458,17 @@ def symmetric_increment_step(
     t = max(t_row, t_col)
     col_cuts = _refine_cuts(col_cuts, a.cols, t) if t_col < t else col_cuts
     row_cuts = _refine_cuts(row_cuts, a.rows, t) if t_row < t else row_cuts
-    step1 = _horizontal_step(m, a, t, k, t, col_cuts, label_class_cap)
+    step1 = _horizontal_step(m, a, t, k, t, col_cuts, label_class_cap, total)
     if step1.kind == "embedded":
         return step1
     p = step1.block
     row_lo, row_hi = step1.row_range
     m1 = m.submatrix(row_lo, row_hi, 1, m.cols)
+    # K_{t,t} is symmetric, so the chosen band's count is its transpose's.
     step2 = _horizontal_step(
-        m1.transpose(), a.transpose(), t, k, t, row_cuts, label_class_cap
+        m1.transpose(), a.transpose(), t, k, t, row_cuts, label_class_cap, step1.count
     )
+    heavy = step1.heavy + step2.heavy
     if step2.kind == "embedded":
         inner = step2.embedding
         emb = Embedding(
@@ -426,7 +477,7 @@ def symmetric_increment_step(
         )
         if not verify_embedding(m, a, emb):
             raise AssertionError("transposed certificate failed verification")
-        return StepResult(kind="embedded", embedding=emb, label=step2.label)
+        return StepResult(kind="embedded", embedding=emb, label=step2.label, heavy=heavy)
     q = step2.block
     col_lo, col_hi = step2.row_range  # rows of the transpose are columns of m1
     r, s = a.rows, a.cols
@@ -445,6 +496,7 @@ def symmetric_increment_step(
         total=total,
         narrow_total=step2.narrow_total,
         guarantee_met=guarantee,
+        heavy=heavy,
     )
 
 
@@ -582,6 +634,9 @@ def run_driver(
     i = 0
     n_base = None  # count at level 0 for the chain bound
     pending_jump: Optional[dict] = None
+    # K_{u,t_count} counts of cur already known, by width u: a densified
+    # step counted its chosen block, and a jump counted the next width.
+    known: dict[int, int] = {}
 
     while True:
         t_count = t_sym if mode == "thm12" else t_col
@@ -592,7 +647,9 @@ def run_driver(
                 break
         else:
             u_lvl = u_fixed
-        count = _count_copies(cur, u_lvl, t_count)
+        count = known.get(u_lvl)
+        if count is None:
+            count = _count_copies(cur, u_lvl, t_count)
         if n_base is None:
             n_base = count
 
@@ -664,9 +721,11 @@ def run_driver(
             break
 
         if mode == "thm12":
-            step = symmetric_increment_step(cur, a, k, label_class_cap)
+            total = count if u_lvl == t_sym else None
+            step = symmetric_increment_step(cur, a, k, label_class_cap, total)
         else:
-            step = _horizontal_step(cur, a, u_lvl, k, t_col, col_cuts, label_class_cap)
+            step = _horizontal_step(cur, a, u_lvl, k, t_col, col_cuts, label_class_cap, count)
+        checks["heavySearch"] = [h.to_json_dict() for h in step.heavy]
 
         if step.kind == "embedded":
             embedding = step.embedding.shifted(row_off, col_off)
@@ -690,17 +749,20 @@ def run_driver(
             cur = cur.submatrix(rlo, rhi, clo, chi)
             row_off += rlo - 1
             col_off += clo - 1
+            # The grid step counts K_{t,t}; its block is the next level.
+            known = {t_sym: step.count}
         else:
             rlo, rhi = step.row_range
             cur = cur.submatrix(rlo, rhi, 1, cur.cols)
             row_off += rlo - 1
+            known = {u_lvl: step.count}
 
         if mode == "thm11":
             u_next = schedule.type_of(float(i + 1), z)
             if u_next is not None and u_next > u_lvl:
-                have = _count_copies(cur, u_lvl, t_col)
-                sb = stepping_bound(have, n0, u_lvl, t_col)
+                sb = stepping_bound(step.count, n0, u_lvl, t_col)
                 actual = _count_copies(cur, u_lvl + 1, t_col)
+                known[u_lvl + 1] = actual
                 pending_jump = {
                     "fromWidth": u_lvl,
                     "toWidth": u_next,

@@ -2,7 +2,9 @@
 
 The hypergraph of a host matrix has the columns as ordered vertices; a t-set
 of columns is an edge when one row carries a 1 in all t of them, and the
-label map records which horizontal blocks contain such a witness row. On top
+label map records which horizontal blocks contain such a witness row; the
+heavy edges (witnesses in at least r blocks) can also be grouped by label
+straight from the column masks, without building the whole hypergraph. On top
 of that sit t-cut sampling with exact cut probabilities, and the exhaustive
 search for an ordered complete t-partite sub-hypergraph (parts of prescribed
 sizes, each part entirely before the next, every transversal an edge).
@@ -30,13 +32,14 @@ class OrderedHypergraph:
     edges: frozenset
 
     def __post_init__(self):
+        t, n = self.t, self.n
+        steps = range(1, t)
         for e in self.edges:
-            if len(e) != self.t or len(set(e)) != self.t:
-                raise InputError(f"edge {e} is not a {self.t}-set")
-            if any(not (1 <= v <= self.n) for v in e):
-                raise InputError(f"edge {e} outside vertex range 1..{self.n}")
-            if tuple(sorted(e)) != tuple(e):
-                raise InputError(f"edge {e} is not sorted")
+            if len(e) != t or (t and not (1 <= e[0] and e[-1] <= n)):
+                raise InputError(f"edge {e} is not a {t}-tuple in 1..{n}")
+            for i in steps:
+                if e[i - 1] >= e[i]:
+                    raise InputError(f"edge {e} is not strictly increasing")
 
 
 @dataclass
@@ -87,6 +90,51 @@ def classify_edge(label_map: LabelMap, e: Sequence[int], r: int) -> EdgeClass:
     if len(blocks) < r:
         return EdgeClass(kind="light", label=None)
     return EdgeClass(kind="heavy", label=tuple(sorted(blocks)[:r]))
+
+
+def heavy_label_classes(
+    m: ZeroOneMatrix, t: int, k: int, r: int
+) -> dict[tuple[int, ...], frozenset]:
+    """The heavy edges of the column hypergraph over k row bands, grouped by
+    label: {label: edges}, equal to classifying every edge of
+    build_column_hypergraph(m, t, k) with classify_edge and dropping the
+    light ones. Column t-sets are enumerated depth-first over the column
+    masks; a branch ends once its common rows meet fewer than r bands, since
+    adding columns only shrinks that set. No edge is heavy when r > k."""
+    if t < 1 or r < 1:
+        raise DomainError("t and r must be positive")
+    if k < 1 or m.rows % k:
+        raise DivisibilityError(f"{k} does not divide row count {m.rows}")
+    if r > k:
+        return {}
+    band = m.rows // k
+    cols = m.col_masks
+    n = m.cols
+    classes: dict[tuple[int, ...], list] = {}
+    edge: list[int] = []
+
+    def rec(start: int, depth: int, rows: int):
+        leaf = depth == t - 1
+        for c in range(start, n - t + depth + 1):
+            common = rows & cols[c]
+            # The first r bands the common rows meet, lowest first.
+            label = []
+            x = common
+            while x and len(label) < r:
+                b = ((x & -x).bit_length() - 1) // band
+                label.append(b + 1)
+                x &= -1 << ((b + 1) * band)
+            if len(label) < r:
+                continue
+            edge.append(c + 1)
+            if leaf:
+                classes.setdefault(tuple(label), []).append(tuple(edge))
+            else:
+                rec(c + 1, depth + 1, common)
+            edge.pop()
+
+    rec(0, 0, (1 << m.rows) - 1)
+    return {label: frozenset(edges) for label, edges in classes.items()}
 
 
 # ----------------------------------------------------------------------

@@ -188,9 +188,10 @@ def exact_ex(
     and may be moved first without affecting containment). On budget
     exhaustion at height k the best witness found is returned as a lower
     bound: a k-row (or (k-1)-row) witness padded with all-zero top rows
-    when the pattern has no all-zero row, else the all-zero matrix. The
-    upper bound is the open bound on ex(k x n) plus n per row above it;
-    correctness never degrades."""
+    when the pattern's first row is nonzero, with all-zero bottom rows when
+    only its last row is, else the all-zero matrix. The upper bound is the
+    open bound on ex(k x n) plus n per row above it; correctness never
+    degrades."""
     if n < 1:
         raise DomainError("n must be positive")
     trivial = _trivial_record(n, a, "branch-and-bound")
@@ -252,11 +253,19 @@ def exact_ex(
         provenance["budgetSeconds"] = budget_seconds
     if timed_out:
         upper = max(best, open_bound) + n * (n - k)
-        # Zero top rows keep a witness A-free only when no pattern row is zero.
+        # A copy in a padded witness must map the pattern's first row to a
+        # nonzero host row when that row is nonzero, and every later row
+        # below it: zero top rows then keep the witness A-free. Symmetrically
+        # for zero bottom rows and a nonzero last row.
         candidates = [(0, (0,) * n)]
         for value, rows in ((best, best_rows), (tail[-1], tail_rows)):
-            if rows is not None and (normalize or len(rows) == n):
-                candidates.append((value, (0,) * (n - len(rows)) + rows))
+            if rows is None:
+                continue
+            pad = (0,) * (n - len(rows))
+            if a.row_masks[0] or not pad:
+                candidates.append((value, pad + rows))
+            elif a.row_masks[-1]:
+                candidates.append((value, rows + pad))
         best, best_rows = max(candidates)
         provenance["gap"] = upper - best
         provenance["upperBound"] = upper

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from conftest import COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, random_matrix
-from patex.classify import min_column_parts
+import patex.increment as increment
+from conftest import COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_count_copies, random_matrix
+from patex.classify import min_column_parts, min_row_parts
 from patex.count import count_copies
 from patex.errors import DivisibilityError, DomainError, PreconditionError
 from patex.increment import (
@@ -237,3 +238,83 @@ class TestDrivers:
         parsed = json.loads(json.dumps(doc, sort_keys=True))
         assert parsed["mode"] == "thm21"
         assert len(parsed["levels"]) == len(trace.levels)
+
+
+class TestCountsOnce:
+    """The driver counts each level once and hands its count to the step as
+    the step's total, and a densified block's count becomes the next level's
+    count: every one of them must still equal an independent recount."""
+
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    def test_level_and_step_counts_match_recount(self, mode, monkeypatch):
+        steps = []
+        for name in ("_horizontal_step", "symmetric_increment_step"):
+            original = getattr(increment, name)
+
+            def record(m, a, *args, _original=original, _name=name):
+                res = _original(m, a, *args)
+                steps.append((_name, m, a, args, res))
+                return res
+
+            monkeypatch.setattr(increment, name, record)
+        rng = SplitMix64(0xC0DE)
+        for a in (K22, COLUMN_2_PARTITE, SIX_CYCLES_3X3[0]):
+            t = min_column_parts(a)[0]
+            if mode == "thm12":
+                t = max(t, min_row_parts(a)[0])
+            for p in (0.1, 0.2, 0.3, 0.45):
+                host = random_matrix(rng, 16, 16, p)
+                trace = run_driver(host, a, mode, k=2)
+                for level in trace.levels:
+                    lo, hi = level.row_range
+                    clo, chi = level.col_range
+                    sub = host.submatrix(lo, hi, clo, chi)
+                    assert level.count == oracle_count_copies(sub, level.u, t)
+        densified = 0
+        for name, m, a, args, res in steps:
+            if res.kind != "densified":
+                continue
+            densified += 1
+            if name == "_horizontal_step":
+                u, t = args[0], args[2]
+                block = m.submatrix(res.row_range[0], res.row_range[1], 1, m.cols)
+            else:
+                t = max(min_column_parts(a)[0], min_row_parts(a)[0])
+                u = t
+                block = m.submatrix(*res.row_range, *res.col_range)
+            assert res.count == oracle_count_copies(block, u, t)
+            assert res.total == oracle_count_copies(m, u, t)
+        assert densified >= 3
+
+    def test_heavy_search_recorded(self):
+        # Heavy edges need witness rows in r = 4 distinct blocks: with k = 2
+        # none exist, so the driver densifies without examining a class.
+        rng = SplitMix64(0x5EA)
+        host = random_matrix(rng, 64, 64, 0.3)
+        trace = run_driver(host, COLUMN_2_PARTITE, "thm21", k=2)
+        stepped = [lv for lv in trace.levels if lv.branch != "exhausted"]
+        assert stepped
+        for level in stepped:
+            (search,) = level.checks["heavySearch"]
+            assert search == {
+                "heavyPossible": False,
+                "heavyEdges": 0,
+                "labelClasses": 0,
+                "labelClassesExamined": 0,
+                "labelClassCapHit": False,
+            }
+        trace = run_driver(host, COLUMN_2_PARTITE, "thm21", k=4)
+        (search,) = trace.levels[0].checks["heavySearch"]
+        assert search["heavyPossible"] and search["heavyEdges"] > 0
+        assert 1 <= search["labelClassesExamined"] <= search["labelClasses"]
+        assert trace.levels[0].branch == "embedded"
+
+    def test_label_class_cap_hit_recorded(self):
+        rng = SplitMix64(0xCA9)
+        host = random_matrix(rng, 16, 16, 0.3)
+        trace = run_driver(host, SIX_CYCLES_3X3[0], "thm12", k=2, label_class_cap=0, depth=1)
+        searches = trace.levels[0].checks["heavySearch"]
+        assert len(searches) == 2  # rows, then columns of the chosen band
+        for search in searches:
+            assert search["labelClassesExamined"] == 0
+            assert search["labelClassCapHit"] == (search["labelClasses"] > 0)

@@ -16,6 +16,7 @@ from patex.ohypergraph import (
     cut_probability,
     edges_cut,
     find_ordered_complete_t_partite,
+    heavy_label_classes,
     random_t_cut,
 )
 from patex.rng import SplitMix64
@@ -53,6 +54,57 @@ class TestBuild:
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
             build_column_hypergraph(ZeroOneMatrix.ones(4, 4), 2, 3)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "edge",
+        [(1,), (1, 2, 3), (2, 2), (0, 2), (1, 5), (3, 1), (-1, 2)],
+    )
+    def test_malformed_edge_rejected(self, edge):
+        with pytest.raises(InputError):
+            OrderedHypergraph(n=4, t=2, edges=frozenset({(1, 2), edge}))
+
+    def test_well_formed_edges_accepted(self):
+        h = OrderedHypergraph(n=4, t=3, edges=frozenset({(1, 2, 3), (1, 3, 4), (2, 3, 4)}))
+        assert len(h.edges) == 3
+
+
+class TestHeavyLabelClasses:
+    @staticmethod
+    def grouped(m, t, k, r):
+        """Heavy classes derived from the full hypergraph."""
+        _, labels = build_column_hypergraph(m, t, k)
+        out = {}
+        for e in labels.phi:
+            cls = classify_edge(labels, e, r)
+            if cls.kind == "heavy":
+                out.setdefault(cls.label, set()).add(e)
+        return {label: frozenset(edges) for label, edges in out.items()}
+
+    def test_matches_full_hypergraph_grouping(self):
+        rng = SplitMix64(0x4EA7)
+        for rows, cols, p in ((8, 8, 0.4), (8, 10, 0.6), (16, 9, 0.3), (4, 7, 0.8)):
+            for _ in range(3):
+                m = random_matrix(rng, rows, cols, p)
+                for t in (1, 2, 3):
+                    for k in (1, 2, 4):
+                        for r in range(1, 6):
+                            got = heavy_label_classes(m, t, k, r)
+                            assert got == self.grouped(m, t, k, r)
+                            if r > k:
+                                assert got == {}
+
+    def test_labels_are_first_r_blocks(self):
+        m = ZeroOneMatrix.ones(8, 2)
+        assert heavy_label_classes(m, 2, 8, 3) == {(1, 2, 3): frozenset({(1, 2)})}
+        assert heavy_label_classes(m, 2, 8, 9) == {}
+
+    def test_errors(self):
+        with pytest.raises(DivisibilityError):
+            heavy_label_classes(ZeroOneMatrix.ones(4, 4), 2, 3, 2)
+        with pytest.raises(DomainError):
+            heavy_label_classes(ZeroOneMatrix.ones(4, 4), 0, 2, 2)
 
 
 class TestClassifyEdge:

@@ -106,6 +106,18 @@ class TestExactMatchesOracle:
         assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
         assert rec.provenance["upperBound"] >= below
 
+    def test_budget_exhaustion_pads_on_the_safe_side(self):
+        # the zero middle row rules out neither padding side: the solved
+        # 2-row optimum (two full rows) keeps the pattern out under four
+        # zero top rows because the pattern's first row is nonzero
+        a = ZeroOneMatrix.parse("11\n00\n11")
+        rec = exact_ex(6, a, budget_seconds=0)
+        assert rec.status == "lowerBound"
+        assert rec.value >= 12
+        assert rec.witness.weight == rec.value
+        assert oracle_embedding(rec.witness, a) is None
+        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+
 
 class TestDeletion:
     def test_always_free(self):
