@@ -16,7 +16,6 @@ from .classify import (
     is_cycle,
     is_permutation,
     is_positive_cycle,
-    is_t_by_s,
     is_x_monotone,
     min_column_parts,
     min_row_parts,
@@ -27,7 +26,6 @@ from .count import (
     CopyCount,
     SteppingBound,
     SupersatBound,
-    common_lines,
     count_copies,
     ext_binom,
     stepping_bound,
@@ -89,7 +87,6 @@ from .ohypergraph import (
     classify_edge,
     cut_cuts_edge,
     cut_probability,
-    edges_cut,
     find_ordered_complete_t_partite,
     heavy_label_classes,
     random_t_cut,

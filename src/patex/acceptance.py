@@ -28,7 +28,7 @@ from .classify import (
 from .count import _count_copies, stepping_bound, supersat_bound
 from .cycles import dense_or_balanced, embed_xmonotone_balanced, enumerate_cycles, is_r_balanced
 from .increment import density_increment_step, lambda_schedule, make_constants
-from .matrix import ZeroOneMatrix, find_embedding, verify_embedding
+from .matrix import ZeroOneMatrix, find_embedding, random_matrix, verify_embedding
 from .ohypergraph import TCut, cut_cuts_edge, cut_probability, random_t_cut
 from .rng import SplitMix64
 from .search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
@@ -68,17 +68,6 @@ class CheckResult:
     limit: Optional[float]
 
 
-def _random_matrix(rng: SplitMix64, rows: int, cols: int, p: float) -> ZeroOneMatrix:
-    masks = []
-    for _ in range(rows):
-        m = 0
-        for j in range(cols):
-            if rng.bernoulli(p):
-                m |= 1 << j
-        masks.append(m)
-    return ZeroOneMatrix(masks, cols)
-
-
 def _sample_distinct(rng: SplitMix64, count: int, hi: int) -> list[int]:
     """count distinct values from 1..hi, sorted."""
     chosen: set = set()
@@ -91,16 +80,19 @@ def _sample_distinct(rng: SplitMix64, count: int, hi: int) -> list[int]:
 # 1. containment oracle equivalence
 
 
-def _oracle_contains(m: ZeroOneMatrix, a: ZeroOneMatrix) -> bool:
-    """Independent route: enumerate every increasing row/column injection."""
+def oracle_embedding(
+    m: ZeroOneMatrix, a: ZeroOneMatrix
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Independent route: enumerate every increasing row/column injection
+    and return the first 1-based (rows, cols) pair that fits, or None."""
     if a.rows > m.rows or a.cols > m.cols:
-        return False
+        return None
     ones = a.one_entries()
     for rows in combinations(range(1, m.rows + 1), a.rows):
         for cols in combinations(range(1, m.cols + 1), a.cols):
             if all(m.entry(rows[i - 1], cols[j - 1]) for (i, j) in ones):
-                return True
-    return False
+                return rows, cols
+    return None
 
 
 def check_containment_oracle() -> tuple[bool, str]:
@@ -108,10 +100,10 @@ def check_containment_oracle() -> tuple[bool, str]:
     trials = 10_000
     found = 0
     for _ in range(trials):
-        host = _random_matrix(rng, rng.below(5) + 1, rng.below(5) + 1, (rng.below(9) + 1) / 10)
-        pat = _random_matrix(rng, rng.below(3) + 1, rng.below(3) + 1, (rng.below(9) + 1) / 10)
+        host = random_matrix(rng, rng.below(5) + 1, rng.below(5) + 1, (rng.below(9) + 1) / 10)
+        pat = random_matrix(rng, rng.below(3) + 1, rng.below(3) + 1, (rng.below(9) + 1) / 10)
         emb = find_embedding(host, pat)
-        if (emb is not None) != _oracle_contains(host, pat):
+        if (emb is None) != (oracle_embedding(host, pat) is None):
             return False, f"kernel and enumeration disagree on host={host.row_strings()} pattern={pat.row_strings()}"
         if emb is not None:
             found += 1
@@ -192,7 +184,7 @@ def check_supersaturation() -> tuple[bool, str]:
             n = n_pool[rng.below(len(n_pool))]
             req = min(1.0, t * u * n ** (-1.0 / u))
             p = req + (1 - req) * 0.7
-            m = _random_matrix(rng, n, n, p)
+            m = random_matrix(rng, n, n, p)
             sb = supersat_bound(m.weight, n, u, t)
             if not sb.applicable:
                 continue
@@ -228,7 +220,7 @@ def check_stepping_up() -> tuple[bool, str]:
         t = 2 if checked % 4 < 2 else 3
         n = (8, 10, 12)[checked % 3]
         p = 0.45 + 0.5 * rng.random()
-        m = _random_matrix(rng, n, n, p)
+        m = random_matrix(rng, n, n, p)
         copies = _count_copies(m, u, t)
         sb = stepping_bound(copies, n, u, t)
         if not sb.applicable:
@@ -320,7 +312,7 @@ def _plant_instance(rng: SplitMix64, a: ZeroOneMatrix, k: int, band: int, cols: 
     all planted columns; every transversal of the planted ordered structure
     is then a heavy edge labeled {1..r}."""
     rows = k * band
-    host = _random_matrix(rng, rows, cols, noise)
+    host = random_matrix(rng, rows, cols, noise)
     planted_cols = _sample_distinct(rng, a.cols, cols)
     mask = 0
     for c in planted_cols:
@@ -476,7 +468,7 @@ def check_dichotomy() -> tuple[bool, str]:
     while cases < 100:
         k = 2 if cases % 2 == 0 else 4
         n = 16
-        host = _random_matrix(rng, n, n, 0.05)
+        host = random_matrix(rng, n, n, 0.05)
         c = 2.0 * max(1.0, host.weight / n**1.5)
         res = dense_or_balanced(host, 2, 2, k, c)
         if res.weight_precondition_held:

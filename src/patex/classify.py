@@ -72,12 +72,6 @@ def partite_profile(a: ZeroOneMatrix) -> PartiteProfile:
     return PartiteProfile(min_row_parts=tr, min_col_parts=tc, row_cuts=rc, col_cuts=cc)
 
 
-def is_t_by_s(a: ZeroOneMatrix, t: int, s: int) -> bool:
-    """Both row interval number <= t and column interval number <= s."""
-    p = partite_profile(a)
-    return p.min_row_parts <= t and p.min_col_parts <= s
-
-
 # ----------------------------------------------------------------------
 # Graph-shape predicates
 

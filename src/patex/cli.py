@@ -61,6 +61,17 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{k} = {v}")
 
 
+def _emit_trace(doc: dict, fmt: str) -> None:
+    """A driver trace in JSON prints one line per level, then one summary
+    line; other formats go through `_emit`."""
+    if fmt != "json":
+        _emit(doc, fmt)
+        return
+    for level in doc["levels"]:
+        print(json.dumps(level, sort_keys=True))
+    print(json.dumps({k: v for k, v in doc.items() if k != "levels"}, sort_keys=True))
+
+
 def _csv_cell(v) -> str:
     s = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)
     if "," in s or '"' in s:
@@ -185,14 +196,7 @@ def _cmd_increment(args) -> int:
         u=args.u,
         label_class_cap=args.cap,
     )
-    doc = trace.to_json_dict()
-    if args.format == "json":
-        for level in doc["levels"]:
-            print(json.dumps(level, sort_keys=True))
-        summary = {k: v for k, v in doc.items() if k != "levels"}
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        _emit(doc, args.format)
+    _emit_trace(trace.to_json_dict(), args.format)
     return 0
 
 
@@ -242,14 +246,7 @@ def _cmd_cycles(args) -> int:
         m = _load_matrix(args.host)
         a = _load_matrix(args.pattern)
         trace = cycle_driver(m, a, args.k, args.c, args.depth)
-        doc = trace.to_json_dict()
-        if args.format == "json":
-            for level in doc["levels"]:
-                print(json.dumps(level, sort_keys=True))
-            summary = {k: v for k, v in doc.items() if k != "levels"}
-            print(json.dumps(summary, sort_keys=True))
-        else:
-            _emit(doc, args.format)
+        _emit_trace(trace.to_json_dict(), args.format)
         return 0
     raise PatexError(f"unknown cycles subcommand {args.cycles_cmd!r}")
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 from .matrix import ZeroOneMatrix
 
 
@@ -30,25 +30,6 @@ def ext_binom(x: float, k: int) -> float:
     for i in range(k):
         prod *= x - i
     return prod / math.factorial(k)
-
-
-def common_lines(m: ZeroOneMatrix, lines: Iterable[int], axis: str = "rows") -> tuple[int, ...]:
-    """Columns that carry a 1 in every given row (axis="rows"), or rows that
-    carry a 1 in every given column (axis="cols"). The empty line set returns
-    every opposite-axis index (vacuous intersection)."""
-    lines = list(lines)
-    if axis in ("rows", "row"):
-        masks, limit, width = m.row_masks, m.rows, m.cols
-    elif axis in ("cols", "col", "columns"):
-        masks, limit, width = m.col_masks, m.cols, m.rows
-    else:
-        raise InputError(f"unknown axis {axis!r}")
-    inter = (1 << width) - 1
-    for i in lines:
-        if not (1 <= i <= limit):
-            raise InputError(f"line index {i} outside 1..{limit}")
-        inter &= masks[i - 1]
-    return tuple(b + 1 for b in range(width) if (inter >> b) & 1)
 
 
 @dataclass(frozen=True)

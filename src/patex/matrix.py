@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DivisibilityError, FormatError, InputError
+from .rng import SplitMix64
 
 
 class ZeroOneMatrix:
@@ -233,6 +234,19 @@ def canonical_key(a: ZeroOneMatrix) -> str:
     return f"{a.rows}x{a.cols}-{digest[:40]}"
 
 
+def random_matrix(rng: SplitMix64, rows: int, cols: int, p: float) -> ZeroOneMatrix:
+    """Each entry is 1 with probability p, drawn row by row and left to right
+    within a row; seeded outputs depend on this order."""
+    masks = []
+    for _ in range(rows):
+        m = 0
+        for j in range(cols):
+            if rng.bernoulli(p):
+                m |= 1 << j
+        masks.append(m)
+    return ZeroOneMatrix(masks, cols)
+
+
 def from_ordered_bigraph(
     edges: Iterable[tuple[int, int]], left_size: int, right_size: int
 ) -> ZeroOneMatrix:
@@ -292,53 +306,58 @@ def _greedy_sdr(masks: Sequence[int]) -> Optional[list[int]]:
     return out
 
 
+def _row_columns(pat_masks: Sequence[int], pat_cols: int) -> tuple[tuple[int, ...], ...]:
+    """Per pattern row, the 0-based pattern columns holding a 1."""
+    return tuple(tuple(j for j in range(pat_cols) if (m >> j) & 1) for m in pat_masks)
+
+
+def _narrow_by_row(
+    col_masks: Sequence[int], touched: Sequence[int], row_mask: int
+) -> Optional[tuple[int, ...]]:
+    """The containment transition shared by both searches: map the next
+    pattern row, whose 1s sit in the columns `touched`, onto a host row.
+    Each touched column keeps only the host columns where that row has a 1.
+    Returns the narrowed per-column masks, or None when a column empties or
+    no strictly increasing column assignment remains (the greedy SDR test of
+    `_greedy_sdr`, run inline so a state costs one call)."""
+    updated = list(col_masks)
+    for j in touched:
+        v = updated[j] & row_mask
+        if not v:
+            return None
+        updated[j] = v
+    above = -1
+    for m in updated:
+        m &= above
+        if not m:
+            return None
+        above = -((m & -m) << 1)
+    return tuple(updated)
+
+
 def _search_masks(
     host_masks: Sequence[int],
     host_cols: int,
     pat_masks: Sequence[int],
     pat_cols: int,
-    pin_last: bool = False,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Backtracking kernel over pattern rows, top-down; per pattern column it
-    keeps the bitmask of still-feasible host columns and prunes with the
-    greedy increasing-SDR test. Exhaustive: returns the lexicographically
-    least (row_map, col_map) in 0-based indices, or None.
-
-    With pin_last the last pattern row must map to the last host row (used
-    for incremental containment checks while hosts grow row by row).
-    """
+    keeps the bitmask of still-feasible host columns, narrowed row by row by
+    `_narrow_by_row`. Exhaustive: returns the lexicographically least
+    (row_map, col_map) in 0-based indices, or None."""
     r = len(pat_masks)
     h = len(host_masks)
     if r > h or pat_cols > host_cols:
         return None
-    bits_per_row = [
-        tuple(j for j in range(pat_cols) if (m >> j) & 1) for m in pat_masks
-    ]
-    full = (1 << host_cols) - 1
+    touched = _row_columns(pat_masks, pat_cols)
     row_map = [0] * r
 
-    def rec(p: int, h_start: int, col_masks: list[int]):
+    def rec(p: int, h_start: int, col_masks: tuple[int, ...]):
         if p == r:
-            cols = _greedy_sdr(col_masks)
-            return tuple(row_map), tuple(cols)
-        last = h - (r - p)
-        lo = h - 1 if (pin_last and p == r - 1) else h_start
-        for hr in range(lo, last + 1):
-            hm = host_masks[hr]
-            updated = col_masks
-            ok = True
-            touched = bits_per_row[p]
-            if touched:
-                updated = list(col_masks)
-                for j in touched:
-                    v = updated[j] & hm
-                    if not v:
-                        ok = False
-                        break
-                    updated[j] = v
-            if not ok:
-                continue
-            if _greedy_sdr(updated) is None:
+            return tuple(row_map), tuple(_greedy_sdr(col_masks))
+        for hr in range(h_start, h - (r - p) + 1):
+            updated = _narrow_by_row(col_masks, touched[p], host_masks[hr])
+            if updated is None:
                 continue
             row_map[p] = hr
             res = rec(p + 1, hr + 1, updated)
@@ -346,7 +365,7 @@ def _search_masks(
                 return res
         return None
 
-    return rec(0, 0, [full] * pat_cols)
+    return rec(0, 0, ((1 << host_cols) - 1,) * pat_cols)
 
 
 def find_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:

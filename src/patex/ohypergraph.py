@@ -203,10 +203,6 @@ def cut_cuts_edge(cut: TCut, e: Sequence[int]) -> bool:
     return all(bounds[j] < xs[j] <= bounds[j + 1] for j in range(cut.t))
 
 
-def edges_cut(h: OrderedHypergraph, cut: TCut) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(e for e in h.edges if cut_cuts_edge(cut, e)))
-
-
 # ----------------------------------------------------------------------
 # Ordered complete t-partite search
 

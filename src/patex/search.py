@@ -7,19 +7,29 @@ branch-and-bound with incremental containment detection through frontier
 sets of partial embeddings, pruned by the exact extremal numbers of the
 shorter k x n matrices it solves first (the rectangular tail bound), and a
 randomized construction (sample, then destroy every copy by deleting one
-1-entry) that yields certified A-free lower-bound witnesses. Every record
-carries its witness, which re-verifies independently: it is A-free and has
-the claimed weight.
+1-entry) that yields certified A-free lower-bound witnesses. The frontier
+advances by the containment transition that `find_embedding` uses too; the
+oracle detects containment with a check of its own, so it checks both.
+Every record carries its witness, which re-verifies independently: it is
+A-free and has the claimed weight.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError, FormatError, UnsupportedError
-from .matrix import ZeroOneMatrix, canonical_key, find_embedding, _greedy_sdr, _search_masks
+from .matrix import (
+    ZeroOneMatrix,
+    _narrow_by_row,
+    _row_columns,
+    canonical_key,
+    find_embedding,
+    random_matrix,
+)
 from .rng import SplitMix64
 
 
@@ -82,9 +92,16 @@ def _trivial_record(n: int, a: ZeroOneMatrix, solver: str) -> Optional[ExtremalR
 def brute_force_ex(n: int, a: ZeroOneMatrix, cap: int = 25) -> ExtremalRecord:
     """Exact value by depth-first enumeration of all row fillings with early
     containment pruning: a branch dies as soon as its prefix contains the
-    pattern (any extension would too). New containment must use the newest
-    host row as the image of the pattern's last row, so each node needs one
-    pinned search. Hard-capped at n^2 <= cap cells."""
+    pattern (any extension would too). Hard-capped at n^2 <= cap cells.
+
+    Containment is checked without the code of `find_embedding` and
+    `exact_ex`, which this oracle checks. For each increasing choice C of
+    a.cols host columns, pattern row i needs the host bits need_C[i].
+    Matching each pattern row in turn to the earliest later host row that
+    covers its bits is optimal, so per C the prefix only records how many
+    leading pattern rows it matches: `levels[i]` is the bitset of the
+    choices at count i. A new row completes a copy when it covers
+    need_C[r-1] for some C at count r-1."""
     if n < 1:
         raise DomainError("n must be positive")
     if n * n > cap:
@@ -92,35 +109,46 @@ def brute_force_ex(n: int, a: ZeroOneMatrix, cap: int = 25) -> ExtremalRecord:
     trivial = _trivial_record(n, a, "exhaustive")
     if trivial is not None:
         return trivial
-    pat = a.row_masks
-    pat_cols = a.cols
-    last_row_zero = pat[-1] == 0
+    r = a.rows
+    choices = list(combinations(range(n), a.cols))
+    # covers[i][mask]: the choices C whose need_C[i] lies inside mask.
+    covers = []
+    for pm in a.row_masks:
+        needs = [
+            sum(1 << col for j, col in enumerate(cols) if (pm >> j) & 1) for cols in choices
+        ]
+        covers.append(
+            [
+                sum(1 << c for c, need in enumerate(needs) if not need & ~mask)
+                for mask in range(1 << n)
+            ]
+        )
+    completes = covers[-1]
     best = -1
     best_rows: Optional[tuple[int, ...]] = None
     prefix: list[int] = []
-    weights: list[int] = [0]
 
-    def rec(idx: int):
+    def rec(idx: int, levels: list[int], weight: int):
         nonlocal best, best_rows
-        if idx == n:
-            w = weights[-1]
-            if w > best:
+        ready = levels[-1]
+        for mask in range(1 << n):
+            if completes[mask] & ready:
+                continue
+            prefix.append(mask)
+            w = weight + mask.bit_count()
+            if idx + 1 < n:
+                grown = list(levels)
+                for i in range(r - 2, -1, -1):
+                    moved = grown[i] & covers[i][mask]
+                    grown[i] ^= moved
+                    grown[i + 1] |= moved
+                rec(idx + 1, grown, w)
+            elif w > best:
                 best = w
                 best_rows = tuple(prefix)
-            return
-        for mask in range(1 << n):
-            prefix.append(mask)
-            if mask == 0 and not last_row_zero:
-                hit = False
-            else:
-                hit = _search_masks(prefix, n, pat, pat_cols, pin_last=True) is not None
-            if not hit:
-                weights.append(weights[-1] + mask.bit_count())
-                rec(idx + 1)
-                weights.pop()
             prefix.pop()
 
-    rec(0)
+    rec(0, [(1 << len(choices)) - 1] + [0] * (r - 1), 0)
     return ExtremalRecord(
         pattern_key=canonical_key(a),
         n=n,
@@ -141,32 +169,19 @@ class _Frontier:
     __slots__ = ("pat_bits", "r")
 
     def __init__(self, a: ZeroOneMatrix):
-        self.pat_bits = [
-            tuple(j for j in range(a.cols) if (m >> j) & 1) for m in a.row_masks
-        ]
+        self.pat_bits = _row_columns(a.row_masks, a.cols)
         self.r = a.rows
 
     def advance(self, frontier: frozenset, mask: int) -> Optional[frozenset]:
         """None signals containment; otherwise the grown frontier."""
         new = set(frontier)
         for (p, col_masks) in frontier:
-            touched = self.pat_bits[p]
-            updated = list(col_masks)
-            dead = False
-            for j in touched:
-                v = updated[j] & mask
-                if not v:
-                    dead = True
-                    break
-                updated[j] = v
-            if dead:
-                continue
-            tup = tuple(updated)
-            if _greedy_sdr(tup) is None:
+            updated = _narrow_by_row(col_masks, self.pat_bits[p], mask)
+            if updated is None:
                 continue
             if p + 1 == self.r:
                 return None
-            new.add((p + 1, tup))
+            new.add((p + 1, updated))
         return frozenset(new)
 
 
@@ -298,15 +313,7 @@ def deletion_lower_bound(n: int, a: ZeroOneMatrix, seed: int) -> ExtremalRecord:
         )
     exponent = (a.rows + a.cols - 2) / (w - 1)
     p = min(1.0, 0.5 * n ** (-exponent))
-    rng = SplitMix64(seed)
-    masks = []
-    for _ in range(n):
-        m = 0
-        for j in range(n):
-            if rng.bernoulli(p):
-                m |= 1 << j
-        masks.append(m)
-    cur = ZeroOneMatrix(masks, n)
+    cur = random_matrix(SplitMix64(seed), n, n, p)
     anchor = a.one_entries()[0]
     deletions = 0
     while True:

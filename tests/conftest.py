@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library's search kernels: containment is
 checked by enumerating every increasing injection pair, copy counts by
 enumerating every (row-subset, column-subset) pair, winding numbers by the
-angle-summation point-in-polygon rule.
+angle-summation point-in-polygon rule. The canonical fixtures and the
+containment oracle are the acceptance suite's own, imported from there.
 """
 
 from __future__ import annotations
@@ -13,50 +14,17 @@ from itertools import combinations
 
 import pytest
 
-from patex.matrix import ZeroOneMatrix
-from patex.rng import SplitMix64
-
-COLUMN_2_PARTITE = ZeroOneMatrix.parse("0101\n1001\n1001\n0110")
-ROW_2_PARTITE = ZeroOneMatrix.parse("0100\n1011\n1010\n0101")
-DOUBLY_2_PARTITE = ZeroOneMatrix.parse("0101\n1010\n1010\n0101")
-
-SIX_CYCLES_3X3 = tuple(
-    ZeroOneMatrix.parse(text)
-    for text in (
-        "110\n011\n101",
-        "011\n110\n101",
-        "101\n110\n011",
-        "101\n011\n110",
-        "110\n101\n011",
-        "011\n101\n110",
-    )
+from patex.acceptance import (  # noqa: F401 -- fixtures and oracle shared with the suite
+    COLUMN_2_PARTITE,
+    DOUBLY_2_PARTITE,
+    IDENTITY2,
+    K22,
+    ROW_2_PARTITE,
+    SIX_CYCLES_3X3,
+    oracle_embedding,
 )
-
-K22 = ZeroOneMatrix.ones(2, 2)
-IDENTITY2 = ZeroOneMatrix.parse("10\n01")
-
-
-def random_matrix(rng: SplitMix64, rows: int, cols: int, p: float) -> ZeroOneMatrix:
-    masks = []
-    for _ in range(rows):
-        m = 0
-        for j in range(cols):
-            if rng.bernoulli(p):
-                m |= 1 << j
-        masks.append(m)
-    return ZeroOneMatrix(masks, cols)
-
-
-def oracle_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix):
-    """First embedding under full enumeration of increasing injections."""
-    if a.rows > m.rows or a.cols > m.cols:
-        return None
-    ones = a.one_entries()
-    for rows in combinations(range(1, m.rows + 1), a.rows):
-        for cols in combinations(range(1, m.cols + 1), a.cols):
-            if all(m.entry(rows[i - 1], cols[j - 1]) for (i, j) in ones):
-                return rows, cols
-    return None
+from patex.matrix import ZeroOneMatrix, random_matrix  # noqa: F401 -- shared sampler
+from patex.rng import SplitMix64
 
 
 def oracle_count_copies(m: ZeroOneMatrix, u: int, t: int) -> int:

@@ -18,7 +18,6 @@ from patex.classify import (
     is_cycle,
     is_permutation,
     is_positive_cycle,
-    is_t_by_s,
     is_x_monotone,
     min_column_parts,
     min_row_parts,
@@ -83,11 +82,6 @@ class TestPartiteProfiles:
             for lo, hi in zip(bounds, bounds[1:]):
                 for i in range(a.rows):
                     assert sum(1 for j in range(lo, hi) if (a.row_masks[i] >> j) & 1) <= 1
-
-    def test_is_t_by_s(self):
-        assert is_t_by_s(DOUBLY_2_PARTITE, 2, 2)
-        assert not is_t_by_s(DOUBLY_2_PARTITE, 1, 2)
-        assert is_t_by_s(DOUBLY_2_PARTITE, 3, 3)
 
 
 class TestGraphShape:

@@ -5,13 +5,12 @@ import pytest
 
 from conftest import COLUMN_2_PARTITE, K22, oracle_count_copies, random_matrix
 from patex.count import (
-    common_lines,
     count_copies,
     ext_binom,
     stepping_bound,
     supersat_bound,
 )
-from patex.errors import DomainError, InputError
+from patex.errors import DomainError
 from patex.matrix import ZeroOneMatrix
 
 
@@ -54,27 +53,6 @@ class TestExtBinom:
             h = 0.25
             lhs = ext_binom(x - h, k) + ext_binom(x + h, k)
             assert lhs >= 2 * ext_binom(x, k) - 1e-9
-
-
-class TestCommonLines:
-    def test_fixture_rows(self):
-        assert common_lines(COLUMN_2_PARTITE, [2, 3], "rows") == (1, 4)
-
-    def test_all_ones(self):
-        assert common_lines(ZeroOneMatrix.ones(3, 3), [1, 2, 3], "rows") == (1, 2, 3)
-
-    def test_empty_set_returns_everything(self):
-        assert common_lines(COLUMN_2_PARTITE, [], "rows") == (1, 2, 3, 4)
-        assert common_lines(COLUMN_2_PARTITE, [], "cols") == (1, 2, 3, 4)
-
-    def test_columns_axis(self):
-        assert common_lines(COLUMN_2_PARTITE, [1, 4], "cols") == (2, 3)
-
-    def test_bad_index(self):
-        with pytest.raises(InputError):
-            common_lines(COLUMN_2_PARTITE, [5], "rows")
-        with pytest.raises(InputError):
-            common_lines(COLUMN_2_PARTITE, [1], "sideways")
 
 
 class TestCountCopies:

@@ -14,7 +14,6 @@ from patex.ohypergraph import (
     classify_edge,
     cut_cuts_edge,
     cut_probability,
-    edges_cut,
     find_ordered_complete_t_partite,
     heavy_label_classes,
     random_t_cut,
@@ -138,9 +137,8 @@ class TestCutProbability:
 
 class TestCuts:
     def test_single_edge_two_cuts(self):
-        h = OrderedHypergraph(n=2, t=2, edges=frozenset({(1, 2)}))
-        assert edges_cut(h, TCut(n=2, t=2, points=(1,))) == ((1, 2),)
-        assert edges_cut(h, TCut(n=2, t=2, points=(2,))) == ()
+        assert cut_cuts_edge(TCut(n=2, t=2, points=(1,)), (1, 2))
+        assert not cut_cuts_edge(TCut(n=2, t=2, points=(2,)), (1, 2))
 
     def test_exhaustive_ratio_matches_probability(self):
         for n, t in ((12, 2), (12, 3), (8, 3)):
@@ -180,8 +178,8 @@ class TestCuts:
             random_t_cut(1, 3, SplitMix64(1))
 
     def test_degenerate_cut_cuts_nothing(self):
-        h = OrderedHypergraph(n=6, t=3, edges=frozenset({(1, 3, 5)}))
-        assert edges_cut(h, TCut(n=6, t=3, points=(4, 2))) == ()
+        cut = TCut(n=6, t=3, points=(4, 2))
+        assert not any(cut_cuts_edge(cut, e) for e in combinations(range(1, 7), 3))
 
     def test_parts_of_proper_cut(self):
         cut = TCut(n=6, t=3, points=(2, 4))

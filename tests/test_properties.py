@@ -1,0 +1,41 @@
+"""Property tests: both containment searches against the enumeration oracle
+on random hosts up to 6x6 and patterns up to 3x3."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_embedding
+from patex.matrix import Embedding, ZeroOneMatrix, find_embedding
+from patex.search import _Frontier
+
+BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw, max_rows: int, max_cols: int) -> ZeroOneMatrix:
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return ZeroOneMatrix(masks, cols)
+
+
+@BOUNDED
+@given(matrices(6, 6), matrices(3, 3))
+def test_frontier_stops_at_the_first_containing_prefix(host, a):
+    detector = _Frontier(a)
+    frontier = frozenset({(0, ((1 << host.cols) - 1,) * a.cols)})
+    for k in range(1, host.rows + 1):
+        frontier = detector.advance(frontier, host.row_masks[k - 1])
+        prefix = ZeroOneMatrix(host.row_masks[:k], host.cols)
+        contained = oracle_embedding(prefix, a) is not None
+        assert (frontier is None) == contained, f"prefix of {k} rows"
+        if contained:
+            break
+
+
+@BOUNDED
+@given(matrices(6, 6), matrices(3, 3))
+def test_find_embedding_returns_the_oracle_certificate(host, a):
+    found = oracle_embedding(host, a)
+    expected = None if found is None else Embedding(*found)
+    assert find_embedding(host, a) == expected

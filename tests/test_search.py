@@ -67,6 +67,20 @@ class TestExactMatchesOracle:
             assert oracle_embedding(got.witness, a) is None
             assert got.provenance["tailBounds"][-1] == got.value
 
+    def test_sweep_zero_lines_n4(self):
+        # all-zero last rows and all-zero columns leave some pattern rows or
+        # columns with no bits for the containment checks to test
+        for text in (
+            "11/00", "10/01/00", "11/11/00", "010/101/000", "011/110/000",
+            "10/10", "101/101", "100/001", "010/010/011", "10/00/01",
+        ):
+            a = parse_pattern(text.replace("/", "\n"))
+            got = exact_ex(4, a)
+            assert got.status == "exact"
+            assert got.value == brute_force_ex(4, a).value, f"pattern {text}"
+            assert got.witness.weight == got.value
+            assert oracle_embedding(got.witness, a) is None
+
     def test_sweep_rectangular_patterns(self):
         for rows, cols in ((2, 3), (3, 2)):
             for bits in range(1, 1 << (rows * cols)):
