@@ -213,12 +213,8 @@ def _cmd_cycles(args) -> int:
     if args.cycles_cmd == "embed":
         m = _load_matrix(args.host)
         a = _load_matrix(args.pattern)
-        r = args.r if args.r is not None else a.rows
-        if r != a.rows:
-            print(f"note: using pattern row count {a.rows} as the band count", file=sys.stderr)
-            r = a.rows
         emb = embed_xmonotone_balanced(m, a)
-        report = {"embedded": emb is not None, "r": r}
+        report = {"embedded": emb is not None, "r": a.rows}
         if emb is not None:
             report["embedding"] = emb.to_json_dict()
             report["proper"] = True
@@ -345,7 +341,6 @@ def make_parser() -> argparse.ArgumentParser:
     q = csub.add_parser("embed")
     q.add_argument("host")
     q.add_argument("pattern")
-    q.add_argument("--r", type=int, default=None)
     q.set_defaults(fn=_cmd_cycles)
     q = csub.add_parser("dichotomy")
     q.add_argument("host")

@@ -4,28 +4,31 @@ exhaustive enumeration of cycle patterns.
 
 A host is r-balanced when its rows split into r equal bands and every column
 has the same number of 1-entries in each band; a proper copy of an r-row
-pattern sends row j into band j. The embedder follows the structural
-recursion (repeated-pair scan for two-column cycles, then peeling the first
-column against a 2-column rectangle) with an exhaustive proper-copy search
-as fallback, so it has no false negatives at desk scale. All-zero rows and
-columns of the pattern are legal: zero columns are stripped before the
-search and re-inserted by column-slack accounting, zero rows only consume a
-slot in their band.
+pattern sends row j into band j. The embedder is one exhaustive banded walk
+over the containment transition that `find_embedding` uses, so it has no
+false negatives and returns the least proper certificate. All-zero rows and
+columns of the pattern are legal: a zero row takes the first row of its band
+and the greedy column assignment places zero columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
-from typing import Iterator, Optional
+from itertools import combinations
+from typing import Optional
 
 from .classify import _cycle_tour, _x_monotone_core, is_cycle
 from .errors import DivisibilityError, DomainError, PreconditionError
 from .increment import IncrementTrace, TraceLevel
-from .matrix import Embedding, ZeroOneMatrix, verify_embedding
-
-_RECURSION_COPY_CAP = 2000
+from .matrix import (
+    Embedding,
+    ZeroOneMatrix,
+    _greedy_sdr,
+    _narrow_by_row,
+    _row_columns,
+    verify_embedding,
+)
 
 
 # ----------------------------------------------------------------------
@@ -71,153 +74,17 @@ def is_r_balanced(m: ZeroOneMatrix, r: int) -> Optional[BalancedCertificate]:
 # Proper embedding of x-monotone cycles
 
 
-@dataclass(frozen=True)
-class _StrippedCycle:
-    """Zero columns removed: per surviving column its two pattern rows, the
-    original column index, and the slack vector (leading zeros, zeros
-    between consecutive survivors, trailing zeros)."""
-
-    col_rows: tuple[tuple[int, int], ...]
-    col_index: tuple[int, ...]
-    gaps: tuple[int, ...]
-
-
-def _strip(a: ZeroOneMatrix) -> _StrippedCycle:
-    nonempty = [j for j in range(1, a.cols + 1) if a.col_masks[j - 1]]
-    col_rows = []
-    for j in nonempty:
-        mask = a.col_masks[j - 1]
-        lo = (mask & -mask).bit_length()
-        hi = mask.bit_length()
-        col_rows.append((lo, hi))
-    gaps = [nonempty[0] - 1]
-    for x, y in zip(nonempty, nonempty[1:]):
-        gaps.append(y - x - 1)
-    gaps.append(a.cols - nonempty[-1])
-    return _StrippedCycle(
-        col_rows=tuple(col_rows), col_index=tuple(nonempty), gaps=tuple(gaps)
-    )
-
-
-def _proper_copies(
-    m: ZeroOneMatrix,
-    band: int,
-    col_rows: tuple[tuple[int, int], ...],
-    gaps: tuple[int, ...],
-) -> Iterator[tuple[dict, list[int]]]:
-    """All proper copies of a stripped cycle, one leftmost column assignment
-    per row assignment: rows range over their bands, columns are matched by a
-    greedy slack-aware sweep (smallest feasible column never hurts later
-    choices, so the sweep is complete per row assignment)."""
-    s1 = len(col_rows)
-    rows_used = sorted({x for pair in col_rows for x in pair})
-    n_cols = m.cols
-    col_masks = m.col_masks
-    # largest admissible host column per stripped position, from the suffix
-    # slack requirement
-    limit = [0] * s1
-    tail = gaps[s1]
-    for i in range(s1 - 1, -1, -1):
-        limit[i] = n_cols - tail
-        tail += gaps[i] + 1 if i > 0 else 0
-    for combo in product(*[range((a - 1) * band + 1, a * band + 1) for a in rows_used]):
-        rho = dict(zip(rows_used, combo))
-        needs = [
-            (1 << (rho[u] - 1)) | (1 << (rho[v] - 1)) for (u, v) in col_rows
-        ]
-        cmap = []
-        prev = gaps[0]  # first column must exceed the leading slack
-        ok = True
-        for i, need in enumerate(needs):
-            lo = prev + 1 if i == 0 else prev + gaps[i] + 1
-            c = None
-            for cand in range(lo, limit[i] + 1):
-                if col_masks[cand - 1] & need == need:
-                    c = cand
-                    break
-            if c is None:
-                ok = False
-                break
-            cmap.append(c)
-            prev = c
-        if ok:
-            yield rho, cmap
-
-
-def _embed_base(m: ZeroOneMatrix, band: int, sc: _StrippedCycle):
-    """Two surviving columns: scan for a row pair carrying 1s in two distinct
-    slack-compatible columns (the repeated-pair criterion)."""
-    (u, v) = sc.col_rows[0]
-    if sc.col_rows[1] != (u, v):
-        return None
-    g0, g1, g2 = sc.gaps
-    n_cols = m.cols
-    lo_u, hi_u = (u - 1) * band, u * band
-    lo_v, hi_v = (v - 1) * band, v * band
-    first_seen: dict = {}
-    for c in range(1, n_cols + 1):
-        mask = m.col_masks[c - 1]
-        bu = [i + 1 for i in range(lo_u, hi_u) if (mask >> i) & 1]
-        if not bu:
-            continue
-        bv = [i + 1 for i in range(lo_v, hi_v) if (mask >> i) & 1]
-        if not bv:
-            continue
-        for ra in bu:
-            for rb in bv:
-                prev = first_seen.get((ra, rb))
-                if prev is not None and c - prev >= g1 + 1 and n_cols - c >= g2:
-                    return {u: ra, v: rb}, [prev, c]
-                if prev is None and c >= g0 + 1 and c <= n_cols - (1 + g1 + g2):
-                    first_seen[(ra, rb)] = c
-    return None
-
-
-def _embed_recursive(m: ZeroOneMatrix, band: int, sc: _StrippedCycle):
-    """Peel the first column: the cycle decomposes into a 2-column rectangle
-    on its first two columns' shared rows and a shorter x-monotone cycle.
-    Enumerate proper copies of the shorter cycle and try to extend each pivot
-    (the image of its first-column 1-entry in row b) by the rectangle."""
-    (p, q) = sc.col_rows[0]
-    (x, y) = sc.col_rows[1]
-    if p in (x, y):
-        a_row, b_row = p, q
-    elif q in (x, y):
-        a_row, b_row = q, p
-    else:
-        return None
-    w_row = x if y == a_row else y
-    if w_row == b_row:
-        return None
-    reduced_cols = (tuple(sorted((b_row, w_row))),) + sc.col_rows[2:]
-    reduced_gaps = (sc.gaps[0] + 1 + sc.gaps[1],) + sc.gaps[2:]
-    g0, g1 = sc.gaps[0], sc.gaps[1]
-    lo_a, hi_a = (a_row - 1) * band, a_row * band
-    for rho1, cmap1 in islice(
-        _proper_copies(m, band, reduced_cols, reduced_gaps), _RECURSION_COPY_CAP
-    ):
-        c1 = cmap1[0]
-        rb = rho1[b_row]
-        mask_c1 = m.col_masks[c1 - 1]
-        for i in range(lo_a, hi_a):
-            if not (mask_c1 >> i) & 1:
-                continue
-            ra = i + 1
-            need = (1 << (ra - 1)) | (1 << (rb - 1))
-            for c0 in range(g0 + 1, c1 - g1):
-                if m.col_masks[c0 - 1] & need == need:
-                    rho = dict(rho1)
-                    rho[a_row] = ra
-                    return rho, [c0] + cmap1
-    return None
-
-
 def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     """Proper embedding of an x-monotone cycle pattern into an r-balanced
-    host (r = pattern rows): row j of the pattern lands in band j. Returns a
-    verified certificate or None; the exhaustive fallback guarantees no
-    false negatives, and above weight r*s*sqrt(m)*n a copy always exists."""
-    r, s = a.rows, a.cols
+    host (r = pattern rows): row j of the pattern lands in band j. One
+    depth-first walk over the pattern rows tries the host rows of each row's
+    band in order through `_narrow_by_row`; an all-zero pattern row takes the
+    first row of its band (every row of the band leaves the same state), and
+    the greedy SDR places every column, zero columns included. The walk is exhaustive, so it returns the
+    lexicographically least proper certificate (row map first, then column
+    map), verified, or None when no proper copy exists; above weight
+    r*s*sqrt(m)*n a copy always exists."""
+    r = a.rows
     if _cycle_tour(a) is None:
         raise PreconditionError("pattern is not a cycle")
     if not _x_monotone_core(a):
@@ -226,35 +93,30 @@ def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Emb
         raise PreconditionError(
             f"host rows {m.rows} are not divisible by pattern rows {r}"
         )
-    if is_r_balanced(m, r) is None:
+    if balance_violation(m, r) is not None:
         raise PreconditionError("host is not r-balanced")
     band = m.rows // r
-    sc = _strip(a)
-    s1 = len(sc.col_rows)
-    if s1 == 2:
-        found = _embed_base(m, band, sc)
-    else:
-        found = _embed_recursive(m, band, sc)
-        if found is None:
-            found = next(iter(_proper_copies(m, band, sc.col_rows, sc.gaps)), None)
+    touched = _row_columns(a.row_masks, a.cols)
+    row_map = [0] * r
+
+    def rec(p: int, col_masks: tuple[int, ...]):
+        if p == r:
+            return col_masks
+        lo = p * band
+        for hr in range(lo, lo + band if touched[p] else lo + 1):
+            updated = _narrow_by_row(col_masks, touched[p], m.row_masks[hr])
+            if updated is None:
+                continue
+            row_map[p] = hr + 1
+            found = rec(p + 1, updated)
+            if found is not None:
+                return found
+        return None
+
+    found = rec(0, ((1 << m.cols) - 1,) * a.cols)
     if found is None:
         return None
-    rho, cmap = found
-    row_map = tuple(rho.get(j, (j - 1) * band + 1) for j in range(1, r + 1))
-    col_map = [0] * s
-    for idx, j in enumerate(sc.col_index):
-        col_map[j - 1] = cmap[idx]
-    # re-insert stripped zero columns into the guaranteed slack
-    lead = sc.col_index[0] - 1
-    for offset in range(lead):
-        col_map[offset] = cmap[0] - lead + offset
-    for idx in range(s1 - 1):
-        base_col = sc.col_index[idx]
-        for step in range(1, sc.col_index[idx + 1] - base_col):
-            col_map[base_col + step - 1] = cmap[idx] + step
-    for step in range(1, s - sc.col_index[-1] + 1):
-        col_map[sc.col_index[-1] + step - 1] = cmap[-1] + step
-    emb = Embedding(row_map=row_map, col_map=tuple(col_map))
+    emb = Embedding(tuple(row_map), tuple(c + 1 for c in _greedy_sdr(found)))
     if not verify_embedding(m, a, emb):
         raise AssertionError("proper embedding failed verification")
     return emb
@@ -356,14 +218,12 @@ def dense_or_balanced(
         )
         chosen = group[:band]
         if len(chosen) < band:
-            pool = [j for j in heavy_cols if j not in set(chosen)]
-            pool += [j for j in range(1, n + 1) if j not in set(heavy_cols)]
-            for j in pool:
-                if len(chosen) >= band:
-                    break
-                if j not in chosen:
-                    chosen.append(j)
-        chosen = sorted(chosen[:band])
+            # pad with unchosen heavy columns first, then light ones
+            taken, heavy = set(chosen), set(heavy_cols)
+            pool = [j for j in heavy_cols if j not in taken]
+            pool += [j for j in range(1, n + 1) if j not in heavy]
+            chosen += pool[: band - len(chosen)]
+        chosen = sorted(chosen)
         rows = tuple(range(i_star * band + 1, (i_star + 1) * band + 1))
         sub = m.select(rows, chosen)
         return DichotomyResult(

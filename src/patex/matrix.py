@@ -145,9 +145,6 @@ class ZeroOneMatrix:
                 m ^= low
         return tuple(out)
 
-    def row_weight(self, i: int) -> int:
-        return self.row_masks[i - 1].bit_count()
-
     def col_weight(self, j: int) -> int:
         return self.col_masks[j - 1].bit_count()
 

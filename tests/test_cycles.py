@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -103,6 +103,37 @@ class TestEmbedBalanced:
         host = ZeroOneMatrix.ones(4, 5)
         emb = embed_xmonotone_balanced(host, a)
         assert emb is not None and verify_embedding(host, a, emb)
+
+    def test_least_proper_certificate(self, rng):
+        """The first (rows, cols) of a banded enumeration: rows from the
+        product of the bands, columns from increasing column subsets."""
+        from patex.classify import _x_monotone_core
+
+        patterns = [K22] + [
+            m for length in (6, 8) for m in enumerate_cycles(length) if _x_monotone_core(m)
+        ]
+        patterns += [ZeroOneMatrix.parse(t) for t in ("101\n101", "11\n00\n11", "0110\n0110")]
+        found = 0
+        for a in patterns:
+            ones = a.one_entries()
+            for _ in range(8):
+                band = 1 + rng.below(4)
+                cols = a.cols + rng.below(11 - a.cols)
+                host = balanced_host(rng, a.rows * band, cols, a.rows, 0.0)
+                bands = [range((j - 1) * band + 1, j * band + 1) for j in range(1, a.rows + 1)]
+                expected = next(
+                    (
+                        (rows, cs)
+                        for rows in product(*bands)
+                        for cs in combinations(range(1, cols + 1), a.cols)
+                        if all(host.entry(rows[i - 1], cs[j - 1]) for (i, j) in ones)
+                    ),
+                    None,
+                )
+                emb = embed_xmonotone_balanced(host, a)
+                assert (None if emb is None else (emb.row_map, emb.col_map)) == expected
+                found += expected is not None
+        assert 0 < found < 8 * len(patterns)
 
     def test_zero_row_pattern(self):
         a = ZeroOneMatrix.parse("11\n00\n11")
