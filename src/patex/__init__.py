@@ -32,14 +32,12 @@ from .count import (
     supersat_bound,
 )
 from .cycles import (
-    BalancedCertificate,
     DichotomyResult,
     balance_violation,
     cycle_driver,
     dense_or_balanced,
     embed_xmonotone_balanced,
     enumerate_cycles,
-    is_r_balanced,
 )
 from .errors import (
     BudgetError,
@@ -65,7 +63,6 @@ from .increment import (
     symmetric_increment_step,
 )
 from .matrix import (
-    BlockPartition,
     Embedding,
     ZeroOneMatrix,
     canonical_key,
@@ -73,7 +70,6 @@ from .matrix import (
     find_embedding,
     from_ordered_bigraph,
     parse_pattern,
-    partition,
     verify_embedding,
 )
 from .ohypergraph import (

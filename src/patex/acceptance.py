@@ -26,7 +26,12 @@ from .classify import (
     partite_profile,
 )
 from .count import _count_copies, stepping_bound, supersat_bound
-from .cycles import dense_or_balanced, embed_xmonotone_balanced, enumerate_cycles, is_r_balanced
+from .cycles import (
+    balance_violation,
+    dense_or_balanced,
+    embed_xmonotone_balanced,
+    enumerate_cycles,
+)
 from .increment import density_increment_step, lambda_schedule, make_constants
 from .matrix import ZeroOneMatrix, find_embedding, random_matrix, verify_embedding
 from .ohypergraph import TCut, cut_cuts_edge, cut_probability, random_t_cut
@@ -460,7 +465,7 @@ def check_dichotomy() -> tuple[bool, str]:
                     return False, f"balanced family: precondition failed (k={k}, n={n})"
                 if res.branch != "balanced" or not res.invariant_holds:
                     return False, f"balanced family: branch={res.branch}, invariant={res.invariant_holds} (k={k}, n={n}, bands=({b1},{b2}))"
-                if is_r_balanced(res.matrix, 2) is None:
+                if balance_violation(res.matrix, 2) is not None:
                     return False, f"balanced family: result not 2-balanced (k={k}, n={n})"
                 cases += 1
     # precondition-violating family: sparse noise against an oversized c
@@ -477,7 +482,7 @@ def check_dichotomy() -> tuple[bool, str]:
             if res.matrix.rows != n // k or res.matrix.cols != n // k:
                 return False, "violating family: dense extraction has wrong shape"
         else:
-            if is_r_balanced(res.matrix, 2) is None:
+            if balance_violation(res.matrix, 2) is not None:
                 return False, "violating family: balanced extraction is not balanced"
         cases += 1
     return True, f"{cases} constructed instances: invariants hold whenever the weight precondition does, violations are flagged"

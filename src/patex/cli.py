@@ -21,11 +21,11 @@ from . import classify as _classify
 from .cache import CacheStore
 from .count import count_copies, stepping_bound, supersat_bound
 from .cycles import (
+    balance_violation,
     cycle_driver,
     dense_or_balanced,
     embed_xmonotone_balanced,
     enumerate_cycles,
-    is_r_balanced,
 )
 from .errors import BudgetError, PatexError
 from .increment import _json_safe, run_driver
@@ -232,7 +232,7 @@ def _cmd_cycles(args) -> int:
             "cols": list(res.col_indices),
             "matrix": res.matrix.to_json_dict(),
             "details": res.details,
-            "balanced": is_r_balanced(res.matrix, res.r) is not None
+            "balanced": balance_violation(res.matrix, res.r) is None
             if res.branch == "balanced"
             else None,
         }

@@ -8,7 +8,9 @@ pattern sends row j into band j. The embedder is one exhaustive banded walk
 over the containment transition that `find_embedding` uses, so it has no
 false negatives and returns the least proper certificate. All-zero rows and
 columns of the pattern are legal: a zero row takes the first row of its band
-and the greedy column assignment places zero columns.
+and the greedy column assignment places zero columns. The dichotomy's
+balanced branch reads the band counts and the truncated columns straight off
+the host's column masks and builds its matrix once, by transposing them.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ from .matrix import (
 # Balance
 
 
-@dataclass(frozen=True)
-class BalancedCertificate:
-    """Per column, the r per-band 1-counts (all equal by definition)."""
-
-    r: int
-    column_profiles: tuple[tuple[int, ...], ...]
-
-
 def _band_counts(m: ZeroOneMatrix, r: int, j: int) -> tuple[int, ...]:
     band = m.rows // r
     mask = m.col_masks[j - 1]
@@ -61,13 +55,6 @@ def balance_violation(m: ZeroOneMatrix, r: int) -> Optional[str]:
         if len(set(counts)) > 1:
             return f"column {j} has unequal band counts {counts}"
     return None
-
-
-def is_r_balanced(m: ZeroOneMatrix, r: int) -> Optional[BalancedCertificate]:
-    if balance_violation(m, r) is not None:
-        return None
-    profiles = tuple(_band_counts(m, r, j) for j in range(1, m.cols + 1))
-    return BalancedCertificate(r=r, column_profiles=profiles)
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +118,7 @@ class DichotomyResult:
     """Either an (n/k) x (n/k) submatrix assembled from heavy column-blocks
     of one band ("dense"), or an (nr/k) x m r-balanced matrix obtained by
     stacking r bands and truncating every column to its minimum band count
+    over them, keeping the topmost 1-entries of the column in each band
     ("balanced"). Index lists are absolute 1-based positions in the input;
     the balanced branch may additionally zero entries, so its matrix is
     dominated by (not equal to) the input restriction."""
@@ -252,23 +240,25 @@ def dense_or_balanced(
         rows.extend(range(i * band + 1, (i + 1) * band + 1))
     rows = tuple(rows)
     cols = tuple(sorted(heavy_cols))
-    sub = m.select(rows, cols)
-    # truncate every column to its minimum band count (top-down within each
-    # band) so the result is exactly r-balanced
-    local_band = band
-    masks = list(sub.row_masks)
-    for jj in range(sub.cols):
-        col_rows = [i for i in range(sub.rows) if (masks[i] >> jj) & 1]
-        per_band = [[i for i in col_rows if b * local_band <= i < (b + 1) * local_band] for b in range(r_meta)]
-        mn = min(len(x) for x in per_band)
-        for block_rows in per_band:
-            for i in block_rows[mn:]:
-                masks[i] &= ~(1 << jj)
-    result = ZeroOneMatrix(masks, sub.cols)
+    # truncate every column to its minimum band count, keeping the topmost
+    # 1-entries of each picked band, so the result is exactly r-balanced
+    window = (1 << band) - 1
+    trunc_cols = []
+    for j in cols:
+        keep = min(counts[j][i] for i in best_set)
+        col = 0
+        for b, i in enumerate(best_set):
+            x = (m.col_masks[j - 1] >> (i * band)) & window
+            for _ in range(keep):
+                low = x & -x
+                col |= low << (b * band)
+                x ^= low
+        trunc_cols.append(col)
+    result = ZeroOneMatrix(trunc_cols, len(rows)).transpose()
     m_cols = result.cols
     target = r_meta * s_meta * math.sqrt(m_cols) * (n * r_meta / k)
     ok = (
-        is_r_balanced(result, r_meta) is not None
+        balance_violation(result, r_meta) is None
         and result.weight >= target - 1e-9
     )
     return DichotomyResult(

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from .classify import min_column_parts, min_row_parts
 from .count import _count_copies, stepping_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
-from .matrix import Embedding, ZeroOneMatrix, partition, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, verify_embedding
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
 # traces the increment layer through this module's attributes.
 from .ohypergraph import (  # noqa: F401
@@ -385,14 +385,14 @@ def _horizontal_step(
             label=label,
             heavy=(HeavySearch(examined=i + 1, **found),),
         )
-    part = partition(m, k, "horizontal")
-    counts = [_count_copies(b, u, t) for b in part.blocks]
+    bounds = [(p * band + 1, (p + 1) * band) for p in range(k)]
+    counts = [_count_copies(m.submatrix(lo, hi, 1, m.cols), u, t) for lo, hi in bounds]
     best = max(range(k), key=lambda p: (counts[p], -p))
     if total is None:
         total = _count_copies(m, u, t)
     narrow_total = sum(counts)
     guarantee = counts[best] * 4 * r ** (u - 1) * u**u * k >= math.factorial(u) * total
-    lo, hi = part.bounds[best]
+    lo, hi = bounds[best]
     return StepResult(
         kind="densified",
         block=best + 1,

@@ -1,5 +1,4 @@
-"""Dense 0-1 matrices, ordered pattern containment with certificates, and
-block partitions.
+"""Dense 0-1 matrices and ordered pattern containment with certificates.
 
 A matrix M contains a pattern A when strictly increasing row and column
 injections map every 1-entry of A onto a 1-entry of M; the pair of injections
@@ -15,17 +14,20 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DivisibilityError, FormatError, InputError
+from .errors import FormatError, InputError
 from .rng import SplitMix64
 
 
 class ZeroOneMatrix:
     """Immutable rectangular 0-1 matrix with cached weight.
 
-    Treat instances as frozen: every operation returns a new matrix.
+    Treat instances as frozen: every operation returns a new matrix. Row
+    masks are the stored form; the column masks (bit i-1 = row i) are derived
+    the first time `col_masks` is read. A contiguous `submatrix` is a shift
+    and a mask per row; `select` gathers bits for non-contiguous picks.
     """
 
-    __slots__ = ("rows", "cols", "row_masks", "col_masks", "weight")
+    __slots__ = ("rows", "cols", "row_masks", "_col_masks", "weight")
 
     def __init__(self, row_masks: Sequence[int], cols: int):
         row_masks = tuple(int(m) for m in row_masks)
@@ -38,14 +40,20 @@ class ZeroOneMatrix:
         self.rows = len(row_masks)
         self.cols = cols
         self.row_masks = row_masks
-        col_masks = [0] * cols
-        for i, m in enumerate(row_masks):
-            while m:
-                low = m & -m
-                col_masks[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        self.col_masks = tuple(col_masks)
+        self._col_masks = None
         self.weight = sum(m.bit_count() for m in row_masks)
+
+    @property
+    def col_masks(self) -> tuple[int, ...]:
+        if self._col_masks is None:
+            col_masks = [0] * self.cols
+            for i, m in enumerate(self.row_masks):
+                while m:
+                    low = m & -m
+                    col_masks[low.bit_length() - 1] |= 1 << i
+                    m ^= low
+            self._col_masks = tuple(col_masks)
+        return self._col_masks
 
     # ------------------------------------------------------------------
     # Constructors
@@ -152,13 +160,19 @@ class ZeroOneMatrix:
     # Derived matrices
 
     def transpose(self) -> "ZeroOneMatrix":
-        return ZeroOneMatrix(self.col_masks, self.rows)
+        t = ZeroOneMatrix(self.col_masks, self.rows)
+        t._col_masks = self.row_masks
+        return t
 
     def submatrix(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "ZeroOneMatrix":
         """Contiguous submatrix, 1-based inclusive bounds."""
         if not (1 <= row_lo <= row_hi <= self.rows and 1 <= col_lo <= col_hi <= self.cols):
             raise InputError("submatrix bounds out of range")
-        return self.select(range(row_lo, row_hi + 1), range(col_lo, col_hi + 1))
+        shift, window = col_lo - 1, (1 << (col_hi - col_lo + 1)) - 1
+        return ZeroOneMatrix(
+            [(m >> shift) & window for m in self.row_masks[row_lo - 1 : row_hi]],
+            col_hi - col_lo + 1,
+        )
 
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ZeroOneMatrix":
         """Submatrix from strictly increasing 1-based row/column index lists."""
@@ -401,61 +415,3 @@ def embedding_violation(m: ZeroOneMatrix, a: ZeroOneMatrix, e: Embedding) -> Opt
 
 def verify_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix, e: Embedding) -> bool:
     return embedding_violation(m, a, e) is None
-
-
-# ----------------------------------------------------------------------
-# Block partitions
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Equal slicing of a matrix into k horizontal or vertical blocks, or the
-    k*k grid of their intersections. Bounds are 1-based inclusive; for the
-    grid, bounds[i] = ((row_lo, row_hi), (col_lo, col_hi)) in row-major block
-    order."""
-
-    k: int
-    mode: str
-    bounds: tuple
-    blocks: tuple[ZeroOneMatrix, ...]
-
-    def block(self, p: int, q: Optional[int] = None) -> ZeroOneMatrix:
-        if self.mode == "grid":
-            if q is None:
-                raise InputError("grid blocks are addressed by (p, q)")
-            return self.blocks[(p - 1) * self.k + (q - 1)]
-        if q is not None:
-            raise InputError(f"{self.mode} blocks take a single index")
-        return self.blocks[p - 1]
-
-
-def partition(m: ZeroOneMatrix, k: int, mode: str) -> BlockPartition:
-    if mode not in ("horizontal", "vertical", "grid"):
-        raise InputError(f"unknown partition mode {mode!r}")
-    if k < 1:
-        raise InputError("block count must be positive")
-    if mode in ("horizontal", "grid") and m.rows % k:
-        raise DivisibilityError(f"{k} does not divide row count {m.rows}")
-    if mode in ("vertical", "grid") and m.cols % k:
-        raise DivisibilityError(f"{k} does not divide column count {m.cols}")
-    if mode == "horizontal":
-        step = m.rows // k
-        bounds = tuple(((p - 1) * step + 1, p * step) for p in range(1, k + 1))
-        blocks = tuple(m.submatrix(lo, hi, 1, m.cols) for (lo, hi) in bounds)
-    elif mode == "vertical":
-        step = m.cols // k
-        bounds = tuple(((p - 1) * step + 1, p * step) for p in range(1, k + 1))
-        blocks = tuple(m.submatrix(1, m.rows, lo, hi) for (lo, hi) in bounds)
-    else:
-        rstep, cstep = m.rows // k, m.cols // k
-        bounds = []
-        blocks = []
-        for p in range(1, k + 1):
-            for q in range(1, k + 1):
-                rb = ((p - 1) * rstep + 1, p * rstep)
-                cb = ((q - 1) * cstep + 1, q * cstep)
-                bounds.append((rb, cb))
-                blocks.append(m.submatrix(rb[0], rb[1], cb[0], cb[1]))
-        bounds = tuple(bounds)
-        blocks = tuple(blocks)
-    return BlockPartition(k=k, mode=mode, bounds=bounds, blocks=blocks)

@@ -219,31 +219,36 @@ def find_ordered_complete_t_partite(
         raise DomainError(f"need {h.t} positive part sizes, got {sizes}")
     if not h.edges:
         return None
-    edges = h.edges
     t = h.t
     suffix_need = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
         suffix_need[i] = suffix_need[i + 1] + sizes[i]
 
+    # Per (t-1)-prefix, the bitmask (bit v = vertex v) of the last vertices
+    # that complete it to an edge.
+    last: dict[tuple[int, ...], int] = {}
+    for e in h.edges:
+        last[e[:-1]] = last.get(e[:-1], 0) | 1 << e[-1]
     chosen: list[tuple[int, ...]] = []
-
-    def prefixes() -> list[tuple[int, ...]]:
-        return [tuple(p) for p in product(*chosen)]
 
     def rec(part_idx: int, min_start: int) -> Optional[tuple]:
         pool_hi = h.n - suffix_need[part_idx + 1]
         if part_idx == t - 1:
             # Last part separates per vertex: v joins iff every prefix
             # transversal extended by v is an edge.
-            pref = prefixes()
-            cand = [
-                v
-                for v in range(min_start, pool_hi + 1)
-                if all(p + (v,) in edges for p in pref)
-            ]
-            if len(cand) < sizes[part_idx]:
+            cand = ((1 << (pool_hi + 1)) - 1) & (-1 << min_start)
+            for p in product(*chosen):
+                cand &= last.get(p, 0)
+                if not cand:
+                    return None
+            if cand.bit_count() < sizes[part_idx]:
                 return None
-            return tuple(chosen) + (tuple(cand[: sizes[part_idx]]),)
+            part = []
+            for _ in range(sizes[part_idx]):
+                low = cand & -cand
+                part.append(low.bit_length() - 1)
+                cand ^= low
+            return tuple(chosen) + (tuple(part),)
         for combo in combinations(range(min_start, pool_hi + 1), sizes[part_idx]):
             chosen.append(combo)
             res = rec(part_idx + 1, combo[-1] + 1)

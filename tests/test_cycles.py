@@ -11,7 +11,6 @@ from patex.cycles import (
     dense_or_balanced,
     embed_xmonotone_balanced,
     enumerate_cycles,
-    is_r_balanced,
 )
 from patex.errors import DivisibilityError, DomainError, PreconditionError
 from patex.matrix import ZeroOneMatrix, find_embedding, verify_embedding
@@ -35,19 +34,16 @@ def balanced_host(rng, n, m_cols, r, lo_frac):
 
 class TestBalance:
     def test_all_ones(self):
-        cert = is_r_balanced(ZeroOneMatrix.ones(4, 5), 2)
-        assert cert is not None and cert.column_profiles[0] == (2, 2)
+        assert balance_violation(ZeroOneMatrix.ones(4, 5), 2) is None
 
     def test_unbalanced_diagnostic(self):
         m = ZeroOneMatrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 0]])
-        assert is_r_balanced(m, 2) is None
         assert "column 1" in balance_violation(m, 2)
 
     def test_all_zero_is_balanced(self):
-        assert is_r_balanced(ZeroOneMatrix.zeros(6, 3), 3) is not None
+        assert balance_violation(ZeroOneMatrix.zeros(6, 3), 3) is None
 
     def test_divisibility_diagnostic(self):
-        assert is_r_balanced(ZeroOneMatrix.ones(4, 2), 3) is None
         assert "divide" in balance_violation(ZeroOneMatrix.ones(4, 2), 3)
 
 
@@ -163,7 +159,7 @@ class TestDichotomy:
         host = ZeroOneMatrix(masks, n)
         res = dense_or_balanced(host, 2, 2, k, 1.0)
         assert res.branch == "balanced"
-        assert res.invariant_holds and is_r_balanced(res.matrix, 2) is not None
+        assert res.invariant_holds and balance_violation(res.matrix, 2) is None
         assert res.details["bands"] == [1, 3]
 
     def test_precondition_flagging(self, rng):
@@ -182,6 +178,34 @@ class TestDichotomy:
                 for lj, j in enumerate(res.col_indices):
                     if res.matrix.entry(li + 1, lj + 1):
                         assert host.entry(i, j) == 1
+
+    def test_balanced_branch_truncation_rule(self, rng):
+        """Per column and picked band, the balanced matrix keeps the topmost
+        1-entries of the host restriction, as many as the column's smallest
+        count over the picked bands."""
+        truncated = 0
+        for n in (16, 24, 32):
+            for (r, k) in ((2, 2), (2, 4), (3, 4)):
+                for _ in range(4):
+                    host = random_matrix(rng, n, n, 0.3 + 0.5 * rng.random())
+                    res = dense_or_balanced(host, r, 2, k, 0.1)
+                    assert res.branch == "balanced"
+                    sub = host.select(res.row_indices, res.col_indices)
+                    band = sub.rows // r
+                    grid = [[0] * sub.cols for _ in range(sub.rows)]
+                    for j in range(1, sub.cols + 1):
+                        per_band = [
+                            [i for i in range(b * band + 1, (b + 1) * band + 1) if sub.entry(i, j)]
+                            for b in range(r)
+                        ]
+                        keep = min(len(ones) for ones in per_band)
+                        for ones in per_band:
+                            for i in ones[:keep]:
+                                grid[i - 1][j - 1] = 1
+                    assert res.matrix == ZeroOneMatrix.from_rows(grid)
+                    assert res.weight == res.matrix.weight
+                    truncated += res.matrix != sub
+        assert truncated > 0
 
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import COLUMN_2_PARTITE, K22, oracle_embedding, random_matrix
-from patex.errors import DivisibilityError, FormatError, InputError
+from patex.errors import FormatError, InputError
 from patex.matrix import (
     Embedding,
     ZeroOneMatrix,
@@ -10,7 +10,6 @@ from patex.matrix import (
     find_embedding,
     from_ordered_bigraph,
     parse_pattern,
-    partition,
     verify_embedding,
 )
 from patex.rng import SplitMix64
@@ -133,29 +132,77 @@ class TestVerify:
         assert "outside" in embedding_violation(COLUMN_2_PARTITE, K22, e)
 
 
-class TestPartition:
-    def test_horizontal(self):
-        p = partition(COLUMN_2_PARTITE, 2, "horizontal")
-        assert p.bounds == ((1, 2), (3, 4))
-        assert p.block(1).row_strings() == ("0101", "1001")
+def same_matrix(x, y):
+    return (x.rows, x.cols, x.row_masks, x.col_masks, x.weight) == (
+        y.rows, y.cols, y.row_masks, y.col_masks, y.weight
+    )
 
-    def test_grid(self):
-        p = partition(COLUMN_2_PARTITE, 2, "grid")
-        assert len(p.blocks) == 4
-        assert p.block(2, 2).row_strings() == ("01", "10")
 
-    def test_divisibility_error(self):
-        with pytest.raises(DivisibilityError):
-            partition(COLUMN_2_PARTITE, 3, "horizontal")
+class TestSubmatrix:
+    def test_horizontal_bands(self):
+        assert COLUMN_2_PARTITE.submatrix(1, 2, 1, 4).row_strings() == ("0101", "1001")
+        assert COLUMN_2_PARTITE.submatrix(3, 4, 3, 4).row_strings() == ("01", "10")
 
-    def test_blocks_reassemble(self, rng):
+    def test_bands_reassemble(self, rng):
         m = random_matrix(rng, 6, 6, 0.5)
-        p = partition(m, 3, "horizontal")
-        rows = [s for b in p.blocks for s in b.row_strings()]
-        assert tuple(rows) == m.row_strings()
-        p = partition(m, 2, "vertical")
-        glued = [a + b for a, b in zip(p.block(1).row_strings(), p.block(2).row_strings())]
+        bands = [m.submatrix(lo, lo + 1, 1, 6) for lo in (1, 3, 5)]
+        assert tuple(s for b in bands for s in b.row_strings()) == m.row_strings()
+        left, right = m.submatrix(1, 6, 1, 3), m.submatrix(1, 6, 4, 6)
+        glued = [x + y for x, y in zip(left.row_strings(), right.row_strings())]
         assert tuple(glued) == m.row_strings()
+
+    def test_matches_select_on_random_shapes(self, rng):
+        for _ in range(200):
+            rows, cols = 1 + rng.below(9), 1 + rng.below(70)
+            m = random_matrix(rng, rows, cols, rng.random())
+            r_lo = 1 + rng.below(rows)
+            r_hi = r_lo + rng.below(rows - r_lo + 1)
+            c_lo = 1 + rng.below(cols)
+            c_hi = c_lo + rng.below(cols - c_lo + 1)
+            windows = [
+                (r_lo, r_hi, c_lo, c_hi),
+                (r_lo, r_lo, c_lo, c_hi),  # single row
+                (r_lo, r_hi, c_hi, c_hi),  # single column
+                (r_lo, r_hi, 1, cols),  # full width
+            ]
+            for (a, b, c, d) in windows:
+                sub = m.submatrix(a, b, c, d)
+                assert same_matrix(sub, m.select(range(a, b + 1), range(c, d + 1)))
+            assert same_matrix(m.submatrix(1, rows, 1, cols), m)
+
+    def test_bounds_checked(self):
+        for bounds in ((0, 2, 1, 4), (1, 5, 1, 4), (1, 2, 0, 4), (1, 2, 1, 5), (2, 1, 1, 4), (1, 2, 3, 2)):
+            with pytest.raises(InputError):
+                COLUMN_2_PARTITE.submatrix(*bounds)
+
+
+class TestColumnMasks:
+    def test_match_entries_for_every_constructor(self, rng):
+        m = random_matrix(rng, 5, 7, 0.5)
+        built = [
+            ZeroOneMatrix([0b101, 0b010, 0b111], 3),
+            ZeroOneMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 0]]),
+            ZeroOneMatrix.zeros(3, 4),
+            ZeroOneMatrix.ones(4, 3),
+            parse_pattern("0110\n1001\n0001"),
+            ZeroOneMatrix.from_json_dict(COLUMN_2_PARTITE.to_json_dict()),
+            from_ordered_bigraph([(1, 2), (3, 1), (2, 3)], 3, 3),
+            m,
+            m.transpose(),
+            m.submatrix(2, 4, 3, 7),
+            m.select([1, 3, 5], [2, 4, 7]),
+            m.with_entry(2, 2, 1),
+        ]
+        for x in built:
+            for j in range(1, x.cols + 1):
+                read = sum(x.entry(i, j) << (i - 1) for i in range(1, x.rows + 1))
+                assert x.col_masks[j - 1] == read
+                assert x.col_weight(j) == read.bit_count()
+            assert x.col_masks is x.col_masks  # derived once
+
+    def test_read_only(self):
+        with pytest.raises(AttributeError):
+            K22.col_masks = (0, 0)
 
 
 class TestBigraph:

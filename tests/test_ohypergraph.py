@@ -222,10 +222,9 @@ class TestTPartiteSearch:
                 e for e in combinations(range(1, n + 1), 2) if rng.bernoulli(density)
             )
             h = OrderedHypergraph(n=n, t=2, edges=edges)
-            for s in (1, 2):
-                found = find_ordered_complete_t_partite(h, s)
-                oracle = oracle_t_partite(h, (s,) * 2)
-                assert (found is None) == (oracle is None)
+            for sizes in ((1, 1), (2, 2), (1, 3)):
+                found = find_ordered_complete_t_partite(h, sizes)
+                assert found == oracle_t_partite(h, sizes)
                 if found:
                     for tr in product(*found):
                         assert tuple(sorted(tr)) in edges
@@ -238,9 +237,8 @@ class TestTPartiteSearch:
                 e for e in combinations(range(1, n + 1), 3) if rng.bernoulli(0.6)
             )
             h = OrderedHypergraph(n=n, t=3, edges=edges)
-            found = find_ordered_complete_t_partite(h, (1, 2, 1))
-            oracle = oracle_t_partite(h, (1, 2, 1))
-            assert (found is None) == (oracle is None)
+            for sizes in ((1, 2, 1), (2, 1, 2)):
+                assert find_ordered_complete_t_partite(h, sizes) == oracle_t_partite(h, sizes)
 
     def test_size_vector_validation(self):
         h = OrderedHypergraph(n=4, t=2, edges=frozenset({(1, 2)}))
