@@ -4,8 +4,8 @@ exhaustive enumeration of cycle patterns.
 
 A host is r-balanced when its rows split into r equal bands and every column
 has the same number of 1-entries in each band; a proper copy of an r-row
-pattern sends row j into band j. The embedder is one exhaustive banded walk
-over the containment transition that `find_embedding` uses, so it has no
+pattern sends row j into band j. The embedder is the banded mode of
+`_search_masks`, the exhaustive walk that `find_embedding` uses, so it has no
 false negatives and returns the least proper certificate. All-zero rows and
 columns of the pattern are legal: a zero row takes the first row of its band
 and the greedy column assignment places zero columns. The dichotomy's
@@ -23,14 +23,7 @@ from typing import Optional
 from .classify import _cycle_tour, _x_monotone_core, is_cycle
 from .errors import DivisibilityError, DomainError, PreconditionError
 from .increment import IncrementTrace, TraceLevel
-from .matrix import (
-    Embedding,
-    ZeroOneMatrix,
-    _greedy_sdr,
-    _narrow_by_row,
-    _row_columns,
-    verify_embedding,
-)
+from .matrix import Embedding, ZeroOneMatrix, _search_masks, verify_embedding
 
 
 # ----------------------------------------------------------------------
@@ -63,11 +56,11 @@ def balance_violation(m: ZeroOneMatrix, r: int) -> Optional[str]:
 
 def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     """Proper embedding of an x-monotone cycle pattern into an r-balanced
-    host (r = pattern rows): row j of the pattern lands in band j. One
-    depth-first walk over the pattern rows tries the host rows of each row's
-    band in order through `_narrow_by_row`; an all-zero pattern row takes the
-    first row of its band (every row of the band leaves the same state), and
-    the greedy SDR places every column, zero columns included. The walk is exhaustive, so it returns the
+    host (r = pattern rows): row j of the pattern lands in band j. This is
+    the banded mode of `_search_masks`, the walk behind `find_embedding`,
+    with band j as row j's host-row range; an all-zero pattern row takes the
+    first row of its band, and the greedy SDR places every column, zero
+    columns included. The walk is exhaustive, so it returns the
     lexicographically least proper certificate (row map first, then column
     map), verified, or None when no proper copy exists; above weight
     r*s*sqrt(m)*n a copy always exists."""
@@ -83,27 +76,12 @@ def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Emb
     if balance_violation(m, r) is not None:
         raise PreconditionError("host is not r-balanced")
     band = m.rows // r
-    touched = _row_columns(a.row_masks, a.cols)
-    row_map = [0] * r
-
-    def rec(p: int, col_masks: tuple[int, ...]):
-        if p == r:
-            return col_masks
-        lo = p * band
-        for hr in range(lo, lo + band if touched[p] else lo + 1):
-            updated = _narrow_by_row(col_masks, touched[p], m.row_masks[hr])
-            if updated is None:
-                continue
-            row_map[p] = hr + 1
-            found = rec(p + 1, updated)
-            if found is not None:
-                return found
-        return None
-
-    found = rec(0, ((1 << m.cols) - 1,) * a.cols)
+    bands = [(p * band, (p + 1) * band) for p in range(r)]
+    found = _search_masks(m.row_masks, m.cols, a.row_masks, a.cols, bands)
     if found is None:
         return None
-    emb = Embedding(tuple(row_map), tuple(c + 1 for c in _greedy_sdr(found)))
+    rmap, cmap = found
+    emb = Embedding(tuple(x + 1 for x in rmap), tuple(x + 1 for x in cmap))
     if not verify_embedding(m, a, emb):
         raise AssertionError("proper embedding failed verification")
     return emb

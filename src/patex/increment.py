@@ -6,15 +6,19 @@ One step partitions the host into k horizontal blocks and either finds a
 verified embedding of the pattern (through heavy labels of the column
 hypergraph and an ordered complete t-partite structure with parts sized like
 the pattern's column intervals), or returns the block with the most K_{u,t}
-copies. The advertised constants make the densify guarantee astronomically
-demanding, so drivers accept user-supplied (k, depth) and record which of
-the closed-form thresholds actually held at every level; all counts are
-exact integers and oversized constants are handled in log10 space.
+copies. The embedding maps the pattern's columns onto the structure's
+vertices in order and pattern row a to the first row of block label[a] with
+a 1 in each of row a's 1-columns, found by the banded walk that
+`find_embedding` uses. The advertised constants make the densify guarantee
+astronomically demanding, so drivers accept user-supplied (k, depth) and
+record which of the closed-form thresholds actually held at every level; all
+counts are exact integers and oversized constants are handled in log10 space.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -22,7 +26,7 @@ from typing import Optional, Sequence, Union
 from .classify import min_column_parts, min_row_parts
 from .count import _count_copies, stepping_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
-from .matrix import Embedding, ZeroOneMatrix, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, _search_masks, verify_embedding
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
 # traces the increment layer through this module's attributes.
 from .ohypergraph import (  # noqa: F401
@@ -188,23 +192,27 @@ class LambdaSchedule:
 
     def type_of(self, i: float, z: float) -> Optional[int]:
         """The unique u with z*lambda_{u+1} < z - i <= z*lambda_u, or None
-        once z - i <= 0 (the schedule is exhausted)."""
+        once z - i <= 0 (the schedule is exhausted). For z >= 0 the products
+        z*lambda_u do not increase with u, so the u with z - i <= z*lambda_u
+        form a prefix and the answer is its last member."""
         rem = z - i
         if rem <= 0:
             return None
-        for u in range(self.t, self.U + 1):
-            if z * self.value(u + 1) < rem <= z * self.value(u):
-                return u
+        lams = self.lambdas
+        idx = bisect_right(lams, -rem, 0, len(lams) - 1, key=lambda v: -(z * v)) - 1
+        if idx >= 0 and z * lams[idx + 1] < rem <= z * lams[idx]:
+            return self.t + idx
         return None
 
     def types_of(self, i: float, z: float) -> tuple[int, ...]:
         """All u with z - z*lambda_u <= i <= z - z*lambda_{u+1}; a jump level
-        has two."""
-        out = []
-        for u in range(self.t, self.U + 1):
-            if z - z * self.value(u) <= i <= z - z * self.value(u + 1):
-                out.append(u)
-        return tuple(out)
+        has two. For z >= 0 the keys z - z*lambda_u do not decrease with u,
+        so the matching u form one run, found by two bisections."""
+        lams = self.lambdas
+        key = lambda v: z - z * v  # noqa: E731
+        first = bisect_left(lams, i, 1, len(lams), key=key) - 1
+        end = bisect_right(lams, i, 0, len(lams) - 1, key=key)
+        return tuple(range(self.t + first, self.t + end))
 
 
 def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
@@ -287,59 +295,28 @@ def _interval_sizes(cuts: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
 
 
-def _interval_of_column(cuts: Sequence[int], col: int) -> int:
-    """1-based interval index containing 1-based column col."""
-    idx = 1
-    for c in cuts:
-        if col > c:
-            idx += 1
-    return idx
-
-
 def _assemble_embedding(
     m: ZeroOneMatrix,
     a: ZeroOneMatrix,
-    cuts: Sequence[int],
     label: tuple[int, ...],
     parts: Sequence[Sequence[int]],
     band: int,
 ) -> Embedding:
     """Explicit copy from an ordered complete t-partite structure whose
     transversals all carry the heavy label: pattern column b goes to the b-th
-    smallest vertex of the parts, and pattern row a goes to a witness row
-    inside block label[a] for the transversal selecting row a's 1-columns
-    (rows with no 1-entry in some interval take any part member there)."""
+    smallest vertex of the parts, and pattern row a goes to the first row of
+    block label[a] that has a 1 in every column of row a's 1-entries. That
+    row exists, since every transversal through those columns is a heavy
+    edge with a witness row in each block of the label. The rows are found
+    by the banded walk of `_search_masks` over the host cut to the parts'
+    vertices."""
     verts = sorted(v for part in parts for v in part)
-    col_map = tuple(verts)
-    t = len(parts)
-    row_map = []
-    for ai in range(1, a.rows + 1):
-        per_interval: list[Optional[int]] = [None] * t
-        mask = a.row_masks[ai - 1]
-        b = mask
-        while b:
-            low = b & -b
-            col = low.bit_length()
-            per_interval[_interval_of_column(cuts, col) - 1] = verts[col - 1]
-            b ^= low
-        coords = [
-            per_interval[c] if per_interval[c] is not None else parts[c][0]
-            for c in range(t)
-        ]
-        need = 0
-        for v in coords:
-            need |= 1 << (v - 1)
-        block = label[ai - 1]
-        lo, hi = (block - 1) * band, block * band
-        host_row = None
-        for i in range(lo, hi):
-            if m.row_masks[i] & need == need:
-                host_row = i + 1
-                break
-        if host_row is None:
-            raise AssertionError("label class lost its witness row")
-        row_map.append(host_row)
-    emb = Embedding(row_map=tuple(row_map), col_map=col_map)
+    host = m.select(range(1, m.rows + 1), verts)
+    bands = [((b - 1) * band, b * band) for b in label]
+    found = _search_masks(host.row_masks, host.cols, a.row_masks, a.cols, bands)
+    if found is None:
+        raise AssertionError("label class lost its witness row")
+    emb = Embedding(row_map=tuple(x + 1 for x in found[0]), col_map=tuple(verts))
     if not verify_embedding(m, a, emb):
         raise AssertionError("assembled certificate failed verification")
     return emb
@@ -378,7 +355,7 @@ def _horizontal_step(
         parts = find_ordered_complete_t_partite(sub, sizes)
         if parts is None:
             continue
-        emb = _assemble_embedding(m, a, cuts, label, parts, band)
+        emb = _assemble_embedding(m, a, label, parts, band)
         return StepResult(
             kind="embedded",
             embedding=emb,

@@ -6,6 +6,13 @@ is the certificate (an Embedding) and can be checked independently of how it
 was found. Rows are stored as integer bitmasks (bit j-1 = column j), which is
 an internal representation choice only: the public API and all serialized
 formats are 1-based grids.
+
+One backtracking walk, `_search_masks`, builds every containment
+certificate. `find_embedding` runs it over all host rows; given bands, one
+host-row range per pattern row, it finds banded copies, such as the proper
+copies of the cycle embedder and the increment step's copy with row a in
+block label[a]. In both modes an all-zero pattern row takes only its first
+admissible host row.
 """
 
 from __future__ import annotations
@@ -351,11 +358,17 @@ def _search_masks(
     host_cols: int,
     pat_masks: Sequence[int],
     pat_cols: int,
+    bands: Optional[Sequence[tuple[int, int]]] = None,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Backtracking kernel over pattern rows, top-down; per pattern column it
     keeps the bitmask of still-feasible host columns, narrowed row by row by
-    `_narrow_by_row`. Exhaustive: returns the lexicographically least
-    (row_map, col_map) in 0-based indices, or None."""
+    `_narrow_by_row`. Pattern row p tries the host rows of `bands[p]`, a
+    0-based half-open range; the bands must be increasing and disjoint.
+    Without bands, row p tries every row that leaves room for the rows below
+    it. An all-zero pattern row tries only its first admissible host row: it
+    leaves the state unchanged, and the earliest row leaves the most room
+    below. Exhaustive: returns the lexicographically least (row_map, col_map)
+    in 0-based indices, or None."""
     r = len(pat_masks)
     h = len(host_masks)
     if r > h or pat_cols > host_cols:
@@ -366,7 +379,10 @@ def _search_masks(
     def rec(p: int, h_start: int, col_masks: tuple[int, ...]):
         if p == r:
             return tuple(row_map), tuple(_greedy_sdr(col_masks))
-        for hr in range(h_start, h - (r - p) + 1):
+        lo, hi = bands[p] if bands is not None else (h_start, h - (r - p) + 1)
+        if not touched[p]:
+            hi = min(hi, lo + 1)
+        for hr in range(lo, hi):
             updated = _narrow_by_row(col_masks, touched[p], host_masks[hr])
             if updated is None:
                 continue

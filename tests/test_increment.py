@@ -106,6 +106,28 @@ class TestLambdaSchedule:
         with pytest.raises(DomainError):
             lambda_schedule(2, 3, 1.0)
 
+    def test_lookups_match_defining_inequalities(self):
+        for t, eps, U in ((2, 1.0, 40), (3, 2.0, 60)):
+            sched = lambda_schedule(t, U, eps)
+            lam = sched.value
+            for k in (2, 4):
+                ns = set(range(2, 65)) | {k**j for j in range(1, 9)}
+                for n in sorted(ns):
+                    z = math.log(n) / math.log(k)
+                    levels = [float(i) for i in range(math.ceil(z) + 2)]
+                    levels += [lv for lv, _ in sched.jump_levels(z) if lv < z + 1]
+                    for i in levels:
+                        rem = z - i
+                        typed, types = [], []
+                        for u in range(t, U + 1):
+                            if rem > 0 and z * lam(u + 1) < rem <= z * lam(u):
+                                typed.append(u)
+                            if z - z * lam(u) <= i <= z - z * lam(u + 1):
+                                types.append(u)
+                        got = sched.type_of(i, z)
+                        assert ([] if got is None else [got]) == typed, (t, n, k, i)
+                        assert sched.types_of(i, z) == tuple(types), (t, n, k, i)
+
 
 class TestDensityStep:
     def test_concentrated_weight_densifies_block_one(self):
@@ -123,6 +145,30 @@ class TestDensityStep:
             step = density_increment_step(host, a, min_column_parts(a)[0], 4)
             assert step.kind == "embedded"
             assert verify_embedding(host, a, step.embedding)
+
+    def test_certificate_rows_are_first_covering_rows(self):
+        """Pattern row a lands on the first row of block label[a] with a 1 in
+        the image of each of row a's 1-columns."""
+        rng = SplitMix64(0x5EED)
+        embedded = 0
+        for a in (K22, COLUMN_2_PARTITE, *SIX_CYCLES_3X3):
+            for _ in range(8):
+                host = random_matrix(rng, 24, 24, 0.3)
+                step = density_increment_step(host, a, min_column_parts(a)[0], 4)
+                if step.kind != "embedded":
+                    continue
+                embedded += 1
+                emb, band = step.embedding, host.rows // 4
+                for i in range(1, a.rows + 1):
+                    ones = [j for j in range(1, a.cols + 1) if a.entry(i, j)]
+                    block = step.label[i - 1]
+                    first = next(
+                        h
+                        for h in range((block - 1) * band + 1, block * band + 1)
+                        if all(host.entry(h, emb.col_map[j - 1]) for j in ones)
+                    )
+                    assert emb.row_map[i - 1] == first
+        assert embedded >= 20
 
     def test_pigeonhole_floor_always(self, rng):
         for _ in range(40):
