@@ -9,7 +9,9 @@ shorter k x n matrices it solves first (the rectangular tail bound), and a
 randomized construction (sample, then destroy every copy by deleting one
 1-entry) that yields certified A-free lower-bound witnesses. The frontier
 advances by the containment transition that `find_embedding` uses too; the
-oracle detects containment with a check of its own, so it checks both.
+oracle detects containment with a check of its own, and none of the
+branch-and-bound's symmetry rules (zero rows first, sorted rows, the
+transpose), so it checks them all.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -174,15 +176,15 @@ class _Frontier:
 
     def advance(self, frontier: frozenset, mask: int) -> Optional[frozenset]:
         """None signals containment; otherwise the grown frontier."""
-        new = set(frontier)
+        grown = []
         for (p, col_masks) in frontier:
             updated = _narrow_by_row(col_masks, self.pat_bits[p], mask)
             if updated is None:
                 continue
             if p + 1 == self.r:
                 return None
-            new.add((p + 1, updated))
-        return frozenset(new)
+            grown.append((p + 1, updated))
+        return frontier.union(grown) if grown else frontier
 
 
 def exact_ex(
@@ -198,26 +200,43 @@ def exact_ex(
     tail below cannot beat the incumbent. tail[n] is the answer; the
     per-height optima go to provenance["tailBounds"].
 
-    When the pattern has no all-zero row, witnesses are normalized so that
-    all-zero rows form a prefix (zero host rows cannot host any pattern row
-    and may be moved first without affecting containment). On budget
-    exhaustion at height k the best witness found is returned as a lower
-    bound: a k-row (or (k-1)-row) witness padded with all-zero top rows
-    when the pattern's first row is nonzero, with all-zero bottom rows when
-    only its last row is, else the all-zero matrix. The upper bound is the
-    open bound on ex(k x n) plus n per row above it; correctness never
+    When every row of the pattern is equal, containment depends only on the
+    multiset of host rows (any r host rows can be taken in increasing
+    order), so witnesses are sorted: each row's index in the mask order is
+    at least the previous row's. Otherwise, when the pattern has no
+    all-zero row, witnesses are normalized so that all-zero rows form a
+    prefix (zero host rows cannot host any pattern row and may be moved
+    first without affecting containment). The two rules are not combined:
+    zero masks sort last. A pattern whose columns are all equal but whose
+    rows are not is solved as its transpose, since M avoids A exactly when
+    M^T avoids A^T; its witness is transposed back and its tailBounds are
+    those of A^T. provenance names the rule that ran ("sortedRows",
+    "transposed").
+
+    On budget exhaustion at height k the best witness found is returned as
+    a lower bound: a k-row (or (k-1)-row) witness padded with all-zero top
+    rows when the pattern's first row is nonzero, with all-zero bottom rows
+    when only its last row is, else the all-zero matrix. The upper bound is
+    the open bound on ex(k x n) plus n per row above it; correctness never
     degrades."""
     if n < 1:
         raise DomainError("n must be positive")
     trivial = _trivial_record(n, a, "branch-and-bound")
     if trivial is not None:
         return trivial
+    sorted_rows = len(set(a.row_masks)) == 1
+    if not sorted_rows and len(set(a.col_masks)) == 1:
+        rec = exact_ex(n, a.transpose(), budget_seconds)
+        rec.pattern_key = canonical_key(a)
+        rec.witness = rec.witness.transpose()
+        rec.provenance["transposed"] = True
+        return rec
     s = a.cols
     detector = _Frontier(a)
     full = (1 << n) - 1
     start_states = frozenset({(0, (full,) * s)})
     mask_order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
-    normalize = all(m != 0 for m in a.row_masks)
+    normalize = not sorted_rows and all(m != 0 for m in a.row_masks)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tail = [0]
     tail_rows: tuple[int, ...] = ()  # a witness for tail[-1]
@@ -228,10 +247,11 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(rows_left: int, frontier: frozenset, weight: int, allow_zero: bool):
+    def rec(rows_left: int, frontier: frozenset, weight: int, allow_zero: bool, start: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
         below = tail[rows_left - 1]
-        for mask in mask_order:
+        for i in range(start, len(mask_order)):
+            mask = mask_order[i]
             bound = weight + mask.bit_count() + below
             if bound <= best:
                 return
@@ -253,17 +273,19 @@ def exact_ex(
                 best = bound
                 best_rows = tuple(rows_sofar)
             else:
-                rec(rows_left - 1, nf, bound - below, allow_zero and mask == 0)
+                rec(rows_left - 1, nf, bound - below, allow_zero and mask == 0, i if sorted_rows else 0)
             rows_sofar.pop()
 
     for k in range(1, n + 1):
         best, best_rows = -1, None
-        rec(k, start_states, 0, True)
+        rec(k, start_states, 0, True, 0)
         if timed_out:
             break
         tail.append(best)
         tail_rows = best_rows
     provenance: dict = {"solver": "branch-and-bound", "nodes": nodes, "tailBounds": tail[1:]}
+    if sorted_rows:
+        provenance["sortedRows"] = True
     if budget_seconds is not None:
         provenance["budgetSeconds"] = budget_seconds
     if timed_out:
