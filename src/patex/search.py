@@ -9,9 +9,9 @@ shorter k x n matrices it solves first (the rectangular tail bound), and a
 randomized construction (sample, then destroy every copy by deleting one
 1-entry) that yields certified A-free lower-bound witnesses. The frontier
 advances by the containment transition that `find_embedding` uses too; the
-oracle detects containment with a check of its own, and none of the
-branch-and-bound's symmetry rules (zero rows first, sorted rows, the
-transpose), so it checks them all.
+oracle detects containment with a check of its own and uses neither of
+the branch-and-bound's symmetry rules (zero rows first, sorted rows), so it
+checks the transition and both rules.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -207,11 +207,7 @@ def exact_ex(
     all-zero row, witnesses are normalized so that all-zero rows form a
     prefix (zero host rows cannot host any pattern row and may be moved
     first without affecting containment). The two rules are not combined:
-    zero masks sort last. A pattern whose columns are all equal but whose
-    rows are not is solved as its transpose, since M avoids A exactly when
-    M^T avoids A^T; its witness is transposed back and its tailBounds are
-    those of A^T. provenance names the rule that ran ("sortedRows",
-    "transposed").
+    zero masks sort last.
 
     On budget exhaustion at height k the best witness found is returned as
     a lower bound: a k-row (or (k-1)-row) witness padded with all-zero top
@@ -225,12 +221,6 @@ def exact_ex(
     if trivial is not None:
         return trivial
     sorted_rows = len(set(a.row_masks)) == 1
-    if not sorted_rows and len(set(a.col_masks)) == 1:
-        rec = exact_ex(n, a.transpose(), budget_seconds)
-        rec.pattern_key = canonical_key(a)
-        rec.witness = rec.witness.transpose()
-        rec.provenance["transposed"] = True
-        return rec
     s = a.cols
     detector = _Frontier(a)
     full = (1 << n) - 1
@@ -284,8 +274,6 @@ def exact_ex(
         tail.append(best)
         tail_rows = best_rows
     provenance: dict = {"solver": "branch-and-bound", "nodes": nodes, "tailBounds": tail[1:]}
-    if sorted_rows:
-        provenance["sortedRows"] = True
     if budget_seconds is not None:
         provenance["budgetSeconds"] = budget_seconds
     if timed_out:
