@@ -39,7 +39,7 @@ from .ohypergraph import (
     random_t_cut,
 )
 from .rng import DEFAULT_SEED, SplitMix64
-from .search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
+from .search import brute_force_ex, deletion_lower_bound, extremal_table
 
 CACHE_ENV = "PATTERN_EXTREMAL_CACHE"
 
@@ -194,7 +194,6 @@ def _cmd_increment(args) -> int:
         depth=args.depth,
         epsilon=args.epsilon,
         u=args.u,
-        label_class_cap=args.cap,
     )
     _emit_trace(trace.to_json_dict(), args.format)
     return 0
@@ -259,21 +258,17 @@ def _cmd_ex(args) -> int:
         else:
             _emit({"records": [rec.to_json_dict() for rec in records]}, args.format)
         return 0 if all(rec.status == "exact" for rec in records) else 2
-    exit_code = 0
-    if args.mode == "exact":
+    if args.mode == "bnb":
+        # The table reads the cache first and writes only what it computes.
+        record = extremal_table(a, [args.n], args.budget, cache)[0]
+    elif args.mode == "exact":
         record = brute_force_ex(args.n, a)
-    elif args.mode == "bnb":
-        record = cache.get(a, args.n) if cache else None
-        if record is None or record.status != "exact":
-            record = exact_ex(args.n, a, args.budget)
-            if record.status != "exact":
-                exit_code = 2
     else:
         record = deletion_lower_bound(args.n, a, args.seed)
-    if cache is not None:
+    if cache is not None and args.mode != "bnb":
         record = cache.put(a, record)
     _emit(record.to_json_dict(), args.format)
-    return exit_code
+    return 2 if args.mode == "bnb" and record.status != "exact" else 0
 
 
 def _cmd_verify_suite(args) -> int:
@@ -330,7 +325,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--cap", type=int, default=10_000, help="label classes examined per step")
     p.set_defaults(fn=_cmd_increment)
 
     p = sub.add_parser("cycles", help="cycle enumeration, balanced embedding, dichotomy")

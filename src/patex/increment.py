@@ -249,14 +249,14 @@ class HeavySearch:
     """What one horizontal pass of a step searched before it embedded or
     densified: whether heavy edges can exist at all (they need witness rows
     in r distinct blocks, so k >= r), how many there were, how many label
-    classes they formed, how many of those the t-partite search examined,
-    and whether label_class_cap cut the classes short."""
+    classes they formed, and how many of those the t-partite search
+    examined. Labels are r-subsets of the k blocks, so there are at most
+    binom(k, r) classes, and a densified step has examined every one."""
 
     possible: bool
     edges: int
     classes: int
     examined: int
-    cap_hit: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -264,7 +264,6 @@ class HeavySearch:
             "heavyEdges": self.edges,
             "labelClasses": self.classes,
             "labelClassesExamined": self.examined,
-            "labelClassCapHit": self.cap_hit,
         }
 
 
@@ -329,7 +328,6 @@ def _horizontal_step(
     k: int,
     t: int,
     cuts: Sequence[int],
-    label_class_cap: int,
     total: Optional[int] = None,
 ) -> StepResult:
     """total, when given, is the caller's K_{u,t} count of m; the step
@@ -342,15 +340,12 @@ def _horizontal_step(
     sizes = _interval_sizes(cuts, a.cols)
     band = m.rows // k
     classes = heavy_label_classes(m, t, k, r)
-    labels = sorted(classes)
-    examined = labels[:label_class_cap]
     found = dict(
         possible=k >= r,
         edges=sum(len(edges) for edges in classes.values()),
-        classes=len(labels),
-        cap_hit=len(labels) > label_class_cap,
+        classes=len(classes),
     )
-    for i, label in enumerate(examined):
+    for i, label in enumerate(sorted(classes)):
         sub = OrderedHypergraph(n=m.cols, t=t, edges=classes[label])
         parts = find_ordered_complete_t_partite(sub, sizes)
         if parts is None:
@@ -379,7 +374,7 @@ def _horizontal_step(
         total=total,
         narrow_total=narrow_total,
         guarantee_met=guarantee,
-        heavy=(HeavySearch(examined=len(examined), **found),),
+        heavy=(HeavySearch(examined=len(classes), **found),),
     )
 
 
@@ -388,19 +383,19 @@ def density_increment_step(
     a: ZeroOneMatrix,
     u: int,
     k: int,
-    label_class_cap: int = 10_000,
 ) -> StepResult:
     """Embed-or-densify over k horizontal blocks. The column-interval count t
     and the interval sizes come from the pattern's minimal column partition;
     the densify guarantee compares the best block's exact K_{u,t} count
     against u!/(4 r^(u-1) u^u) * N/k with exact integer arithmetic."""
     t, cuts = min_column_parts(a)
-    return _horizontal_step(m, a, u, k, t, cuts, label_class_cap)
+    return _horizontal_step(m, a, u, k, t, cuts)
 
 
 def _refine_cuts(cuts: Sequence[int], width: int, target_parts: int) -> tuple[int, ...]:
     """Refine an interval partition to exactly target_parts nonempty parts by
-    repeatedly splitting the leftmost splittable interval."""
+    repeatedly splitting the leftmost splittable interval; a partition that
+    already has target_parts parts comes back unchanged."""
     cuts = list(cuts)
     if target_parts > width:
         raise PreconditionError(
@@ -420,7 +415,6 @@ def symmetric_increment_step(
     m: ZeroOneMatrix,
     a: ZeroOneMatrix,
     k: int,
-    label_class_cap: int = 10_000,
     total: Optional[int] = None,
 ) -> StepResult:
     """Two-direction step for a t x t-partite pattern: a horizontal step on M
@@ -433,18 +427,16 @@ def symmetric_increment_step(
     t_row, row_cuts = min_row_parts(a)
     t_col, col_cuts = min_column_parts(a)
     t = max(t_row, t_col)
-    col_cuts = _refine_cuts(col_cuts, a.cols, t) if t_col < t else col_cuts
-    row_cuts = _refine_cuts(row_cuts, a.rows, t) if t_row < t else row_cuts
-    step1 = _horizontal_step(m, a, t, k, t, col_cuts, label_class_cap, total)
+    col_cuts = _refine_cuts(col_cuts, a.cols, t)
+    row_cuts = _refine_cuts(row_cuts, a.rows, t)
+    step1 = _horizontal_step(m, a, t, k, t, col_cuts, total)
     if step1.kind == "embedded":
         return step1
     p = step1.block
     row_lo, row_hi = step1.row_range
     m1 = m.submatrix(row_lo, row_hi, 1, m.cols)
     # K_{t,t} is symmetric, so the chosen band's count is its transpose's.
-    step2 = _horizontal_step(
-        m1.transpose(), a.transpose(), t, k, t, row_cuts, label_class_cap, step1.count
-    )
+    step2 = _horizontal_step(m1.transpose(), a.transpose(), t, k, t, row_cuts, step1.count)
     heavy = step1.heavy + step2.heavy
     if step2.kind == "embedded":
         inner = step2.embedding
@@ -551,7 +543,6 @@ def run_driver(
     depth: Optional[int] = None,
     epsilon: float = 1.0,
     u: Optional[int] = None,
-    label_class_cap: int = 10_000,
 ) -> IncrementTrace:
     """Iterate the increment step, recording per level the exact counts, the
     closed-form threshold checks, stepping-up checks at width jumps, and the
@@ -563,6 +554,8 @@ def run_driver(
       thm11  horizontal blocks with the width chosen per level by the lambda
              schedule; jumps record the stepping-up bound.
 
+    The pattern's width t is its column part count, or for thm12 the larger
+    of its row and column part counts; every level counts K_{u,t} copies.
     Stops on a verified embedding, on exhausted depth/divisibility, or when
     the tracked count reaches zero.
     """
@@ -572,52 +565,45 @@ def run_driver(
         raise DomainError("k must be at least 2")
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    t_col, col_cuts = min_column_parts(a)
+    grid = mode == "thm12"
+    t, col_cuts = min_column_parts(a)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
-    n0, m0 = m.cols, m.rows
+    n0 = m.cols
     z = math.log(n0) / math.log(k) if n0 > 1 else 0.0
 
     schedule = None
     if mode == "thm11":
-        if t_col < 2:
+        if t < 2:
             raise PreconditionError("schedule driver needs a column partition with t >= 2")
-        epsilon0 = epsilon / (10.0 * t_col * t_col)
-        cap_u = math.ceil(10.0 * t_col / epsilon0)
+        epsilon0 = epsilon / (10.0 * t * t)
+        cap_u = math.ceil(10.0 * t / epsilon0)
         if cap_u > 1_000_000:
             raise DomainError("epsilon too small to materialize the schedule")
-        schedule = lambda_schedule(t_col, cap_u, epsilon)
+        schedule = lambda_schedule(t, cap_u, epsilon)
         params["U"] = cap_u
-
-    if mode == "thm12":
+    if grid:
         if m.rows != m.cols:
             raise PreconditionError("symmetric driver needs a square host")
-        t_sym = max(t_col, min_row_parts(a)[0])
-        t_for_constants = t_sym
-    else:
-        t_sym = None
-        t_for_constants = t_col
+        t = max(t, min_row_parts(a)[0])
 
-    u_fixed = u if u is not None else (t_sym if mode == "thm12" else t_col)
-    constants = None
-    if t_for_constants >= 2:
-        constants = make_constants(t_for_constants, a.rows, a.cols, u_fixed, epsilon)
+    u_fixed = u if u is not None else t
+    constants = make_constants(t, a.rows, a.cols, u_fixed, epsilon) if t >= 2 else None
+    rate = 2 + epsilon if grid else 1 + epsilon
 
     levels: list[TraceLevel] = []
     embedding = None
-    stop_reason = "exhausted"
     cur = m
     row_off = 0
     col_off = 0
     i = 0
     n_base = None  # count at level 0 for the chain bound
     pending_jump: Optional[dict] = None
-    # K_{u,t_count} counts of cur already known, by width u: a densified
-    # step counted its chosen block, and a jump counted the next width.
+    # K_{u,t} counts of cur already known, by width u: a densified step
+    # counted its chosen block, and a jump counted the next width.
     known: dict[int, int] = {}
 
     while True:
-        t_count = t_sym if mode == "thm12" else t_col
-        if mode == "thm11":
+        if schedule is not None:
             u_lvl = schedule.type_of(float(i), z)
             if u_lvl is None:
                 stop_reason = "schedule-exhausted"
@@ -626,7 +612,7 @@ def run_driver(
             u_lvl = u_fixed
         count = known.get(u_lvl)
         if count is None:
-            count = _count_copies(cur, u_lvl, t_count)
+            count = _count_copies(cur, u_lvl, t)
         if n_base is None:
             n_base = count
 
@@ -634,16 +620,12 @@ def run_driver(
         if pending_jump is not None:
             checks["jump"] = pending_jump
             pending_jump = None
-        rate = 2 + epsilon if mode == "thm12" else 1 + epsilon
         chain = n_base / (k ** (rate * i))
         checks["chainLowerBound"] = chain
         checks["chainHolds"] = count >= chain
         if constants is not None:
-            host_dim = cur.rows
-            ref = max(
-                u_lvl * math.log10(host_dim),
-                t_count * math.log10(cur.cols if mode == "thm12" else n0),
-            )
+            # A horizontal level keeps every column, so cur.cols is n0 there.
+            ref = max(u_lvl * math.log10(cur.rows), t * math.log10(cur.cols))
             thr_log10 = constants.log10_C + ref
             checks["incrementThresholdLog10"] = thr_log10
             checks["incrementPreconditionHolds"] = (
@@ -651,30 +633,23 @@ def run_driver(
             )
         if i == 0:
             w = cur.weight
-            tt = t_count
-            c_small = float(tt) ** (-(tt * tt + tt)) if tt >= 1 else 0.0
-            supers = (
-                c_small * w ** (tt * tt) / (n0 ** (2 * tt * tt - 2 * tt))
-                if w > 0
-                else 0.0
-            )
+            c_small = float(t) ** (-(t * t + t))
+            supers = c_small * w ** (t * t) / (n0 ** (2 * t * t - 2 * t)) if w > 0 else 0.0
             checks["supersaturationLowerBound"] = supers
             checks["supersaturationHolds"] = count >= supers
-        if mode != "thm12" and t_count >= 1 and z > 0:
-            checkpoint = math.ceil((1 - epsilon / t_count) * z)
+        if not grid and z > 0:
+            checkpoint = math.ceil((1 - epsilon / t) * z)
             checks["contradictionCheckpointLevel"] = checkpoint
             checks["pastContradictionCheckpoint"] = i >= checkpoint
-            checks["rowsBelowEpsPower"] = cur.rows < n0 ** (epsilon / t_count)
-        if mode == "thm11":
+            checks["rowsBelowEpsPower"] = cur.rows < n0 ** (epsilon / t)
+        if schedule is not None:
             checks["lambda"] = schedule.value(u_lvl)
             checks["types"] = list(schedule.types_of(float(i), z))
 
-        row_range = (row_off + 1, row_off + cur.rows)
-        col_range = (col_off + 1, col_off + cur.cols)
         base_level = dict(
             level=i,
-            row_range=row_range,
-            col_range=col_range,
+            row_range=(row_off + 1, row_off + cur.rows),
+            col_range=(col_off + 1, col_off + cur.cols),
             weight=cur.weight,
             u=u_lvl,
             count=count,
@@ -682,26 +657,21 @@ def run_driver(
         )
 
         if count == 0:
-            levels.append(TraceLevel(branch="exhausted", **base_level))
             stop_reason = "no-copies"
-            break
-        if depth is not None and i >= depth:
-            levels.append(TraceLevel(branch="exhausted", **base_level))
+        elif depth is not None and i >= depth:
             stop_reason = "depth-reached"
-            break
-        divisible = (
-            cur.rows % k == 0 if mode != "thm12" else (cur.rows % k == 0 and cur.cols % k == 0)
-        )
-        if not divisible:
-            levels.append(TraceLevel(branch="exhausted", **base_level))
+        elif cur.rows % k or (grid and cur.cols % k):
             stop_reason = "divisibility"
+        else:
+            stop_reason = None
+        if stop_reason is not None:
+            levels.append(TraceLevel(branch="exhausted", **base_level))
             break
 
-        if mode == "thm12":
-            total = count if u_lvl == t_sym else None
-            step = symmetric_increment_step(cur, a, k, label_class_cap, total)
+        if grid:
+            step = symmetric_increment_step(cur, a, k, count if u_lvl == t else None)
         else:
-            step = _horizontal_step(cur, a, u_lvl, k, t_col, col_cuts, label_class_cap, count)
+            step = _horizontal_step(cur, a, u_lvl, k, t, col_cuts, count)
         checks["heavySearch"] = [h.to_json_dict() for h in step.heavy]
 
         if step.kind == "embedded":
@@ -720,25 +690,19 @@ def run_driver(
                 **base_level,
             )
         )
-        if mode == "thm12":
-            rlo, rhi = step.row_range
-            clo, chi = step.col_range
-            cur = cur.submatrix(rlo, rhi, clo, chi)
-            row_off += rlo - 1
-            col_off += clo - 1
-            # The grid step counts K_{t,t}; its block is the next level.
-            known = {t_sym: step.count}
-        else:
-            rlo, rhi = step.row_range
-            cur = cur.submatrix(rlo, rhi, 1, cur.cols)
-            row_off += rlo - 1
-            known = {u_lvl: step.count}
+        # A horizontal step's col_range spans every column of cur.
+        (rlo, rhi), (clo, chi) = step.row_range, step.col_range
+        cur = cur.submatrix(rlo, rhi, clo, chi)
+        row_off += rlo - 1
+        col_off += clo - 1
+        # The chosen block is the next level; the grid step counted K_{t,t}.
+        known = {t if grid else u_lvl: step.count}
 
-        if mode == "thm11":
+        if schedule is not None:
             u_next = schedule.type_of(float(i + 1), z)
             if u_next is not None and u_next > u_lvl:
-                sb = stepping_bound(step.count, n0, u_lvl, t_col)
-                actual = _count_copies(cur, u_lvl + 1, t_col)
+                sb = stepping_bound(step.count, n0, u_lvl, t)
+                actual = _count_copies(cur, u_lvl + 1, t)
                 known[u_lvl + 1] = actual
                 pending_jump = {
                     "fromWidth": u_lvl,

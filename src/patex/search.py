@@ -34,6 +34,9 @@ from .matrix import (
 )
 from .rng import SplitMix64
 
+# brute_force_ex refuses hosts with more cells than this.
+BRUTE_FORCE_CAP = 25
+
 
 @dataclass
 class ExtremalRecord:
@@ -91,10 +94,11 @@ def _trivial_record(n: int, a: ZeroOneMatrix, solver: str) -> Optional[ExtremalR
     return None
 
 
-def brute_force_ex(n: int, a: ZeroOneMatrix, cap: int = 25) -> ExtremalRecord:
+def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     """Exact value by depth-first enumeration of all row fillings with early
     containment pruning: a branch dies as soon as its prefix contains the
-    pattern (any extension would too). Hard-capped at n^2 <= cap cells.
+    pattern (any extension would too). Hard-capped at n^2 <= BRUTE_FORCE_CAP
+    cells.
 
     Containment is checked without the code of `find_embedding` and
     `exact_ex`, which this oracle checks. For each increasing choice C of
@@ -106,8 +110,8 @@ def brute_force_ex(n: int, a: ZeroOneMatrix, cap: int = 25) -> ExtremalRecord:
     need_C[r-1] for some C at count r-1."""
     if n < 1:
         raise DomainError("n must be positive")
-    if n * n > cap:
-        raise BudgetError(f"brute force capped at {cap} cells, got {n * n}")
+    if n * n > BRUTE_FORCE_CAP:
+        raise BudgetError(f"brute force capped at {BRUTE_FORCE_CAP} cells, got {n * n}")
     trivial = _trivial_record(n, a, "exhaustive")
     if trivial is not None:
         return trivial
@@ -157,7 +161,7 @@ def brute_force_ex(n: int, a: ZeroOneMatrix, cap: int = 25) -> ExtremalRecord:
         value=best,
         status="exact",
         witness=ZeroOneMatrix(best_rows, n),
-        provenance={"solver": "exhaustive", "cap": cap},
+        provenance={"solver": "exhaustive", "cap": BRUTE_FORCE_CAP},
     )
 
 

@@ -3,7 +3,14 @@ import math
 import pytest
 
 import patex.increment as increment
-from conftest import COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_count_copies, random_matrix
+from conftest import (
+    COLUMN_2_PARTITE,
+    DOUBLY_2_PARTITE,
+    K22,
+    SIX_CYCLES_3X3,
+    oracle_count_copies,
+    random_matrix,
+)
 from patex.classify import min_column_parts, min_row_parts
 from patex.count import count_copies
 from patex.errors import DivisibilityError, DomainError, PreconditionError
@@ -332,6 +339,23 @@ class TestCountsOnce:
             assert res.total == oracle_count_copies(m, u, t)
         assert densified >= 3
 
+    @pytest.mark.parametrize("mode", ["thm21", "thm12"])
+    def test_level_counts_with_width_other_than_t(self, mode):
+        # A densified grid step counted K_{t,t} in its block, so that count
+        # may stand in for the next level's only when the level width u is t.
+        rng = SplitMix64(0xC0DE)
+        for a, u in ((DOUBLY_2_PARTITE, 3), (COLUMN_2_PARTITE, 2), (SIX_CYCLES_3X3[0], 2)):
+            t = min_column_parts(a)[0]
+            if mode == "thm12":
+                t = max(t, min_row_parts(a)[0])
+            for p in (0.2, 0.3, 0.45):
+                host = random_matrix(rng, 16, 16, p)
+                trace = run_driver(host, a, mode, k=2, u=u)
+                for level in trace.levels:
+                    sub = host.submatrix(*level.row_range, *level.col_range)
+                    assert level.u == u
+                    assert level.count == oracle_count_copies(sub, u, t)
+
     def test_heavy_search_recorded(self):
         # Heavy edges need witness rows in r = 4 distinct blocks: with k = 2
         # none exist, so the driver densifies without examining a class.
@@ -347,20 +371,9 @@ class TestCountsOnce:
                 "heavyEdges": 0,
                 "labelClasses": 0,
                 "labelClassesExamined": 0,
-                "labelClassCapHit": False,
             }
         trace = run_driver(host, COLUMN_2_PARTITE, "thm21", k=4)
         (search,) = trace.levels[0].checks["heavySearch"]
         assert search["heavyPossible"] and search["heavyEdges"] > 0
         assert 1 <= search["labelClassesExamined"] <= search["labelClasses"]
         assert trace.levels[0].branch == "embedded"
-
-    def test_label_class_cap_hit_recorded(self):
-        rng = SplitMix64(0xCA9)
-        host = random_matrix(rng, 16, 16, 0.3)
-        trace = run_driver(host, SIX_CYCLES_3X3[0], "thm12", k=2, label_class_cap=0, depth=1)
-        searches = trace.levels[0].checks["heavySearch"]
-        assert len(searches) == 2  # rows, then columns of the chosen band
-        for search in searches:
-            assert search["labelClassesExamined"] == 0
-            assert search["labelClassCapHit"] == (search["labelClasses"] > 0)
