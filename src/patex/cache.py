@@ -15,7 +15,7 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import CacheError
+from .errors import CacheError, PatexError
 from .matrix import ZeroOneMatrix, canonical_key, find_embedding
 from .search import ExtremalRecord
 
@@ -44,32 +44,34 @@ class CacheStore:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _load(self, pattern: ZeroOneMatrix) -> dict:
+    def _read(self, pattern: ZeroOneMatrix) -> tuple[Path, list[ExtremalRecord]]:
+        """The key's file and its records, parsed once (none when the file
+        does not exist). A malformed file raises CacheError."""
         key = canonical_key(pattern)
         path = self._path(key)
         if not path.exists():
-            return {"patternKey": key, "pattern": pattern.to_json_dict(), "records": []}
+            return path, []
         try:
             doc = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
             raise CacheError(
                 f"unreadable cache file {path}: {exc}; delete it to rebuild"
             ) from exc
+        records = doc.get("records", []) if isinstance(doc, dict) else None
+        if not isinstance(records, list):
+            raise CacheError(f"malformed cache file {path}; delete it to rebuild")
         if doc.get("patternKey") != key:
             raise CacheError(f"cache file {path} holds a different pattern; delete it to rebuild")
-        return doc
+        try:
+            return path, [ExtremalRecord.from_json_dict(raw) for raw in records]
+        except PatexError as exc:
+            raise CacheError(
+                f"corrupt record under key {key}: {exc}; delete {path} to rebuild"
+            ) from exc
 
     def get(self, pattern: ZeroOneMatrix, n: int) -> Optional[ExtremalRecord]:
-        doc = self._load(pattern)
         best: Optional[ExtremalRecord] = None
-        for raw in doc.get("records", []):
-            try:
-                rec = ExtremalRecord.from_json_dict(raw)
-            except Exception as exc:
-                raise CacheError(
-                    f"corrupt record under key {doc['patternKey']}: {exc}; "
-                    f"delete {self._path(doc['patternKey'])} to rebuild"
-                ) from exc
+        for rec in self._read(pattern)[1]:
             if rec.n != n:
                 continue
             self._verify(pattern, rec)
@@ -93,19 +95,20 @@ class CacheStore:
             os.close(lock)
 
     def _merge(self, pattern: ZeroOneMatrix, record: ExtremalRecord) -> ExtremalRecord:
-        doc = self._load(pattern)
-        records = []
-        merged = record
-        for raw in doc.get("records", []):
-            rec = ExtremalRecord.from_json_dict(raw)
-            if rec.n == record.n:
-                merged = _stronger(rec, record)
-            else:
-                records.append(rec)
-        records.append(merged)
+        """Stores the stronger of record and the stored one for its n; the
+        file is rewritten only when that is not the stored record."""
+        path, records = self._read(pattern)
+        stored = next((rec for rec in records if rec.n == record.n), None)
+        merged = record if stored is None else _stronger(stored, record)
+        if merged is stored:
+            return stored
+        records = [rec for rec in records if rec.n != record.n] + [merged]
         records.sort(key=lambda r: (r.n, r.status, r.value))
-        doc["records"] = [r.to_json_dict() for r in records]
-        path = self._path(doc["patternKey"])
+        doc = {
+            "patternKey": canonical_key(pattern),
+            "pattern": pattern.to_json_dict(),
+            "records": [r.to_json_dict() for r in records],
+        }
         # The lock admits one writer per key at a time; the pid keeps this
         # temp file apart from another process's even if that one skips it.
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")

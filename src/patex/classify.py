@@ -37,15 +37,13 @@ def min_column_parts(a: ZeroOneMatrix) -> tuple[int, tuple[int, ...]]:
     a prefix, the greedy first interval is the longest valid prefix, and the
     exchange argument then applies inductively.
     """
-    counts = [0] * a.rows
+    used = 0  # rows with a 1-entry in the current interval
     cuts = []
-    for j in range(1, a.cols + 1):
-        hit = [i for i in range(a.rows) if (a.col_masks[j - 1] >> i) & 1]
-        if any(counts[i] for i in hit):
-            cuts.append(j - 1)
-            counts = [0] * a.rows
-        for i in hit:
-            counts[i] += 1
+    for j, col in enumerate(a.col_masks):
+        if used & col:
+            cuts.append(j)
+            used = 0
+        used |= col
     return len(cuts) + 1, tuple(cuts)
 
 

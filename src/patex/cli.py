@@ -36,6 +36,7 @@ from .ohypergraph import (
     cut_probability,
     cut_cuts_edge,
     find_ordered_complete_t_partite,
+    heavy_label_classes,
     random_t_cut,
 )
 from .rng import DEFAULT_SEED, SplitMix64
@@ -149,7 +150,9 @@ def _cmd_tcut(args) -> int:
     m = _load_matrix(args.host)
     graph, _ = build_column_hypergraph(m, args.t, 1)
     thr = avoidance_threshold(m.cols, args.t, args.s)
-    parts = find_ordered_complete_t_partite(graph, args.s)
+    # With one band every edge is heavy, labeled (1,).
+    completions = heavy_label_classes(m, args.t, 1, 1).get((1,), {})
+    parts = find_ordered_complete_t_partite(graph.n, [args.s] * graph.t, completions)
     rng = SplitMix64(args.seed)
     edges = sorted(graph.edges)[:5]
     mc = []

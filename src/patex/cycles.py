@@ -282,7 +282,6 @@ def cycle_driver(
     cur = m
     levels: list[TraceLevel] = []
     embedding = None
-    stop_reason = "exhausted"
     i = 0
     while True:
         threshold = (2**i) * c * (n0 / k**i) ** 1.5
@@ -302,16 +301,15 @@ def cycle_driver(
             checks=checks,
         )
         if depth is not None and i >= depth:
-            levels.append(TraceLevel(branch="exhausted", **base))
             stop_reason = "depth-reached"
-            break
-        if cur.rows % k:
-            levels.append(TraceLevel(branch="exhausted", **base))
+        elif cur.rows % k:
             stop_reason = "divisibility"
-            break
-        if cur.rows < k * max(1, r):
-            levels.append(TraceLevel(branch="exhausted", **base))
+        elif cur.rows < k * max(1, r):
             stop_reason = "host-too-small"
+        else:
+            stop_reason = None
+        if stop_reason is not None:
+            levels.append(TraceLevel(branch="exhausted", **base))
             break
         res = dense_or_balanced(cur, r, s, k, (2**i) * c)
         checks["preconditionHeld"] = res.weight_precondition_held
@@ -319,6 +317,7 @@ def cycle_driver(
         checks["branchWeight"] = res.weight
         if res.branch == "balanced":
             emb_local = embed_xmonotone_balanced(res.matrix, a)
+            stop_reason = "balanced-embed-failed"
             if emb_local is not None:
                 embedding = Embedding(
                     row_map=tuple(rows_abs[res.row_indices[v - 1] - 1] for v in emb_local.row_map),
@@ -326,11 +325,8 @@ def cycle_driver(
                 )
                 if not verify_embedding(m, a, embedding):
                     raise AssertionError("cycle driver certificate failed on the host")
-                levels.append(TraceLevel(branch="balanced", **base))
                 stop_reason = "embedded"
-                break
             levels.append(TraceLevel(branch="balanced", **base))
-            stop_reason = "balanced-embed-failed"
             break
         levels.append(TraceLevel(branch="dense", **base))
         rows_abs = [rows_abs[v - 1] for v in res.row_indices]

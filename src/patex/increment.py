@@ -30,7 +30,6 @@ from .matrix import Embedding, ZeroOneMatrix, _search_masks, verify_embedding
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
 # traces the increment layer through this module's attributes.
 from .ohypergraph import (  # noqa: F401
-    OrderedHypergraph,
     build_column_hypergraph,
     find_ordered_complete_t_partite,
     heavy_label_classes,
@@ -342,12 +341,11 @@ def _horizontal_step(
     classes = heavy_label_classes(m, t, k, r)
     found = dict(
         possible=k >= r,
-        edges=sum(len(edges) for edges in classes.values()),
+        edges=sum(mask.bit_count() for c in classes.values() for mask in c.values()),
         classes=len(classes),
     )
     for i, label in enumerate(sorted(classes)):
-        sub = OrderedHypergraph(n=m.cols, t=t, edges=classes[label])
-        parts = find_ordered_complete_t_partite(sub, sizes)
+        parts = find_ordered_complete_t_partite(m.cols, sizes, classes[label])
         if parts is None:
             continue
         emb = _assemble_embedding(m, a, label, parts, band)

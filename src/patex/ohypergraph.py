@@ -2,12 +2,14 @@
 
 The hypergraph of a host matrix has the columns as ordered vertices; a t-set
 of columns is an edge when one row carries a 1 in all t of them, and the
-label map records which horizontal blocks contain such a witness row; the
-heavy edges (witnesses in at least r blocks) can also be grouped by label
-straight from the column masks, without building the whole hypergraph. On top
-of that sit t-cut sampling with exact cut probabilities, and the exhaustive
-search for an ordered complete t-partite sub-hypergraph (parts of prescribed
-sizes, each part entirely before the next, every transversal an edge).
+label map records which horizontal blocks contain such a witness row. The
+heavy edges (witnesses in at least r blocks) are grouped by label straight
+from the column masks, each class as a completion map from (t-1)-prefixes to
+the bitmask of the last columns that complete them. On top of that sit t-cut
+sampling with exact cut probabilities, and the exhaustive search of a
+completion map for an ordered complete t-partite sub-hypergraph (parts of
+prescribed sizes, each part entirely before the next, every transversal an
+edge).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DivisibilityError, DomainError, InputError
 from .matrix import ZeroOneMatrix
@@ -94,10 +96,12 @@ def classify_edge(label_map: LabelMap, e: Sequence[int], r: int) -> EdgeClass:
 
 def heavy_label_classes(
     m: ZeroOneMatrix, t: int, k: int, r: int
-) -> dict[tuple[int, ...], frozenset]:
+) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """The heavy edges of the column hypergraph over k row bands, grouped by
-    label: {label: edges}, equal to classifying every edge of
-    build_column_hypergraph(m, t, k) with classify_edge and dropping the
+    label: {label: completion map}, where the map sends each (t-1)-prefix of
+    a heavy edge to the bitmask (bit v = column v) of the last columns that
+    complete it. Expanded to edges, the classes equal classifying every edge
+    of build_column_hypergraph(m, t, k) with classify_edge and dropping the
     light ones. Column t-sets are enumerated depth-first over the column
     masks; a branch ends once its common rows meet fewer than r bands, since
     adding columns only shrinks that set. No edge is heavy when r > k."""
@@ -110,10 +114,9 @@ def heavy_label_classes(
     band = m.rows // k
     cols = m.col_masks
     n = m.cols
-    classes: dict[tuple[int, ...], list] = {}
-    edge: list[int] = []
+    classes: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
-    def rec(start: int, depth: int, rows: int):
+    def rec(start: int, depth: int, rows: int, prefix: tuple[int, ...]):
         leaf = depth == t - 1
         for c in range(start, n - t + depth + 1):
             common = rows & cols[c]
@@ -126,15 +129,14 @@ def heavy_label_classes(
                 x &= -1 << ((b + 1) * band)
             if len(label) < r:
                 continue
-            edge.append(c + 1)
             if leaf:
-                classes.setdefault(tuple(label), []).append(tuple(edge))
+                completions = classes.setdefault(tuple(label), {})
+                completions[prefix] = completions.get(prefix, 0) | 1 << (c + 1)
             else:
-                rec(c + 1, depth + 1, common)
-            edge.pop()
+                rec(c + 1, depth + 1, common, prefix + (c + 1,))
 
-    rec(0, 0, (1 << m.rows) - 1)
-    return {label: frozenset(edges) for label, edges in classes.items()}
+    rec(0, 0, (1 << m.rows) - 1, ())
+    return classes
 
 
 # ----------------------------------------------------------------------
@@ -208,37 +210,31 @@ def cut_cuts_edge(cut: TCut, e: Sequence[int]) -> bool:
 
 
 def find_ordered_complete_t_partite(
-    h: OrderedHypergraph, s: Union[int, Sequence[int]]
+    n: int, sizes: Sequence[int], completions: dict[tuple[int, ...], int]
 ) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Exhaustive search for parts V_1..V_t with |V_i| = s (or the i-th entry
-    of a size vector), max(V_i) < min(V_{i+1}), and every transversal t-tuple
-    an edge. Returns the lexicographically least witness or None; no false
-    negatives at any size, intended for desk-scale n."""
-    sizes = tuple([s] * h.t if isinstance(s, int) else s)
-    if len(sizes) != h.t or any(x < 1 for x in sizes):
-        raise DomainError(f"need {h.t} positive part sizes, got {sizes}")
-    if not h.edges:
+    """Exhaustive search over vertices 1..n for parts V_1..V_t with
+    |V_i| = sizes[i], max(V_i) < min(V_{i+1}), and every transversal t-tuple
+    an edge of the completion map (as heavy_label_classes builds it). Returns
+    the lexicographically least witness or None; no false negatives at any
+    size, intended for desk-scale n."""
+    if not sizes or any(x < 1 for x in sizes):
+        raise DomainError(f"need {len(sizes)} positive part sizes, got {tuple(sizes)}")
+    if not completions:
         return None
-    t = h.t
+    t = len(sizes)
     suffix_need = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
         suffix_need[i] = suffix_need[i + 1] + sizes[i]
-
-    # Per (t-1)-prefix, the bitmask (bit v = vertex v) of the last vertices
-    # that complete it to an edge.
-    last: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        last[e[:-1]] = last.get(e[:-1], 0) | 1 << e[-1]
     chosen: list[tuple[int, ...]] = []
 
     def rec(part_idx: int, min_start: int) -> Optional[tuple]:
-        pool_hi = h.n - suffix_need[part_idx + 1]
+        pool_hi = n - suffix_need[part_idx + 1]
         if part_idx == t - 1:
             # Last part separates per vertex: v joins iff every prefix
             # transversal extended by v is an edge.
             cand = ((1 << (pool_hi + 1)) - 1) & (-1 << min_start)
             for p in product(*chosen):
-                cand &= last.get(p, 0)
+                cand &= completions.get(p, 0)
                 if not cand:
                     return None
             if cand.bit_count() < sizes[part_idx]:

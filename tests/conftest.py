@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the library's search kernels: containment is
 checked by enumerating every increasing injection pair, copy counts by
 enumerating every (row-subset, column-subset) pair, winding numbers by the
-angle-summation point-in-polygon rule. The canonical fixtures and the
-containment oracle are the acceptance suite's own, imported from there.
+angle-summation point-in-polygon rule. The canonical fixtures, the
+containment oracle and the planted increment hosts are the acceptance
+suite's own, imported from there.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from patex.acceptance import (  # noqa: F401 -- fixtures and oracle shared with 
     K22,
     ROW_2_PARTITE,
     SIX_CYCLES_3X3,
+    _plant_instance as plant,
     oracle_embedding,
 )
 from patex.matrix import ZeroOneMatrix, random_matrix  # noqa: F401 -- shared sampler

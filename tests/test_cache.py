@@ -48,6 +48,19 @@ class TestPrecedence:
         assert CacheStore(tmp_path).get(K22, 3) is None
 
 
+class TestNoRewrite:
+    def test_repeated_put_leaves_file_alone(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        exact = brute_force_ex(3, K22)
+        cache.put(K22, exact)
+        path = next(tmp_path.glob("*.json"))
+        before = path.stat()
+        assert cache.put(K22, exact).to_json_dict() == exact.to_json_dict()
+        cache.put(K22, make_record(3, 3, "lowerBound", free_witness(3, 3)))
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
 class TestRoundTrip:
     def test_bit_identical_reread(self, tmp_path):
         cache = CacheStore(tmp_path)
@@ -94,6 +107,38 @@ class TestCorruption:
         path.write_text(json.dumps(doc))
         with pytest.raises(CacheError, match="weight"):
             cache.get(K22, 2)
+
+
+class TestMalformedFile:
+    """Every malformed file raises CacheError with the rebuild hint, from
+    get and from put alike."""
+
+    @staticmethod
+    def corrupt(tmp_path, edit):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, brute_force_ex(2, K22))
+        path = next(tmp_path.glob("*.json"))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return cache
+
+    def check(self, cache):
+        with pytest.raises(CacheError, match="rebuild"):
+            cache.get(K22, 2)
+        with pytest.raises(CacheError, match="rebuild"):
+            cache.put(K22, brute_force_ex(3, K22))
+
+    def test_document_not_an_object(self, tmp_path):
+        self.check(self.corrupt(tmp_path, lambda doc: []))
+
+    def test_records_not_a_list(self, tmp_path):
+        self.check(self.corrupt(tmp_path, lambda doc: {**doc, "records": 5}))
+
+    def test_corrupt_record(self, tmp_path):
+        def drop_n(doc):
+            del doc["records"][0]["n"]
+            return doc
+
+        self.check(self.corrupt(tmp_path, drop_n))
 
 
 def put_many(directory, ns, barrier):

@@ -137,15 +137,16 @@ class TestEx:
         assert json.loads(out1)["value"] == 6
 
     def test_warm_query_leaves_cache_file_alone(self, capsys, files):
-        cache_dir = files["dir"] / "cache"
-        argv = ["--cache-dir", str(cache_dir), "ex", files["k22"], "--n", "3", "--mode", "bnb"]
-        _, cold = run(capsys, argv)
-        (path,) = cache_dir.glob("*.json")
-        before = path.stat()
-        code, warm = run(capsys, argv)
-        after = path.stat()
-        assert code == 0 and warm == cold
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        for mode in ("bnb", "exact"):
+            cache_dir = files["dir"] / f"cache-{mode}"
+            argv = ["--cache-dir", str(cache_dir), "ex", files["k22"], "--n", "3", "--mode", mode]
+            _, cold = run(capsys, argv)
+            (path,) = cache_dir.glob("*.json")
+            before = path.stat()
+            code, warm = run(capsys, argv)
+            after = path.stat()
+            assert code == 0 and warm == cold
+            assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_random_mode_deterministic(self, capsys, files):
         argv = ["--seed", "17", "ex", files["k22"], "--n", "8", "--mode", "random"]

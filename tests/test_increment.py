@@ -9,6 +9,7 @@ from conftest import (
     K22,
     SIX_CYCLES_3X3,
     oracle_count_copies,
+    plant,
     random_matrix,
 )
 from patex.classify import min_column_parts, min_row_parts
@@ -24,20 +25,6 @@ from patex.increment import (
 from patex.matrix import ZeroOneMatrix, verify_embedding
 from patex.rng import SplitMix64
 from patex.search import deletion_lower_bound
-
-
-def plant(rng, a, k, band, cols, noise):
-    host = random_matrix(rng, k * band, cols, noise)
-    chosen = set()
-    while len(chosen) < a.cols:
-        chosen.add(rng.below(cols) + 1)
-    mask = 0
-    for c in chosen:
-        mask |= 1 << (c - 1)
-    masks = list(host.row_masks)
-    for block in range(1, a.rows + 1):
-        masks[(block - 1) * band + rng.below(band)] |= mask
-    return ZeroOneMatrix(masks, cols)
 
 
 class TestConstants:

@@ -69,6 +69,22 @@ class TestValidation:
         assert len(h.edges) == 3
 
 
+def completion_map(edges):
+    """Each (t-1)-prefix of an edge set mapped to the bitmask of the last
+    vertices that complete it."""
+    out = {}
+    for e in edges:
+        out[e[:-1]] = out.get(e[:-1], 0) | 1 << e[-1]
+    return out
+
+
+def expand(completions):
+    """The edge set of a completion map."""
+    return frozenset(
+        p + (v,) for p, mask in completions.items() for v in range(mask.bit_length()) if mask >> v & 1
+    )
+
+
 class TestHeavyLabelClasses:
     @staticmethod
     def grouped(m, t, k, r):
@@ -90,13 +106,15 @@ class TestHeavyLabelClasses:
                     for k in (1, 2, 4):
                         for r in range(1, 6):
                             got = heavy_label_classes(m, t, k, r)
+                            assert all(all(c.values()) for c in got.values())
+                            got = {label: expand(c) for label, c in got.items()}
                             assert got == self.grouped(m, t, k, r)
                             if r > k:
                                 assert got == {}
 
     def test_labels_are_first_r_blocks(self):
         m = ZeroOneMatrix.ones(8, 2)
-        assert heavy_label_classes(m, 2, 8, 3) == {(1, 2, 3): frozenset({(1, 2)})}
+        assert heavy_label_classes(m, 2, 8, 3) == {(1, 2, 3): {(1,): 1 << 2}}
         assert heavy_label_classes(m, 2, 8, 9) == {}
 
     def test_errors(self):
@@ -207,12 +225,11 @@ def oracle_t_partite(h, sizes):
 
 class TestTPartiteSearch:
     def test_complete_bipartite(self):
-        h = OrderedHypergraph(n=4, t=2, edges=frozenset({(1, 3), (1, 4), (2, 3), (2, 4)}))
-        assert find_ordered_complete_t_partite(h, 2) == ((1, 2), (3, 4))
+        edges = {(1, 3), (1, 4), (2, 3), (2, 4)}
+        assert find_ordered_complete_t_partite(4, (2, 2), completion_map(edges)) == ((1, 2), (3, 4))
 
     def test_empty(self):
-        h = OrderedHypergraph(n=4, t=2, edges=frozenset())
-        assert find_ordered_complete_t_partite(h, 2) is None
+        assert find_ordered_complete_t_partite(4, (2, 2), {}) is None
 
     def test_agrees_with_oracle_on_random_instances(self, rng):
         for _ in range(60):
@@ -223,7 +240,7 @@ class TestTPartiteSearch:
             )
             h = OrderedHypergraph(n=n, t=2, edges=edges)
             for sizes in ((1, 1), (2, 2), (1, 3)):
-                found = find_ordered_complete_t_partite(h, sizes)
+                found = find_ordered_complete_t_partite(n, sizes, completion_map(edges))
                 assert found == oracle_t_partite(h, sizes)
                 if found:
                     for tr in product(*found):
@@ -238,12 +255,14 @@ class TestTPartiteSearch:
             )
             h = OrderedHypergraph(n=n, t=3, edges=edges)
             for sizes in ((1, 2, 1), (2, 1, 2)):
-                assert find_ordered_complete_t_partite(h, sizes) == oracle_t_partite(h, sizes)
+                found = find_ordered_complete_t_partite(n, sizes, completion_map(edges))
+                assert found == oracle_t_partite(h, sizes)
 
     def test_size_vector_validation(self):
-        h = OrderedHypergraph(n=4, t=2, edges=frozenset({(1, 2)}))
-        with pytest.raises(DomainError):
-            find_ordered_complete_t_partite(h, (1, 2, 1))
+        completions = completion_map({(1, 2)})
+        for sizes in ((1, 0), (2, -1), ()):
+            with pytest.raises(DomainError):
+                find_ordered_complete_t_partite(4, sizes, completions)
 
 
 class TestAvoidanceThreshold:
