@@ -74,13 +74,8 @@ from .matrix import (
 )
 from .ohypergraph import (
     AvoidanceThreshold,
-    EdgeClass,
-    LabelMap,
-    OrderedHypergraph,
     TCut,
     avoidance_threshold,
-    build_column_hypergraph,
-    classify_edge,
     cut_cuts_edge,
     cut_probability,
     find_ordered_complete_t_partite,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -27,12 +28,11 @@ from .cycles import (
     embed_xmonotone_balanced,
     enumerate_cycles,
 )
-from .errors import BudgetError, PatexError
+from .errors import BudgetError, InputError, PatexError
 from .increment import _json_safe, run_driver
 from .matrix import ZeroOneMatrix, find_embedding
 from .ohypergraph import (
     avoidance_threshold,
-    build_column_hypergraph,
     cut_probability,
     cut_cuts_edge,
     find_ordered_complete_t_partite,
@@ -147,24 +147,35 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_tcut(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be non-negative, got {args.trials}")
     m = _load_matrix(args.host)
-    graph, _ = build_column_hypergraph(m, args.t, 1)
-    thr = avoidance_threshold(m.cols, args.t, args.s)
+    n, t = m.cols, args.t
+    thr = avoidance_threshold(n, t, args.s)
     # With one band every edge is heavy, labeled (1,).
-    completions = heavy_label_classes(m, args.t, 1, 1).get((1,), {})
-    parts = find_ordered_complete_t_partite(graph.n, [args.s] * graph.t, completions)
+    completions = heavy_label_classes(m, t, 1, 1).get((1,), {})
+    parts = find_ordered_complete_t_partite(n, [args.s] * t, completions)
     rng = SplitMix64(args.seed)
-    edges = sorted(graph.edges)[:5]
+    # Prefixes share one length, so sorted prefixes with ascending last
+    # columns list the edges in lexicographic order.
+    edges = (
+        prefix + (v,)
+        for prefix in sorted(completions)
+        for v in range(n + 1)
+        if completions[prefix] >> v & 1
+    )
     mc = []
-    for e in edges:
-        exact = cut_probability(e, graph.n)
+    for e in islice(edges, 5):
+        exact = cut_probability(e, n)
         hits = 0
         for _ in range(args.trials):
-            if cut_cuts_edge(random_t_cut(graph.n, graph.t, rng), e):
+            if cut_cuts_edge(random_t_cut(n, t, rng), e):
                 hits += 1
         p = float(exact)
-        freq = hits / args.trials if args.trials else 0.0
-        tol = 3.0 * (p * (1 - p) / args.trials) ** 0.5 if args.trials else 0.0
+        freq = within = None
+        if args.trials:
+            freq = hits / args.trials
+            within = abs(freq - p) <= 3.0 * (p * (1 - p) / args.trials) ** 0.5
         mc.append(
             {
                 "edge": list(e),
@@ -172,11 +183,11 @@ def _cmd_tcut(args) -> int:
                 "trials": args.trials,
                 "hits": hits,
                 "frequency": freq,
-                "withinTolerance": abs(freq - p) <= tol,
+                "withinTolerance": within,
             }
         )
     report = {
-        "edgeCount": len(graph.edges),
+        "edgeCount": sum(mask.bit_count() for mask in completions.values()),
         "threshold": thr.to_json_dict(),
         "foundParts": [list(part) for part in parts] if parts else None,
         "monteCarlo": mc,
@@ -253,6 +264,8 @@ def _cmd_ex(args) -> int:
     a = _load_matrix(args.pattern)
     cache = _cache_store(args)
     if args.n_to is not None:
+        if args.n_to < args.n:
+            raise InputError(f"--n-to {args.n_to} is below --n {args.n}: the range is empty")
         records = extremal_table(a, range(args.n, args.n_to + 1), args.budget, cache)
         if args.format == "csv":
             print("n,value,status,witness")

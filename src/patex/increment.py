@@ -63,7 +63,6 @@ class ProofConstants:
     u: int
     epsilon: float
     k: Optional[int]
-    comb_k_r: Optional[int]
     delta: float
     c: float
     C0: float
@@ -73,7 +72,6 @@ class ProofConstants:
     log10_C0: float
     log10_Cprime: float
     log10_C: float
-    log10_c: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,7 +118,6 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
         comb_k_r = math.comb(k, r)
         log10_comb = math.log10(comb_k_r) if comb_k_r > 0 else 0.0
     else:
-        comb_k_r = None
         # binom(k, r) ~ k^r / r! is accurate to O(r^2/k) for huge k.
         log10_comb = r * log10_k - math.log10(math.factorial(r))
     delta = 1.0 / (t * s ** (t - 1))
@@ -129,7 +126,6 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
     tail = 4 * math.comb(r * u, u)
     log10_C = max(log10_Cprime, math.log10(tail))
     c = float(t) ** (-(t * t + t))
-    log10_c = -(t * t + t) * math.log10(t)
 
     def materialize(log10_value: float) -> float:
         return 10.0**log10_value if log10_value <= LOG10_CAP else math.inf
@@ -141,7 +137,6 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
         u=u,
         epsilon=epsilon,
         k=k,
-        comb_k_r=comb_k_r,
         delta=delta,
         c=c,
         C0=materialize(log10_C0),
@@ -151,7 +146,6 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
         log10_C0=log10_C0,
         log10_Cprime=log10_Cprime,
         log10_C=log10_C,
-        log10_c=log10_c,
     )
 
 
@@ -163,15 +157,13 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
 class LambdaSchedule:
     """Decreasing weights lambda_t = 1, lambda_{t+1} = 1 - 1/(2(t+1)) + eps0,
     lambda_{u+1} = lambda_u - t/((u-1)(u+1)) for t+1 <= u <= U-1, and
-    lambda_{U+1} = 0, with eps0 = eps/(10 t^2) and the small step
-    delta = eps/(10 U). The closed form on t+1..U is
-    lambda_u = eps0 + t/(2(u-1)) + t/(2u)."""
+    lambda_{U+1} = 0, with eps0 = eps/(10 t^2). The closed form on t+1..U
+    is lambda_u = eps0 + t/(2(u-1)) + t/(2u)."""
 
     t: int
     U: int
     epsilon: float
     epsilon0: float
-    delta_small: float
     lambdas: tuple[float, ...]  # lambdas[i] = lambda_{t+i}, i = 0..U+1-t
 
     def value(self, u: int) -> float:
@@ -222,7 +214,6 @@ def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     epsilon0 = epsilon / (10.0 * t * t)
-    delta_small = epsilon / (10.0 * U)
     lams = [0.0] * (U + 2 - t)
     lams[0] = 1.0
     lams[1] = 1.0 - 1.0 / (2.0 * (t + 1)) + epsilon0
@@ -234,7 +225,6 @@ def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
         U=U,
         epsilon=epsilon,
         epsilon0=epsilon0,
-        delta_small=delta_small,
         lambdas=tuple(lams),
     )
 

@@ -1,15 +1,17 @@
-"""Ordered t-uniform hypergraphs on column sets.
+"""Ordered t-uniform hypergraphs on the columns of a host matrix.
 
-The hypergraph of a host matrix has the columns as ordered vertices; a t-set
-of columns is an edge when one row carries a 1 in all t of them, and the
-label map records which horizontal blocks contain such a witness row. The
-heavy edges (witnesses in at least r blocks) are grouped by label straight
-from the column masks, each class as a completion map from (t-1)-prefixes to
-the bitmask of the last columns that complete them. On top of that sit t-cut
-sampling with exact cut probabilities, and the exhaustive search of a
-completion map for an ordered complete t-partite sub-hypergraph (parts of
-prescribed sizes, each part entirely before the next, every transversal an
-edge).
+The columns are the ordered vertices 1..n. A t-set of columns is an edge
+when one row carries a 1 in all t of them, and its label is the set of
+horizontal blocks that hold such a witness row. An edge is heavy when it has
+witnesses in at least r blocks. heavy_label_classes groups the heavy edges
+by their r smallest blocks straight from the column masks, each class as a
+completion map from (t-1)-prefixes to the bitmask of the last columns that
+complete them; it is the one form a label class takes in the library.
+build_column_hypergraph lists every edge with its blocks and is kept as the
+reference for that grouping. On top of that sit t-cut sampling with exact
+cut probabilities, and the exhaustive search of a completion map for an
+ordered complete t-partite sub-hypergraph (parts of prescribed sizes, each
+part entirely before the next, every transversal an edge).
 """
 
 from __future__ import annotations
@@ -24,46 +26,15 @@ from .matrix import ZeroOneMatrix
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class OrderedHypergraph:
-    """t-uniform hypergraph on ordered vertices 1..n; edges are sorted
-    t-tuples."""
-
-    n: int
-    t: int
-    edges: frozenset
-
-    def __post_init__(self):
-        t, n = self.t, self.n
-        steps = range(1, t)
-        for e in self.edges:
-            if len(e) != t or (t and not (1 <= e[0] and e[-1] <= n)):
-                raise InputError(f"edge {e} is not a {t}-tuple in 1..{n}")
-            for i in steps:
-                if e[i - 1] >= e[i]:
-                    raise InputError(f"edge {e} is not strictly increasing")
-
-
-@dataclass
-class LabelMap:
-    """phi(e) = set of horizontal block indices containing a witness row for
-    edge e. Heavy labels (the r smallest members of phi) are derived via
-    classify_edge."""
-
-    phi: dict
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    kind: str  # "light" | "heavy"
-    label: Optional[tuple[int, ...]]
-
-
 def build_column_hypergraph(
     m: ZeroOneMatrix, t: int, k: int
-) -> tuple[OrderedHypergraph, LabelMap]:
-    """Edges are t-sets of columns sharing a witness row; phi(e) collects the
-    horizontal blocks (k equal row bands) holding such a row."""
+) -> dict[tuple[int, ...], frozenset]:
+    """The whole column hypergraph over k row bands as its label map
+    {edge: blocks}: the edges are the increasing t-tuples of columns that
+    share a witness row, and each maps to the horizontal blocks (k equal
+    row bands, numbered from 1) that hold such a row. It lists every edge,
+    light or heavy, and is the reference heavy_label_classes is checked
+    against."""
     if t < 1:
         raise DomainError("t must be positive")
     if k < 1 or m.rows % k:
@@ -77,21 +48,7 @@ def build_column_hypergraph(
         block = i // band + 1
         for e in combinations(cols, t):
             phi.setdefault(e, set()).add(block)
-    phi = {e: frozenset(v) for e, v in phi.items()}
-    graph = OrderedHypergraph(n=m.cols, t=t, edges=frozenset(phi))
-    return graph, LabelMap(phi=phi)
-
-
-def classify_edge(label_map: LabelMap, e: Sequence[int], r: int) -> EdgeClass:
-    """Light when |phi(e)| < r; otherwise heavy, labeled with the r smallest
-    block indices of phi(e) (a deterministic choice)."""
-    key = tuple(sorted(e))
-    if key not in label_map.phi:
-        raise InputError(f"unknown edge {key}")
-    blocks = label_map.phi[key]
-    if len(blocks) < r:
-        return EdgeClass(kind="light", label=None)
-    return EdgeClass(kind="heavy", label=tuple(sorted(blocks)[:r]))
+    return {e: frozenset(v) for e, v in phi.items()}
 
 
 def heavy_label_classes(
@@ -100,9 +57,9 @@ def heavy_label_classes(
     """The heavy edges of the column hypergraph over k row bands, grouped by
     label: {label: completion map}, where the map sends each (t-1)-prefix of
     a heavy edge to the bitmask (bit v = column v) of the last columns that
-    complete it. Expanded to edges, the classes equal classifying every edge
-    of build_column_hypergraph(m, t, k) with classify_edge and dropping the
-    light ones. Column t-sets are enumerated depth-first over the column
+    complete it. Expanded to edges, the classes equal grouping the edges of
+    build_column_hypergraph(m, t, k) that have at least r blocks by their r
+    smallest blocks. Column t-sets are enumerated depth-first over the column
     masks; a branch ends once its common rows meet fewer than r bands, since
     adding columns only shrinks that set. No edge is heavy when r > k."""
     if t < 1 or r < 1:

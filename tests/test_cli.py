@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import COLUMN_2_PARTITE, K22
+from conftest import COLUMN_2_PARTITE, K22, random_matrix
 from patex.cli import dispatch
 from patex.matrix import Embedding, ZeroOneMatrix, verify_embedding
+from patex.ohypergraph import build_column_hypergraph
+from patex.rng import SplitMix64
 from patex.search import ExtremalRecord
 
 
@@ -79,6 +81,44 @@ class TestTcut:
         assert doc["edgeCount"] == 3
         assert doc["foundParts"] is not None
         assert all(entry["withinTolerance"] for entry in doc["monteCarlo"])
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_edges_match_full_hypergraph(self, capsys, tmp_path, t):
+        rng = SplitMix64(0x7C07)
+        hosts = [random_matrix(rng, 6, 7, 0.5) for _ in range(3)]
+        hosts += [COLUMN_2_PARTITE, ZeroOneMatrix.from_rows([[1, 0, 1], [0, 1, 1]])]
+        for i, m in enumerate(hosts):
+            path = tmp_path / f"host{i}.pat"
+            path.write_text(m.to_text())
+            code, out = run(capsys, ["tcut", str(path), "--t", str(t), "--s", "1", "--trials", "1"])
+            doc = json.loads(out)
+            ref = build_column_hypergraph(m, t, 1)
+            assert code == 0
+            assert doc["edgeCount"] == len(ref)
+            assert [entry["edge"] for entry in doc["monteCarlo"]] == [list(e) for e in sorted(ref)[:5]]
+            if t > m.cols:
+                assert doc["edgeCount"] == 0 and doc["monteCarlo"] == []
+
+    @pytest.mark.parametrize("t, s", [(0, 1), (2, 0)])
+    def test_domain_error_exit_one(self, capsys, files, t, s):
+        code = dispatch(["tcut", files["fixture"], "--t", str(t), "--s", str(s)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_negative_trials_rejected(self, capsys, files):
+        code = dispatch(["tcut", files["fixture"], "--t", "2", "--s", "1", "--trials", "-5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_zero_trials_report_no_frequency(self, capsys, files):
+        code, out = run(capsys, ["tcut", files["fixture"], "--t", "2", "--s", "1", "--trials", "0"])
+        doc = json.loads(out)
+        assert code == 0 and len(doc["monteCarlo"]) == 3
+        for entry in doc["monteCarlo"]:
+            assert entry["hits"] == 0
+            assert entry["frequency"] is None and entry["withinTolerance"] is None
 
 
 class TestIncrement:
@@ -165,6 +205,17 @@ class TestEx:
             assert code == 2
         else:
             assert code == 0
+
+    def test_one_point_range(self, capsys, files):
+        code, out = run(capsys, ["ex", files["k22"], "--n", "3", "--n-to", "3"])
+        assert code == 0
+        assert [rec["value"] for rec in json.loads(out)["records"]] == [6]
+
+    def test_empty_range_rejected(self, capsys, files):
+        code = dispatch(["ex", files["k22"], "--n", "5", "--n-to", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_brute_cap_exceeded(self, capsys, files):
         code, out = run(capsys, ["ex", files["k22"], "--n", "6", "--mode", "exact"])

@@ -7,11 +7,9 @@ from conftest import COLUMN_2_PARTITE, random_matrix
 from patex.errors import DivisibilityError, DomainError, InputError
 from patex.matrix import ZeroOneMatrix
 from patex.ohypergraph import (
-    OrderedHypergraph,
     TCut,
     avoidance_threshold,
     build_column_hypergraph,
-    classify_edge,
     cut_cuts_edge,
     cut_probability,
     find_ordered_complete_t_partite,
@@ -23,26 +21,23 @@ from patex.rng import SplitMix64
 
 class TestBuild:
     def test_all_ones_2x2(self):
-        graph, labels = build_column_hypergraph(ZeroOneMatrix.ones(2, 2), 2, 2)
-        assert graph.edges == frozenset({(1, 2)})
-        assert labels.phi[(1, 2)] == frozenset({1, 2})
+        phi = build_column_hypergraph(ZeroOneMatrix.ones(2, 2), 2, 2)
+        assert phi == {(1, 2): frozenset({1, 2})}
 
     def test_single_row(self):
-        graph, labels = build_column_hypergraph(ZeroOneMatrix.from_rows([[1, 0, 1]]), 2, 1)
-        assert graph.edges == frozenset({(1, 3)})
-        assert labels.phi[(1, 3)] == frozenset({1})
+        phi = build_column_hypergraph(ZeroOneMatrix.from_rows([[1, 0, 1]]), 2, 1)
+        assert phi == {(1, 3): frozenset({1})}
 
     def test_fixture_phi(self):
-        graph, labels = build_column_hypergraph(COLUMN_2_PARTITE, 2, 2)
-        assert labels.phi[(1, 4)] == frozenset({1, 2})
-        assert labels.phi[(2, 4)] == frozenset({1})
-        assert labels.phi[(2, 3)] == frozenset({2})
+        phi = build_column_hypergraph(COLUMN_2_PARTITE, 2, 2)
+        assert phi[(1, 4)] == frozenset({1, 2})
+        assert phi[(2, 4)] == frozenset({1})
+        assert phi[(2, 3)] == frozenset({2})
 
     def test_phi_soundness_rederivable(self, rng):
         for _ in range(50):
             m = random_matrix(rng, 8, 8, 0.4)
-            graph, labels = build_column_hypergraph(m, 2, 4)
-            for e, blocks in labels.phi.items():
+            for e, blocks in build_column_hypergraph(m, 2, 4).items():
                 for b in range(1, 5):
                     witness = any(
                         all(m.entry(i, j) for j in e)
@@ -53,20 +48,6 @@ class TestBuild:
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
             build_column_hypergraph(ZeroOneMatrix.ones(4, 4), 2, 3)
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "edge",
-        [(1,), (1, 2, 3), (2, 2), (0, 2), (1, 5), (3, 1), (-1, 2)],
-    )
-    def test_malformed_edge_rejected(self, edge):
-        with pytest.raises(InputError):
-            OrderedHypergraph(n=4, t=2, edges=frozenset({(1, 2), edge}))
-
-    def test_well_formed_edges_accepted(self):
-        h = OrderedHypergraph(n=4, t=3, edges=frozenset({(1, 2, 3), (1, 3, 4), (2, 3, 4)}))
-        assert len(h.edges) == 3
 
 
 def completion_map(edges):
@@ -88,13 +69,12 @@ def expand(completions):
 class TestHeavyLabelClasses:
     @staticmethod
     def grouped(m, t, k, r):
-        """Heavy classes derived from the full hypergraph."""
-        _, labels = build_column_hypergraph(m, t, k)
+        """Heavy classes derived from the full hypergraph: an edge is heavy
+        with at least r blocks, labeled by the r smallest."""
         out = {}
-        for e in labels.phi:
-            cls = classify_edge(labels, e, r)
-            if cls.kind == "heavy":
-                out.setdefault(cls.label, set()).add(e)
+        for e, blocks in build_column_hypergraph(m, t, k).items():
+            if len(blocks) >= r:
+                out.setdefault(tuple(sorted(blocks)[:r]), set()).add(e)
         return {label: frozenset(edges) for label, edges in out.items()}
 
     def test_matches_full_hypergraph_grouping(self):
@@ -114,7 +94,9 @@ class TestHeavyLabelClasses:
 
     def test_labels_are_first_r_blocks(self):
         m = ZeroOneMatrix.ones(8, 2)
+        assert heavy_label_classes(m, 2, 8, 2) == {(1, 2): {(1,): 1 << 2}}
         assert heavy_label_classes(m, 2, 8, 3) == {(1, 2, 3): {(1,): 1 << 2}}
+        assert heavy_label_classes(m, 2, 8, 8) == {tuple(range(1, 9)): {(1,): 1 << 2}}
         assert heavy_label_classes(m, 2, 8, 9) == {}
 
     def test_errors(self):
@@ -122,20 +104,6 @@ class TestHeavyLabelClasses:
             heavy_label_classes(ZeroOneMatrix.ones(4, 4), 2, 3, 2)
         with pytest.raises(DomainError):
             heavy_label_classes(ZeroOneMatrix.ones(4, 4), 0, 2, 2)
-
-
-class TestClassifyEdge:
-    def test_light_heavy_tiebreak(self):
-        graph, labels = build_column_hypergraph(ZeroOneMatrix.ones(8, 2), 2, 8)
-        full = classify_edge(labels, (1, 2), 2)
-        assert full.kind == "heavy" and full.label == (1, 2)
-        assert classify_edge(labels, (1, 2), 9).kind == "light"
-        assert classify_edge(labels, (1, 2), 8).label == tuple(range(1, 9))
-
-    def test_unknown_edge(self):
-        graph, labels = build_column_hypergraph(ZeroOneMatrix.ones(2, 2), 2, 2)
-        with pytest.raises(InputError):
-            classify_edge(labels, (1, 3), 2)
 
 
 class TestCutProbability:
@@ -204,17 +172,16 @@ class TestCuts:
         assert cut.parts() == ((1, 2), (3, 4), (5, 6))
 
 
-def oracle_t_partite(h, sizes):
+def oracle_t_partite(n, edges, sizes):
     """Full enumeration over every ordered choice of disjoint parts."""
-    verts = range(1, h.n + 1)
 
     def rec(idx, lo, parts):
         if idx == len(sizes):
             for tr in product(*parts):
-                if tuple(sorted(tr)) not in h.edges:
+                if tuple(sorted(tr)) not in edges:
                     return None
             return tuple(parts)
-        for combo in combinations(range(lo, h.n + 1), sizes[idx]):
+        for combo in combinations(range(lo, n + 1), sizes[idx]):
             got = rec(idx + 1, combo[-1] + 1, parts + [combo])
             if got:
                 return got
@@ -238,10 +205,9 @@ class TestTPartiteSearch:
             edges = frozenset(
                 e for e in combinations(range(1, n + 1), 2) if rng.bernoulli(density)
             )
-            h = OrderedHypergraph(n=n, t=2, edges=edges)
             for sizes in ((1, 1), (2, 2), (1, 3)):
                 found = find_ordered_complete_t_partite(n, sizes, completion_map(edges))
-                assert found == oracle_t_partite(h, sizes)
+                assert found == oracle_t_partite(n, edges, sizes)
                 if found:
                     for tr in product(*found):
                         assert tuple(sorted(tr)) in edges
@@ -253,10 +219,9 @@ class TestTPartiteSearch:
             edges = frozenset(
                 e for e in combinations(range(1, n + 1), 3) if rng.bernoulli(0.6)
             )
-            h = OrderedHypergraph(n=n, t=3, edges=edges)
             for sizes in ((1, 2, 1), (2, 1, 2)):
                 found = find_ordered_complete_t_partite(n, sizes, completion_map(edges))
-                assert found == oracle_t_partite(h, sizes)
+                assert found == oracle_t_partite(n, edges, sizes)
 
     def test_size_vector_validation(self):
         completions = completion_map({(1, 2)})
