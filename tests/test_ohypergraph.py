@@ -94,9 +94,7 @@ class TestHeavyLabelClasses:
 
     def test_labels_are_first_r_blocks(self):
         m = ZeroOneMatrix.ones(8, 2)
-        assert heavy_label_classes(m, 2, 8, 2) == {(1, 2): {(1,): 1 << 2}}
         assert heavy_label_classes(m, 2, 8, 3) == {(1, 2, 3): {(1,): 1 << 2}}
-        assert heavy_label_classes(m, 2, 8, 8) == {tuple(range(1, 9)): {(1,): 1 << 2}}
         assert heavy_label_classes(m, 2, 8, 9) == {}
 
     def test_errors(self):
@@ -104,6 +102,16 @@ class TestHeavyLabelClasses:
             heavy_label_classes(ZeroOneMatrix.ones(4, 4), 2, 3, 2)
         with pytest.raises(DomainError):
             heavy_label_classes(ZeroOneMatrix.ones(4, 4), 0, 2, 2)
+
+
+class TestClassifyEdge:
+    def test_light_heavy_tiebreak(self):
+        """Edge (1, 2) of ones(8, 2) lies in all 8 blocks: heavy up to r = 8,
+        labeled by its r smallest blocks, and light at r = 9."""
+        m = ZeroOneMatrix.ones(8, 2)
+        assert heavy_label_classes(m, 2, 8, 2) == {(1, 2): {(1,): 1 << 2}}
+        assert heavy_label_classes(m, 2, 8, 8) == {tuple(range(1, 9)): {(1,): 1 << 2}}
+        assert heavy_label_classes(m, 2, 8, 9) == {}
 
 
 class TestCutProbability:
