@@ -74,13 +74,11 @@ from .matrix import (
 )
 from .ohypergraph import (
     AvoidanceThreshold,
-    TCut,
     avoidance_threshold,
-    cut_cuts_edge,
+    cut_hits,
     cut_probability,
     find_ordered_complete_t_partite,
     heavy_label_classes,
-    random_t_cut,
 )
 from .rng import DEFAULT_SEED, SplitMix64
 from .search import (

@@ -34,7 +34,7 @@ from .cycles import (
 )
 from .increment import density_increment_step, lambda_schedule, make_constants
 from .matrix import ZeroOneMatrix, find_embedding, random_matrix, verify_embedding
-from .ohypergraph import TCut, cut_cuts_edge, cut_probability, random_t_cut
+from .ohypergraph import cut_hits, cut_probability
 from .rng import SplitMix64
 from .search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
 
@@ -265,36 +265,13 @@ def check_stepping_up() -> tuple[bool, str]:
 
 def check_tcut_statistics() -> tuple[bool, str]:
     rng = SplitMix64(0x7C47)
-
-    def fast_cut_hit(r: SplitMix64, n: int, edge: tuple[int, ...]) -> bool:
-        # same draw stream as random_t_cut + cut_cuts_edge, without the
-        # per-draw object construction (equivalence asserted below)
-        ok = True
-        for j in range(len(edge) - 1):
-            point = r.below(n) + 1
-            if not (edge[j] <= point < edge[j + 1]):
-                ok = False
-        return ok
-
-    # the inlined sampler consumes and judges the stream exactly like the API
-    for n, t in ((11, 2), (11, 3), (23, 3)):
-        probe = tuple(_sample_distinct(rng, t, n))
-        ra, rb = SplitMix64(n * 7 + t), SplitMix64(n * 7 + t)
-        for _ in range(2000):
-            if cut_cuts_edge(random_t_cut(n, t, ra), probe) != fast_cut_hit(rb, n, probe):
-                return False, f"inlined sampler diverged from the cut API on edge {probe} in [{n}]"
-
     for idx in range(20):
         t = 2 if idx % 2 == 0 else 3
         n = rng.below(41) + 10
         edge = tuple(_sample_distinct(rng, t, n))
         p = float(cut_probability(edge, n))
         trials = 100_000
-        hits = 0
-        for _ in range(trials):
-            if fast_cut_hit(rng, n, edge):
-                hits += 1
-        freq = hits / trials
+        freq = cut_hits(edge, n, trials, rng) / trials
         tol = 3.0 * math.sqrt(p * (1 - p) / trials)
         if abs(freq - p) > tol:
             return False, f"edge {edge} in [{n}]: frequency {freq} vs exact {p} (tolerance {tol})"
@@ -302,10 +279,12 @@ def check_tcut_statistics() -> tuple[bool, str]:
         for _ in range(3):
             edge = tuple(_sample_distinct(rng, t, n))
             exact = cut_probability(edge, n)
+            # The membership rule, stated apart from the sampler: the j-th
+            # cut point lies in [x_j, x_{j+1}).
             hits = sum(
                 1
                 for pts in product(range(1, n + 1), repeat=t - 1)
-                if cut_cuts_edge(TCut(n=n, t=t, points=pts), edge)
+                if all(edge[j] <= pts[j] < edge[j + 1] for j in range(t - 1))
             )
             if Fraction(hits, n ** (t - 1)) != exact:
                 return False, f"exhaustive count {hits}/{n ** (t - 1)} != {exact} for edge {edge}"
@@ -530,7 +509,7 @@ def check_constants() -> tuple[bool, str]:
                 continue
             rel = abs(direct - 10.0**log10_value) / direct
             worst = max(worst, rel)
-        if pc.C0**pc.delta < 8 * t**t * comb * (1 - 1e-9):
+        if pc.log10_C0 * pc.delta < math.log10(8 * t**t * comb * (1 - 1e-9)):
             return False, f"defining inequality for C0 fails at {(t, r, s, u, eps)}"
     if worst > 1e-9:
         return False, f"log-space vs direct relative drift {worst} exceeds 1e-9"
@@ -549,7 +528,7 @@ def _determinism_report(cache_dir: str) -> str:
     rng = SplitMix64(7)
     mc = []
     for edge, n in (((2, 9), 12), ((3, 7, 11), 12), ((1, 5, 9), 10)):
-        hits = sum(1 for _ in range(5000) if cut_cuts_edge(random_t_cut(n, len(edge), rng), edge))
+        hits = cut_hits(edge, n, 5000, rng)
         mc.append({"edge": list(edge), "hits": hits, "exact": str(cut_probability(edge, n))})
     lines.append(json.dumps(mc, sort_keys=True))
     cache = CacheStore(cache_dir)

@@ -4,8 +4,8 @@ cycles, ex, verify-suite.
 Reports go to standard output (JSON by default, CSV or key=value text on
 request), diagnostics to standard error. Identical arguments, seed, and
 cache state produce byte-identical reports. Exit codes: 0 success, 1 domain
-or precondition error, 2 budget exhaustion (partial results are still
-emitted when they exist).
+or precondition error or an unreadable input file, 2 budget exhaustion
+(partial results are still emitted when they exist).
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from .increment import _json_safe, run_driver
 from .matrix import ZeroOneMatrix, find_embedding
 from .ohypergraph import (
     avoidance_threshold,
+    cut_hits,
     cut_probability,
-    cut_cuts_edge,
     find_ordered_complete_t_partite,
     heavy_label_classes,
-    random_t_cut,
 )
 from .rng import DEFAULT_SEED, SplitMix64
 from .search import brute_force_ex, deletion_lower_bound, extremal_table
@@ -46,7 +45,13 @@ CACHE_ENV = "PATTERN_EXTREMAL_CACHE"
 
 
 def _load_matrix(path: str) -> ZeroOneMatrix:
-    return ZeroOneMatrix.parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
+    return ZeroOneMatrix.parse(text)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -167,10 +172,7 @@ def _cmd_tcut(args) -> int:
     mc = []
     for e in islice(edges, 5):
         exact = cut_probability(e, n)
-        hits = 0
-        for _ in range(args.trials):
-            if cut_cuts_edge(random_t_cut(n, t, rng), e):
-                hits += 1
+        hits = cut_hits(e, n, args.trials, rng)
         p = float(exact)
         freq = within = None
         if args.trials:
@@ -213,51 +215,55 @@ def _cmd_increment(args) -> int:
     return 0
 
 
-def _cmd_cycles(args) -> int:
-    if args.cycles_cmd == "enumerate":
-        mats = enumerate_cycles(args.length)
-        report = {
-            "length": args.length,
-            "count": len(mats),
-            "matrices": [m.to_json_dict() for m in mats],
-        }
-        _emit(report, args.format)
-        return 0
-    if args.cycles_cmd == "embed":
-        m = _load_matrix(args.host)
-        a = _load_matrix(args.pattern)
-        emb = embed_xmonotone_balanced(m, a)
-        report = {"embedded": emb is not None, "r": a.rows}
-        if emb is not None:
-            report["embedding"] = emb.to_json_dict()
-            report["proper"] = True
-        _emit(report, args.format)
-        return 0
-    if args.cycles_cmd == "dichotomy":
-        m = _load_matrix(args.host)
-        res = dense_or_balanced(m, args.r, args.s, args.k, args.c)
-        report = {
-            "branch": res.branch,
-            "weight": res.weight,
-            "preconditionHeld": res.weight_precondition_held,
-            "invariantHolds": res.invariant_holds,
-            "rows": list(res.row_indices),
-            "cols": list(res.col_indices),
-            "matrix": res.matrix.to_json_dict(),
-            "details": res.details,
-            "balanced": balance_violation(res.matrix, res.r) is None
-            if res.branch == "balanced"
-            else None,
-        }
-        _emit(report, args.format)
-        return 0
-    if args.cycles_cmd == "drive":
-        m = _load_matrix(args.host)
-        a = _load_matrix(args.pattern)
-        trace = cycle_driver(m, a, args.k, args.c, args.depth)
-        _emit_trace(trace.to_json_dict(), args.format)
-        return 0
-    raise PatexError(f"unknown cycles subcommand {args.cycles_cmd!r}")
+def _cmd_cycles_enumerate(args) -> int:
+    mats = enumerate_cycles(args.length)
+    report = {
+        "length": args.length,
+        "count": len(mats),
+        "matrices": [m.to_json_dict() for m in mats],
+    }
+    _emit(report, args.format)
+    return 0
+
+
+def _cmd_cycles_embed(args) -> int:
+    m = _load_matrix(args.host)
+    a = _load_matrix(args.pattern)
+    emb = embed_xmonotone_balanced(m, a)
+    report = {"embedded": emb is not None, "r": a.rows}
+    if emb is not None:
+        report["embedding"] = emb.to_json_dict()
+        report["proper"] = True
+    _emit(report, args.format)
+    return 0
+
+
+def _cmd_cycles_dichotomy(args) -> int:
+    m = _load_matrix(args.host)
+    res = dense_or_balanced(m, args.r, args.s, args.k, args.c)
+    report = {
+        "branch": res.branch,
+        "weight": res.weight,
+        "preconditionHeld": res.weight_precondition_held,
+        "invariantHolds": res.invariant_holds,
+        "rows": list(res.row_indices),
+        "cols": list(res.col_indices),
+        "matrix": res.matrix.to_json_dict(),
+        "details": res.details,
+        "balanced": balance_violation(res.matrix, res.r) is None
+        if res.branch == "balanced"
+        else None,
+    }
+    _emit(report, args.format)
+    return 0
+
+
+def _cmd_cycles_drive(args) -> int:
+    m = _load_matrix(args.host)
+    a = _load_matrix(args.pattern)
+    trace = cycle_driver(m, a, args.k, args.c, args.depth)
+    _emit_trace(trace.to_json_dict(), args.format)
+    return 0
 
 
 def _cmd_ex(args) -> int:
@@ -347,25 +353,25 @@ def make_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="cycles_cmd", required=True)
     q = csub.add_parser("enumerate")
     q.add_argument("--length", type=int, required=True)
-    q.set_defaults(fn=_cmd_cycles)
+    q.set_defaults(fn=_cmd_cycles_enumerate)
     q = csub.add_parser("embed")
     q.add_argument("host")
     q.add_argument("pattern")
-    q.set_defaults(fn=_cmd_cycles)
+    q.set_defaults(fn=_cmd_cycles_embed)
     q = csub.add_parser("dichotomy")
     q.add_argument("host")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--c", type=float, required=True)
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--s", type=int, required=True)
-    q.set_defaults(fn=_cmd_cycles)
+    q.set_defaults(fn=_cmd_cycles_dichotomy)
     q = csub.add_parser("drive")
     q.add_argument("host")
     q.add_argument("pattern")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--c", type=float, required=True)
     q.add_argument("--depth", type=int, default=None)
-    q.set_defaults(fn=_cmd_cycles)
+    q.set_defaults(fn=_cmd_cycles_drive)
 
     p = sub.add_parser("ex", help="extremal number at one size (or a table up to --n-to)")
     p.add_argument("pattern")

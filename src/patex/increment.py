@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -34,8 +34,6 @@ from .ohypergraph import (  # noqa: F401
     find_ordered_complete_t_partite,
     heavy_label_classes,
 )
-
-LOG10_CAP = 300.0
 
 
 # ----------------------------------------------------------------------
@@ -53,8 +51,9 @@ class ProofConstants:
         C      = max(C', 4 binom(ru, u))
         c      = t^(-t^2-t)
 
-    Values above 10^300 are reported as +inf with the log10 fields carrying
-    the magnitude; log10 fields are always finite.
+    C0, C' and C outgrow floats at modest parameters, so they are kept only
+    as their (always finite) log10 fields; the fields are exactly the keys
+    of the JSON form.
     """
 
     t: int
@@ -65,29 +64,13 @@ class ProofConstants:
     k: Optional[int]
     delta: float
     c: float
-    C0: float
-    Cprime: float
-    C: float
     log10_k: float
     log10_C0: float
     log10_Cprime: float
     log10_C: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "r": self.r,
-            "s": self.s,
-            "u": self.u,
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "delta": self.delta,
-            "c": self.c,
-            "log10_k": self.log10_k,
-            "log10_C0": self.log10_C0,
-            "log10_Cprime": self.log10_Cprime,
-            "log10_C": self.log10_C,
-        }
+        return asdict(self)
 
 
 def _ceil_power(base: Fraction, inv_exponent: float) -> tuple[Optional[int], float]:
@@ -126,10 +109,6 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
     tail = 4 * math.comb(r * u, u)
     log10_C = max(log10_Cprime, math.log10(tail))
     c = float(t) ** (-(t * t + t))
-
-    def materialize(log10_value: float) -> float:
-        return 10.0**log10_value if log10_value <= LOG10_CAP else math.inf
-
     return ProofConstants(
         t=t,
         r=r,
@@ -139,9 +118,6 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
         k=k,
         delta=delta,
         c=c,
-        C0=materialize(log10_C0),
-        Cprime=materialize(log10_Cprime),
-        C=materialize(log10_C),
         log10_k=log10_k,
         log10_C0=log10_C0,
         log10_Cprime=log10_Cprime,

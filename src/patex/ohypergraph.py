@@ -8,10 +8,13 @@ by their r smallest blocks straight from the column masks, each class as a
 completion map from (t-1)-prefixes to the bitmask of the last columns that
 complete them; it is the one form a label class takes in the library.
 build_column_hypergraph lists every edge with its blocks and is kept as the
-reference for that grouping. On top of that sit t-cut sampling with exact
-cut probabilities, and the exhaustive search of a completion map for an
-ordered complete t-partite sub-hypergraph (parts of prescribed sizes, each
-part entirely before the next, every transversal an edge).
+reference for that grouping. A random t-cut of [n] is t-1 uniform points;
+cut_probability gives the exact chance that one cuts an edge (puts its j-th
+vertex in the j-th part) and cut_hits counts the hits over seeded trials,
+the one sampler of the library. Last comes the exhaustive search of a
+completion map for an ordered complete t-partite sub-hypergraph (parts of
+prescribed sizes, each part entirely before the next, every transversal an
+edge).
 """
 
 from __future__ import annotations
@@ -100,66 +103,44 @@ def heavy_label_classes(
 # t-cuts
 
 
-@dataclass(frozen=True)
-class TCut:
-    """Cut points i_1..i_{t-1} in [n] defining consecutive parts
-    {1..i_1}, {i_1+1..i_2}, ..., {i_{t-1}+1..n}. Points are stored as drawn;
-    a non-increasing tuple is degenerate and cuts no edge (only strictly
-    increasing windows can satisfy the membership rule)."""
-
-    n: int
-    t: int
-    points: tuple[int, ...]
-
-    def is_proper(self) -> bool:
-        return all(self.points[i] < self.points[i + 1] for i in range(len(self.points) - 1))
-
-    def parts(self) -> tuple[tuple[int, int], ...]:
-        if not self.is_proper():
-            raise DomainError("degenerate cut has no part decomposition")
-        lo = 1
-        out = []
-        for p in self.points:
-            out.append((lo, p))
-            lo = p + 1
-        out.append((lo, self.n))
-        return tuple(out)
-
-
-def cut_probability(e: Sequence[int], n: int) -> Fraction:
-    """Exact probability that independently uniform cut points cut the edge:
-    the product of (x_{j+1} - x_j)/n over consecutive vertices."""
+def _checked_edge(e: Sequence[int], n: int) -> tuple[int, ...]:
     e = tuple(e)
     if any(not (1 <= v <= n) for v in e):
         raise InputError(f"edge {e} outside 1..{n}")
     if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
         raise InputError(f"edge {e} must be strictly increasing")
+    return e
+
+
+def cut_probability(e: Sequence[int], n: int) -> Fraction:
+    """Exact probability that independently uniform cut points cut the edge:
+    the product of (x_{j+1} - x_j)/n over consecutive vertices."""
+    e = _checked_edge(e, n)
     p = Fraction(1)
     for a, b in zip(e, e[1:]):
         p *= Fraction(b - a, n)
     return p
 
 
-def random_t_cut(n: int, t: int, rng: SplitMix64) -> TCut:
-    """t-1 cut points drawn independently and uniformly from [1, n]. On the
-    event that an edge is cut the points are automatically increasing, and
-    exhaustive counting over all n^(t-1) tuples reproduces cut_probability
-    exactly."""
-    if t < 1:
-        raise DomainError("t must be positive")
-    if n < t - 1:
-        raise DomainError(f"need n >= t-1 (got n={n}, t={t})")
-    return TCut(n=n, t=t, points=tuple(rng.below(n) + 1 for _ in range(t - 1)))
-
-
-def cut_cuts_edge(cut: TCut, e: Sequence[int]) -> bool:
-    """The j-th smallest vertex must lie in the j-th part: with i_0 = 0 and
-    i_t = n, require i_{j-1} < x_j <= i_j for every j."""
-    xs = sorted(e)
-    if len(xs) != cut.t:
-        raise InputError(f"edge arity {len(xs)} does not match cut arity {cut.t}")
-    bounds = (0,) + cut.points + (cut.n,)
-    return all(bounds[j] < xs[j] <= bounds[j + 1] for j in range(cut.t))
+def cut_hits(e: Sequence[int], n: int, trials: int, rng: SplitMix64) -> int:
+    """How many of `trials` random t-cuts of [n] cut the edge x_1 < ... < x_t.
+    A cut is t-1 points i_1..i_{t-1}, each rng.below(n) + 1, drawn in order
+    and all drawn even after a miss; it cuts the edge when
+    x_j <= i_j < x_{j+1} for every j, so the hit rate estimates
+    cut_probability(e, n). A 1-vertex edge is cut by every trial and draws
+    nothing."""
+    e = _checked_edge(e, n)
+    # x_j <= below(n) + 1 < x_{j+1}, shifted to compare the raw draw.
+    gaps = [(a - 1, b - 1) for a, b in zip(e, e[1:])]
+    below = rng.below
+    hits = 0
+    for _ in range(trials):
+        hit = True
+        for lo, hi in gaps:
+            if not lo <= below(n) < hi:
+                hit = False
+        hits += hit
+    return hits
 
 
 # ----------------------------------------------------------------------

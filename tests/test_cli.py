@@ -233,6 +233,20 @@ class TestErrors:
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
 
+    def test_missing_path_is_an_input_error(self, capsys, files):
+        missing = str(files["dir"] / "missing.pat")
+        assert dispatch(["tcut", missing, "--t", "2", "--s", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and missing in captured.err
+
+    def test_directory_path_is_an_input_error(self, capsys, files):
+        directory = str(files["dir"])
+        assert dispatch(["classify", directory]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and directory in captured.err
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, files):

@@ -33,6 +33,10 @@ class TestConstants:
         assert pc.k == 16
         assert pc.delta == 0.25
         assert pc.c == 2.0**-6
+        assert list(pc.to_json_dict()) == [
+            "t", "r", "s", "u", "epsilon", "k", "delta", "c",
+            "log10_k", "log10_C0", "log10_Cprime", "log10_C",
+        ]
 
     def test_defining_inequalities(self):
         for args in ((2, 2, 2, 2, 1.0), (2, 3, 2, 2, 1.0), (3, 2, 2, 3, 1.0)):
@@ -40,19 +44,24 @@ class TestConstants:
             base = 4 * args[1] ** (args[0] - 1) * args[0] ** args[0] / math.factorial(args[0])
             assert pc.k >= base ** (1.0 / args[4]) - 1e-9
             comb = math.comb(pc.k, args[1])
-            assert pc.C0 ** pc.delta >= 8 * args[0] ** args[0] * comb * (1 - 1e-9)
-            assert pc.Cprime == pytest.approx(8 * comb * pc.C0 ** (args[0] - pc.delta), rel=1e-9)
-            assert pc.C >= pc.Cprime and pc.C >= 4 * math.comb(args[1] * args[3], args[3])
+            # C0^delta >= 8 t^t binom(k, r), C' = 8 binom(k, r) C0^(t-delta)
+            # within a relative 1e-9, and C >= max(C', 4 binom(ru, u)), in log10.
+            assert pc.log10_C0 * pc.delta >= math.log10(8 * args[0] ** args[0] * comb * (1 - 1e-9))
+            assert pc.log10_Cprime == pytest.approx(
+                math.log10(8 * comb) + (args[0] - pc.delta) * pc.log10_C0, abs=math.log10(1 + 1e-9)
+            )
+            assert pc.log10_C >= pc.log10_Cprime
+            assert pc.log10_C >= math.log10(4 * math.comb(args[1] * args[3], args[3]))
 
     def test_oversized_constants_reported_in_logs(self):
         pc = make_constants(2, 2, 2, 2, 0.06)  # 1/eps not an integer, k beyond float
         assert pc.k is None and pc.log10_k > 15
-        assert math.isinf(pc.C) and pc.log10_C > 300
+        assert pc.log10_C > 300
 
     def test_integral_exponent_materializes_exactly(self):
         pc = make_constants(2, 2, 2, 2, 0.05)  # 1/eps = 20, exact rational power
         assert pc.k == 16**20
-        assert math.isinf(pc.C) and pc.log10_C > 300
+        assert pc.log10_C > 300
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -7,14 +7,12 @@ from conftest import COLUMN_2_PARTITE, random_matrix
 from patex.errors import DivisibilityError, DomainError, InputError
 from patex.matrix import ZeroOneMatrix
 from patex.ohypergraph import (
-    TCut,
     avoidance_threshold,
     build_column_hypergraph,
-    cut_cuts_edge,
+    cut_hits,
     cut_probability,
     find_ordered_complete_t_partite,
     heavy_label_classes,
-    random_t_cut,
 )
 from patex.rng import SplitMix64
 
@@ -129,10 +127,51 @@ class TestCutProbability:
             cut_probability((3, 11), 10)
 
 
+class ScriptedDraws:
+    """Stands in for the generator: below(n) returns the given cut points,
+    less one, in order."""
+
+    def __init__(self, points):
+        self.points = list(points)
+
+    def below(self, n):
+        point = self.points.pop(0)
+        assert 1 <= point <= n
+        return point - 1
+
+
 class TestCuts:
     def test_single_edge_two_cuts(self):
-        assert cut_cuts_edge(TCut(n=2, t=2, points=(1,)), (1, 2))
-        assert not cut_cuts_edge(TCut(n=2, t=2, points=(2,)), (1, 2))
+        assert cut_hits((1, 2), 2, 1, ScriptedDraws([1])) == 1
+        assert cut_hits((1, 2), 2, 1, ScriptedDraws([2])) == 0
+
+    def test_degenerate_cut_cuts_nothing(self):
+        for e in combinations(range(1, 7), 3):
+            assert cut_hits(e, 6, 1, ScriptedDraws([4, 2])) == 0
+        assert cut_hits((2, 3, 5), 6, 1, ScriptedDraws([2, 4])) == 1
+
+    @pytest.mark.parametrize("e, n", [((3, 9), 12), ((2, 5, 7), 10)])
+    def test_stream_pinned(self, e, n):
+        """t-1 draws per trial, in order, none skipped after a miss."""
+        rng, hand = SplitMix64(2024), SplitMix64(2024)
+        trials = 3000
+        expected = 0
+        for _ in range(trials):
+            points = [hand.below(n) + 1 for _ in range(len(e) - 1)]
+            expected += all(e[j] <= points[j] < e[j + 1] for j in range(len(e) - 1))
+        assert cut_hits(e, n, trials, rng) == expected
+        assert rng.state == hand.state
+
+    def test_one_vertex_edge_and_no_trials(self):
+        rng = SplitMix64(9)
+        assert cut_hits((4,), 7, 25, rng) == 25
+        assert cut_hits((2, 5), 7, 0, rng) == 0
+        assert rng.state == SplitMix64(9).state
+
+    def test_bad_edge_rejected(self):
+        for e in ((7, 3), (3, 11), (2, 2)):
+            with pytest.raises(InputError):
+                cut_hits(e, 10, 5, SplitMix64(1))
 
     def test_exhaustive_ratio_matches_probability(self):
         for n, t in ((12, 2), (12, 3), (8, 3)):
@@ -142,42 +181,22 @@ class TestCuts:
                 while len(verts) < t:
                     verts.add(rng.below(n) + 1)
                 e = tuple(sorted(verts))
+                # Cut points i_1..i_{t-1} cut e when x_j <= i_j < x_{j+1}.
                 hits = sum(
                     1
                     for pts in product(range(1, n + 1), repeat=t - 1)
-                    if cut_cuts_edge(TCut(n=n, t=t, points=pts), e)
+                    if all(e[j] <= pts[j] < e[j + 1] for j in range(t - 1))
                 )
                 assert Fraction(hits, n ** (t - 1)) == cut_probability(e, n)
-
-    def test_seeded_determinism(self):
-        a = [random_t_cut(10, 3, SplitMix64(5)).points for _ in range(1)]
-        cuts1 = [random_t_cut(10, 3, SplitMix64(77)).points for _ in range(5)]
-        r = SplitMix64(77)
-        cuts2 = [random_t_cut(10, 3, r).points for _ in range(5)]
-        r2 = SplitMix64(77)
-        cuts3 = [random_t_cut(10, 3, r2).points for _ in range(5)]
-        assert cuts2 == cuts3
 
     def test_monte_carlo_within_tolerance(self):
         rng = SplitMix64(424242)
         e, n = (3, 9), 12
         p = float(cut_probability(e, n))
         trials = 20000
-        hits = sum(1 for _ in range(trials) if cut_cuts_edge(random_t_cut(n, 2, rng), e))
+        hits = cut_hits(e, n, trials, rng)
         tol = 3 * (p * (1 - p) / trials) ** 0.5
         assert abs(hits / trials - p) <= tol
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            random_t_cut(1, 3, SplitMix64(1))
-
-    def test_degenerate_cut_cuts_nothing(self):
-        cut = TCut(n=6, t=3, points=(4, 2))
-        assert not any(cut_cuts_edge(cut, e) for e in combinations(range(1, 7), 3))
-
-    def test_parts_of_proper_cut(self):
-        cut = TCut(n=6, t=3, points=(2, 4))
-        assert cut.parts() == ((1, 2), (3, 4), (5, 6))
 
 
 def oracle_t_partite(n, edges, sizes):
