@@ -8,10 +8,8 @@ and exact extremal numbers ex(n, A) with verified witnesses at desk scale.
 
 from .cache import CacheStore
 from .classify import (
-    Drawing,
     PartiteProfile,
     WindingProfile,
-    drawing,
     is_acyclic,
     is_cycle,
     is_permutation,
@@ -27,7 +25,6 @@ from .count import (
     SteppingBound,
     SupersatBound,
     count_copies,
-    ext_binom,
     stepping_bound,
     supersat_bound,
 )
@@ -68,8 +65,6 @@ from .matrix import (
     canonical_key,
     embedding_violation,
     find_embedding,
-    from_ordered_bigraph,
-    parse_pattern,
     verify_embedding,
 )
 from .ohypergraph import (

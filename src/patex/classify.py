@@ -3,10 +3,10 @@
 Covers interval-partite profiles (minimum number of column or row intervals
 such that each line meets every interval in at most one 1-entry), the
 permutation / acyclic / cycle tests on the associated bipartite graph, and
-the geometry of cycle patterns: the rectilinear drawing, x-monotonicity, and
-face winding numbers of the directed closed curve.
+the geometry of cycle patterns: x-monotonicity and face winding numbers of
+the directed closed curve through the 1-entries.
 
-Coordinate convention for drawings: x = column index growing rightward,
+Coordinate convention for the curve: x = column index growing rightward,
 y = row index growing downward. Winding positivity is orientation-symmetric
 (either orientation of the curve is accepted), which makes the sign
 convention immaterial. The winding-number reading of "positive cycle" is an
@@ -159,49 +159,6 @@ def is_cycle(a: ZeroOneMatrix) -> bool:
     return _cycle_tour(a) is not None
 
 
-# ----------------------------------------------------------------------
-# Drawings
-
-
-@dataclass(frozen=True)
-class Drawing:
-    """Rectilinear drawing of a pattern: one point per 1-entry, horizontal
-    segments between consecutive 1-entries of a row, vertical segments
-    between consecutive 1-entries of a column. For cycle patterns the
-    segments form one closed curve and `orientation` lists the points in
-    directed tour order; otherwise it is None."""
-
-    points: tuple[tuple[int, int], ...]
-    horizontal_segments: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    vertical_segments: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    orientation: Optional[tuple[tuple[int, int], ...]]
-
-
-def drawing(a: ZeroOneMatrix, oriented: bool = False) -> Drawing:
-    """Drawing of the pattern; with oriented=True a directed closed tour is
-    required and non-cycle inputs are rejected."""
-    tour = _cycle_tour(a)
-    if oriented and tour is None:
-        raise UnsupportedError("orientation is only defined for cycle patterns")
-    pts = tuple(sorted(a.one_entries()))
-    hseg = []
-    for i in range(1, a.rows + 1):
-        cols = [b + 1 for b in range(a.cols) if (a.row_masks[i - 1] >> b) & 1]
-        for x, y in zip(cols, cols[1:]):
-            hseg.append(((i, x), (i, y)))
-    vseg = []
-    for j in range(1, a.cols + 1):
-        rows = [b + 1 for b in range(a.rows) if (a.col_masks[j - 1] >> b) & 1]
-        for x, y in zip(rows, rows[1:]):
-            vseg.append(((x, j), (y, j)))
-    return Drawing(
-        points=pts,
-        horizontal_segments=tuple(hseg),
-        vertical_segments=tuple(vseg),
-        orientation=tour,
-    )
-
-
 def _x_monotone_core(a: ZeroOneMatrix) -> bool:
     """Straddle test on the horizontal segments: every vertical line between
     consecutive columns may cross at most two of them."""
@@ -239,12 +196,6 @@ class WindingProfile:
     row0: int
     col0: int
     faces: tuple[tuple[int, ...], ...]
-
-    def face(self, i: int, j: int) -> int:
-        di, dj = i - self.row0, j - self.col0
-        if 0 <= di < len(self.faces) and self.faces and 0 <= dj < len(self.faces[0]):
-            return self.faces[di][dj]
-        return 0
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for row in self.faces for v in row)

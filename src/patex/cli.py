@@ -270,6 +270,8 @@ def _cmd_ex(args) -> int:
     a = _load_matrix(args.pattern)
     cache = _cache_store(args)
     if args.n_to is not None:
+        if args.mode != "bnb":
+            raise InputError(f"--n-to builds a branch-and-bound table, not --mode {args.mode}")
         if args.n_to < args.n:
             raise InputError(f"--n-to {args.n_to} is below --n {args.n}: the range is empty")
         records = extremal_table(a, range(args.n, args.n_to + 1), args.budget, cache)
@@ -297,6 +299,8 @@ def _cmd_verify_suite(args) -> int:
     from .acceptance import run_suite
 
     results = run_suite(filter_substring=args.filter)
+    if not results:
+        raise InputError(f"--filter {args.filter!r} matches no check")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -1,5 +1,5 @@
-"""Extended binomials, exact K_{u,t} copy counting, and the closed-form
-lower bounds that accompany the counts.
+"""Exact K_{u,t} copy counting and the closed-form lower bounds that
+accompany the counts.
 
 A copy of K_{u,t} in a 0-1 matrix is a choice of u distinct rows and t
 distinct columns whose induced submatrix is all ones. Counts are exact
@@ -11,25 +11,12 @@ possible so inequality tests do not hinge on rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
 from .matrix import ZeroOneMatrix
-
-
-def ext_binom(x: float, k: int) -> float:
-    """Binomial coefficient extended to real x: x(x-1)...(x-k+1)/k! when
-    x >= k-1 and 0 otherwise (continuous and convex in x for fixed k)."""
-    if k < 1:
-        raise DomainError("k must be a positive integer")
-    if x < k - 1:
-        return 0.0
-    prod = 1.0
-    for i in range(k):
-        prod *= x - i
-    return prod / math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -119,11 +106,7 @@ class SteppingBound:
     bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "threshold": self.threshold,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def stepping_bound(n_copies: int, n: int, u: int, t: int) -> SteppingBound:

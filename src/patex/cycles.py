@@ -269,6 +269,8 @@ def cycle_driver(
     trace whose final level is an embedding, a failed balanced attempt, or
     exhaustion; the embedding, when found, is verified against the original
     host."""
+    if k < 2:
+        raise DomainError("k must be at least 2")
     if _cycle_tour(a) is None:
         raise PreconditionError("pattern is not a cycle")
     if not _x_monotone_core(a):

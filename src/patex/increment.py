@@ -138,7 +138,6 @@ class LambdaSchedule:
 
     t: int
     U: int
-    epsilon: float
     epsilon0: float
     lambdas: tuple[float, ...]  # lambdas[i] = lambda_{t+i}, i = 0..U+1-t
 
@@ -199,7 +198,6 @@ def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
     return LambdaSchedule(
         t=t,
         U=U,
-        epsilon=epsilon,
         epsilon0=epsilon0,
         lambdas=tuple(lams),
     )

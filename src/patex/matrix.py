@@ -239,10 +239,6 @@ class ZeroOneMatrix:
         return f"ZeroOneMatrix({self.rows}x{self.cols}, weight={self.weight})"
 
 
-def parse_pattern(text: str) -> ZeroOneMatrix:
-    return ZeroOneMatrix.parse(text)
-
-
 def canonical_key(a: ZeroOneMatrix) -> str:
     """Stable digest keyed on the exact entries: equal matrices share a key,
     any single-entry change produces a different serialization (and hence a
@@ -263,21 +259,6 @@ def random_matrix(rng: SplitMix64, rows: int, cols: int, p: float) -> ZeroOneMat
                 m |= 1 << j
         masks.append(m)
     return ZeroOneMatrix(masks, cols)
-
-
-def from_ordered_bigraph(
-    edges: Iterable[tuple[int, int]], left_size: int, right_size: int
-) -> ZeroOneMatrix:
-    """Bi-adjacency matrix of an ordered bipartite graph: rows are the left
-    vertex class, columns the right one, entry (x, y) = 1 iff xy is an edge."""
-    if left_size < 1 or right_size < 1:
-        raise InputError("vertex classes must be nonempty")
-    masks = [0] * left_size
-    for (x, y) in edges:
-        if not (1 <= x <= left_size and 1 <= y <= right_size):
-            raise InputError(f"edge ({x},{y}) outside declared sizes")
-        masks[x - 1] |= 1 << (y - 1)
-    return ZeroOneMatrix(masks, right_size)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
@@ -209,14 +209,7 @@ class AvoidanceThreshold:
     threshold: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "s": self.s,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 def avoidance_threshold(n: int, t: int, s: int) -> AvoidanceThreshold:

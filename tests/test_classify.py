@@ -13,7 +13,7 @@ from conftest import (
     random_matrix,
 )
 from patex.classify import (
-    drawing,
+    _cycle_tour,
     is_acyclic,
     is_cycle,
     is_permutation,
@@ -26,7 +26,7 @@ from patex.classify import (
 )
 from patex.cycles import enumerate_cycles
 from patex.errors import UnsupportedError
-from patex.matrix import ZeroOneMatrix, parse_pattern
+from patex.matrix import ZeroOneMatrix
 
 
 def brute_min_parts(a, axis_cols=True):
@@ -56,7 +56,7 @@ class TestPartiteProfiles:
         assert partite_profile(DOUBLY_2_PARTITE).profile == (2, 2)
 
     def test_identity_and_flat(self):
-        ident3 = parse_pattern("100\n010\n001")
+        ident3 = ZeroOneMatrix.parse("100\n010\n001")
         assert min_column_parts(ident3)[0] == 1
         assert min_row_parts(ident3)[0] == 1
         assert min_column_parts(ZeroOneMatrix.ones(1, 3))[0] == 3
@@ -112,26 +112,9 @@ class TestGraphShape:
         for m in enumerate_cycles(6) + enumerate_cycles(8):
             assert m.weight == 2 * m.rows == 2 * m.cols
 
-
-class TestDrawing:
-    def test_square_cycle(self):
-        d = drawing(K22)
-        assert d.points == ((1, 1), (1, 2), (2, 1), (2, 2))
-        assert len(d.horizontal_segments) == 2 and len(d.vertical_segments) == 2
-        assert d.orientation is not None and len(d.orientation) == 4
-
-    def test_single_row_polyline(self):
-        d = drawing(ZeroOneMatrix.ones(1, 3))
-        assert d.orientation is None
-        assert d.horizontal_segments == (((1, 1), (1, 2)), ((1, 2), (1, 3)))
-
-    def test_oriented_rejects_non_cycle(self):
-        with pytest.raises(UnsupportedError):
-            drawing(ZeroOneMatrix.ones(1, 3), oriented=True)
-
     def test_cycle_tour_visits_every_entry_once(self):
         for m in SIX_CYCLES_3X3:
-            tour = drawing(m).orientation
+            tour = _cycle_tour(m)
             assert sorted(tour) == sorted(m.one_entries())
 
 
@@ -170,13 +153,9 @@ class TestWinding:
             rev = winding_profile(m, reverse=True)
             assert rev.faces == tuple(tuple(-v for v in row) for row in fwd.faces)
 
-    def test_outside_bounding_box_is_zero(self):
-        prof = winding_profile(K22)
-        assert prof.face(0, 0) == 0 and prof.face(5, 5) == 0
-
     def test_matches_angle_summation_oracle(self):
         for m in SIX_CYCLES_3X3 + (K22,) + tuple(enumerate_cycles(8)[:20]):
-            tour = drawing(m).orientation
+            tour = _cycle_tour(m)
             prof = winding_profile(m)
             for i in range(len(prof.faces)):
                 for j in range(len(prof.faces[0])):
@@ -185,7 +164,7 @@ class TestWinding:
 
     def test_ray_balance_and_vertical_ray_agreement(self):
         for m in tuple(enumerate_cycles(8)[:20]) + SIX_CYCLES_3X3:
-            tour = drawing(m).orientation
+            tour = _cycle_tour(m)
             n = len(tour)
             vsegs = []
             hsegs = []
@@ -222,7 +201,7 @@ class TestWinding:
         sample = hits[0]
         values = winding_profile(sample).values()
         assert min(values) < 0 < max(values)
-        tour = drawing(sample).orientation
+        tour = _cycle_tour(sample)
         prof = winding_profile(sample)
         for i in range(len(prof.faces)):
             for j in range(len(prof.faces[0])):

@@ -161,6 +161,13 @@ class TestCycles:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["stopReason"] == "embedded"
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_drive_rejects_k_below_two(self, capsys, files, k):
+        code = dispatch(["cycles", "drive", files["host"], files["k22"], "--k", k, "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: k must be at least 2\n"
+
 
 class TestEx:
     def test_exact_mode_value(self, capsys, files):
@@ -217,6 +224,13 @@ class TestEx:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["exact", "random"])
+    def test_table_rejects_other_modes(self, capsys, files, mode):
+        code = dispatch(["ex", files["k22"], "--n", "2", "--n-to", "3", "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and f"--mode {mode}" in captured.err
+
     def test_brute_cap_exceeded(self, capsys, files):
         code, out = run(capsys, ["ex", files["k22"], "--n", "6", "--mode", "exact"])
         assert code == 2 and out == ""
@@ -229,6 +243,12 @@ class TestErrors:
     def test_domain_error_exit_one(self, capsys, files):
         code = dispatch(["cycles", "enumerate", "--length", "3"])
         assert code == 1
+
+    def test_verify_suite_filter_matching_nothing(self, capsys):
+        code = dispatch(["verify-suite", "--filter", "no-such-check"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "no-such-check" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0

@@ -6,53 +6,11 @@ import pytest
 from conftest import COLUMN_2_PARTITE, K22, oracle_count_copies, random_matrix
 from patex.count import (
     count_copies,
-    ext_binom,
     stepping_bound,
     supersat_bound,
 )
 from patex.errors import DomainError
 from patex.matrix import ZeroOneMatrix
-
-
-class TestExtBinom:
-    def test_zero_below_kminus1(self):
-        assert ext_binom(2, 3) == 0.0
-        assert ext_binom(1.99, 2) > 0.0  # only vanishes below x = k-1
-        assert ext_binom(0.5, 2) == 0.0
-
-    def test_diagonal_is_one(self):
-        for k in range(1, 6):
-            assert ext_binom(k, k) == 1.0
-
-    def test_real_argument(self):
-        assert ext_binom(3.5, 2) == pytest.approx(4.375)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            ext_binom(3.0, 0)
-
-    def test_agrees_with_comb_on_integers(self):
-        for x in range(0, 12):
-            for k in range(1, 6):
-                assert ext_binom(x, k) == pytest.approx(math.comb(x, k))
-
-    def test_upper_and_lower_bounds(self, rng):
-        # x^k/k! above; (x/k)^k below for x >= k
-        for _ in range(1000):
-            k = rng.below(5) + 1
-            x = (k - 1) + rng.random() * 20
-            v = ext_binom(x, k)
-            assert v <= x**k / math.factorial(k) + 1e-12
-            if x >= k:
-                assert v >= (x / k) ** k - 1e-12
-
-    def test_convexity_spot_check(self, rng):
-        for _ in range(300):
-            k = rng.below(4) + 1
-            x = rng.random() * 10
-            h = 0.25
-            lhs = ext_binom(x - h, k) + ext_binom(x + h, k)
-            assert lhs >= 2 * ext_binom(x, k) - 1e-9
 
 
 class TestCountCopies:

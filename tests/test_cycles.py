@@ -238,6 +238,11 @@ class TestCycleDriver:
         assert lvl.checks["weightThreshold"] == pytest.approx(64.0)
         assert lvl.checks["weightHolds"]
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_rejects_k_below_two(self, k):
+        with pytest.raises(DomainError, match="k must be at least 2"):
+            cycle_driver(ZeroOneMatrix.ones(4, 4), K22, k, 1.0)
+
 
 class TestEnumerate:
     def test_length_four_forced(self):

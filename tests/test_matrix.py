@@ -8,8 +8,6 @@ from patex.matrix import (
     canonical_key,
     embedding_violation,
     find_embedding,
-    from_ordered_bigraph,
-    parse_pattern,
     verify_embedding,
 )
 from patex.rng import SplitMix64
@@ -17,7 +15,7 @@ from patex.rng import SplitMix64
 
 class TestParse:
     def test_identity_parse(self):
-        m = parse_pattern("11\n11")
+        m = ZeroOneMatrix.parse("11\n11")
         assert (m.rows, m.cols, m.weight) == (2, 2, 4)
 
     def test_fixture_weight(self):
@@ -25,32 +23,32 @@ class TestParse:
         assert COLUMN_2_PARTITE.row_strings() == ("0101", "1001", "1001", "0110")
 
     def test_comments_blanks_whitespace(self):
-        m = parse_pattern("# header\n\n0 1\n1 0\n")
+        m = ZeroOneMatrix.parse("# header\n\n0 1\n1 0\n")
         assert m.row_strings() == ("01", "10")
 
     def test_ragged_rejected(self):
         with pytest.raises(FormatError):
-            parse_pattern("01\n011")
+            ZeroOneMatrix.parse("01\n011")
 
     def test_bad_chars_rejected(self):
         with pytest.raises(FormatError):
-            parse_pattern("01\n0x")
+            ZeroOneMatrix.parse("01\n0x")
 
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
-            parse_pattern("# nothing\n\n")
+            ZeroOneMatrix.parse("# nothing\n\n")
 
     def test_json_roundtrip(self):
         doc = COLUMN_2_PARTITE.to_json_dict()
         assert ZeroOneMatrix.from_json_dict(doc) == COLUMN_2_PARTITE
 
     def test_text_roundtrip(self):
-        assert parse_pattern(COLUMN_2_PARTITE.to_text()) == COLUMN_2_PARTITE
+        assert ZeroOneMatrix.parse(COLUMN_2_PARTITE.to_text()) == COLUMN_2_PARTITE
 
 
 class TestCanonicalKey:
     def test_equal_matrices_equal_keys(self):
-        assert canonical_key(parse_pattern("11\n11")) == canonical_key(ZeroOneMatrix.ones(2, 2))
+        assert canonical_key(ZeroOneMatrix.parse("11\n11")) == canonical_key(ZeroOneMatrix.ones(2, 2))
 
     def test_single_entry_change_distinct(self):
         a = ZeroOneMatrix.ones(2, 2)
@@ -65,12 +63,12 @@ class TestCanonicalKey:
 class TestContainment:
     def test_single_entry(self):
         m = ZeroOneMatrix.from_rows([[0, 1], [0, 0]])
-        e = find_embedding(m, parse_pattern("1"))
+        e = find_embedding(m, ZeroOneMatrix.parse("1"))
         assert e == Embedding(row_map=(1,), col_map=(2,))
 
     def test_identity_not_in_antidiagonal(self):
-        anti = parse_pattern("01\n10")
-        ident = parse_pattern("10\n01")
+        anti = ZeroOneMatrix.parse("01\n10")
+        ident = ZeroOneMatrix.parse("10\n01")
         assert find_embedding(anti, ident) is None
 
     def test_fixture_embedding(self):
@@ -105,13 +103,13 @@ class TestContainment:
             assert find_embedding(host.with_entry(i, j, 1), pat) is not None
 
     def test_zero_pattern_lines_constrain_dimensions_only(self):
-        pat = parse_pattern("00\n11")
+        pat = ZeroOneMatrix.parse("00\n11")
         assert find_embedding(ZeroOneMatrix.from_rows([[1, 1]]), pat) is None
         host = ZeroOneMatrix.from_rows([[0, 0], [1, 1]])
         assert find_embedding(host, pat) is not None
 
     def test_lexicographically_least_certificate(self):
-        host = parse_pattern("11\n11\n11")
+        host = ZeroOneMatrix.parse("11\n11\n11")
         e = find_embedding(host, K22)
         assert e.row_map == (1, 2) and e.col_map == (1, 2)
 
@@ -184,9 +182,8 @@ class TestColumnMasks:
             ZeroOneMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 0]]),
             ZeroOneMatrix.zeros(3, 4),
             ZeroOneMatrix.ones(4, 3),
-            parse_pattern("0110\n1001\n0001"),
+            ZeroOneMatrix.parse("0110\n1001\n0001"),
             ZeroOneMatrix.from_json_dict(COLUMN_2_PARTITE.to_json_dict()),
-            from_ordered_bigraph([(1, 2), (3, 1), (2, 3)], 3, 3),
             m,
             m.transpose(),
             m.submatrix(2, 4, 3, 7),
@@ -203,23 +200,3 @@ class TestColumnMasks:
     def test_read_only(self):
         with pytest.raises(AttributeError):
             K22.col_masks = (0, 0)
-
-
-class TestBigraph:
-    def test_identity_edges(self):
-        assert from_ordered_bigraph([(1, 1), (2, 2)], 2, 2) == parse_pattern("10\n01")
-
-    def test_empty_edges(self):
-        assert from_ordered_bigraph([], 2, 3) == ZeroOneMatrix.zeros(2, 3)
-
-    def test_six_cycle_gives_cycle_fixture(self):
-        # left vertices 1..3, right 1..3, edges of a 6-cycle 1-1'-2-2'-3-3'-1
-        edges = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 3)]
-        m = from_ordered_bigraph(edges, 3, 3)
-        from conftest import SIX_CYCLES_3X3
-
-        assert m in SIX_CYCLES_3X3
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            from_ordered_bigraph([(1, 4)], 2, 3)

@@ -7,7 +7,7 @@ import pytest
 from conftest import IDENTITY2, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
 from patex.count import count_copies
 from patex.errors import BudgetError, DomainError, UnsupportedError
-from patex.matrix import ZeroOneMatrix, find_embedding, parse_pattern
+from patex.matrix import ZeroOneMatrix, find_embedding
 from patex.search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
 
 R12 = ZeroOneMatrix.ones(1, 2)
@@ -93,7 +93,7 @@ class TestExactMatchesOracle:
             "11/00", "10/01/00", "11/11/00", "010/101/000", "011/110/000",
             "10/10", "101/101", "100/001", "010/010/011", "10/00/01",
         ):
-            a = parse_pattern(text.replace("/", "\n"))
+            a = ZeroOneMatrix.parse(text.replace("/", "\n"))
             got = exact_ex(4, a)
             assert got.status == "exact"
             assert got.value == brute_force_ex(4, a).value, f"pattern {text}"
@@ -134,7 +134,7 @@ class TestExactMatchesOracle:
         assert cases == 75
 
     def test_ex_is_equal_across_the_orbit(self):
-        for a in (K22, ZeroOneMatrix.ones(2, 3), parse_pattern("11\n10"), parse_pattern("100\n010\n001"),
+        for a in (K22, ZeroOneMatrix.ones(2, 3), ZeroOneMatrix.parse("11\n10"), ZeroOneMatrix.parse("100\n010\n001"),
                   *SIX_CYCLES_3X3[:2]):
             values = {exact_ex(4, image).value for image in _orbit(a)}
             assert len(values) == 1, f"pattern {a.row_strings()}: {values}"
