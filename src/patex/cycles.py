@@ -5,7 +5,7 @@ exhaustive enumeration of cycle patterns.
 A host is r-balanced when its rows split into r equal bands and every column
 has the same number of 1-entries in each band; a proper copy of an r-row
 pattern sends row j into band j. The embedder is the banded mode of
-`_search_masks`, the exhaustive walk that `find_embedding` uses, so it has no
+`_find_copy`, the exhaustive walk that `find_embedding` uses, so it has no
 false negatives and returns the least proper certificate. All-zero rows and
 columns of the pattern are legal: a zero row takes the first row of its band
 and the greedy column assignment places zero columns. The dichotomy's
@@ -23,7 +23,7 @@ from typing import Optional
 from .classify import _cycle_tour, _x_monotone_core, is_cycle
 from .errors import DivisibilityError, DomainError, PreconditionError
 from .increment import IncrementTrace, TraceLevel
-from .matrix import Embedding, ZeroOneMatrix, _search_masks, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, _find_copy, verify_embedding
 
 
 # ----------------------------------------------------------------------
@@ -57,10 +57,10 @@ def balance_violation(m: ZeroOneMatrix, r: int) -> Optional[str]:
 def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     """Proper embedding of an x-monotone cycle pattern into an r-balanced
     host (r = pattern rows): row j of the pattern lands in band j. This is
-    the banded mode of `_search_masks`, the walk behind `find_embedding`,
+    the banded mode of `_find_copy`, the walk behind `find_embedding`,
     with band j as row j's host-row range; an all-zero pattern row takes the
-    first row of its band, and the greedy SDR places every column, zero
-    columns included. The walk is exhaustive, so it returns the
+    first row of its band, and the leftmost increasing columns place every
+    column, zero columns included. The walk is exhaustive, so it returns the
     lexicographically least proper certificate (row map first, then column
     map), verified, or None when no proper copy exists; above weight
     r*s*sqrt(m)*n a copy always exists."""
@@ -76,13 +76,8 @@ def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Emb
     if balance_violation(m, r) is not None:
         raise PreconditionError("host is not r-balanced")
     band = m.rows // r
-    bands = [(p * band, (p + 1) * band) for p in range(r)]
-    found = _search_masks(m.row_masks, m.cols, a.row_masks, a.cols, bands)
-    if found is None:
-        return None
-    rmap, cmap = found
-    emb = Embedding(tuple(x + 1 for x in rmap), tuple(x + 1 for x in cmap))
-    if not verify_embedding(m, a, emb):
+    emb = _find_copy(m, a, [(p * band + 1, (p + 1) * band) for p in range(r)])
+    if emb is not None and not verify_embedding(m, a, emb):
         raise AssertionError("proper embedding failed verification")
     return emb
 
@@ -128,6 +123,8 @@ def dense_or_balanced(
         raise DivisibilityError(f"{k} does not divide {n}")
     if r_meta < 1 or s_meta < 1:
         raise DomainError("pattern dimensions must be positive")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     w = m.weight
     precondition = w >= c * n**1.5 - 1e-9
     band = n // k
@@ -271,6 +268,8 @@ def cycle_driver(
     host."""
     if k < 2:
         raise DomainError("k must be at least 2")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     if _cycle_tour(a) is None:
         raise PreconditionError("pattern is not a cycle")
     if not _x_monotone_core(a):

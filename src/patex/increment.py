@@ -8,8 +8,8 @@ hypergraph and an ordered complete t-partite structure with parts sized like
 the pattern's column intervals), or returns the block with the most K_{u,t}
 copies. The embedding maps the pattern's columns onto the structure's
 vertices in order and pattern row a to the first row of block label[a] with
-a 1 in each of row a's 1-columns, found by the banded walk that
-`find_embedding` uses. The advertised constants make the densify guarantee
+a 1 in each of row a's 1-columns, found by `_find_copy`, the banded walk
+behind `find_embedding`. The advertised constants make the densify guarantee
 astronomically demanding, so drivers accept user-supplied (k, depth) and
 record which of the closed-form thresholds actually held at every level; all
 counts are exact integers and oversized constants are handled in log10 space.
@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 from .classify import min_column_parts, min_row_parts
 from .count import _count_copies, stepping_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
-from .matrix import Embedding, ZeroOneMatrix, _search_masks, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, _find_copy, verify_embedding
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
 # traces the increment layer through this module's attributes.
 from .ohypergraph import (  # noqa: F401
@@ -93,8 +93,8 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
         raise DomainError("t must be at least 2")
     if min(r, s, u) < 1:
         raise DomainError("r, s, u must be positive")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     base = Fraction(4 * r ** (t - 1) * t**t, math.factorial(t))
     k, log10_k = _ceil_power(base, 1.0 / epsilon)
     if k is not None:
@@ -186,8 +186,8 @@ def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
         raise DomainError(f"need U > t+1 (got t={t}, U={U})")
     if t < 1:
         raise DomainError("t must be positive")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     epsilon0 = epsilon / (10.0 * t * t)
     lams = [0.0] * (U + 2 - t)
     lams[0] = 1.0
@@ -270,15 +270,14 @@ def _assemble_embedding(
     block label[a] that has a 1 in every column of row a's 1-entries. That
     row exists, since every transversal through those columns is a heavy
     edge with a witness row in each block of the label. The rows are found
-    by the banded walk of `_search_masks` over the host cut to the parts'
+    by the banded walk of `_find_copy` over the host cut to the parts'
     vertices."""
     verts = sorted(v for part in parts for v in part)
     host = m.select(range(1, m.rows + 1), verts)
-    bands = [((b - 1) * band, b * band) for b in label]
-    found = _search_masks(host.row_masks, host.cols, a.row_masks, a.cols, bands)
+    found = _find_copy(host, a, [((b - 1) * band + 1, b * band) for b in label])
     if found is None:
         raise AssertionError("label class lost its witness row")
-    emb = Embedding(row_map=tuple(x + 1 for x in found[0]), col_map=tuple(verts))
+    emb = Embedding(row_map=found.row_map, col_map=tuple(verts))
     if not verify_embedding(m, a, emb):
         raise AssertionError("assembled certificate failed verification")
     return emb
@@ -402,10 +401,7 @@ def symmetric_increment_step(
     heavy = step1.heavy + step2.heavy
     if step2.kind == "embedded":
         inner = step2.embedding
-        emb = Embedding(
-            row_map=tuple(v + row_lo - 1 for v in inner.col_map),
-            col_map=inner.row_map,
-        )
+        emb = Embedding(inner.col_map, inner.row_map).shifted(row_lo - 1, 0)
         if not verify_embedding(m, a, emb):
             raise AssertionError("transposed certificate failed verification")
         return StepResult(kind="embedded", embedding=emb, label=step2.label, heavy=heavy)
@@ -525,8 +521,8 @@ def run_driver(
         raise InputError(f"unknown driver mode {mode!r}")
     if k < 2:
         raise DomainError("k must be at least 2")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     grid = mode == "thm12"
     t, col_cuts = min_column_parts(a)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}

@@ -7,12 +7,12 @@ was found. Rows are stored as integer bitmasks (bit j-1 = column j), which is
 an internal representation choice only: the public API and all serialized
 formats are 1-based grids.
 
-One backtracking walk, `_search_masks`, builds every containment
-certificate. `find_embedding` runs it over all host rows; given bands, one
-host-row range per pattern row, it finds banded copies, such as the proper
-copies of the cycle embedder and the increment step's copy with row a in
-block label[a]. In both modes an all-zero pattern row takes only its first
-admissible host row.
+One backtracking walk, `_find_copy`, builds every containment certificate
+and returns it as an Embedding. `find_embedding` runs it over all host rows;
+given bands, one 1-based inclusive host-row range per pattern row, it finds
+banded copies, such as the proper copies of the cycle embedder and the
+increment step's copy with row a in block label[a]. In both modes an
+all-zero pattern row takes only its first admissible host row.
 """
 
 from __future__ import annotations
@@ -104,8 +104,6 @@ class ZeroOneMatrix:
             if not line or line.startswith("#"):
                 continue
             line = "".join(line.split())
-            if not line:
-                continue
             bad = set(line) - {"0", "1"}
             if bad:
                 raise FormatError(f"invalid characters in pattern line: {sorted(bad)}")
@@ -290,21 +288,6 @@ class Embedding:
         )
 
 
-def _greedy_sdr(masks: Sequence[int]) -> Optional[list[int]]:
-    """Leftmost strictly increasing system of representatives: position c_j
-    is the least set bit of masks[j] above c_{j-1}. Greedy is optimal here:
-    taking the smallest feasible column never hurts later choices."""
-    c = -1
-    out = []
-    for m in masks:
-        m &= -1 << (c + 1)
-        if not m:
-            return None
-        c = (m & -m).bit_length() - 1
-        out.append(c)
-    return out
-
-
 def _row_columns(pat_masks: Sequence[int], pat_cols: int) -> tuple[tuple[int, ...], ...]:
     """Per pattern row, the 0-based pattern columns holding a 1."""
     return tuple(tuple(j for j in range(pat_cols) if (m >> j) & 1) for m in pat_masks)
@@ -317,8 +300,9 @@ def _narrow_by_row(
     pattern row, whose 1s sit in the columns `touched`, onto a host row.
     Each touched column keeps only the host columns where that row has a 1.
     Returns the narrowed per-column masks, or None when a column empties or
-    no strictly increasing column assignment remains (the greedy SDR test of
-    `_greedy_sdr`, run inline so a state costs one call)."""
+    no strictly increasing column assignment remains: the leftmost one takes
+    per column the least feasible host column above the previous pick, and
+    greedy is optimal, since the smallest pick never hurts later columns."""
     updated = list(col_masks)
     for j in touched:
         v = updated[j] & row_mask
@@ -334,37 +318,38 @@ def _narrow_by_row(
     return tuple(updated)
 
 
-def _search_masks(
-    host_masks: Sequence[int],
-    host_cols: int,
-    pat_masks: Sequence[int],
-    pat_cols: int,
-    bands: Optional[Sequence[tuple[int, int]]] = None,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _find_copy(
+    m: ZeroOneMatrix, a: ZeroOneMatrix, bands: Optional[Sequence[tuple[int, int]]] = None
+) -> Optional[Embedding]:
     """Backtracking kernel over pattern rows, top-down; per pattern column it
     keeps the bitmask of still-feasible host columns, narrowed row by row by
     `_narrow_by_row`. Pattern row p tries the host rows of `bands[p]`, a
-    0-based half-open range; the bands must be increasing and disjoint.
+    1-based inclusive range; the bands must be increasing and disjoint.
     Without bands, row p tries every row that leaves room for the rows below
     it. An all-zero pattern row tries only its first admissible host row: it
     leaves the state unchanged, and the earliest row leaves the most room
-    below. Exhaustive: returns the lexicographically least (row_map, col_map)
-    in 0-based indices, or None."""
-    r = len(pat_masks)
-    h = len(host_masks)
-    if r > h or pat_cols > host_cols:
-        return None
-    touched = _row_columns(pat_masks, pat_cols)
+    below. Exhaustive: returns the lexicographically least certificate (row
+    map first, then column map), or None, also when A outsizes M."""
+    r = a.rows
+    host_masks = m.row_masks
+    touched = _row_columns(a.row_masks, a.cols)
     row_map = [0] * r
 
-    def rec(p: int, h_start: int, col_masks: tuple[int, ...]):
+    def rec(p: int, h_start: int, col_masks: tuple[int, ...]) -> Optional[Embedding]:
         if p == r:
-            return tuple(row_map), tuple(_greedy_sdr(col_masks))
-        lo, hi = bands[p] if bands is not None else (h_start, h - (r - p) + 1)
+            # `_narrow_by_row` proved the leftmost increasing columns exist.
+            col_map, above = [], -1
+            for cm in col_masks:
+                cm &= above
+                low = cm & -cm
+                col_map.append(low.bit_length())
+                above = -(low << 1)
+            return Embedding(tuple(row_map), tuple(col_map))
+        lo, hi = bands[p] if bands is not None else (h_start, m.rows - (r - p) + 1)
         if not touched[p]:
-            hi = min(hi, lo + 1)
-        for hr in range(lo, hi):
-            updated = _narrow_by_row(col_masks, touched[p], host_masks[hr])
+            hi = min(hi, lo)
+        for hr in range(lo, hi + 1):
+            updated = _narrow_by_row(col_masks, touched[p], host_masks[hr - 1])
             if updated is None:
                 continue
             row_map[p] = hr
@@ -373,18 +358,14 @@ def _search_masks(
                 return res
         return None
 
-    return rec(0, 0, ((1 << host_cols) - 1,) * pat_cols)
+    return rec(0, 1, ((1 << m.cols) - 1,) * a.cols)
 
 
 def find_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     """Exhaustive containment search; returns the lexicographically least
     certificate (row map first, then column map) or None when M does not
     contain A."""
-    res = _search_masks(m.row_masks, m.cols, a.row_masks, a.cols)
-    if res is None:
-        return None
-    rmap, cmap = res
-    return Embedding(tuple(x + 1 for x in rmap), tuple(x + 1 for x in cmap))
+    return _find_copy(m, a)
 
 
 def embedding_violation(m: ZeroOneMatrix, a: ZeroOneMatrix, e: Embedding) -> Optional[str]:

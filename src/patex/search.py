@@ -18,6 +18,7 @@ A-free and has the claimed weight.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -221,6 +222,8 @@ def exact_ex(
     degrades."""
     if n < 1:
         raise DomainError("n must be positive")
+    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
+        raise DomainError(f"budget must be a finite number of seconds >= 0, got {budget_seconds}")
     trivial = _trivial_record(n, a, "branch-and-bound")
     if trivial is not None:
         return trivial

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -135,6 +136,27 @@ class TestIncrement:
         assert summary["stopReason"] == "embedded"
         assert summary["embedding"] is not None
 
+    def test_text_and_csv_traces(self, capsys, files):
+        argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
+        code, out = run(capsys, ["--format", "text"] + argv)
+        assert code == 0
+        assert "stopReason = embedded" in out.splitlines()
+        assert "embedding.rowMap = [1, 3]" in out.splitlines()
+        code, out = run(capsys, ["--format", "csv"] + argv)
+        header, row = csv.reader(out.splitlines())
+        cells = dict(zip(header, row))
+        assert code == 0 and cells["stopReason"] == "embedded" and cells["mode"] == "thm21"
+        assert json.loads(cells["embedding.rowMap"]) == [1, 3]
+        assert [lv["branch"] for lv in json.loads(cells["levels"])] == ["embedded"]
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, capsys, files, epsilon):
+        argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
+        code = dispatch(argv + ["--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "epsilon" in captured.err
+
 
 class TestCycles:
     def test_enumerate(self, capsys, files):
@@ -167,6 +189,21 @@ class TestCycles:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: k must be at least 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["drive", "HOST", "K22", "--k", "2", "--c", "nan"],
+            ["drive", "HOST", "K22", "--k", "2", "--c", "inf", "--depth", "0"],
+            ["dichotomy", "HOST", "--k", "2", "--c", "nan", "--r", "2", "--s", "2"],
+        ],
+    )
+    def test_non_finite_c_rejected(self, capsys, files, argv):
+        argv = [{"HOST": files["host"], "K22": files["k22"]}.get(x, x) for x in argv]
+        code = dispatch(["cycles"] + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: c must be finite")
 
 
 class TestEx:
@@ -212,6 +249,18 @@ class TestEx:
             assert code == 2
         else:
             assert code == 0
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_budget_outside_zero_to_inf_rejected(self, capsys, files, budget):
+        code = dispatch(["--budget", budget, "ex", files["k22"], "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "budget" in captured.err
+
+    def test_table_as_csv(self, capsys, files):
+        code, out = run(capsys, ["--format", "csv", "ex", files["k22"], "--n", "2", "--n-to", "3"])
+        assert code == 0
+        assert out.splitlines() == ["n,value,status,witness", "2,3,exact,11|10", "3,6,exact,110|101|011"]
 
     def test_one_point_range(self, capsys, files):
         code, out = run(capsys, ["ex", files["k22"], "--n", "3", "--n-to", "3"])

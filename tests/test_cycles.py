@@ -32,6 +32,14 @@ def balanced_host(rng, n, m_cols, r, lo_frac):
     return ZeroOneMatrix(masks, m_cols)
 
 
+def assert_levels_recount(host, trace):
+    """Each level's weight is the weight of the host rows and columns it
+    records."""
+    for level in trace.levels:
+        sub = host.select(level.checks["rowIndices"], level.checks["colIndices"])
+        assert sub.weight == level.weight
+
+
 class TestBalance:
     def test_all_ones(self):
         assert balance_violation(ZeroOneMatrix.ones(4, 5), 2) is None
@@ -211,6 +219,11 @@ class TestDichotomy:
         with pytest.raises(DivisibilityError):
             dense_or_balanced(ZeroOneMatrix.ones(10, 10), 2, 2, 4, 1.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(DomainError, match="c must be finite"):
+            dense_or_balanced(ZeroOneMatrix.ones(4, 4), 2, 2, 2, c)
+
 
 class TestCycleDriver:
     def test_all_ones_embeds_quickly(self):
@@ -224,12 +237,35 @@ class TestCycleDriver:
         host = deletion_lower_bound(16, K22, 21).witness
         trace = cycle_driver(host, K22, 4, host.weight / 16**1.5)
         assert trace.embedding is None
-        assert trace.stop_reason in ("balanced-embed-failed", "divisibility", "host-too-small", "exhausted", "depth-reached")
-        for level in trace.levels:
-            rows = level.checks["rowIndices"]
-            cols = level.checks["colIndices"]
-            sub = host.select(rows, cols)
-            assert sub.weight == level.weight
+        assert trace.stop_reason in ("balanced-embed-failed", "divisibility", "host-too-small", "depth-reached")
+        assert_levels_recount(host, trace)
+
+    @pytest.mark.parametrize(
+        "n, lo, hi, depth, reason",
+        [
+            (16, 5, 8, None, "host-too-small"),
+            (16, 5, 8, 1, "depth-reached"),
+            (12, 4, 6, None, "divisibility"),
+        ],
+    )
+    def test_dense_descent_stops(self, n, lo, hi, depth, reason):
+        # Rows lo..hi, all ones, fill the second of four bands: the dense
+        # branch keeps that band and the first n/4 columns.
+        host = ZeroOneMatrix([(1 << n) - 1 if lo <= i <= hi else 0 for i in range(1, n + 1)], n)
+        trace = cycle_driver(host, K22, 4, host.weight / n**1.5, depth)
+        assert trace.stop_reason == reason and trace.embedding is None
+        assert [lv.branch for lv in trace.levels] == ["dense", "exhausted"]
+        assert trace.levels[1].row_range == (lo, hi)
+        assert trace.levels[1].col_range == (1, n // 4)
+        assert_levels_recount(host, trace)
+
+    def test_dense_then_balanced_embeds(self):
+        host = ZeroOneMatrix([(1 << 16) - 1] * 16 + [0] * 16, 32)
+        trace = cycle_driver(host, K22, 2, host.weight / 32**1.5)
+        assert trace.stop_reason == "embedded"
+        assert [lv.branch for lv in trace.levels] == ["dense", "balanced"]
+        assert verify_embedding(host, K22, trace.embedding)
+        assert_levels_recount(host, trace)
 
     def test_weight_thresholds_recorded(self):
         host = ZeroOneMatrix.ones(16, 16)
@@ -242,6 +278,12 @@ class TestCycleDriver:
     def test_rejects_k_below_two(self, k):
         with pytest.raises(DomainError, match="k must be at least 2"):
             cycle_driver(ZeroOneMatrix.ones(4, 4), K22, k, 1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_rejects_non_finite_c(self, c):
+        # depth 0 stops before the first dichotomy, so the driver checks c itself
+        with pytest.raises(DomainError, match="c must be finite"):
+            cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, c, depth=0)
 
 
 class TestEnumerate:

@@ -9,6 +9,7 @@ from conftest import (
     K22,
     SIX_CYCLES_3X3,
     oracle_count_copies,
+    oracle_embedding,
     plant,
     random_matrix,
 )
@@ -58,6 +59,10 @@ class TestConstants:
         assert pc.k is None and pc.log10_k > 15
         assert pc.log10_C > 300
 
+    def test_float_exponent_materializes_below_the_cap(self):
+        pc = make_constants(2, 2, 2, 2, 0.7)  # 1/eps not an integer, k below 10^15
+        assert pc.k == 53 == math.ceil(16 ** (1 / 0.7))
+
     def test_integral_exponent_materializes_exactly(self):
         pc = make_constants(2, 2, 2, 2, 0.05)  # 1/eps = 20, exact rational power
         assert pc.k == 16**20
@@ -68,6 +73,11 @@ class TestConstants:
             make_constants(1, 2, 2, 2, 1.0)
         with pytest.raises(DomainError):
             make_constants(2, 2, 2, 2, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon"):
+            make_constants(2, 2, 2, 2, epsilon)
 
 
 class TestLambdaSchedule:
@@ -108,6 +118,11 @@ class TestLambdaSchedule:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             lambda_schedule(2, 3, 1.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon"):
+            lambda_schedule(2, 40, epsilon)
 
     def test_lookups_match_defining_inequalities(self):
         for t, eps, U in ((2, 1.0, 40), (3, 2.0, 60)):
@@ -219,6 +234,17 @@ class TestSymmetricStep:
             rhs = math.factorial(2) ** 2 * step.total
             assert step.guarantee_met == (lhs >= rhs)
 
+    def test_transposed_certificate(self):
+        # The horizontal pass finds no heavy edge; the vertical pass, on the
+        # transpose of the top band, embeds, and its certificate is turned back.
+        m = ZeroOneMatrix.parse("1111\n1111\n0000\n0000")
+        step = symmetric_increment_step(m, K22, 2)
+        assert step.kind == "embedded" and len(step.heavy) == 2
+        assert step.heavy[0].edges == 0
+        emb = step.embedding
+        assert (emb.row_map, emb.col_map) == ((1, 2), (1, 3))
+        assert oracle_embedding(m.select(emb.row_map, emb.col_map), K22) == ((1, 2), (1, 2))
+
     def test_requires_both_divisible(self):
         with pytest.raises(DivisibilityError):
             symmetric_increment_step(ZeroOneMatrix.ones(8, 6), K22, 4)
@@ -262,6 +288,12 @@ class TestDrivers:
     def test_thm12_requires_square(self):
         with pytest.raises(PreconditionError):
             run_driver(ZeroOneMatrix.ones(8, 16), K22, "thm12", k=2)
+
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, mode, epsilon):
+        with pytest.raises(DomainError, match="epsilon"):
+            run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=2, epsilon=epsilon)
 
     def test_thm11_schedule_driver(self):
         host = deletion_lower_bound(16, K22, 5).witness

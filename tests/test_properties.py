@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_embedding
-from patex.matrix import Embedding, ZeroOneMatrix, _search_masks, find_embedding
+from patex.matrix import Embedding, ZeroOneMatrix, _find_copy, find_embedding
 from patex.search import _Frontier
 
 BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
@@ -47,17 +47,17 @@ def test_find_embedding_returns_the_oracle_certificate(host, a):
 @st.composite
 def banded_instances(draw):
     """A pattern up to 3x3, a host up to 6x6 with at least as many rows, and
-    one nonempty 0-based host-row range per pattern row, increasing and
-    disjoint."""
+    one nonempty 1-based inclusive host-row range per pattern row,
+    increasing and disjoint."""
     a = draw(matrices(3, 3))
     rows = draw(st.integers(a.rows, 6))
     cols = draw(st.integers(1, 6))
     masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
-    bands, lo = [], 0
+    bands, hi = [], 0
     for p in range(a.rows):
-        start = draw(st.integers(lo, rows - (a.rows - p)))
-        lo = draw(st.integers(start + 1, rows - (a.rows - p - 1)))
-        bands.append((start, lo))
+        start = draw(st.integers(hi + 1, rows - (a.rows - p) + 1))
+        hi = draw(st.integers(start, rows - (a.rows - p - 1)))
+        bands.append((start, hi))
     return ZeroOneMatrix(masks, cols), a, bands
 
 
@@ -68,11 +68,11 @@ def test_banded_search_returns_the_first_banded_copy(instance):
     ones = a.one_entries()
     expected = next(
         (
-            (rows, cs)
-            for rows in product(*(range(lo, hi) for lo, hi in bands))
-            for cs in combinations(range(host.cols), a.cols)
-            if all((host.row_masks[rows[i - 1]] >> cs[j - 1]) & 1 for (i, j) in ones)
+            Embedding(rows, cs)
+            for rows in product(*(range(lo, hi + 1) for lo, hi in bands))
+            for cs in combinations(range(1, host.cols + 1), a.cols)
+            if all(host.entry(rows[i - 1], cs[j - 1]) for (i, j) in ones)
         ),
         None,
     )
-    assert _search_masks(host.row_masks, host.cols, a.row_masks, a.cols, bands) == expected
+    assert _find_copy(host, a, bands) == expected

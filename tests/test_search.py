@@ -181,6 +181,11 @@ class TestExactMatchesOracle:
         assert oracle_embedding(rec.witness, a) is None
         assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+    def test_rejects_budget_outside_zero_to_inf(self, budget):
+        with pytest.raises(DomainError, match="budget"):
+            exact_ex(4, K22, budget_seconds=budget)
+
 
 class TestDeletion:
     def test_always_free(self):
