@@ -39,7 +39,7 @@ from .ohypergraph import (
     heavy_label_classes,
 )
 from .rng import DEFAULT_SEED, SplitMix64
-from .search import brute_force_ex, deletion_lower_bound, extremal_table
+from .search import brute_force_ex, check_budget, deletion_lower_bound, extremal_table
 
 CACHE_ENV = "PATTERN_EXTREMAL_CACHE"
 
@@ -64,7 +64,7 @@ def _emit(report: dict, fmt: str) -> None:
         print(",".join(_csv_cell(v) for _, v in flat))
     else:
         for k, v in _flatten(report):
-            print(f"{k} = {v}")
+            print(f"{k} = {_cell_text(v)}")
 
 
 def _emit_trace(doc: dict, fmt: str) -> None:
@@ -78,8 +78,13 @@ def _emit_trace(doc: dict, fmt: str) -> None:
     print(json.dumps({k: v for k, v in doc.items() if k != "levels"}, sort_keys=True))
 
 
+def _cell_text(v) -> str:
+    """A flattened value as one cell: lists and dicts as sorted-key JSON."""
+    return json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)
+
+
 def _csv_cell(v) -> str:
-    s = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)
+    s = _cell_text(v)
     if "," in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
@@ -267,6 +272,9 @@ def _cmd_cycles_drive(args) -> int:
 
 
 def _cmd_ex(args) -> int:
+    # Checked here, since a warm cache hit and --mode exact or random never
+    # reach exact_ex.
+    check_budget(args.budget)
     a = _load_matrix(args.pattern)
     cache = _cache_store(args)
     if args.n_to is not None:

@@ -5,13 +5,16 @@ Three routes are provided: a brute-force enumerator over all 2^(n^2)
 matrices with early containment pruning (the oracle), a row-by-row
 branch-and-bound with incremental containment detection through frontier
 sets of partial embeddings, pruned by the exact extremal numbers of the
-shorter k x n matrices it solves first (the rectangular tail bound), and a
-randomized construction (sample, then destroy every copy by deleting one
-1-entry) that yields certified A-free lower-bound witnesses. The frontier
-advances by the containment transition that `find_embedding` uses too; the
-oracle detects containment with a check of its own and uses neither of
-the branch-and-bound's symmetry rules (zero rows first, sorted rows), so it
-checks the transition and both rules.
+shorter k x n matrices it solves first (the rectangular tail bound) and,
+when the pattern has at least two rows and its last row a single 1-entry
+(L `11/10`, I3), by those of the narrower k x w matrices (the width bound),
+and a randomized construction (sample, then destroy every copy by deleting
+one 1-entry) that yields certified A-free lower-bound witnesses. The
+frontier advances by the containment transition that `find_embedding` uses
+too; the oracle detects containment with a check of its own and uses
+neither the branch-and-bound's symmetry rules (zero rows first, sorted
+rows) nor its width bound, so it checks the transition, both rules and the
+bound.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -171,13 +174,19 @@ class _Frontier:
     length, per-pattern-column masks of still-feasible host columns). Adding
     a host row extends every state whose next pattern row fits; a state
     completing all pattern rows with a feasible increasing column assignment
-    is a containment."""
+    is a containment.
 
-    __slots__ = ("pat_bits", "r")
+    `pin` is the pattern column of the last row's single 1-entry when the
+    pattern has at least two rows and its last row has exactly one 1-entry,
+    else None; only then does `forbidden` apply."""
+
+    __slots__ = ("pat_bits", "r", "pin")
 
     def __init__(self, a: ZeroOneMatrix):
         self.pat_bits = _row_columns(a.row_masks, a.cols)
         self.r = a.rows
+        last = self.pat_bits[-1]
+        self.pin = last[0] if a.rows >= 2 and len(last) == 1 else None
 
     def advance(self, frontier: frozenset, mask: int) -> Optional[frozenset]:
         """None signals containment; otherwise the grown frontier."""
@@ -190,6 +199,34 @@ class _Frontier:
                 return None
             grown.append((p + 1, updated))
         return frontier.union(grown) if grown else frontier
+
+    def forbidden(self, frontier: frozenset) -> int:
+        """The host columns c such that any row holding c completes a copy.
+        A state awaiting the last pattern row forbids the c of its column
+        `pin` mask that lie above lo, the leftmost greedy pick for the
+        columns before `pin`, and below hi, the rightmost greedy pick for the
+        columns after it (walked from the right)."""
+        j, last = self.pin, self.r - 1
+        out = 0
+        for (p, col_masks) in frontier:
+            if p != last:
+                continue
+            above = -1
+            for m in col_masks[:j]:
+                m &= above
+                above = -((m & -m) << 1)
+            below = -1
+            for m in reversed(col_masks[j + 1:]):
+                m &= below
+                below = (1 << (m.bit_length() - 1)) - 1
+            out |= col_masks[j] & above & below
+        return out
+
+
+def check_budget(budget_seconds: Optional[float]) -> None:
+    """Reject a budget that is not a finite number of seconds >= 0."""
+    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
+        raise DomainError(f"budget must be a finite number of seconds >= 0, got {budget_seconds}")
 
 
 def exact_ex(
@@ -205,6 +242,17 @@ def exact_ex(
     tail below cannot beat the incumbent. tail[n] is the answer; the
     per-height optima go to provenance["tailBounds"].
 
+    The width bound applies when the pattern has at least two rows and its
+    last row has exactly one 1-entry (L `11/10`, I3 `100/010/001`). A host
+    column is forbidden once every row holding it completes a copy
+    (`_Frontier.forbidden`), so such rows skip the containment check.
+    Frontiers only grow, so the rows still to be placed sit in the free
+    columns and weigh at most ex(rows left x |free|; A), and a node that
+    cannot beat the incumbent by that is cut. Each height k is then solved
+    at every width w = 1..n, narrowest first, so the table ex(k x w) the
+    cut reads is already known; provenance["nodes"] sums over all widths.
+    Patterns the bound does not cover solve width n only.
+
     When every row of the pattern is equal, containment depends only on the
     multiset of host rows (any r host rows can be taken in increasing
     order), so witnesses are sorted: each row's index in the mask order is
@@ -218,25 +266,28 @@ def exact_ex(
     a lower bound: a k-row (or (k-1)-row) witness padded with all-zero top
     rows when the pattern's first row is nonzero, with all-zero bottom rows
     when only its last row is, else the all-zero matrix. The upper bound is
-    the open bound on ex(k x n) plus n per row above it; correctness never
-    degrades."""
+    the open bound on ex(k x n) plus n per row above it. When the budget
+    runs out at a width below n, only the (k-1)-row width-n witness is
+    padded (an all-zero pattern column could embed in added zero columns),
+    and the upper bound is ex((k-1) x n) plus n per remaining row;
+    correctness never degrades."""
     if n < 1:
         raise DomainError("n must be positive")
-    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
-        raise DomainError(f"budget must be a finite number of seconds >= 0, got {budget_seconds}")
+    check_budget(budget_seconds)
     trivial = _trivial_record(n, a, "branch-and-bound")
     if trivial is not None:
         return trivial
     sorted_rows = len(set(a.row_masks)) == 1
     s = a.cols
     detector = _Frontier(a)
-    full = (1 << n) - 1
-    start_states = frozenset({(0, (full,) * s)})
-    mask_order = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
+    # The width bound reads ex(k x w) for every w <= n; patterns it does not
+    # cover solve width n only.
+    widths = range(1, n + 1) if detector.pin is not None else (n,)
+    mask_orders = {w: sorted(range(1 << w), key=lambda m: (-m.bit_count(), m)) for w in widths}
     normalize = not sorted_rows and all(m != 0 for m in a.row_masks)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    tail = [0]
-    tail_rows: tuple[int, ...] = ()  # a witness for tail[-1]
+    tail = [[0] * (n + 1)]  # tail[k][w] = ex(k x w; A) for the widths solved
+    tail_rows: tuple[int, ...] = ()  # a witness for tail[-1][n]
     best = -1
     best_rows: Optional[tuple[int, ...]] = None
     rows_sofar: list[int] = []
@@ -246,7 +297,12 @@ def exact_ex(
 
     def rec(rows_left: int, frontier: frozenset, weight: int, allow_zero: bool, start: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
-        below = tail[rows_left - 1]
+        forbidden = 0
+        if rows_left < k and detector.pin is not None:
+            forbidden = detector.forbidden(frontier)
+            if weight + tail[rows_left][(full & ~forbidden).bit_count()] <= best:
+                return
+        below = tail[rows_left - 1][w]
         for i in range(start, len(mask_order)):
             mask = mask_order[i]
             bound = weight + mask.bit_count() + below
@@ -260,7 +316,8 @@ def exact_ex(
                 timed_out = True
                 open_bound = max(open_bound, bound)
                 return
-            if mask == 0 and normalize and not allow_zero:
+            # Every row holding a forbidden column completes a copy.
+            if mask & forbidden or mask == 0 and normalize and not allow_zero:
                 continue
             nf = detector.advance(frontier, mask)
             if nf is None:
@@ -274,23 +331,40 @@ def exact_ex(
             rows_sofar.pop()
 
     for k in range(1, n + 1):
-        best, best_rows = -1, None
-        rec(k, start_states, 0, True, 0)
+        solved = [0] * (n + 1)
+        for w in widths:
+            full = (1 << w) - 1
+            mask_order = mask_orders[w]
+            best, best_rows = -1, None
+            rec(k, frozenset({(0, (full,) * s)}), 0, True, 0)
+            if timed_out:
+                break
+            solved[w] = best
         if timed_out:
             break
-        tail.append(best)
+        tail.append(solved)
         tail_rows = best_rows
-    provenance: dict = {"solver": "branch-and-bound", "nodes": nodes, "tailBounds": tail[1:]}
+    provenance: dict = {
+        "solver": "branch-and-bound",
+        "nodes": nodes,
+        "tailBounds": [row[n] for row in tail[1:]],
+    }
     if budget_seconds is not None:
         provenance["budgetSeconds"] = budget_seconds
     if timed_out:
-        upper = max(best, open_bound) + n * (n - k)
+        if w == n:
+            upper = max(best, open_bound) + n * (n - k)
+        else:
+            # Rows of a narrower width are no witness: an all-zero pattern
+            # column could embed in the columns padding would add.
+            best, best_rows = -1, None
+            upper = tail[-1][n] + n * (n - k + 1)
         # A copy in a padded witness must map the pattern's first row to a
         # nonzero host row when that row is nonzero, and every later row
         # below it: zero top rows then keep the witness A-free. Symmetrically
         # for zero bottom rows and a nonzero last row.
         candidates = [(0, (0,) * n)]
-        for value, rows in ((best, best_rows), (tail[-1], tail_rows)):
+        for value, rows in ((best, best_rows), (tail[-1][n], tail_rows)):
             if rows is None:
                 continue
             pad = (0,) * (n - len(rows))

@@ -149,6 +149,13 @@ class TestIncrement:
         assert json.loads(cells["embedding.rowMap"]) == [1, 3]
         assert [lv["branch"] for lv in json.loads(cells["levels"])] == ["embedded"]
 
+    def test_text_levels_line_is_json(self, capsys, files):
+        argv = ["--format", "text", "increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
+        code, out = run(capsys, argv)
+        (line,) = [line for line in out.splitlines() if line.startswith("levels = ")]
+        levels = json.loads(line[len("levels = "):])
+        assert code == 0 and [lv["branch"] for lv in levels] == ["embedded"]
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, capsys, files, epsilon):
         argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
@@ -256,6 +263,22 @@ class TestEx:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "budget" in captured.err
+
+    @pytest.mark.parametrize("mode", ["exact", "random"])
+    def test_budget_checked_in_every_mode(self, capsys, files, mode):
+        code = dispatch(["--budget", "nan", "ex", files["k22"], "--n", "3", "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: budget must be a finite number of seconds >= 0")
+
+    def test_budget_checked_on_a_warm_cache_hit(self, capsys, files):
+        cache = ["--cache-dir", str(files["dir"] / "cache")]
+        code, _ = run(capsys, cache + ["ex", files["k22"], "--n", "3"])
+        assert code == 0
+        code = dispatch(cache + ["--budget", "nan", "ex", files["k22"], "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: budget must be a finite number of seconds >= 0")
 
     def test_table_as_csv(self, capsys, files):
         code, out = run(capsys, ["--format", "csv", "ex", files["k22"], "--n", "2", "--n-to", "3"])

@@ -11,6 +11,8 @@ from patex.matrix import ZeroOneMatrix, find_embedding
 from patex.search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
 
 R12 = ZeroOneMatrix.ones(1, 2)
+L = ZeroOneMatrix.parse("11\n10")
+I3 = ZeroOneMatrix.parse("100\n010\n001")
 
 
 def _equal_row_patterns_up_to_3x3():
@@ -116,6 +118,47 @@ class TestExactMatchesOracle:
         assert rec.provenance["tailBounds"] == [5, 6, 8, 10, 12]  # z(k, 5; 2)
         assert rec.provenance["nodes"] == 6893
 
+    @pytest.mark.parametrize(
+        "a, witness, tail_bounds, nodes",
+        [
+            (L, "11111/00001/00001/00001/00001", [5, 6, 7, 8, 9], 765),
+            (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 6440),
+        ],
+    )
+    def test_width_bound_pins(self, a, witness, tail_bounds, nodes):
+        # the width bound moves only the node count: witnesses and
+        # tailBounds are those of the search without it
+        rec = exact_ex(5, a)
+        assert "/".join(rec.witness.row_strings()) == witness
+        assert rec.provenance["tailBounds"] == tail_bounds
+        assert rec.provenance["nodes"] == nodes
+
+    @pytest.mark.parametrize("a, n, value", [(L, 7, 13), (I3, 6, 20)])
+    def test_width_bound_regressions(self, a, n, value):
+        # L: 2n - 1; I_k: (k - 1)(2n - k + 1)
+        rec = exact_ex(n, a)
+        assert rec.status == "exact" and rec.value == value
+        assert rec.witness.weight == value
+        assert oracle_embedding(rec.witness, a) is None
+
+    def test_sweep_last_row_single_one(self):
+        # every pattern the width bound covers: 2-3 rows, 1-3 columns, a
+        # last row of weight one (other rows may be zero)
+        cases = 0
+        for rows, cols in product((2, 3), (1, 2, 3)):
+            for bits in range(1 << (cols * (rows - 1))):
+                for j in range(cols):
+                    grid = [[(bits >> (i * cols + c)) & 1 for c in range(cols)] for i in range(rows - 1)]
+                    a = ZeroOneMatrix.from_rows(grid + [[int(c == j) for c in range(cols)]])
+                    for n in (3, 4):
+                        got = exact_ex(n, a)
+                        assert got.status == "exact"
+                        assert got.value == brute_force_ex(n, a).value, f"pattern {a.row_strings()} n={n}"
+                        assert got.witness.weight == got.value
+                        assert oracle_embedding(got.witness, a) is None
+                        cases += 1
+        assert cases == 524
+
     def test_equal_row_patterns_sorted_witnesses(self):
         # containment of an equal-row pattern depends only on the multiset
         # of host rows, so the search keeps its rows sorted; the oracle does not
@@ -180,6 +223,25 @@ class TestExactMatchesOracle:
         assert rec.witness.weight == rec.value
         assert oracle_embedding(rec.witness, a) is None
         assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+
+    @pytest.mark.parametrize(
+        "a, n, below", [(I3, 6, 20), (L, 8, 15), (ZeroOneMatrix.parse("100\n010"), 6, 16)]
+    )
+    def test_budget_exhaustion_inside_a_narrower_width(self, a, n, below):
+        # a zero budget stops at node 1024 while a width below n is being
+        # solved: only width-n rows may be padded into the witness. `100/010`
+        # has an all-zero column, which would embed in the zero columns that
+        # turn a width-5 incumbent into six columns
+        rec = exact_ex(n, a, budget_seconds=0)
+        assert rec.status == "lowerBound"
+        assert rec.provenance["nodes"] == 1024
+        assert oracle_embedding(rec.witness, a) is None
+        assert rec.witness.weight == rec.value
+        assert rec.provenance["upperBound"] >= below
+        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+        # ex((k-1) x n) plus n per row from height k on
+        tail = rec.provenance["tailBounds"]
+        assert rec.provenance["upperBound"] == tail[-1] + n * (n - len(tail))
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
     def test_rejects_budget_outside_zero_to_inf(self, budget):
