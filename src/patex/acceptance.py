@@ -157,7 +157,8 @@ def check_extremal_regression() -> tuple[bool, str]:
     rec = brute_force_ex(3, IDENTITY2)
     if rec.value != 5:
         return False, f"brute force ex(3, identity) = {rec.value}, expected 5"
-    # z(6;2) = 16 (Guy's tables) lies beyond the oracle's reach
+    # z(6;2) = 16 (Guy's tables) is within the oracle's cap, but the oracle
+    # takes about 15 s there, so only the branch-and-bound checks it
     for n, want in {**expected, 6: 16}.items():
         rec = exact_ex(n, K22)
         if rec.status != "exact" or rec.value != want:

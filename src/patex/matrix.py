@@ -296,8 +296,8 @@ def _row_columns(pat_masks: Sequence[int], pat_cols: int) -> tuple[tuple[int, ..
 def _narrow_by_row(
     col_masks: Sequence[int], touched: Sequence[int], row_mask: int
 ) -> Optional[tuple[int, ...]]:
-    """The containment transition shared by both searches: map the next
-    pattern row, whose 1s sit in the columns `touched`, onto a host row.
+    """The containment transition of `_find_copy`, its one caller: map the
+    next pattern row, whose 1s sit in the columns `touched`, onto a host row.
     Each touched column keeps only the host columns where that row has a 1.
     Returns the narrowed per-column masks, or None when a column empties or
     no strictly increasing column assignment remains: the leftmost one takes

@@ -2,19 +2,18 @@
 
 ex(n, A) is the maximum weight of an n x n matrix avoiding the pattern A.
 Three routes are provided: a brute-force enumerator over all 2^(n^2)
-matrices with early containment pruning (the oracle), a row-by-row
-branch-and-bound with incremental containment detection through frontier
-sets of partial embeddings, pruned by the exact extremal numbers of the
-shorter k x n matrices it solves first (the rectangular tail bound) and,
+matrices with early containment pruning and one weight bound (the oracle),
+a row-by-row branch-and-bound with incremental containment detection per
+increasing choice of host columns, pruned by the exact extremal numbers of
+the shorter k x n matrices it solves first (the rectangular tail bound) and,
 when the pattern has at least two rows and its last row a single 1-entry
 (L `11/10`, I3), by those of the narrower k x w matrices (the width bound),
 and a randomized construction (sample, then destroy every copy by deleting
-one 1-entry) that yields certified A-free lower-bound witnesses. The
-frontier advances by the containment transition that `find_embedding` uses
-too; the oracle detects containment with a check of its own and uses
-neither the branch-and-bound's symmetry rules (zero rows first, sorted
-rows) nor its width bound, so it checks the transition, both rules and the
-bound.
+one 1-entry) that yields certified A-free lower-bound witnesses. The oracle
+and the branch-and-bound detect containment from one lemma in two separate
+implementations, and the oracle uses neither the branch-and-bound's symmetry
+rules (zero rows first, sorted rows) nor its tail and width bounds, so it
+checks the detector, both rules and both bounds.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -28,18 +27,11 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError, FormatError, UnsupportedError
-from .matrix import (
-    ZeroOneMatrix,
-    _narrow_by_row,
-    _row_columns,
-    canonical_key,
-    find_embedding,
-    random_matrix,
-)
+from .matrix import ZeroOneMatrix, canonical_key, find_embedding, random_matrix
 from .rng import SplitMix64
 
 # brute_force_ex refuses hosts with more cells than this.
-BRUTE_FORCE_CAP = 25
+BRUTE_FORCE_CAP = 36
 
 
 @dataclass
@@ -102,7 +94,9 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     """Exact value by depth-first enumeration of all row fillings with early
     containment pruning: a branch dies as soon as its prefix contains the
     pattern (any extension would too). Hard-capped at n^2 <= BRUTE_FORCE_CAP
-    cells.
+    cells. Its one bound is arithmetic: a row holds at most n ones, so with
+    masks tried heaviest first, the loop at row idx stops at the first mask
+    with weight + |mask| + (n - idx - 1) * n <= best.
 
     Containment is checked without the code of `find_embedding` and
     `exact_ex`, which this oracle checks. For each increasing choice C of
@@ -134,6 +128,7 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
             ]
         )
     completes = covers[-1]
+    heaviest_first = sorted(range(1 << n), key=lambda mask: -mask.bit_count())
     best = -1
     best_rows: Optional[tuple[int, ...]] = None
     prefix: list[int] = []
@@ -141,11 +136,14 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     def rec(idx: int, levels: list[int], weight: int):
         nonlocal best, best_rows
         ready = levels[-1]
-        for mask in range(1 << n):
+        rest = (n - idx - 1) * n
+        for mask in heaviest_first:
+            w = weight + mask.bit_count()
+            if w + rest <= best:
+                break
             if completes[mask] & ready:
                 continue
             prefix.append(mask)
-            w = weight + mask.bit_count()
             if idx + 1 < n:
                 grown = list(levels)
                 for i in range(r - 2, -1, -1):
@@ -153,7 +151,7 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
                     grown[i] ^= moved
                     grown[i + 1] |= moved
                 rec(idx + 1, grown, w)
-            elif w > best:
+            else:
                 best = w
                 best_rows = tuple(prefix)
             prefix.pop()
@@ -169,58 +167,52 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     )
 
 
-class _Frontier:
-    """Incremental containment detector: states are (pattern row-prefix
-    length, per-pattern-column masks of still-feasible host columns). Adding
-    a host row extends every state whose next pattern row fits; a state
-    completing all pattern rows with a feasible increasing column assignment
-    is a containment.
+class _Levels:
+    """Incremental containment detector for hosts of width w. Fix an
+    increasing choice C of a.cols host columns; pattern row i then needs the
+    host bits need_C[i]. Matching each pattern row to the earliest later host
+    row that covers its need is optimal, so per C a prefix only records how
+    many pattern rows it matches. A state is a tuple `levels`, where
+    `levels[i]` is the bitset of the choices whose count is i."""
 
-    `pin` is the pattern column of the last row's single 1-entry when the
-    pattern has at least two rows and its last row has exactly one 1-entry,
-    else None; only then does `forbidden` apply."""
+    __slots__ = ("covers", "singles", "start")
 
-    __slots__ = ("pat_bits", "r", "pin")
+    def __init__(self, a: ZeroOneMatrix, w: int):
+        choices = list(combinations(range(w), a.cols))
+        # covers[i][mask]: the choices whose need for pattern row i lies
+        # inside mask; each need is placed, then ORed up to its supersets
+        # one bit at a time.
+        self.covers = []
+        for pm in a.row_masks:
+            cover = [0] * (1 << w)
+            for c, cols in enumerate(choices):
+                cover[sum(1 << col for j, col in enumerate(cols) if pm >> j & 1)] |= 1 << c
+            for bit in (1 << b for b in range(w)):
+                for mask in range(1 << w):
+                    if mask & bit:
+                        cover[mask] |= cover[mask ^ bit]
+            self.covers.append(cover)
+        self.singles = tuple(self.covers[-1][1 << c] for c in range(w))
+        self.start = ((1 << len(choices)) - 1,) + (0,) * (a.rows - 1)
 
-    def __init__(self, a: ZeroOneMatrix):
-        self.pat_bits = _row_columns(a.row_masks, a.cols)
-        self.r = a.rows
-        last = self.pat_bits[-1]
-        self.pin = last[0] if a.rows >= 2 and len(last) == 1 else None
+    def advance(self, levels: tuple, mask: int) -> Optional[tuple]:
+        """None signals containment; otherwise the grown levels."""
+        covers = self.covers
+        if covers[-1][mask] & levels[-1]:
+            return None
+        grown = list(levels)
+        for i in range(len(grown) - 2, -1, -1):
+            moved = grown[i] & covers[i][mask]
+            grown[i] ^= moved
+            grown[i + 1] |= moved
+        return tuple(grown)
 
-    def advance(self, frontier: frozenset, mask: int) -> Optional[frozenset]:
-        """None signals containment; otherwise the grown frontier."""
-        grown = []
-        for (p, col_masks) in frontier:
-            updated = _narrow_by_row(col_masks, self.pat_bits[p], mask)
-            if updated is None:
-                continue
-            if p + 1 == self.r:
-                return None
-            grown.append((p + 1, updated))
-        return frontier.union(grown) if grown else frontier
-
-    def forbidden(self, frontier: frozenset) -> int:
-        """The host columns c such that any row holding c completes a copy.
-        A state awaiting the last pattern row forbids the c of its column
-        `pin` mask that lie above lo, the leftmost greedy pick for the
-        columns before `pin`, and below hi, the rightmost greedy pick for the
-        columns after it (walked from the right)."""
-        j, last = self.pin, self.r - 1
-        out = 0
-        for (p, col_masks) in frontier:
-            if p != last:
-                continue
-            above = -1
-            for m in col_masks[:j]:
-                m &= above
-                above = -((m & -m) << 1)
-            below = -1
-            for m in reversed(col_masks[j + 1:]):
-                m &= below
-                below = (1 << (m.bit_length() - 1)) - 1
-            out |= col_masks[j] & above & below
-        return out
+    def forbidden(self, levels: tuple) -> int:
+        """The host columns c such that the row holding only c completes a
+        copy. When the pattern's last row has a single 1-entry, every row
+        holding such a c does."""
+        ready = levels[-1]
+        return sum(1 << c for c, single in enumerate(self.singles) if single & ready)
 
 
 def check_budget(budget_seconds: Optional[float]) -> None:
@@ -234,7 +226,7 @@ def exact_ex(
 ) -> ExtremalRecord:
     """Branch-and-bound filling the matrix row by row, run bottom-up over
     heights k = 1..n to compute tail[k] = ex(k x n; A). Containment is
-    detected incrementally through frontier sets of partial embeddings. The
+    detected incrementally per increasing choice of host columns. The
     bottom rows of an A-free matrix form an A-free matrix of their own, so
     with r rows left the completion weighs at most tail[r]: each height is
     pruned by the heights solved before it, and the heaviest-first mask
@@ -244,10 +236,10 @@ def exact_ex(
 
     The width bound applies when the pattern has at least two rows and its
     last row has exactly one 1-entry (L `11/10`, I3 `100/010/001`). A host
-    column is forbidden once every row holding it completes a copy
-    (`_Frontier.forbidden`), so such rows skip the containment check.
-    Frontiers only grow, so the rows still to be placed sit in the free
-    columns and weigh at most ex(rows left x |free|; A), and a node that
+    column is forbidden once every row holding it completes a copy, so such
+    rows skip the containment check. A choice's count never drops, so a
+    forbidden column stays forbidden: the rows still to be placed sit in the
+    free columns and weigh at most ex(rows left x |free|; A), and a node that
     cannot beat the incumbent by that is cut. Each height k is then solved
     at every width w = 1..n, narrowest first, so the table ex(k x w) the
     cut reads is already known; provenance["nodes"] sums over all widths.
@@ -278,12 +270,13 @@ def exact_ex(
     if trivial is not None:
         return trivial
     sorted_rows = len(set(a.row_masks)) == 1
-    s = a.cols
-    detector = _Frontier(a)
     # The width bound reads ex(k x w) for every w <= n; patterns it does not
     # cover solve width n only.
-    widths = range(1, n + 1) if detector.pin is not None else (n,)
-    mask_orders = {w: sorted(range(1 << w), key=lambda m: (-m.bit_count(), m)) for w in widths}
+    pin = a.rows >= 2 and a.row_masks[-1].bit_count() == 1
+    widths = range(1, n + 1) if pin else (n,)
+    per_width = {
+        w: (sorted(range(1 << w), key=lambda m: (-m.bit_count(), m)), _Levels(a, w)) for w in widths
+    }
     normalize = not sorted_rows and all(m != 0 for m in a.row_masks)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tail = [[0] * (n + 1)]  # tail[k][w] = ex(k x w; A) for the widths solved
@@ -295,11 +288,11 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(rows_left: int, frontier: frozenset, weight: int, allow_zero: bool, start: int):
+    def rec(rows_left: int, levels: tuple, weight: int, allow_zero: bool, start: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
         forbidden = 0
-        if rows_left < k and detector.pin is not None:
-            forbidden = detector.forbidden(frontier)
+        if pin and rows_left < k:
+            forbidden = detector.forbidden(levels)
             if weight + tail[rows_left][(full & ~forbidden).bit_count()] <= best:
                 return
         below = tail[rows_left - 1][w]
@@ -319,24 +312,24 @@ def exact_ex(
             # Every row holding a forbidden column completes a copy.
             if mask & forbidden or mask == 0 and normalize and not allow_zero:
                 continue
-            nf = detector.advance(frontier, mask)
-            if nf is None:
+            grown = detector.advance(levels, mask)
+            if grown is None:
                 continue
             rows_sofar.append(mask)
             if rows_left == 1:
                 best = bound
                 best_rows = tuple(rows_sofar)
             else:
-                rec(rows_left - 1, nf, bound - below, allow_zero and mask == 0, i if sorted_rows else 0)
+                rec(rows_left - 1, grown, bound - below, allow_zero and mask == 0, i if sorted_rows else 0)
             rows_sofar.pop()
 
     for k in range(1, n + 1):
         solved = [0] * (n + 1)
         for w in widths:
             full = (1 << w) - 1
-            mask_order = mask_orders[w]
+            mask_order, detector = per_width[w]
             best, best_rows = -1, None
-            rec(k, frozenset({(0, (full,) * s)}), 0, True, 0)
+            rec(k, detector.start, 0, True, 0)
             if timed_out:
                 break
             solved[w] = best

@@ -304,7 +304,7 @@ class TestEx:
         assert captured.err.startswith("error:") and f"--mode {mode}" in captured.err
 
     def test_brute_cap_exceeded(self, capsys, files):
-        code, out = run(capsys, ["ex", files["k22"], "--n", "6", "--mode", "exact"])
+        code, out = run(capsys, ["ex", files["k22"], "--n", "7", "--mode", "exact"])
         assert code == 2 and out == ""
 
 

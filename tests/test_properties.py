@@ -1,6 +1,8 @@
-"""Property tests: both containment searches, and the banded mode of the
-containment kernel, against enumeration oracles on random hosts up to 6x6
-and patterns up to 3x3."""
+"""Property tests against enumeration oracles on random hosts up to 6x6 and
+patterns up to 3x3: the branch-and-bound's containment detector (where a
+prefix first contains the pattern, and which single-column rows would
+complete a copy), `find_embedding`, and the banded mode of the containment
+kernel."""
 
 from itertools import combinations, product
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_embedding
 from patex.matrix import Embedding, ZeroOneMatrix, _find_copy, find_embedding
-from patex.search import _Frontier
+from patex.search import _Levels
 
 BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
 
@@ -24,15 +26,35 @@ def matrices(draw, max_rows: int, max_cols: int) -> ZeroOneMatrix:
 
 @BOUNDED
 @given(matrices(6, 6), matrices(3, 3))
-def test_frontier_stops_at_the_first_containing_prefix(host, a):
-    detector = _Frontier(a)
-    frontier = frozenset({(0, ((1 << host.cols) - 1,) * a.cols)})
+def test_levels_stop_at_the_first_containing_prefix(host, a):
+    detector = _Levels(a, host.cols)
+    levels = detector.start
     for k in range(1, host.rows + 1):
-        frontier = detector.advance(frontier, host.row_masks[k - 1])
+        levels = detector.advance(levels, host.row_masks[k - 1])
         prefix = ZeroOneMatrix(host.row_masks[:k], host.cols)
         contained = oracle_embedding(prefix, a) is not None
-        assert (frontier is None) == contained, f"prefix of {k} rows"
+        assert (levels is None) == contained, f"prefix of {k} rows"
         if contained:
+            break
+
+
+@BOUNDED
+@given(matrices(6, 6), matrices(3, 3))
+def test_forbidden_columns_are_those_whose_single_row_completes_a_copy(host, a):
+    detector = _Levels(a, host.cols)
+    levels = detector.start
+    for k in range(host.rows + 1):
+        prefix = list(host.row_masks[:k])
+        expected = sum(
+            1 << c
+            for c in range(host.cols)
+            if oracle_embedding(ZeroOneMatrix(prefix + [1 << c], host.cols), a) is not None
+        )
+        assert detector.forbidden(levels) == expected, f"prefix of {k} rows"
+        if k == host.rows:
+            break
+        levels = detector.advance(levels, host.row_masks[k])
+        if levels is None:
             break
 
 

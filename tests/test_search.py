@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import IDENTITY2, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
+from conftest import COLUMN_2_PARTITE, IDENTITY2, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
 from patex.count import count_copies
 from patex.errors import BudgetError, DomainError, UnsupportedError
 from patex.matrix import ZeroOneMatrix, find_embedding
@@ -51,7 +51,7 @@ class TestBruteForce:
 
     def test_cap(self):
         with pytest.raises(BudgetError):
-            brute_force_ex(6, K22)
+            brute_force_ex(7, K22)
 
     def test_zero_weight_pattern_undefined(self):
         with pytest.raises(DomainError):
@@ -176,13 +176,25 @@ class TestExactMatchesOracle:
                 cases += 1
         assert cases == 75
 
+    @pytest.mark.parametrize("a, value", [(SIX_CYCLES_3X3[0], 24), (I3, 20), (COLUMN_2_PARTITE, 29)])
+    def test_oracle_agrees_at_n6(self, a, value):
+        # the largest n the oracle accepts; six-cycle-a and column-2-partite
+        # have no closed form, I3's is (k - 1)(2n - k + 1)
+        got = exact_ex(6, a)
+        expect = brute_force_ex(6, a)
+        assert got.status == expect.status == "exact"
+        assert got.value == expect.value == value
+        for rec in (got, expect):
+            assert rec.witness.weight == value
+            assert oracle_embedding(rec.witness, a) is None
+
     def test_ex_is_equal_across_the_orbit(self):
         for a in (K22, ZeroOneMatrix.ones(2, 3), ZeroOneMatrix.parse("11\n10"), ZeroOneMatrix.parse("100\n010\n001"),
                   *SIX_CYCLES_3X3[:2]):
             values = {exact_ex(4, image).value for image in _orbit(a)}
             assert len(values) == 1, f"pattern {a.row_strings()}: {values}"
 
-    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 40 s; set PATEX_SLOW=1")
+    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 7 s; set PATEX_SLOW=1")
     def test_zarankiewicz_n7_slow(self):
         rec = exact_ex(7, K22)
         assert rec.status == "exact" and rec.value == 21  # z(7;2), Guy's tables
