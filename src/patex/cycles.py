@@ -268,6 +268,8 @@ def cycle_driver(
     host."""
     if k < 2:
         raise DomainError("k must be at least 2")
+    if depth is not None and depth < 0:
+        raise DomainError(f"depth must be at least 0, got {depth}")
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
     if _cycle_tour(a) is None:

@@ -521,6 +521,8 @@ def run_driver(
         raise InputError(f"unknown driver mode {mode!r}")
     if k < 2:
         raise DomainError("k must be at least 2")
+    if depth is not None and depth < 0:
+        raise DomainError(f"depth must be at least 0, got {depth}")
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     grid = mode == "thm12"

@@ -288,56 +288,33 @@ class Embedding:
         )
 
 
-def _row_columns(pat_masks: Sequence[int], pat_cols: int) -> tuple[tuple[int, ...], ...]:
-    """Per pattern row, the 0-based pattern columns holding a 1."""
-    return tuple(tuple(j for j in range(pat_cols) if (m >> j) & 1) for m in pat_masks)
-
-
-def _narrow_by_row(
-    col_masks: Sequence[int], touched: Sequence[int], row_mask: int
-) -> Optional[tuple[int, ...]]:
-    """The containment transition of `_find_copy`, its one caller: map the
-    next pattern row, whose 1s sit in the columns `touched`, onto a host row.
-    Each touched column keeps only the host columns where that row has a 1.
-    Returns the narrowed per-column masks, or None when a column empties or
-    no strictly increasing column assignment remains: the leftmost one takes
-    per column the least feasible host column above the previous pick, and
-    greedy is optimal, since the smallest pick never hurts later columns."""
-    updated = list(col_masks)
-    for j in touched:
-        v = updated[j] & row_mask
-        if not v:
-            return None
-        updated[j] = v
-    above = -1
-    for m in updated:
-        m &= above
-        if not m:
-            return None
-        above = -((m & -m) << 1)
-    return tuple(updated)
-
-
 def _find_copy(
     m: ZeroOneMatrix, a: ZeroOneMatrix, bands: Optional[Sequence[tuple[int, int]]] = None
 ) -> Optional[Embedding]:
     """Backtracking kernel over pattern rows, top-down; per pattern column it
-    keeps the bitmask of still-feasible host columns, narrowed row by row by
-    `_narrow_by_row`. Pattern row p tries the host rows of `bands[p]`, a
-    1-based inclusive range; the bands must be increasing and disjoint.
-    Without bands, row p tries every row that leaves room for the rows below
-    it. An all-zero pattern row tries only its first admissible host row: it
-    leaves the state unchanged, and the earliest row leaves the most room
-    below. Exhaustive: returns the lexicographically least certificate (row
-    map first, then column map), or None, also when A outsizes M."""
+    keeps the bitmask of still-feasible host columns. Mapping pattern row p
+    onto a host row keeps, in each column where row p has a 1, only the host
+    columns where that host row has a 1. The host row is rejected as soon as
+    such a column empties, or when no strictly increasing column assignment
+    remains: the leftmost one takes per column the least feasible host column
+    above the previous pick, and greedy is optimal, since the smallest pick
+    never hurts later columns. Pattern row p tries the host rows of
+    `bands[p]`, a 1-based inclusive range; the bands must be increasing and
+    disjoint. Without bands, row p tries every row that leaves room for the
+    rows below it. An all-zero pattern row tries only its first admissible
+    host row: it leaves the state unchanged, and the earliest row leaves the
+    most room below. Exhaustive: returns the lexicographically least
+    certificate (row map first, then column map), or None, also when A
+    outsizes M."""
     r = a.rows
     host_masks = m.row_masks
-    touched = _row_columns(a.row_masks, a.cols)
+    # Per pattern row, the 0-based pattern columns holding a 1.
+    touched = [[j for j in range(a.cols) if pm >> j & 1] for pm in a.row_masks]
     row_map = [0] * r
 
-    def rec(p: int, h_start: int, col_masks: tuple[int, ...]) -> Optional[Embedding]:
+    def rec(p: int, h_start: int, col_masks: list[int]) -> Optional[Embedding]:
         if p == r:
-            # `_narrow_by_row` proved the leftmost increasing columns exist.
+            # The loop below checked that the leftmost increasing columns exist.
             col_map, above = [], -1
             for cm in col_masks:
                 cm &= above
@@ -346,19 +323,32 @@ def _find_copy(
                 above = -(low << 1)
             return Embedding(tuple(row_map), tuple(col_map))
         lo, hi = bands[p] if bands is not None else (h_start, m.rows - (r - p) + 1)
-        if not touched[p]:
+        cols = touched[p]
+        if not cols:
             hi = min(hi, lo)
         for hr in range(lo, hi + 1):
-            updated = _narrow_by_row(col_masks, touched[p], host_masks[hr - 1])
-            if updated is None:
-                continue
-            row_map[p] = hr
-            res = rec(p + 1, hr + 1, updated)
-            if res is not None:
-                return res
+            row_mask = host_masks[hr - 1]
+            updated = list(col_masks)
+            for j in cols:
+                v = updated[j] & row_mask
+                if not v:
+                    break
+                updated[j] = v
+            else:  # no touched column emptied
+                above = -1
+                for cm in updated:
+                    cm &= above
+                    if not cm:
+                        break
+                    above = -((cm & -cm) << 1)
+                else:  # the leftmost increasing columns exist
+                    row_map[p] = hr
+                    res = rec(p + 1, hr + 1, updated)
+                    if res is not None:
+                        return res
         return None
 
-    return rec(0, 1, ((1 << m.cols) - 1,) * a.cols)
+    return rec(0, 1, [(1 << m.cols) - 1] * a.cols)
 
 
 def find_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:

@@ -11,9 +11,9 @@ when the pattern has at least two rows and its last row a single 1-entry
 and a randomized construction (sample, then destroy every copy by deleting
 one 1-entry) that yields certified A-free lower-bound witnesses. The oracle
 and the branch-and-bound detect containment from one lemma in two separate
-implementations, and the oracle uses neither the branch-and-bound's symmetry
-rules (zero rows first, sorted rows) nor its tail and width bounds, so it
-checks the detector, both rules and both bounds.
+implementations, and the oracle uses neither the branch-and-bound's one
+symmetry rule (sorted rows) nor its tail and width bounds, so it checks the
+detector, the rule and both bounds.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -236,23 +236,19 @@ def exact_ex(
 
     The width bound applies when the pattern has at least two rows and its
     last row has exactly one 1-entry (L `11/10`, I3 `100/010/001`). A host
-    column is forbidden once every row holding it completes a copy, so such
-    rows skip the containment check. A choice's count never drops, so a
-    forbidden column stays forbidden: the rows still to be placed sit in the
-    free columns and weigh at most ex(rows left x |free|; A), and a node that
-    cannot beat the incumbent by that is cut. Each height k is then solved
-    at every width w = 1..n, narrowest first, so the table ex(k x w) the
-    cut reads is already known; provenance["nodes"] sums over all widths.
+    column is forbidden once every row holding it completes a copy. A
+    choice's count never drops, so a forbidden column stays forbidden: the
+    rows still to be placed sit in the free columns and weigh at most
+    ex(rows left x |free|; A), and a node that cannot beat the incumbent by
+    that is cut. Each height k is then solved at every width w = 1..n; at
+    height k both cuts read only heights below k, so the order of the
+    widths does not matter. provenance["nodes"] sums over all widths.
     Patterns the bound does not cover solve width n only.
 
     When every row of the pattern is equal, containment depends only on the
     multiset of host rows (any r host rows can be taken in increasing
     order), so witnesses are sorted: each row's index in the mask order is
-    at least the previous row's. Otherwise, when the pattern has no
-    all-zero row, witnesses are normalized so that all-zero rows form a
-    prefix (zero host rows cannot host any pattern row and may be moved
-    first without affecting containment). The two rules are not combined:
-    zero masks sort last.
+    at least the previous row's. This is the search's one symmetry rule.
 
     On budget exhaustion at height k the best witness found is returned as
     a lower bound: a k-row (or (k-1)-row) witness padded with all-zero top
@@ -277,7 +273,6 @@ def exact_ex(
     per_width = {
         w: (sorted(range(1 << w), key=lambda m: (-m.bit_count(), m)), _Levels(a, w)) for w in widths
     }
-    normalize = not sorted_rows and all(m != 0 for m in a.row_masks)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tail = [[0] * (n + 1)]  # tail[k][w] = ex(k x w; A) for the widths solved
     tail_rows: tuple[int, ...] = ()  # a witness for tail[-1][n]
@@ -288,12 +283,11 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(rows_left: int, levels: tuple, weight: int, allow_zero: bool, start: int):
+    def rec(rows_left: int, levels: tuple, weight: int, start: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
-        forbidden = 0
         if pin and rows_left < k:
-            forbidden = detector.forbidden(levels)
-            if weight + tail[rows_left][(full & ~forbidden).bit_count()] <= best:
+            free = full & ~detector.forbidden(levels)
+            if weight + tail[rows_left][free.bit_count()] <= best:
                 return
         below = tail[rows_left - 1][w]
         for i in range(start, len(mask_order)):
@@ -309,9 +303,6 @@ def exact_ex(
                 timed_out = True
                 open_bound = max(open_bound, bound)
                 return
-            # Every row holding a forbidden column completes a copy.
-            if mask & forbidden or mask == 0 and normalize and not allow_zero:
-                continue
             grown = detector.advance(levels, mask)
             if grown is None:
                 continue
@@ -320,7 +311,7 @@ def exact_ex(
                 best = bound
                 best_rows = tuple(rows_sofar)
             else:
-                rec(rows_left - 1, grown, bound - below, allow_zero and mask == 0, i if sorted_rows else 0)
+                rec(rows_left - 1, grown, bound - below, i if sorted_rows else 0)
             rows_sofar.pop()
 
     for k in range(1, n + 1):
@@ -329,7 +320,7 @@ def exact_ex(
             full = (1 << w) - 1
             mask_order, detector = per_width[w]
             best, best_rows = -1, None
-            rec(k, detector.start, 0, True, 0)
+            rec(k, detector.start, 0, 0)
             if timed_out:
                 break
             solved[w] = best

@@ -156,6 +156,13 @@ class TestIncrement:
         levels = json.loads(line[len("levels = "):])
         assert code == 0 and [lv["branch"] for lv in levels] == ["embedded"]
 
+    def test_negative_depth_rejected(self, capsys, files):
+        argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2", "--depth", "-3"]
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: depth must be at least 0, got -3\n"
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_rejected(self, capsys, files, epsilon):
         argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
@@ -196,6 +203,12 @@ class TestCycles:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: k must be at least 2\n"
+
+    def test_drive_rejects_negative_depth(self, capsys, files):
+        code = dispatch(["cycles", "drive", files["host"], files["k22"], "--k", "2", "--c", "1", "--depth", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: depth must be at least 0, got -1\n"
 
     @pytest.mark.parametrize(
         "argv",

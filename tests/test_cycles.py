@@ -285,6 +285,11 @@ class TestCycleDriver:
         with pytest.raises(DomainError, match="c must be finite"):
             cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, c, depth=0)
 
+    def test_rejects_negative_depth(self):
+        with pytest.raises(DomainError, match="depth must be at least 0, got -1"):
+            cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, 1.0, depth=-1)
+        assert cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, 1.0, depth=0).stop_reason == "depth-reached"
+
 
 class TestEnumerate:
     def test_length_four_forced(self):

@@ -295,6 +295,13 @@ class TestDrivers:
         with pytest.raises(DomainError, match="epsilon"):
             run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=2, epsilon=epsilon)
 
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    def test_rejects_negative_depth(self, mode):
+        with pytest.raises(DomainError, match="depth must be at least 0, got -1"):
+            run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=2, depth=-1)
+        trace = run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=2, depth=0)
+        assert trace.stop_reason == "depth-reached"
+
     def test_thm11_schedule_driver(self):
         host = deletion_lower_bound(16, K22, 5).witness
         trace = run_driver(host, K22, "thm11", k=4, epsilon=1.0, depth=2)

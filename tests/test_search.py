@@ -122,7 +122,7 @@ class TestExactMatchesOracle:
         "a, witness, tail_bounds, nodes",
         [
             (L, "11111/00001/00001/00001/00001", [5, 6, 7, 8, 9], 765),
-            (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 6440),
+            (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 6471),
         ],
     )
     def test_width_bound_pins(self, a, witness, tail_bounds, nodes):
@@ -185,6 +185,29 @@ class TestExactMatchesOracle:
         assert got.status == expect.status == "exact"
         assert got.value == expect.value == value
         for rec in (got, expect):
+            assert rec.witness.weight == value
+            assert oracle_embedding(rec.witness, a) is None
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            # the patterns and values pinned in perfbench/pinned.py
+            pytest.param("11/11", 12, id="K22"),
+            pytest.param("100/010/001", 16, id="I3"),
+            pytest.param("11/10", 9, id="L"),
+            pytest.param("111/111", 16, id="K23"),
+            pytest.param("110/011/101", 18, id="six-cycle-a"),
+            pytest.param("011/110/101", 18, id="six-cycle-b"),
+            pytest.param("0101/1001/1001/0110", 22, id="column-2-partite"),
+            pytest.param("0100/1011/1010/0101", 22, id="row-2-partite"),
+            pytest.param("0101/1010/1010/0101", 22, id="doubly-2-partite"),
+        ],
+    )
+    def test_pinned_values_n5(self, text, value):
+        # the oracle uses none of exact_ex's symmetry rule and bounds
+        a = ZeroOneMatrix.parse(text.replace("/", "\n"))
+        for rec in (brute_force_ex(5, a), exact_ex(5, a)):
+            assert rec.status == "exact" and rec.value == value
             assert rec.witness.weight == value
             assert oracle_embedding(rec.witness, a) is None
 
