@@ -157,9 +157,10 @@ def check_extremal_regression() -> tuple[bool, str]:
     rec = brute_force_ex(3, IDENTITY2)
     if rec.value != 5:
         return False, f"brute force ex(3, identity) = {rec.value}, expected 5"
-    # z(6;2) = 16 (Guy's tables) is within the oracle's cap, but the oracle
-    # takes about 15 s there, so only the branch-and-bound checks it
-    for n, want in {**expected, 6: 16}.items():
+    # z(6;2) = 16 and z(7;2) = 21 (Guy's tables): the oracle takes about
+    # 15 s at n=6 and refuses n=7 (49 cells), so only the branch-and-bound
+    # checks them
+    for n, want in {**expected, 6: 16, 7: 21}.items():
         rec = exact_ex(n, K22)
         if rec.status != "exact" or rec.value != want:
             return False, f"branch-and-bound ex({n}, 2x2 all-ones) = {rec.value} ({rec.status})"
@@ -168,7 +169,7 @@ def check_extremal_regression() -> tuple[bool, str]:
         return False, f"branch-and-bound ex(3, identity) = {rec.value}"
     return True, (
         f"oracle and branch-and-bound agree: K22 -> {sorted(got_bf.values())}, identity(3) -> 5; "
-        "branch-and-bound K22(6) -> 16"
+        "branch-and-bound K22(6) -> 16, K22(7) -> 21"
     )
 
 

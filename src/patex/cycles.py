@@ -114,8 +114,8 @@ def dense_or_balanced(
     delete light columns (< c*sqrt(n)/2 ones), classify column-blocks sparse
     or dense with alpha = 1/(2k), columns imbalanced (fewer than r dense
     blocks) or balanced, and extract the branch carrying at least half the
-    surviving weight. Runs for any (k, c); flags record whether the weight
-    precondition and the branch invariant actually held."""
+    surviving weight. Runs for any k and any c > 0; flags record whether the
+    weight precondition and the branch invariant actually held."""
     if m.rows != m.cols:
         raise PreconditionError("dichotomy needs a square host")
     n = m.rows
@@ -123,8 +123,8 @@ def dense_or_balanced(
         raise DivisibilityError(f"{k} does not divide {n}")
     if r_meta < 1 or s_meta < 1:
         raise DomainError("pattern dimensions must be positive")
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c}")
+    if not 0 < c < math.inf:
+        raise DomainError(f"c must be finite and positive, got {c}")
     w = m.weight
     precondition = w >= c * n**1.5 - 1e-9
     band = n // k
@@ -270,8 +270,8 @@ def cycle_driver(
         raise DomainError("k must be at least 2")
     if depth is not None and depth < 0:
         raise DomainError(f"depth must be at least 0, got {depth}")
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c}")
+    if not 0 < c < math.inf:
+        raise DomainError(f"c must be finite and positive, got {c}")
     if _cycle_tour(a) is None:
         raise PreconditionError("pattern is not a cycle")
     if not _x_monotone_core(a):

@@ -4,16 +4,18 @@ ex(n, A) is the maximum weight of an n x n matrix avoiding the pattern A.
 Three routes are provided: a brute-force enumerator over all 2^(n^2)
 matrices with early containment pruning and one weight bound (the oracle),
 a row-by-row branch-and-bound with incremental containment detection per
-increasing choice of host columns, pruned by the exact extremal numbers of
-the shorter k x n matrices it solves first (the rectangular tail bound) and,
-when the pattern has at least two rows and its last row a single 1-entry
-(L `11/10`, I3), by those of the narrower k x w matrices (the width bound),
-and a randomized construction (sample, then destroy every copy by deleting
-one 1-entry) that yields certified A-free lower-bound witnesses. The oracle
-and the branch-and-bound detect containment from one lemma in two separate
+increasing choice of host columns, and a randomized construction (sample,
+then destroy every copy by deleting one 1-entry) that yields certified
+A-free lower-bound witnesses. The branch-and-bound has three bounds: the
+exact extremal numbers of the shorter k x n matrices it solves first (the
+rectangular tail bound); when the pattern has at least two rows and its
+last row a single 1-entry (L `11/10`, I3), those of the narrower k x w
+matrices (the width bound); and the weight of a node's first admitted row,
+which caps every row below it (the row cap). The oracle and the
+branch-and-bound detect containment from one lemma in two separate
 implementations, and the oracle uses neither the branch-and-bound's one
-symmetry rule (sorted rows) nor its tail and width bounds, so it checks the
-detector, the rule and both bounds.
+symmetry rule (sorted rows) nor any of its three bounds, so it checks the
+detector, the rule and the bounds.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -96,7 +98,8 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     pattern (any extension would too). Hard-capped at n^2 <= BRUTE_FORCE_CAP
     cells. Its one bound is arithmetic: a row holds at most n ones, so with
     masks tried heaviest first, the loop at row idx stops at the first mask
-    with weight + |mask| + (n - idx - 1) * n <= best.
+    with weight + |mask| + (n - idx - 1) * n <= best. It uses none of
+    `exact_ex`'s sorted rows, tail bound, width bound and row cap.
 
     Containment is checked without the code of `find_embedding` and
     `exact_ex`, which this oracle checks. For each increasing choice C of
@@ -245,6 +248,11 @@ def exact_ex(
     widths does not matter. provenance["nodes"] sums over all widths.
     Patterns the bound does not cover solve width n only.
 
+    The third bound, the row cap, applies to every pattern. A mask that
+    completes a copy under a prefix does so under every longer one, and
+    masks run heaviest first, so each row below a node weighs at most the
+    node's first admitted mask, and the children start their loops there.
+
     When every row of the pattern is equal, containment depends only on the
     multiset of host rows (any r host rows can be taken in increasing
     order), so witnesses are sorted: each row's index in the mask order is
@@ -290,6 +298,7 @@ def exact_ex(
             if weight + tail[rows_left][free.bit_count()] <= best:
                 return
         below = tail[rows_left - 1][w]
+        first = None
         for i in range(start, len(mask_order)):
             mask = mask_order[i]
             bound = weight + mask.bit_count() + below
@@ -306,12 +315,19 @@ def exact_ex(
             grown = detector.advance(levels, mask)
             if grown is None:
                 continue
+            if first is None:
+                # the row cap: every mask before this one is dead below too
+                first = i
+                below = min(below, (rows_left - 1) * mask.bit_count())
+                bound = weight + mask.bit_count() + below
+                if bound <= best:
+                    return
             rows_sofar.append(mask)
             if rows_left == 1:
                 best = bound
                 best_rows = tuple(rows_sofar)
             else:
-                rec(rows_left - 1, grown, bound - below, i if sorted_rows else 0)
+                rec(rows_left - 1, grown, bound - below, i if sorted_rows else first)
             rows_sofar.pop()
 
     for k in range(1, n + 1):

@@ -225,6 +225,20 @@ class TestCycles:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: c must be finite")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["drive", "HOST", "K22", "--k", "2", "--c", "0"],
+            ["dichotomy", "HOST", "--k", "2", "--c", "-0.5", "--r", "2", "--s", "2"],
+        ],
+    )
+    def test_c_at_most_zero_rejected(self, capsys, files, argv):
+        argv = [{"HOST": files["host"], "K22": files["k22"]}.get(x, x) for x in argv]
+        code = dispatch(["cycles"] + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: c must be finite and positive")
+
 
 class TestEx:
     def test_exact_mode_value(self, capsys, files):

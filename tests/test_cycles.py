@@ -224,6 +224,13 @@ class TestDichotomy:
         with pytest.raises(DomainError, match="c must be finite"):
             dense_or_balanced(ZeroOneMatrix.ones(4, 4), 2, 2, 2, c)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_rejects_c_at_most_zero(self, c):
+        # with c <= 0 the weight precondition holds for every host, so the
+        # report would read like a counterexample to the dichotomy lemma
+        with pytest.raises(DomainError, match="c must be finite and positive"):
+            dense_or_balanced(ZeroOneMatrix.ones(4, 4), 2, 2, 2, c)
+
 
 class TestCycleDriver:
     def test_all_ones_embeds_quickly(self):
@@ -283,6 +290,11 @@ class TestCycleDriver:
     def test_rejects_non_finite_c(self, c):
         # depth 0 stops before the first dichotomy, so the driver checks c itself
         with pytest.raises(DomainError, match="c must be finite"):
+            cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, c, depth=0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_rejects_c_at_most_zero(self, c):
+        with pytest.raises(DomainError, match="c must be finite and positive"):
             cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, c, depth=0)
 
     def test_rejects_negative_depth(self):

@@ -1,7 +1,8 @@
 """Property tests against enumeration oracles on random hosts up to 6x6 and
 patterns up to 3x3: the branch-and-bound's containment detector (where a
 prefix first contains the pattern, and which single-column rows would
-complete a copy), `find_embedding`, and the banded mode of the containment
+complete a copy, and that a row completing a copy still does under a
+longer prefix), `find_embedding`, and the banded mode of the containment
 kernel."""
 
 from itertools import combinations, product
@@ -56,6 +57,39 @@ def test_forbidden_columns_are_those_whose_single_row_completes_a_copy(host, a):
         levels = detector.advance(levels, host.row_masks[k])
         if levels is None:
             break
+
+
+@st.composite
+def prefix_extension_instances(draw):
+    """A pattern up to 3x3, a host prefix of 0-3 rows, 1-2 extra rows and a
+    final row mask, all of one width up to 6."""
+    a = draw(matrices(3, 3))
+    cols = draw(st.integers(1, 6))
+    row = st.integers(0, (1 << cols) - 1)
+    prefix = draw(st.lists(row, max_size=3))
+    extra = draw(st.lists(row, min_size=1, max_size=2))
+    return a, cols, prefix, extra, draw(row)
+
+
+@BOUNDED
+@given(prefix_extension_instances())
+def test_a_row_that_completes_a_copy_completes_one_under_a_longer_prefix(instance):
+    # the lemma behind exact_ex's row cap: masks rejected before the first
+    # admitted one stay rejected in every row below
+    a, cols, prefix, extra, mask = instance
+    detector = _Levels(a, cols)
+    completes = []
+    for rows in (prefix, prefix + extra):
+        completes.append(oracle_embedding(ZeroOneMatrix(rows + [mask], cols), a) is not None)
+        levels = detector.start
+        for m in rows:
+            levels = detector.advance(levels, m)
+            if levels is None:
+                break
+        else:
+            assert (detector.advance(levels, mask) is None) == completes[-1]
+    if completes[0]:
+        assert completes[1]
 
 
 @BOUNDED

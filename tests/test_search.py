@@ -116,18 +116,18 @@ class TestExactMatchesOracle:
     def test_tail_bounds_are_rectangular_optima(self):
         rec = exact_ex(5, K22)
         assert rec.provenance["tailBounds"] == [5, 6, 8, 10, 12]  # z(k, 5; 2)
-        assert rec.provenance["nodes"] == 6893
+        assert rec.provenance["nodes"] == 1251
 
     @pytest.mark.parametrize(
         "a, witness, tail_bounds, nodes",
         [
-            (L, "11111/00001/00001/00001/00001", [5, 6, 7, 8, 9], 765),
-            (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 6471),
+            (L, "11111/00001/00001/00001/00001", [5, 6, 7, 8, 9], 435),
+            (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 4970),
         ],
     )
     def test_width_bound_pins(self, a, witness, tail_bounds, nodes):
-        # the width bound moves only the node count: witnesses and
-        # tailBounds are those of the search without it
+        # the width bound and the row cap move only the node count:
+        # witnesses and tailBounds are those of the search without them
         rec = exact_ex(5, a)
         assert "/".join(rec.witness.row_strings()) == witness
         assert rec.provenance["tailBounds"] == tail_bounds
@@ -217,10 +217,27 @@ class TestExactMatchesOracle:
             values = {exact_ex(4, image).value for image in _orbit(a)}
             assert len(values) == 1, f"pattern {a.row_strings()}: {values}"
 
-    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 7 s; set PATEX_SLOW=1")
-    def test_zarankiewicz_n7_slow(self):
-        rec = exact_ex(7, K22)
-        assert rec.status == "exact" and rec.value == 21  # z(7;2), Guy's tables
+    def test_zarankiewicz_n8(self):
+        rec = exact_ex(8, K22)
+        assert rec.status == "exact" and rec.value == 24  # z(8;2), Guy's tables
+        assert rec.witness.weight == 24
+        assert oracle_embedding(rec.witness, K22) is None
+
+    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 90 s; set PATEX_SLOW=1")
+    def test_zarankiewicz_n9_slow(self):
+        rec = exact_ex(9, K22)
+        assert rec.status == "exact" and rec.value == 29  # z(9;2), Guy's tables
+        assert rec.witness.weight == 29
+        assert oracle_embedding(rec.witness, K22) is None
+
+    def test_budget_bound_stays_above_the_capped_search(self):
+        # a zero budget stops at node 1024 inside height 2; the open bound
+        # is read from the capped `below`, and must still cover z(7;2) = 21
+        rec = exact_ex(7, K22, budget_seconds=0)
+        assert rec.status == "lowerBound"
+        assert rec.provenance["upperBound"] >= 21
+        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+        assert rec.witness.weight == rec.value
         assert oracle_embedding(rec.witness, K22) is None
 
     def test_budget_exhaustion_degrades_status_not_correctness(self):
@@ -260,13 +277,13 @@ class TestExactMatchesOracle:
         assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
 
     @pytest.mark.parametrize(
-        "a, n, below", [(I3, 6, 20), (L, 8, 15), (ZeroOneMatrix.parse("100\n010"), 6, 16)]
+        "a, n, below", [(I3, 6, 20), (L, 8, 15), (ZeroOneMatrix.parse("100\n010"), 7, 19)]
     )
     def test_budget_exhaustion_inside_a_narrower_width(self, a, n, below):
         # a zero budget stops at node 1024 while a width below n is being
         # solved: only width-n rows may be padded into the witness. `100/010`
         # has an all-zero column, which would embed in the zero columns that
-        # turn a width-5 incumbent into six columns
+        # pad a narrower incumbent out to n columns
         rec = exact_ex(n, a, budget_seconds=0)
         assert rec.status == "lowerBound"
         assert rec.provenance["nodes"] == 1024
