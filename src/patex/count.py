@@ -34,24 +34,28 @@ def _count_copies(m: ZeroOneMatrix, u: int, t: int) -> int:
         masks, pick, other = m.col_masks, t, u
     if pick > len(masks):
         return 0
-    total = 0
-    # Depth-first intersection; abandon a branch as soon as the common set is
-    # too small to contribute (intersections only shrink).
+    # Depth-first intersection that abandons a branch once its common set has
+    # fewer than `other` members (intersections only shrink); the last level
+    # sums binom(size, other) in a loop with that reject instead of recursing.
     n = len(masks)
+    comb = math.comb
 
-    def rec(start: int, depth: int, inter: int):
-        nonlocal total
-        if depth == pick:
-            total += math.comb(inter.bit_count(), other)
-            return
+    def rec(start: int, depth: int, inter: int) -> int:
+        total = 0
+        if depth == pick - 1:
+            for mask in masks[start:]:
+                size = (inter & mask).bit_count()
+                if size >= other:
+                    total += comb(size, other)
+            return total
         for i in range(start, n - (pick - depth) + 1):
             nxt = inter & masks[i]
             if nxt.bit_count() >= other:
-                rec(i + 1, depth + 1, nxt)
+                total += rec(i + 1, depth + 1, nxt)
+        return total
 
     full = (1 << (m.cols if masks is m.row_masks else m.rows)) - 1
-    rec(0, 0, full)
-    return total
+    return rec(0, 0, full)
 
 
 def count_copies(m: ZeroOneMatrix, u: int, t: int) -> CopyCount:

@@ -523,6 +523,8 @@ def run_driver(
         raise DomainError("k must be at least 2")
     if depth is not None and depth < 0:
         raise DomainError(f"depth must be at least 0, got {depth}")
+    if u is not None and u < 1:
+        raise DomainError(f"u must be positive, got {u}")
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     grid = mode == "thm12"

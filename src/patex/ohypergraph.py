@@ -4,9 +4,12 @@ The columns are the ordered vertices 1..n. A t-set of columns is an edge
 when one row carries a 1 in all t of them, and its label is the set of
 horizontal blocks that hold such a witness row. An edge is heavy when it has
 witnesses in at least r blocks. heavy_label_classes groups the heavy edges
-by their r smallest blocks straight from the column masks, each class as a
-completion map from (t-1)-prefixes to the bitmask of the last columns that
-complete them; it is the one form a label class takes in the library.
+by their r smallest blocks straight from the row and column masks, each
+class as a completion map from (t-1)-prefixes to the bitmask of the last
+columns that complete them; it is the one form a label class takes in the
+library. Per column prefix it ORs the row masks of the prefix's common rows
+band by band, so a column's label is the first r bands whose OR holds it,
+and drops a group of columns once too few bands remain to finish its label.
 build_column_hypergraph lists every edge with its blocks and is kept as the
 reference for that grouping. A random t-cut of [n] is t-1 uniform points;
 cut_probability gives the exact chance that one cuts an edge (puts its j-th
@@ -62,9 +65,13 @@ def heavy_label_classes(
     a heavy edge to the bitmask (bit v = column v) of the last columns that
     complete it. Expanded to edges, the classes equal grouping the edges of
     build_column_hypergraph(m, t, k) that have at least r blocks by their r
-    smallest blocks. Column t-sets are enumerated depth-first over the column
-    masks; a branch ends once its common rows meet fewer than r bands, since
-    adding columns only shrinks that set. No edge is heavy when r > k."""
+    smallest blocks. Column prefixes are extended depth-first; for each one,
+    reach[b] ORs the row masks of its common rows in band b, the candidate
+    next columns are split band by band into (label, columns) groups by
+    whether reach[b] holds them, and a group is dropped once fewer bands
+    remain than its label still needs. A prefix is extended only by columns
+    whose common rows still meet r bands, since adding columns only shrinks
+    that set. No edge is heavy when r > k."""
     if t < 1 or r < 1:
         raise DomainError("t and r must be positive")
     if k < 1 or m.rows % k:
@@ -72,28 +79,63 @@ def heavy_label_classes(
     if r > k:
         return {}
     band = m.rows // k
+    row_masks = m.row_masks
     cols = m.col_masks
     n = m.cols
+    # (band index, its label entry, bands after it)
+    bands = [(b, (b + 1,), k - b - 1) for b in range(k)]
     classes: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def rec(start: int, depth: int, rows: int, prefix: tuple[int, ...]):
-        leaf = depth == t - 1
-        for c in range(start, n - t + depth + 1):
-            common = rows & cols[c]
-            # The first r bands the common rows meet, lowest first.
-            label = []
-            x = common
-            while x and len(label) < r:
-                b = ((x & -x).bit_length() - 1) // band
-                label.append(b + 1)
-                x &= -1 << ((b + 1) * band)
-            if len(label) < r:
-                continue
-            if leaf:
-                completions = classes.setdefault(tuple(label), {})
-                completions[prefix] = completions.get(prefix, 0) | 1 << (c + 1)
-            else:
-                rec(c + 1, depth + 1, common, prefix + (c + 1,))
+        last = n - t + depth
+        if start > last:
+            # Too few columns remain for a t-set; at t >= n + 2 the candidate
+            # mask below would also need a negative shift.
+            return
+        # reach[b] has bit c set iff column c has a 1 in a common row inside
+        # band b, so a column's label is the first r bands whose reach has it.
+        reach = [0] * k
+        x = rows
+        while x:
+            low = x & -x
+            i = low.bit_length() - 1
+            reach[i // band] |= row_masks[i]
+            x ^= low
+        # Split the candidate columns band by band into (label, bands still
+        # needed, columns) groups; a miss part is dropped once fewer bands
+        # remain than it still needs.
+        groups = [((), r, ((1 << (last + 1)) - 1) & (-1 << start))]
+        done = []
+        for b, entry, left in bands:
+            hit_b = reach[b]
+            nxt = []
+            for label, need, group in groups:
+                hit = group & hit_b
+                if hit:
+                    if need == 1:
+                        done.append((label + entry, hit))
+                    else:
+                        nxt.append((label + entry, need - 1, hit))
+                if left >= need:
+                    miss = group & ~hit_b
+                    if miss:
+                        nxt.append((label, need, miss))
+            if not nxt:
+                break
+            groups = nxt
+        if depth == t - 1:
+            for label, hit in done:
+                completions = classes.setdefault(label, {})
+                completions[prefix] = completions.get(prefix, 0) | hit << 1
+            return
+        union = 0
+        for _, hit in done:
+            union |= hit
+        while union:
+            low = union & -union
+            c = low.bit_length() - 1
+            union ^= low
+            rec(c + 1, depth + 1, rows & cols[c], prefix + (c + 1,))
 
     rec(0, 0, (1 << m.rows) - 1, ())
     return classes

@@ -171,6 +171,16 @@ class TestIncrement:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "epsilon" in captured.err
 
+    @pytest.mark.parametrize("u", ["0", "-1"])
+    def test_non_positive_u_rejected(self, capsys, files, u):
+        column = files["dir"] / "column.pat"
+        column.write_text(ZeroOneMatrix.from_rows([[1], [1]]).to_text())
+        argv = ["increment", files["host"], str(column), "--mode", "thm21", "--k", "2"]
+        code = dispatch(argv + ["--u", u, "--depth", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: u must be positive, got {u}\n"
+
 
 class TestCycles:
     def test_enumerate(self, capsys, files):

@@ -24,11 +24,16 @@ class TestCountCopies:
         assert count_copies(ZeroOneMatrix.zeros(4, 4), 2, 2).count == 0
 
     def test_matches_enumeration_oracle(self, rng):
-        for _ in range(150):
-            m = random_matrix(rng, rng.below(5) + 2, rng.below(5) + 2, 0.6)
-            u = rng.below(2) + 1
-            t = rng.below(2) + 1
+        # u, t up to 4 reach the interior levels of the depth-first count,
+        # and shapes down to 1 x 1 give draws with u > rows or t > cols.
+        oversized = 0
+        for _ in range(200):
+            m = random_matrix(rng, rng.below(6) + 1, rng.below(6) + 1, 0.6)
+            u = rng.below(4) + 1
+            t = rng.below(4) + 1
+            oversized += u > m.rows or t > m.cols
             assert count_copies(m, u, t).count == oracle_count_copies(m, u, t)
+        assert oversized > 0
 
     def test_axis_symmetry_via_transpose(self, rng):
         for _ in range(100):

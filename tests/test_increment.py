@@ -302,6 +302,14 @@ class TestDrivers:
         trace = run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=2, depth=0)
         assert trace.stop_reason == "depth-reached"
 
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    @pytest.mark.parametrize("u", [0, -1])
+    def test_rejects_non_positive_u(self, mode, u):
+        # A one-column pattern has t = 1, so make_constants never sees u.
+        column = ZeroOneMatrix.from_rows([[1], [1]])
+        with pytest.raises(DomainError, match=f"u must be positive, got {u}"):
+            run_driver(ZeroOneMatrix.ones(8, 8), column, mode, k=2, u=u, depth=0)
+
     def test_thm11_schedule_driver(self):
         host = deletion_lower_bound(16, K22, 5).witness
         trace = run_driver(host, K22, "thm11", k=4, epsilon=1.0, depth=2)

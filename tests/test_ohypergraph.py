@@ -76,19 +76,28 @@ class TestHeavyLabelClasses:
         return {label: frozenset(edges) for label, edges in out.items()}
 
     def test_matches_full_hypergraph_grouping(self):
+        # t runs past cols + 1, where no t-set of columns exists; k = 8 gives
+        # bands of one and two rows on the 8- and 16-row hosts; r runs to k + 1.
         rng = SplitMix64(0x4EA7)
         for rows, cols, p in ((8, 8, 0.4), (8, 10, 0.6), (16, 9, 0.3), (4, 7, 0.8)):
             for _ in range(3):
                 m = random_matrix(rng, rows, cols, p)
-                for t in (1, 2, 3):
-                    for k in (1, 2, 4):
-                        for r in range(1, 6):
+                ks = (1, 2, 4, 8) if rows % 8 == 0 else (1, 2, 4)
+                for t in (1, 2, 3, cols + 1, cols + 2):
+                    for k in ks:
+                        for r in range(1, k + 2):
                             got = heavy_label_classes(m, t, k, r)
                             assert all(all(c.values()) for c in got.values())
                             got = {label: expand(c) for label, c in got.items()}
                             assert got == self.grouped(m, t, k, r)
-                            if r > k:
+                            if r > k or t > cols:
                                 assert got == {}
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matches_grouping_at_benchmark_scale(self, r):
+        m = random_matrix(SplitMix64(0x128), 128, 128, 0.1)
+        got = {label: expand(c) for label, c in heavy_label_classes(m, 2, 4, r).items()}
+        assert got and got == self.grouped(m, 2, 4, r)
 
     def test_labels_are_first_r_blocks(self):
         m = ZeroOneMatrix.ones(8, 2)
