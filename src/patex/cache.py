@@ -3,12 +3,22 @@ pattern's canonical digest, one strongest record per (pattern, n).
 
 Strength order: exact beats lowerBound, larger lowerBound beats smaller;
 put never downgrades, and concurrent puts are serialized by a per-key
-lock file. Witnesses re-verify on load (dimensions, weight, and
+lock file. Witnesses re-verify on every get (dimensions, weight, and
 pattern-freeness); any mismatch raises CacheError with a rebuild hint.
+
+A store parses each exact file content once: every read takes the file's
+bytes, and when they equal the bytes it last parsed for that key it reuses
+those records, handing out fresh copies. A file changed since, by a put or
+from outside, has other bytes and is parsed again; a malformed file is
+never kept, so it raises on every call. This pays in a
+process that reads one key file repeatedly (`extremal_table`, a long-lived
+store); a one-shot `ex --cache-dir` reads each file once and gains nothing.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import fcntl
 import json
 import os
@@ -36,23 +46,35 @@ def _stronger(a: ExtremalRecord, b: ExtremalRecord) -> ExtremalRecord:
     return a if a.value >= b.value else b
 
 
+def _fresh(rec: ExtremalRecord) -> ExtremalRecord:
+    """A copy of a stored record that the caller may change freely."""
+    return dataclasses.replace(rec, provenance=copy.deepcopy(rec.provenance))
+
+
 class CacheStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # key -> (bytes of the key's file, the records parsed from them)
+        self._parsed: dict[str, tuple[bytes, list[ExtremalRecord]]] = {}
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _read(self, pattern: ZeroOneMatrix) -> tuple[Path, list[ExtremalRecord]]:
-        """The key's file and its records, parsed once (none when the file
-        does not exist). A malformed file raises CacheError."""
-        key = canonical_key(pattern)
+    def _read(self, key: str) -> tuple[Path, list[ExtremalRecord]]:
+        """The key's file and its records (none when the file does not
+        exist), parsed once per file content. A malformed file raises
+        CacheError. The records are shared with the store: copy before
+        handing one out."""
         path = self._path(key)
-        if not path.exists():
-            return path, []
         try:
-            doc = json.loads(path.read_text())
+            data = path.read_bytes()
+            parsed = self._parsed.get(key)
+            if parsed is not None and parsed[0] == data:
+                return path, parsed[1]
+            doc = json.loads(data)
+        except FileNotFoundError:
+            return path, []
         except (OSError, ValueError) as exc:
             raise CacheError(
                 f"unreadable cache file {path}: {exc}; delete it to rebuild"
@@ -63,49 +85,53 @@ class CacheStore:
         if doc.get("patternKey") != key:
             raise CacheError(f"cache file {path} holds a different pattern; delete it to rebuild")
         try:
-            return path, [ExtremalRecord.from_json_dict(raw) for raw in records]
+            records = [ExtremalRecord.from_json_dict(raw) for raw in records]
         except PatexError as exc:
             raise CacheError(
                 f"corrupt record under key {key}: {exc}; delete {path} to rebuild"
             ) from exc
+        self._parsed[key] = (data, records)
+        return path, records
 
     def get(self, pattern: ZeroOneMatrix, n: int) -> Optional[ExtremalRecord]:
+        key = canonical_key(pattern)
         best: Optional[ExtremalRecord] = None
-        for rec in self._read(pattern)[1]:
+        for rec in self._read(key)[1]:
             if rec.n != n:
                 continue
-            self._verify(pattern, rec)
+            self._verify(pattern, rec, key)
             best = rec if best is None else _stronger(best, rec)
-        return best
+        return None if best is None else _fresh(best)
 
     def put(self, pattern: ZeroOneMatrix, record: ExtremalRecord) -> ExtremalRecord:
         """Merge a record in, never downgrading; returns the stored record.
         The read-merge-write holds an exclusive lock on the key's lock file,
         so concurrent writers (threads or processes) never lose records."""
-        self._verify(pattern, record)
-        lock_path = self.directory / f"{canonical_key(pattern)}.lock"
+        key = canonical_key(pattern)
+        self._verify(pattern, record, key)
+        lock_path = self.directory / f"{key}.lock"
         try:
             lock = os.open(lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
         except OSError as exc:
             raise CacheError(f"cannot open cache lock {lock_path}: {exc}") from exc
         try:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            return self._merge(pattern, record)
+            return self._merge(pattern, record, key)
         finally:
             os.close(lock)
 
-    def _merge(self, pattern: ZeroOneMatrix, record: ExtremalRecord) -> ExtremalRecord:
+    def _merge(self, pattern: ZeroOneMatrix, record: ExtremalRecord, key: str) -> ExtremalRecord:
         """Stores the stronger of record and the stored one for its n; the
         file is rewritten only when that is not the stored record."""
-        path, records = self._read(pattern)
+        path, records = self._read(key)
         stored = next((rec for rec in records if rec.n == record.n), None)
         merged = record if stored is None else _stronger(stored, record)
         if merged is stored:
-            return stored
+            return _fresh(stored)
         records = [rec for rec in records if rec.n != record.n] + [merged]
         records.sort(key=lambda r: (r.n, r.status, r.value))
         doc = {
-            "patternKey": canonical_key(pattern),
+            "patternKey": key,
             "pattern": pattern.to_json_dict(),
             "records": [r.to_json_dict() for r in records],
         }
@@ -120,8 +146,7 @@ class CacheStore:
             raise CacheError(f"cannot write cache file {path}: {exc}") from exc
         return merged
 
-    def _verify(self, pattern: ZeroOneMatrix, rec: ExtremalRecord) -> None:
-        key = canonical_key(pattern)
+    def _verify(self, pattern: ZeroOneMatrix, rec: ExtremalRecord, key: str) -> None:
         problems = []
         if rec.pattern_key != key:
             problems.append("pattern key mismatch")

@@ -510,7 +510,7 @@ def run_driver(
              (rows/k^i) x n.
       thm12  grid blocks via the symmetric step; levels are square.
       thm11  horizontal blocks with the width chosen per level by the lambda
-             schedule; jumps record the stepping-up bound.
+             schedule; jumps record the stepping-up bound. Takes no u.
 
     The pattern's width t is its column part count, or for thm12 the larger
     of its row and column part counts; every level counts K_{u,t} copies.
@@ -525,6 +525,8 @@ def run_driver(
         raise DomainError(f"depth must be at least 0, got {depth}")
     if u is not None and u < 1:
         raise DomainError(f"u must be positive, got {u}")
+    if u is not None and mode == "thm11":
+        raise DomainError("thm11 chooses the width per level; u is not accepted")
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     grid = mode == "thm12"

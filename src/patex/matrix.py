@@ -111,11 +111,9 @@ class ZeroOneMatrix:
                 cols = len(line)
             elif len(line) != cols:
                 raise FormatError("ragged pattern: rows of unequal length")
-            mask = 0
-            for j, ch in enumerate(line):
-                if ch == "1":
-                    mask |= 1 << j
-            masks.append(mask)
+            # Column 1 is the lowest bit. The character check above must come
+            # first: int() would also accept "1_0" and "0b1".
+            masks.append(int(line[::-1], 2))
         if cols is None:
             raise FormatError("pattern has no data lines")
         return cls(masks, cols)
@@ -128,10 +126,19 @@ class ZeroOneMatrix:
             raise FormatError(f"bad matrix document: {exc}") from exc
         if len(data) != rows:
             raise FormatError("matrix document row count mismatch")
-        m = cls.parse("\n".join(data))
-        if m.rows != rows or m.cols != cols:
-            raise FormatError("matrix document dimension mismatch")
-        return m
+        masks = []
+        for line in data:
+            if not isinstance(line, str):
+                raise FormatError("matrix document rows must be strings")
+            if not line or len(line) != cols or line.strip("01"):
+                # Whitespace, comments or line breaks inside a row: the rows
+                # read as pattern text, so they pass or fail exactly as there.
+                m = cls.parse("\n".join(data))
+                if m.rows != rows or m.cols != cols:
+                    raise FormatError("matrix document dimension mismatch")
+                return m
+            masks.append(int(line[::-1], 2))
+        return cls(masks, cols)
 
     # ------------------------------------------------------------------
     # Accessors (1-based)
@@ -142,8 +149,7 @@ class ZeroOneMatrix:
         return (self.row_masks[i - 1] >> (j - 1)) & 1
 
     def row_string(self, i: int) -> str:
-        m = self.row_masks[i - 1]
-        return "".join("1" if (m >> j) & 1 else "0" for j in range(self.cols))
+        return format(self.row_masks[i - 1], "b").zfill(self.cols)[::-1]
 
     def row_strings(self) -> tuple[str, ...]:
         return tuple(self.row_string(i) for i in range(1, self.rows + 1))
@@ -248,15 +254,10 @@ def canonical_key(a: ZeroOneMatrix) -> str:
 
 def random_matrix(rng: SplitMix64, rows: int, cols: int, p: float) -> ZeroOneMatrix:
     """Each entry is 1 with probability p, drawn row by row and left to right
-    within a row; seeded outputs depend on this order."""
-    masks = []
-    for _ in range(rows):
-        m = 0
-        for j in range(cols):
-            if rng.bernoulli(p):
-                m |= 1 << j
-        masks.append(m)
-    return ZeroOneMatrix(masks, cols)
+    within a row. The draws, their order and the generator's final state are
+    those of rows * cols calls of `rng.bernoulli(p)` in that order; every
+    seeded output in patex depends on this stream."""
+    return ZeroOneMatrix([rng.bernoulli_mask(cols, p) for _ in range(rows)], cols)
 
 
 # ----------------------------------------------------------------------

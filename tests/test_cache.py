@@ -4,6 +4,7 @@ import multiprocessing
 import pytest
 
 from conftest import K22
+from patex import cache as cache_module
 from patex.cache import CacheStore
 from patex.errors import CacheError
 from patex.matrix import ZeroOneMatrix, canonical_key
@@ -139,6 +140,71 @@ class TestMalformedFile:
             return doc
 
         self.check(self.corrupt(tmp_path, drop_n))
+
+
+class TestParsedOnce:
+    """The store reuses the records it parsed while the file's bytes stay
+    the same; nothing it keeps may hide a change or leak a caller's edit."""
+
+    def test_parses_each_content_once_and_verifies_every_get(self, tmp_path, monkeypatch):
+        parses, checks = [], []
+        parse, check = ExtremalRecord.from_json_dict, cache_module.find_embedding
+        monkeypatch.setattr(
+            cache_module.ExtremalRecord, "from_json_dict", lambda doc: parses.append(1) or parse(doc)
+        )
+        monkeypatch.setattr(cache_module, "find_embedding", lambda m, a: checks.append(1) or check(m, a))
+        cache = CacheStore(tmp_path)
+        cache.put(K22, make_record(4, 3, "lowerBound", free_witness(4, 3)))
+        checks.clear()
+        for _ in range(3):
+            assert cache.get(K22, 4).value == 3
+        assert (len(parses), len(checks)) == (1, 3)
+        cache.put(K22, make_record(5, 4, "lowerBound", free_witness(5, 4)))
+        assert cache.get(K22, 4).value == 3 and cache.get(K22, 5).value == 4
+        assert len(parses) == 1 + 2  # the put's read reuses; the new file's two records, once
+
+    def test_outside_rewrite_is_seen(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, make_record(4, 3, "lowerBound", free_witness(4, 3)))
+        assert cache.get(K22, 4).value == 3
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_text())
+        doc["records"][0] = make_record(4, 4, "lowerBound", free_witness(4, 4)).to_json_dict()
+        path.write_text(json.dumps(doc))
+        assert cache.get(K22, 4).value == 4
+
+    def test_corruption_after_a_get_raises(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, brute_force_ex(2, K22))
+        assert cache.get(K22, 2) is not None
+        path = next(tmp_path.glob("*.json"))
+        path.write_text("{not json")
+        for _ in range(2):
+            with pytest.raises(CacheError, match="rebuild"):
+                cache.get(K22, 2)
+
+    def test_returned_records_are_private(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        rec = make_record(4, 3, "lowerBound", free_witness(4, 3))
+        rec.provenance["nested"] = {"runs": [1]}
+        cache.put(K22, rec)
+        rec.provenance["solver"] = "changed by the caller"
+        got = cache.get(K22, 4)
+        got.provenance["solver"] = "changed"
+        got.provenance["nested"]["runs"].append(2)
+        again = cache.put(K22, make_record(4, 2, "lowerBound", free_witness(4, 2)))
+        again.provenance["extra"] = 1
+        assert cache.get(K22, 4).provenance == {"solver": "test", "nested": {"runs": [1]}}
+
+    def test_second_store_sees_puts(self, tmp_path):
+        first, second = CacheStore(tmp_path), CacheStore(tmp_path)
+        assert second.get(K22, 4) is None
+        first.put(K22, make_record(4, 3, "lowerBound", free_witness(4, 3)))
+        assert second.get(K22, 4).value == 3
+        first.put(K22, make_record(4, 4, "lowerBound", free_witness(4, 4)))
+        assert second.get(K22, 4).value == 4
+        second.put(K22, make_record(5, 5, "lowerBound", free_witness(5, 5)))
+        assert first.get(K22, 5).value == 5 and first.get(K22, 4).value == 4
 
 
 def put_many(directory, ns, barrier):

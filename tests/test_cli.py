@@ -181,6 +181,13 @@ class TestIncrement:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: u must be positive, got {u}\n"
 
+    def test_u_rejected_in_thm11(self, capsys, files):
+        argv = ["increment", files["host"], files["k22"], "--mode", "thm11", "--k", "2", "--u", "5"]
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: thm11 chooses the width per level; u is not accepted\n"
+
 
 class TestCycles:
     def test_enumerate(self, capsys, files):

@@ -310,6 +310,13 @@ class TestDrivers:
         with pytest.raises(DomainError, match=f"u must be positive, got {u}"):
             run_driver(ZeroOneMatrix.ones(8, 8), column, mode, k=2, u=u, depth=0)
 
+    def test_thm11_rejects_u(self):
+        # The schedule picks every level's width, so a u would only reach
+        # the constants and name a width no level counts at.
+        host = deletion_lower_bound(16, K22, 5).witness
+        with pytest.raises(DomainError, match="thm11 chooses the width per level; u is not accepted"):
+            run_driver(host, K22, "thm11", k=2, u=5, depth=1)
+
     def test_thm11_schedule_driver(self):
         host = deletion_lower_bound(16, K22, 5).witness
         trace = run_driver(host, K22, "thm11", k=4, epsilon=1.0, depth=2)

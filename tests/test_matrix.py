@@ -1,6 +1,10 @@
+import hashlib
+import json
+import math
+
 import pytest
 
-from conftest import COLUMN_2_PARTITE, K22, oracle_embedding, random_matrix
+from conftest import COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
 from patex.errors import FormatError, InputError
 from patex.matrix import (
     Embedding,
@@ -11,6 +15,7 @@ from patex.matrix import (
     verify_embedding,
 )
 from patex.rng import SplitMix64
+from patex.search import deletion_lower_bound
 
 
 class TestParse:
@@ -44,6 +49,69 @@ class TestParse:
 
     def test_text_roundtrip(self):
         assert ZeroOneMatrix.parse(COLUMN_2_PARTITE.to_text()) == COLUMN_2_PARTITE
+
+    # int(s, 2) accepts the first four, so the character check must see them.
+    @pytest.mark.parametrize("row", ["1_0", "0b1", "+1", "-1", " "])
+    def test_rows_int_would_accept_rejected(self, row):
+        with pytest.raises(FormatError):
+            ZeroOneMatrix.parse(row)
+        with pytest.raises(FormatError):
+            ZeroOneMatrix.from_json_dict({"rows": 1, "cols": len(row), "data": [row]})
+
+    def test_whitespace_inside_rows(self):
+        want = ZeroOneMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        assert ZeroOneMatrix.parse("1 0 1\n0\t1 1") == want
+        assert ZeroOneMatrix.from_json_dict({"rows": 2, "cols": 3, "data": ["1 0 1", "011"]}) == want
+
+    def test_non_string_json_row_rejected(self):
+        with pytest.raises(FormatError):
+            ZeroOneMatrix.from_json_dict({"rows": 1, "cols": 1, "data": [1]})
+
+
+class TestRandomStream:
+    """random_matrix draws in one loop; its entries and the generator's
+    final state must stay those of one rng.bernoulli call per entry, row
+    by row and left to right, since every seeded output depends on them."""
+
+    @staticmethod
+    def reference(rng, rows, cols, p):
+        masks = []
+        for _ in range(rows):
+            m = 0
+            for j in range(cols):
+                if rng.bernoulli(p):
+                    m |= 1 << j
+            masks.append(m)
+        return masks
+
+    @pytest.mark.parametrize("p", [0, 1e-12, 0.05, 0.5, 1.0, 1.5, math.nan, -0.5, math.inf])
+    def test_matches_bernoulli_calls(self, p):
+        for seed in (0, 7, 0x5EED):
+            for rows in range(1, 10):
+                for cols in range(1, 14):
+                    got_rng, want_rng = SplitMix64(seed + rows), SplitMix64(seed + rows)
+                    got = random_matrix(got_rng, rows, cols, p)
+                    assert list(got.row_masks) == self.reference(want_rng, rows, cols, p)
+                    assert got_rng.state == want_rng.state
+
+    def test_threshold_equal_to_the_draw(self):
+        # A draw equal to p is not below it; the next float above p is.
+        x = SplitMix64(3).next_u64() >> 11
+        exact = x / float(1 << 53)
+        assert random_matrix(SplitMix64(3), 1, 1, exact).row_masks == (0,)
+        assert random_matrix(SplitMix64(3), 1, 1, math.nextafter(exact, 1.0)).row_masks == (1,)
+
+    def test_deletion_records_unchanged(self):
+        docs = [
+            deletion_lower_bound(n, a, seed).to_json_dict()
+            for a in (K22, COLUMN_2_PARTITE, SIX_CYCLES_3X3[0])
+            for n in (5, 8, 13)
+            for seed in (1, 2, 3)
+        ]
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        # Taken from the per-entry rng.bernoulli loop that random_matrix
+        # replaced; any change to the stream or the order of draws moves it.
+        assert digest == "1c165038d6b8f375c61389e36693f0e836e89deaa8bdda226d3f6518abac4608"
 
 
 class TestCanonicalKey:

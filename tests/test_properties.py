@@ -3,14 +3,18 @@ patterns up to 3x3: the branch-and-bound's containment detector (where a
 prefix first contains the pattern, and which single-column rows would
 complete a copy, and that a row completing a copy still does under a
 longer prefix), `find_embedding`, and the banded mode of the containment
-kernel."""
+kernel. Also the text and JSON row formats against per-character
+references."""
 
 from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from conftest import oracle_embedding
+from patex.errors import FormatError
 from patex.matrix import Embedding, ZeroOneMatrix, _find_copy, find_embedding
 from patex.search import _Levels
 
@@ -132,3 +136,38 @@ def test_banded_search_returns_the_first_banded_copy(instance):
         None,
     )
     assert _find_copy(host, a, bands) == expected
+
+
+@BOUNDED
+@given(matrices(6, 70))
+def test_text_and_json_round_trip(m):
+    assert ZeroOneMatrix.parse(m.to_text()) == m
+    assert ZeroOneMatrix.from_json_dict(m.to_json_dict()) == m
+    for i in range(1, m.rows + 1):
+        mask = m.row_masks[i - 1]
+        assert m.row_string(i) == "".join("1" if mask >> j & 1 else "0" for j in range(m.cols))
+
+
+def _text_path(doc: dict) -> ZeroOneMatrix:
+    """The JSON reader as a text reader: join the rows, parse them as
+    pattern text, then check the declared dimensions."""
+    m = ZeroOneMatrix.parse("\n".join(doc["data"]))
+    if (m.rows, m.cols) != (doc["rows"], doc["cols"]):
+        raise FormatError("dimension mismatch")
+    return m
+
+
+@BOUNDED
+@given(
+    st.lists(st.text(alphabet="0101 #\n_b+-", max_size=5), min_size=1, max_size=4),
+    st.integers(0, 5),
+)
+def test_json_rows_read_as_pattern_text(data, cols):
+    doc = {"rows": len(data), "cols": cols, "data": data}
+    try:
+        want = _text_path(doc)
+    except FormatError:
+        with pytest.raises(FormatError):
+            ZeroOneMatrix.from_json_dict(doc)
+    else:
+        assert ZeroOneMatrix.from_json_dict(doc) == want
