@@ -195,7 +195,8 @@ class _Levels:
                     if mask & bit:
                         cover[mask] |= cover[mask ^ bit]
             self.covers.append(cover)
-        self.singles = tuple(self.covers[-1][1 << c] for c in range(w))
+        # (column bit, the choices its single-column row completes)
+        self.singles = tuple((1 << c, self.covers[-1][1 << c]) for c in range(w))
         self.start = ((1 << len(choices)) - 1,) + (0,) * (a.rows - 1)
 
     def advance(self, levels: tuple, mask: int) -> Optional[tuple]:
@@ -210,12 +211,16 @@ class _Levels:
             grown[i + 1] |= moved
         return tuple(grown)
 
-    def forbidden(self, levels: tuple) -> int:
+    def forbidden(self, ready: int) -> int:
         """The host columns c such that the row holding only c completes a
-        copy. When the pattern's last row has a single 1-entry, every row
-        holding such a c does."""
-        ready = levels[-1]
-        return sum(1 << c for c, single in enumerate(self.singles) if single & ready)
+        copy for some choice in `ready`; given levels[-1], those whose row
+        completes a copy. When the pattern's last row has a single 1-entry,
+        every row holding such a c does."""
+        out = 0
+        for bit, single in self.singles:
+            if single & ready:
+                out |= bit
+        return out
 
 
 def check_budget(budget_seconds: Optional[float]) -> None:
@@ -243,10 +248,15 @@ def exact_ex(
     choice's count never drops, so a forbidden column stays forbidden: the
     rows still to be placed sit in the free columns and weigh at most
     ex(rows left x |free|; A), and a node that cannot beat the incumbent by
-    that is cut. Each height k is then solved at every width w = 1..n; at
-    height k both cuts read only heights below k, so the order of the
-    widths does not matter. provenance["nodes"] sums over all widths.
-    Patterns the bound does not cover solve width n only.
+    that is cut. The cut is decided in the parent, before the child's state
+    is built: the parent passes its forbidden set down, and each child ORs
+    in only the columns of the choices its row newly makes ready. Per mask
+    the cuts run in this order: the weight bound, containment, the row cap
+    (first admitted mask only), then the width bound. Each height k is then
+    solved at every width w = 1..n; at height k both cuts read only heights
+    below k, so the order of the widths does not matter. provenance["nodes"]
+    sums over all widths. Patterns the bound does not cover solve width n
+    only.
 
     The third bound, the row cap, applies to every pattern. A mask that
     completes a copy under a prefix does so under every longer one, and
@@ -291,13 +301,10 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(rows_left: int, levels: tuple, weight: int, start: int):
+    def rec(rows_left: int, levels: tuple, weight: int, start: int, forbidden: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
-        if pin and rows_left < k:
-            free = full & ~detector.forbidden(levels)
-            if weight + tail[rows_left][free.bit_count()] <= best:
-                return
         below = tail[rows_left - 1][w]
+        ready = levels[-1]
         first = None
         for i in range(start, len(mask_order)):
             mask = mask_order[i]
@@ -312,8 +319,7 @@ def exact_ex(
                 timed_out = True
                 open_bound = max(open_bound, bound)
                 return
-            grown = detector.advance(levels, mask)
-            if grown is None:
+            if completes[mask] & ready:
                 continue
             if first is None:
                 # the row cap: every mask before this one is dead below too
@@ -322,21 +328,30 @@ def exact_ex(
                 bound = weight + mask.bit_count() + below
                 if bound <= best:
                     return
-            rows_sofar.append(mask)
             if rows_left == 1:
                 best = bound
-                best_rows = tuple(rows_sofar)
-            else:
-                rec(rows_left - 1, grown, bound - below, i if sorted_rows else first)
+                best_rows = (*rows_sofar, mask)
+                continue
+            child_forbidden = forbidden
+            if pin:
+                newly_ready = levels[-2] & makes_ready[mask]
+                if newly_ready:
+                    child_forbidden |= detector.forbidden(newly_ready)
+                # the width bound, decided before the child is built
+                if bound - below + tail[rows_left - 1][w - child_forbidden.bit_count()] <= best:
+                    continue
+            rows_sofar.append(mask)
+            grown = detector.advance(levels, mask)
+            rec(rows_left - 1, grown, bound - below, i if sorted_rows else first, child_forbidden)
             rows_sofar.pop()
 
     for k in range(1, n + 1):
         solved = [0] * (n + 1)
         for w in widths:
-            full = (1 << w) - 1
             mask_order, detector = per_width[w]
+            completes, makes_ready = detector.covers[-1], detector.covers[-2] if pin else None
             best, best_rows = -1, None
-            rec(k, detector.start, 0, 0)
+            rec(k, detector.start, 0, 0, 0)
             if timed_out:
                 break
             solved[w] = best

@@ -22,8 +22,8 @@ BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=N
 
 
 @st.composite
-def matrices(draw, max_rows: int, max_cols: int) -> ZeroOneMatrix:
-    rows = draw(st.integers(1, max_rows))
+def matrices(draw, max_rows: int, max_cols: int, min_rows: int = 1) -> ZeroOneMatrix:
+    rows = draw(st.integers(min_rows, max_rows))
     cols = draw(st.integers(1, max_cols))
     masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
     return ZeroOneMatrix(masks, cols)
@@ -55,12 +55,34 @@ def test_forbidden_columns_are_those_whose_single_row_completes_a_copy(host, a):
             for c in range(host.cols)
             if oracle_embedding(ZeroOneMatrix(prefix + [1 << c], host.cols), a) is not None
         )
-        assert detector.forbidden(levels) == expected, f"prefix of {k} rows"
+        assert detector.forbidden(levels[-1]) == expected, f"prefix of {k} rows"
         if k == host.rows:
             break
         levels = detector.advance(levels, host.row_masks[k])
         if levels is None:
             break
+
+
+@BOUNDED
+@given(matrices(6, 6), matrices(3, 3, min_rows=2))
+def test_forbidden_columns_carried_down_match_those_recomputed(host, a):
+    # exact_ex's width bound: each row ORs in only the columns of the
+    # choices it moves to the last level
+    detector = _Levels(a, host.cols)
+    levels = detector.start
+    carried = 0
+    for k, mask in enumerate(host.row_masks, 1):
+        newly_ready = levels[-2] & detector.covers[-2][mask]
+        levels = detector.advance(levels, mask)
+        if levels is None:
+            break
+        carried |= detector.forbidden(newly_ready)
+        expected = sum(
+            1 << c
+            for c in range(host.cols)
+            if oracle_embedding(ZeroOneMatrix(host.row_masks[:k] + (1 << c,), host.cols), a) is not None
+        )
+        assert carried == detector.forbidden(levels[-1]) == expected, f"prefix of {k} rows"
 
 
 @st.composite

@@ -123,6 +123,8 @@ class TestExactMatchesOracle:
         [
             (L, "11111/00001/00001/00001/00001", [5, 6, 7, 8, 9], 435),
             (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 4970),
+            # 1,215 nodes if a row's forbidden columns replace, not join, the parent's
+            (ZeroOneMatrix.parse("100\n100\n100"), "11111/11111/00011/00011/00011", [5, 10, 12, 14, 16], 987),
         ],
     )
     def test_width_bound_pins(self, a, witness, tail_bounds, nodes):
@@ -132,6 +134,13 @@ class TestExactMatchesOracle:
         assert "/".join(rec.witness.row_strings()) == witness
         assert rec.provenance["tailBounds"] == tail_bounds
         assert rec.provenance["nodes"] == nodes
+
+    def test_plain_path_pin(self):
+        # six-cycle-a gets the row cap but not the width bound
+        rec = exact_ex(5, SIX_CYCLES_3X3[0])
+        assert "/".join(rec.witness.row_strings()) == "11111/11110/11001/01101/00111"
+        assert rec.provenance["tailBounds"] == [5, 10, 12, 15, 18]
+        assert rec.provenance["nodes"] == 5572
 
     @pytest.mark.parametrize("a, n, value", [(L, 7, 13), (I3, 6, 20)])
     def test_width_bound_regressions(self, a, n, value):
@@ -184,6 +193,9 @@ class TestExactMatchesOracle:
         expect = brute_force_ex(6, a)
         assert got.status == expect.status == "exact"
         assert got.value == expect.value == value
+        if a is I3:
+            assert got.provenance["nodes"] == 220689
+            assert got.provenance["tailBounds"] == [6, 12, 14, 16, 18, 20]
         for rec in (got, expect):
             assert rec.witness.weight == value
             assert oracle_embedding(rec.witness, a) is None
