@@ -21,10 +21,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .classify import min_column_parts, min_row_parts
-from .count import _count_copies, stepping_bound
+from .count import _count_copies, stepping_bound, supersat_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
 from .matrix import Embedding, ZeroOneMatrix, _find_copy, verify_embedding
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
@@ -75,10 +76,12 @@ class ProofConstants:
 
 def _ceil_power(base: Fraction, inv_exponent: float) -> tuple[Optional[int], float]:
     """ceil(base^inv_exponent) with its log10. Integer exponents are handled
-    exactly on rationals; otherwise float, materialized only below 10^15."""
+    exactly on rationals below 10^4000 (str() of a longer int fails under
+    Python's default 4,300-digit limit); otherwise float, materialized only
+    below 10^15."""
     log10_raw = math.log10(base) * inv_exponent
     rounded = round(inv_exponent)
-    if abs(inv_exponent - rounded) < 1e-12 and rounded >= 1:
+    if abs(inv_exponent - rounded) < 1e-12 and rounded >= 1 and log10_raw < 4000:
         q = base**rounded
         k = -((-q.numerator) // q.denominator)
         return k, math.log10(k)
@@ -181,6 +184,7 @@ class LambdaSchedule:
         return tuple(range(self.t + first, self.t + end))
 
 
+@lru_cache(maxsize=8)  # a repeated call returns the same frozen schedule
 def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
     if U <= t + 1:
         raise DomainError(f"need U > t+1 (got t={t}, U={U})")
@@ -252,9 +256,17 @@ class StepResult:
     heavy: tuple[HeavySearch, ...] = ()
 
 
-def _interval_sizes(cuts: Sequence[int], width: int) -> tuple[int, ...]:
-    bounds = (0,) + tuple(cuts) + (width,)
-    return tuple(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
+def _part_sizes(cuts: Sequence[int], width: int, parts: int) -> tuple[int, ...]:
+    """Sizes of the intervals that cuts split 1..width into, refined to
+    `parts` intervals by splitting the leftmost of size >= 2 into 1 and the rest."""
+    if parts > width:
+        raise PreconditionError(f"cannot split {width} positions into {parts} nonempty intervals")
+    bounds = (0, *cuts, width)
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    while len(sizes) < parts:
+        i = next(i for i, size in enumerate(sizes) if size >= 2)
+        sizes[i : i + 1] = [1, sizes[i] - 1]
+    return tuple(sizes)
 
 
 def _assemble_embedding(
@@ -262,19 +274,19 @@ def _assemble_embedding(
     a: ZeroOneMatrix,
     label: tuple[int, ...],
     parts: Sequence[Sequence[int]],
-    band: int,
+    bands: Sequence[tuple[int, int]],
 ) -> Embedding:
     """Explicit copy from an ordered complete t-partite structure whose
     transversals all carry the heavy label: pattern column b goes to the b-th
     smallest vertex of the parts, and pattern row a goes to the first row of
     block label[a] that has a 1 in every column of row a's 1-entries. That
     row exists, since every transversal through those columns is a heavy
-    edge with a witness row in each block of the label. The rows are found
-    by the banded walk of `_find_copy` over the host cut to the parts'
-    vertices."""
+    edge with a witness row in each block of the label. bands[b - 1] is
+    block b's (first, last) row. The rows are found by the banded walk of
+    `_find_copy` over the host cut to the parts' vertices."""
     verts = sorted(v for part in parts for v in part)
     host = m.select(range(1, m.rows + 1), verts)
-    found = _find_copy(host, a, [((b - 1) * band + 1, b * band) for b in label])
+    found = _find_copy(host, a, [bands[b - 1] for b in label])
     if found is None:
         raise AssertionError("label class lost its witness row")
     emb = Embedding(row_map=found.row_map, col_map=tuple(verts))
@@ -288,19 +300,20 @@ def _horizontal_step(
     a: ZeroOneMatrix,
     u: int,
     k: int,
-    t: int,
-    cuts: Sequence[int],
+    sizes: Sequence[int],
     total: Optional[int] = None,
 ) -> StepResult:
-    """total, when given, is the caller's K_{u,t} count of m; the step
-    counts it itself otherwise."""
+    """Embed-or-densify over k horizontal bands with column parts of the
+    given sizes (t = len(sizes)). total, when given, is the caller's K_{u,t}
+    count of m; the step counts it itself otherwise."""
     if k < 1 or m.rows % k:
         raise DivisibilityError(f"{k} does not divide row count {m.rows}")
     if u < 1:
         raise DomainError("u must be positive")
     r = a.rows
-    sizes = _interval_sizes(cuts, a.cols)
+    t = len(sizes)
     band = m.rows // k
+    bands = [(p * band + 1, (p + 1) * band) for p in range(k)]
     classes = heavy_label_classes(m, t, k, r)
     found = dict(
         possible=k >= r,
@@ -311,21 +324,20 @@ def _horizontal_step(
         parts = find_ordered_complete_t_partite(m.cols, sizes, classes[label])
         if parts is None:
             continue
-        emb = _assemble_embedding(m, a, label, parts, band)
+        emb = _assemble_embedding(m, a, label, parts, bands)
         return StepResult(
             kind="embedded",
             embedding=emb,
             label=label,
             heavy=(HeavySearch(examined=i + 1, **found),),
         )
-    bounds = [(p * band + 1, (p + 1) * band) for p in range(k)]
-    counts = [_count_copies(m.submatrix(lo, hi, 1, m.cols), u, t) for lo, hi in bounds]
+    counts = [_count_copies(m.submatrix(lo, hi, 1, m.cols), u, t) for lo, hi in bands]
     best = max(range(k), key=lambda p: (counts[p], -p))
     if total is None:
         total = _count_copies(m, u, t)
     narrow_total = sum(counts)
     guarantee = counts[best] * 4 * r ** (u - 1) * u**u * k >= math.factorial(u) * total
-    lo, hi = bounds[best]
+    lo, hi = bands[best]
     return StepResult(
         kind="densified",
         block=best + 1,
@@ -350,26 +362,7 @@ def density_increment_step(
     the densify guarantee compares the best block's exact K_{u,t} count
     against u!/(4 r^(u-1) u^u) * N/k with exact integer arithmetic."""
     t, cuts = min_column_parts(a)
-    return _horizontal_step(m, a, u, k, t, cuts)
-
-
-def _refine_cuts(cuts: Sequence[int], width: int, target_parts: int) -> tuple[int, ...]:
-    """Refine an interval partition to exactly target_parts nonempty parts by
-    repeatedly splitting the leftmost splittable interval; a partition that
-    already has target_parts parts comes back unchanged."""
-    cuts = list(cuts)
-    if target_parts > width:
-        raise PreconditionError(
-            f"cannot split {width} positions into {target_parts} nonempty intervals"
-        )
-    while len(cuts) + 1 < target_parts:
-        bounds = [0] + cuts + [width]
-        for i in range(len(bounds) - 1):
-            if bounds[i + 1] - bounds[i] >= 2:
-                cuts.append(bounds[i] + 1)
-                cuts.sort()
-                break
-    return tuple(cuts)
+    return _horizontal_step(m, a, u, k, _part_sizes(cuts, a.cols, t))
 
 
 def symmetric_increment_step(
@@ -381,23 +374,25 @@ def symmetric_increment_step(
     """Two-direction step for a t x t-partite pattern: a horizontal step on M
     followed by a vertical step (a horizontal step on the transpose) inside
     the chosen block, yielding a grid block whose composed guarantee is
-    (t!)^2 / (16 (rs)^(t-1) t^(2t)) * N / k^2. total, when given, is the
-    caller's K_{t,t} count of M."""
+    (t!)^2 / (16 (rs)^(t-1) t^(2t)) * N / k^2. Both part partitions are
+    refined to t = max(row parts, column parts) before the first pass, so
+    fewer than t rows or columns always raise PreconditionError. total,
+    when given, is the caller's K_{t,t} count of M."""
     if m.rows % k or m.cols % k:
         raise DivisibilityError(f"{k} must divide both dimensions {m.rows}x{m.cols}")
     t_row, row_cuts = min_row_parts(a)
     t_col, col_cuts = min_column_parts(a)
     t = max(t_row, t_col)
-    col_cuts = _refine_cuts(col_cuts, a.cols, t)
-    row_cuts = _refine_cuts(row_cuts, a.rows, t)
-    step1 = _horizontal_step(m, a, t, k, t, col_cuts, total)
+    col_sizes = _part_sizes(col_cuts, a.cols, t)
+    row_sizes = _part_sizes(row_cuts, a.rows, t)
+    step1 = _horizontal_step(m, a, t, k, col_sizes, total)
     if step1.kind == "embedded":
         return step1
     p = step1.block
     row_lo, row_hi = step1.row_range
     m1 = m.submatrix(row_lo, row_hi, 1, m.cols)
     # K_{t,t} is symmetric, so the chosen band's count is its transpose's.
-    step2 = _horizontal_step(m1.transpose(), a.transpose(), t, k, t, row_cuts, step1.count)
+    step2 = _horizontal_step(m1.transpose(), a.transpose(), t, k, row_sizes, step1.count)
     heavy = step1.heavy + step2.heavy
     if step2.kind == "embedded":
         inner = step2.embedding
@@ -530,7 +525,8 @@ def run_driver(
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     grid = mode == "thm12"
-    t, col_cuts = min_column_parts(a)
+    t, cuts = min_column_parts(a)
+    sizes = _part_sizes(cuts, a.cols, t)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
     n0 = m.cols
     z = math.log(n0) / math.log(k) if n0 > 1 else 0.0
@@ -543,6 +539,10 @@ def run_driver(
         cap_u = math.ceil(10.0 * t / epsilon0)
         if cap_u > 1_000_000:
             raise DomainError("epsilon too small to materialize the schedule")
+        if cap_u <= t + 1:
+            raise DomainError(
+                f"epsilon too large for the schedule: U = {cap_u} must exceed t+1 = {t + 1}"
+            )
         schedule = lambda_schedule(t, cap_u, epsilon)
         params["U"] = cap_u
     if grid:
@@ -584,7 +584,11 @@ def run_driver(
         if pending_jump is not None:
             checks["jump"] = pending_jump
             pending_jump = None
-        chain = n_base / (k ** (rate * i))
+        try:
+            chain = n_base / (k ** (rate * i))
+        except OverflowError:
+            # The power is past the float range; n_base >= 1 past level 0.
+            chain = math.exp(math.log(n_base) - rate * i * math.log(k))
         checks["chainLowerBound"] = chain
         checks["chainHolds"] = count >= chain
         if constants is not None:
@@ -596,16 +600,18 @@ def run_driver(
                 count > 0 and math.log10(count) > thr_log10
             )
         if i == 0:
-            w = cur.weight
-            c_small = float(t) ** (-(t * t + t))
-            supers = c_small * w ** (t * t) / (n0 ** (2 * t * t - 2 * t)) if w > 0 else 0.0
-            checks["supersaturationLowerBound"] = supers
-            checks["supersaturationHolds"] = count >= supers
+            # At u = t: t^(-t^2-t) w^(t^2) / n^(2t^2-2t).
+            supers = supersat_bound(cur.weight, n0, t, t)
+            checks["supersaturationLowerBound"] = supers.bound
+            checks["supersaturationHolds"] = count >= supers.exact
         if not grid and z > 0:
             checkpoint = math.ceil((1 - epsilon / t) * z)
             checks["contradictionCheckpointLevel"] = checkpoint
             checks["pastContradictionCheckpoint"] = i >= checkpoint
-            checks["rowsBelowEpsPower"] = cur.rows < n0 ** (epsilon / t)
+            try:
+                checks["rowsBelowEpsPower"] = cur.rows < n0 ** (epsilon / t)
+            except OverflowError:  # the power is past the float range
+                checks["rowsBelowEpsPower"] = True
         if schedule is not None:
             checks["lambda"] = schedule.value(u_lvl)
             checks["types"] = list(schedule.types_of(float(i), z))
@@ -635,7 +641,7 @@ def run_driver(
         if grid:
             step = symmetric_increment_step(cur, a, k, count if u_lvl == t else None)
         else:
-            step = _horizontal_step(cur, a, u_lvl, k, t, col_cuts, count)
+            step = _horizontal_step(cur, a, u_lvl, k, sizes, count)
         checks["heavySearch"] = [h.to_json_dict() for h in step.heavy]
 
         if step.kind == "embedded":

@@ -449,9 +449,10 @@ def extremal_table(
     budget_seconds: Optional[float] = None,
     cache=None,
 ) -> list[ExtremalRecord]:
-    """Per-n records, strongest-known-first through the cache; adjacent
-    records violating monotonicity (possible only with budget-limited lower
-    bounds) are recomputed once."""
+    """Per-n records, strongest-known-first through the cache, each from one
+    exact_ex call at most. A budget-limited record may be a lower bound, so
+    the values may decrease from one n to the next; each record's status
+    says whether it is exact."""
     ns = sorted(set(int(n) for n in n_range))
 
     def compute(n: int) -> ExtremalRecord:
@@ -462,12 +463,4 @@ def extremal_table(
                 rec = cache.put(a, rec)
         return rec
 
-    records = [compute(n) for n in ns]
-    for i in range(len(records) - 1):
-        if records[i].value > records[i + 1].value:
-            records[i] = exact_ex(ns[i], a, budget_seconds)
-            records[i + 1] = exact_ex(ns[i + 1], a, budget_seconds)
-            if cache is not None:
-                records[i] = cache.put(a, records[i])
-                records[i + 1] = cache.put(a, records[i + 1])
-    return records
+    return [compute(n) for n in ns]

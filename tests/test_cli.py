@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import COLUMN_2_PARTITE, K22, random_matrix
+from conftest import COLUMN_2_PARTITE, DOUBLY_2_PARTITE, K22, random_matrix
 from patex.cli import dispatch
 from patex.matrix import Embedding, ZeroOneMatrix, verify_embedding
 from patex.ohypergraph import build_column_hypergraph
@@ -187,6 +187,31 @@ class TestIncrement:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: thm11 chooses the width per level; u is not accepted\n"
+
+    def test_tiny_epsilon_trace(self, capsys, files):
+        # k = 16^10000 would print past str()'s default digit limit.
+        argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
+        code, out = run(capsys, argv + ["--epsilon", "0.0001"])
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert code == 0 and summary["constants"]["k"] is None
+
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    @pytest.mark.parametrize("epsilon", ["400", "1e300"])
+    def test_large_epsilon_trace_or_error_line(self, capsys, files, mode, epsilon):
+        host = files["dir"] / "host16.pat"
+        host.write_text(random_matrix(SplitMix64(5), 16, 16, 0.5).to_text())
+        pattern = files["dir"] / "doubly.pat"
+        pattern.write_text(DOUBLY_2_PARTITE.to_text())
+        argv = ["increment", str(host), str(pattern), "--mode", mode, "--k", "2", "--epsilon", epsilon]
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        if mode == "thm11":
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: epsilon too large for the schedule")
+        else:
+            lines = captured.out.strip().splitlines()
+            assert code == 0 and json.loads(lines[-1])["stopReason"] == "no-copies"
+            assert len(lines) >= 4
 
 
 class TestCycles:

@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,7 @@ from patex.classify import min_column_parts, min_row_parts
 from patex.count import count_copies
 from patex.errors import DivisibilityError, DomainError, PreconditionError
 from patex.increment import (
+    _part_sizes,
     density_increment_step,
     lambda_schedule,
     make_constants,
@@ -68,6 +71,17 @@ class TestConstants:
         assert pc.k == 16**20
         assert pc.log10_C > 300
 
+    def test_tiny_epsilon_reports_k_in_logs(self):
+        # 1/eps = 10^4 is integral, but 16^10000 has 12,042 digits: more
+        # than str() of an int takes by default, so k stays a log10.
+        pc = make_constants(2, 2, 2, 2, 1e-4)
+        assert pc.k is None
+        assert pc.log10_k == pytest.approx(1e4 * math.log10(16))
+        host = random_matrix(SplitMix64(5), 16, 16, 0.5)
+        trace = run_driver(host, K22, "thm21", k=2, epsilon=1e-4, depth=1)
+        doc = json.loads(json.dumps(trace.to_json_dict()))
+        assert doc["constants"]["k"] is None
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             make_constants(1, 2, 2, 2, 1.0)
@@ -116,8 +130,15 @@ class TestLambdaSchedule:
         assert set(sched.types_of(level, z)) == {u - 1, u}
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            lambda_schedule(2, 3, 1.0)
+        for _ in range(2):  # an error is never cached
+            with pytest.raises(DomainError):
+                lambda_schedule(2, 3, 1.0)
+
+    def test_repeated_call_returns_the_same_schedule(self):
+        sched = lambda_schedule(3, 2700, 1.0)
+        assert lambda_schedule(3, 2700, 1.0) is sched
+        fresh = lambda_schedule.__wrapped__(3, 2700, 1.0)
+        assert fresh is not sched and fresh == sched
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):
@@ -145,6 +166,25 @@ class TestLambdaSchedule:
                         got = sched.type_of(i, z)
                         assert ([] if got is None else [got]) == typed, (t, n, k, i)
                         assert sched.types_of(i, z) == tuple(types), (t, n, k, i)
+
+
+class TestPartSizes:
+    @pytest.mark.parametrize(
+        "cuts, width, parts, sizes",
+        [
+            ((2,), 4, 2, (2, 2)),
+            ((), 3, 3, (1, 1, 1)),
+            ((3,), 5, 4, (1, 1, 1, 2)),
+            ((1, 2), 5, 4, (1, 1, 1, 2)),
+            ((), 1, 1, (1,)),
+        ],
+    )
+    def test_sizes_refined_leftmost_first(self, cuts, width, parts, sizes):
+        assert _part_sizes(cuts, width, parts) == sizes
+
+    def test_too_many_parts(self):
+        with pytest.raises(PreconditionError, match="cannot split 2 positions into 3 nonempty intervals"):
+            _part_sizes((), 2, 3)
 
 
 class TestDensityStep:
@@ -245,6 +285,12 @@ class TestSymmetricStep:
         assert (emb.row_map, emb.col_map) == ((1, 2), (1, 3))
         assert oracle_embedding(m.select(emb.row_map, emb.col_map), K22) == ((1, 2), (1, 2))
 
+    def test_refinement_error_precedes_the_first_pass(self):
+        # The first pass would embed 1 1 1 in the all-ones host, but the
+        # one-row pattern cannot be split into t = 3 row parts.
+        with pytest.raises(PreconditionError, match="cannot split 1 positions into 3 nonempty intervals"):
+            symmetric_increment_step(ZeroOneMatrix.ones(4, 4), ZeroOneMatrix.ones(1, 3), 2)
+
     def test_requires_both_divisible(self):
         with pytest.raises(DivisibilityError):
             symmetric_increment_step(ZeroOneMatrix.ones(8, 6), K22, 4)
@@ -332,6 +378,57 @@ class TestDrivers:
         assert "chainLowerBound" in lvl0.checks and lvl0.checks["chainHolds"]
         assert "supersaturationLowerBound" in lvl0.checks
 
+    def test_divisibility_stop(self):
+        trace = run_driver(ZeroOneMatrix.ones(12, 12), COLUMN_2_PARTITE, "thm21", k=8)
+        assert trace.stop_reason == "divisibility"
+        assert [lv.branch for lv in trace.levels] == ["exhausted"]
+
+    def test_schedule_exhausted_stop(self):
+        # z = log_16 16 = 1: level 0 densifies into one row, and at level 1
+        # z - i = 0, past the schedule's last type.
+        host = ZeroOneMatrix([(1 << 16) - 1] * 2 + [0] * 14, 16)
+        trace = run_driver(host, COLUMN_2_PARTITE, "thm11", k=16)
+        assert trace.stop_reason == "schedule-exhausted"
+        assert [lv.branch for lv in trace.levels] == ["densified"]
+
+    def test_wide_pattern_supersaturation(self):
+        # t = 10: w^100 overflows a float, the exact bound does not.
+        host = random_matrix(SplitMix64(3), 64, 64, 0.35)
+        trace = run_driver(host, ZeroOneMatrix.ones(1, 10), "thm21", k=2, depth=0)
+        checks = trace.levels[0].checks
+        exact = Fraction(host.weight**100, 10**110 * 64**180)
+        assert checks["supersaturationLowerBound"] == float(exact) == pytest.approx(7.488e-120, rel=1e-3)
+        assert checks["supersaturationHolds"] == (trace.levels[0].count >= exact)
+
+    @pytest.mark.parametrize("mode", ["thm21", "thm12"])
+    @pytest.mark.parametrize("epsilon", [400.0, 1030.0, 1e300])
+    def test_large_epsilon_chain(self, mode, epsilon):
+        host = random_matrix(SplitMix64(5), 16, 16, 0.5)
+        trace = run_driver(host, DOUBLY_2_PARTITE, mode, k=2, epsilon=epsilon)
+        rate = (2 if mode == "thm12" else 1) + epsilon
+        n_base = trace.levels[0].count
+        assert len(trace.levels) >= 3
+        for i, level in enumerate(trace.levels):
+            chain = level.checks["chainLowerBound"]
+            assert level.checks["chainHolds"] == (level.count >= chain)
+            if rate * i < 1024:
+                assert chain == n_base / 2 ** (rate * i)
+            elif rate * i < 4096:
+                # Past the float range of 2**(rate*i), whose exponent is an
+                # integer here.
+                exact = Fraction(n_base, 2 ** int(rate * i))
+                assert chain == pytest.approx(float(exact), rel=1e-9)
+            else:
+                assert chain == 0.0
+            if mode == "thm21":  # at most 16 rows, below 16^(epsilon/2)
+                assert level.checks["rowsBelowEpsPower"] is True
+
+    @pytest.mark.parametrize("epsilon", [400.0, 1e300])
+    def test_large_epsilon_schedule_error_names_epsilon(self, epsilon):
+        host = random_matrix(SplitMix64(5), 16, 16, 0.5)
+        with pytest.raises(DomainError, match="^epsilon too large for the schedule"):
+            run_driver(host, DOUBLY_2_PARTITE, "thm11", k=2, epsilon=epsilon)
+
     def test_trace_json_roundtrip(self):
         host = deletion_lower_bound(16, K22, 2).witness
         trace = run_driver(host, K22, "thm21", k=4, depth=1)
@@ -379,7 +476,7 @@ class TestCountsOnce:
                 continue
             densified += 1
             if name == "_horizontal_step":
-                u, t = args[0], args[2]
+                u, t = args[0], len(args[2])
                 block = m.submatrix(res.row_range[0], res.row_range[1], 1, m.cols)
             else:
                 t = max(min_column_parts(a)[0], min_row_parts(a)[0])

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import patex.search as search
 from conftest import COLUMN_2_PARTITE, IDENTITY2, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
 from patex.count import count_copies
 from patex.errors import BudgetError, DomainError, UnsupportedError
@@ -353,6 +354,21 @@ class TestTable:
         values = [r.value for r in extremal_table(K22, range(2, 6))]
         assert values == sorted(values)
         assert values == [3, 6, 9, 12]
+
+    def test_zero_budget_table_runs_each_n_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, a, budget_seconds=None):
+            calls.append(n)
+            return exact_ex(n, a, budget_seconds)
+
+        monkeypatch.setattr(search, "exact_ex", counted)
+        table = extremal_table(K22, range(2, 8), budget_seconds=0)
+        assert calls == [2, 3, 4, 5, 6, 7]
+        assert table == [exact_ex(n, K22, 0) for n in range(2, 8)]
+        # Lower bounds from a zero budget need not increase with n.
+        assert [r.value for r in table[3:]] == [12, 9, 8]
+        assert [r.status for r in table[3:]] == ["lowerBound"] * 3
 
     def test_cache_integration(self, tmp_path):
         from patex.cache import CacheStore
