@@ -590,7 +590,9 @@ def run_driver(
             # The power is past the float range; n_base >= 1 past level 0.
             chain = math.exp(math.log(n_base) - rate * i * math.log(k))
         checks["chainLowerBound"] = chain
-        checks["chainHolds"] = count >= chain
+        # Far down the chain the bound underflows to 0.0, but it is
+        # positive whenever n_base is, so no copies cannot meet it.
+        checks["chainHolds"] = count >= chain and (count > 0 or n_base == 0)
         if constants is not None:
             # A horizontal level keeps every column, so cur.cols is n0 there.
             ref = max(u_lvl * math.log10(cur.rows), t * math.log10(cur.cols))

@@ -176,7 +176,9 @@ class _Levels:
     host bits need_C[i]. Matching each pattern row to the earliest later host
     row that covers its need is optimal, so per C a prefix only records how
     many pattern rows it matches. A state is a tuple `levels`, where
-    `levels[i]` is the bitset of the choices whose count is i."""
+    `levels[i]` is the bitset of the choices whose count is i. A row `mask`
+    completes a copy exactly when `covers[-1][mask] & levels[-1]` is
+    nonzero."""
 
     __slots__ = ("covers", "singles", "start")
 
@@ -199,11 +201,10 @@ class _Levels:
         self.singles = tuple((1 << c, self.covers[-1][1 << c]) for c in range(w))
         self.start = ((1 << len(choices)) - 1,) + (0,) * (a.rows - 1)
 
-    def advance(self, levels: tuple, mask: int) -> Optional[tuple]:
-        """None signals containment; otherwise the grown levels."""
+    def advance(self, levels: tuple, mask: int) -> tuple:
+        """The levels after a row `mask` that completes no copy; the caller
+        tests containment first."""
         covers = self.covers
-        if covers[-1][mask] & levels[-1]:
-            return None
         grown = list(levels)
         for i in range(len(grown) - 2, -1, -1):
             moved = grown[i] & covers[i][mask]

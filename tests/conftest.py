@@ -14,6 +14,7 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from patex.acceptance import (  # noqa: F401 -- fixtures and oracle shared with the suite
     COLUMN_2_PARTITE,
@@ -27,6 +28,9 @@ from patex.acceptance import (  # noqa: F401 -- fixtures and oracle shared with 
 )
 from patex.matrix import ZeroOneMatrix, random_matrix  # noqa: F401 -- shared sampler
 from patex.rng import SplitMix64
+
+# Settings for every property test: fixed examples, no example database.
+BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
 
 
 def oracle_count_copies(m: ZeroOneMatrix, u: int, t: int) -> int:

@@ -410,7 +410,11 @@ class TestDrivers:
         assert len(trace.levels) >= 3
         for i, level in enumerate(trace.levels):
             chain = level.checks["chainLowerBound"]
-            assert level.checks["chainHolds"] == (level.count >= chain)
+            if chain > 0:
+                assert level.checks["chainHolds"] == (level.count >= chain)
+            else:
+                # The float underflowed; the true bound lies in (0, 5e-324).
+                assert level.checks["chainHolds"] == (level.count > 0)
             if rate * i < 1024:
                 assert chain == n_base / 2 ** (rate * i)
             elif rate * i < 4096:
@@ -422,6 +426,15 @@ class TestDrivers:
                 assert chain == 0.0
             if mode == "thm21":  # at most 16 rows, below 16^(epsilon/2)
                 assert level.checks["rowsBelowEpsPower"] is True
+
+    def test_underflowed_chain_bound_needs_a_copy(self):
+        host = random_matrix(SplitMix64(5), 16, 16, 0.5)
+        trace = run_driver(host, DOUBLY_2_PARTITE, "thm21", k=2, epsilon=400)
+        assert [lv.count for lv in trace.levels] == [856, 231, 80, 21, 0]
+        assert [lv.checks["chainLowerBound"] for lv in trace.levels[3:]] == [0.0, 0.0]
+        # 856 / 2^1203 and 856 / 2^1604 are positive: 21 copies meet the
+        # first, no copies miss the second.
+        assert [lv.checks["chainHolds"] for lv in trace.levels] == [True, True, True, True, False]
 
     @pytest.mark.parametrize("epsilon", [400.0, 1e300])
     def test_large_epsilon_schedule_error_names_epsilon(self, epsilon):

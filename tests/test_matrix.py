@@ -3,8 +3,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
+from conftest import BOUNDED, COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
 from patex.errors import FormatError, InputError
 from patex.matrix import (
     Embedding,
@@ -14,7 +16,7 @@ from patex.matrix import (
     find_embedding,
     verify_embedding,
 )
-from patex.rng import SplitMix64
+from patex.rng import GAMMA, MASK64, SplitMix64, _lanes
 from patex.search import deletion_lower_bound
 
 
@@ -69,9 +71,10 @@ class TestParse:
 
 
 class TestRandomStream:
-    """random_matrix draws in one loop; its entries and the generator's
-    final state must stay those of one rng.bernoulli call per entry, row
-    by row and left to right, since every seeded output depends on them."""
+    """random_matrix draws each row in 128-bit lanes of one int; its entries
+    and the generator's final state must stay those of one rng.bernoulli
+    call per entry, row by row and left to right, since every seeded output
+    depends on them."""
 
     @staticmethod
     def reference(rng, rows, cols, p):
@@ -88,11 +91,94 @@ class TestRandomStream:
     def test_matches_bernoulli_calls(self, p):
         for seed in (0, 7, 0x5EED):
             for rows in range(1, 10):
-                for cols in range(1, 14):
+                # small widths, then widths around and past 64 and 128 bits
+                for cols in (*range(1, 14), 63, 64, 65, 127, 128, 129, 200):
                     got_rng, want_rng = SplitMix64(seed + rows), SplitMix64(seed + rows)
                     got = random_matrix(got_rng, rows, cols, p)
                     assert list(got.row_masks) == self.reference(want_rng, rows, cols, p)
                     assert got_rng.state == want_rng.state
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    def test_weyl_sum_wrapping_inside_a_lane(self, steps):
+        # the seed is within `steps` gammas of 2^64, so the Weyl sum
+        # passes 2^64 within the first few lanes
+        for seed in ((-steps * GAMMA) & MASK64, (-steps * GAMMA - 1) & MASK64, (-steps * GAMMA + 1) & MASK64):
+            for cols in (1, steps, 64, 130):
+                got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+                assert got_rng.bernoulli_mask(cols, 0.5) == self.reference(want_rng, 1, cols, 0.5)[0]
+                assert got_rng.state == want_rng.state
+
+    @staticmethod
+    def state_for_output(z):
+        """The Weyl state whose output is z: each finalizer step is a
+        bijection of 64-bit words."""
+        z ^= z >> 31 ^ z >> 62
+        z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+        z ^= z >> 27 ^ z >> 54
+        z = z * pow(0xBF58476D1CE4B9FB, -1, 1 << 64) & MASK64
+        return z ^ z >> 30 ^ z >> 60
+
+    @pytest.mark.parametrize(
+        "z, p",
+        [(MASK64, 1.0), ((12345 << 11) - 1, 12345 / 2**53), (12345 << 11, 12345 / 2**53)],
+    )
+    def test_draws_at_the_limit(self, z, p):
+        # the lane's comparison value 2^64 + limit - 1 - z is exactly 2^64
+        # (a hit) or 2^64 - 1 (a miss); any stray bit or borrow from the
+        # lane below flips it
+        state = self.state_for_output(z)
+        assert SplitMix64((state - GAMMA) & MASK64).next_u64() == z
+        for k in range(3):
+            seed = (state - (k + 1) * GAMMA) & MASK64
+            got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+            assert got_rng.bernoulli_mask(4, p) == self.reference(want_rng, 1, 4, p)[0]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count_draws_nothing(self, count):
+        rng = SplitMix64(11)
+        for p in (0.0, 0.5, 1.0):
+            assert rng.bernoulli_mask(count, p) == 0
+            assert rng.state == SplitMix64(11).state
+
+    def test_count_past_the_int_string_digit_limit(self):
+        # the lane bits are read back through a base-2 string of 5000 digits
+        got_rng, want_rng = SplitMix64(3), SplitMix64(3)
+        assert got_rng.bernoulli_mask(5000, 0.3) == self.reference(want_rng, 1, 5000, 0.3)[0]
+        assert got_rng.state == want_rng.state
+
+    def test_counts_beyond_the_lane_cache(self):
+        size = _lanes.cache_info().maxsize
+        counts = list(range(1, size + 4)) + [1, 2, 3]
+        got_rng, want_rng = SplitMix64(5), SplitMix64(5)
+        for count in counts:
+            assert got_rng.bernoulli_mask(count, 0.4) == self.reference(want_rng, 1, count, 0.4)[0]
+        assert got_rng.state == want_rng.state
+
+    @BOUNDED
+    @given(
+        st.integers(0, MASK64),
+        st.integers(-2, 300),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(0, 1)),
+    )
+    def test_bernoulli_mask_matches_bernoulli_calls(self, seed, count, p):
+        got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+        want = self.reference(want_rng, 1, count, p)[0]
+        assert got_rng.bernoulli_mask(count, p) == want
+        assert got_rng.state == want_rng.state
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (64, "bc651be3db7e2e90bec725ceb81aaf21eb7aab01fc315e0b2270d29f19c81a5c"),
+            (128, "fe19b41ef0bacdf0b1abae63a55773bf49e69cce584c5c756baf22524374ada8"),
+        ],
+    )
+    def test_square_matrices_unchanged(self, n, digest):
+        # taken from the per-draw loop that the lane draw replaced
+        rng = SplitMix64(1)
+        m = random_matrix(rng, n, n, 0.3)
+        assert hashlib.sha256(m.to_text().encode()).hexdigest() == digest
+        assert rng.state == (1 + n * n * GAMMA) & MASK64
 
     def test_threshold_equal_to_the_draw(self):
         # A draw equal to p is not below it; the next float above p is.

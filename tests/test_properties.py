@@ -8,17 +8,21 @@ references."""
 
 from itertools import combinations, product
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
-from conftest import oracle_embedding
+from conftest import BOUNDED, oracle_embedding
 from patex.errors import FormatError
 from patex.matrix import Embedding, ZeroOneMatrix, _find_copy, find_embedding
 from patex.search import _Levels
 
-BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+
+def completes_copy(detector: _Levels, levels: tuple, mask: int) -> bool:
+    """exact_ex's containment test: the row completes a copy for some
+    choice that has matched every earlier pattern row."""
+    return bool(detector.covers[-1][mask] & levels[-1])
 
 
 @st.composite
@@ -35,12 +39,13 @@ def test_levels_stop_at_the_first_containing_prefix(host, a):
     detector = _Levels(a, host.cols)
     levels = detector.start
     for k in range(1, host.rows + 1):
-        levels = detector.advance(levels, host.row_masks[k - 1])
+        mask = host.row_masks[k - 1]
         prefix = ZeroOneMatrix(host.row_masks[:k], host.cols)
         contained = oracle_embedding(prefix, a) is not None
-        assert (levels is None) == contained, f"prefix of {k} rows"
+        assert completes_copy(detector, levels, mask) == contained, f"prefix of {k} rows"
         if contained:
             break
+        levels = detector.advance(levels, mask)
 
 
 @BOUNDED
@@ -56,11 +61,9 @@ def test_forbidden_columns_are_those_whose_single_row_completes_a_copy(host, a):
             if oracle_embedding(ZeroOneMatrix(prefix + [1 << c], host.cols), a) is not None
         )
         assert detector.forbidden(levels[-1]) == expected, f"prefix of {k} rows"
-        if k == host.rows:
+        if k == host.rows or completes_copy(detector, levels, host.row_masks[k]):
             break
         levels = detector.advance(levels, host.row_masks[k])
-        if levels is None:
-            break
 
 
 @BOUNDED
@@ -73,9 +76,9 @@ def test_forbidden_columns_carried_down_match_those_recomputed(host, a):
     carried = 0
     for k, mask in enumerate(host.row_masks, 1):
         newly_ready = levels[-2] & detector.covers[-2][mask]
-        levels = detector.advance(levels, mask)
-        if levels is None:
+        if completes_copy(detector, levels, mask):
             break
+        levels = detector.advance(levels, mask)
         carried |= detector.forbidden(newly_ready)
         expected = sum(
             1 << c
@@ -109,11 +112,11 @@ def test_a_row_that_completes_a_copy_completes_one_under_a_longer_prefix(instanc
         completes.append(oracle_embedding(ZeroOneMatrix(rows + [mask], cols), a) is not None)
         levels = detector.start
         for m in rows:
-            levels = detector.advance(levels, m)
-            if levels is None:
+            if completes_copy(detector, levels, m):
                 break
+            levels = detector.advance(levels, m)
         else:
-            assert (detector.advance(levels, mask) is None) == completes[-1]
+            assert completes_copy(detector, levels, mask) == completes[-1]
     if completes[0]:
         assert completes[1]
 
