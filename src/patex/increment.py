@@ -163,15 +163,14 @@ class LambdaSchedule:
         """The unique u with z*lambda_{u+1} < z - i <= z*lambda_u, or None
         once z - i <= 0 (the schedule is exhausted). For z >= 0 the products
         z*lambda_u do not increase with u, so the u with z - i <= z*lambda_u
-        form a prefix and the answer is its last member."""
+        form a prefix and the answer is its last member; it is empty when
+        z - i > z = z*lambda_t."""
         rem = z - i
         if rem <= 0:
             return None
         lams = self.lambdas
         idx = bisect_right(lams, -rem, 0, len(lams) - 1, key=lambda v: -(z * v)) - 1
-        if idx >= 0 and z * lams[idx + 1] < rem <= z * lams[idx]:
-            return self.t + idx
-        return None
+        return self.t + idx if idx >= 0 else None
 
     def types_of(self, i: float, z: float) -> tuple[int, ...]:
         """All u with z - z*lambda_u <= i <= z - z*lambda_{u+1}; a jump level

@@ -13,6 +13,14 @@ given bands, one 1-based inclusive host-row range per pattern row, it finds
 banded copies, such as the proper copies of the cycle embedder and the
 increment step's copy with row a in block label[a]. In both modes an
 all-zero pattern row takes only its first admissible host row.
+
+Read a matrix as a bipartite graph with an edge (row i, column j) per
+1-entry. When A's edges form one connected graph, every copy of A lies in a
+single component of M's graph, which therefore has at least as many rows
+and columns as A has nonzero rows and columns. Before the walk,
+`find_embedding` looks for such a component with one pass over M's row
+masks; when there is none it answers None. The test can only answer
+"absent", so every certificate still comes from the walk.
 """
 
 from __future__ import annotations
@@ -352,10 +360,54 @@ def _find_copy(
     return rec(0, 1, [(1 << m.cols) - 1] * a.cols)
 
 
+def _has_component(row_masks: Sequence[int], rows: int, cols: int) -> bool:
+    """True when the bipartite graph of the 1-entries (rows on one side,
+    columns on the other) has a component with at least `rows` rows and
+    `cols` columns. One pass over the rows: each row merges with the open
+    components its columns meet, newest first, and stops looking once every
+    column it shares with earlier rows is accounted for; the scan returns
+    at the first component that is large enough."""
+    comps = []  # (column mask, row count) per open component, oldest first
+    seen = 0  # the union of their column masks
+    for rm in row_masks:
+        if not rm:
+            continue
+        joined, count = rm, 1
+        shared, k = rm & seen, len(comps)
+        while shared:
+            k -= 1
+            cm, cr = comps[k]
+            if cm & shared:
+                del comps[k]
+                joined |= cm
+                count += cr
+                shared &= ~cm
+        if count >= rows and joined.bit_count() >= cols:
+            return True
+        comps.append((joined, count))
+        seen |= rm
+    return False
+
+
 def find_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     """Exhaustive containment search; returns the lexicographically least
     certificate (row map first, then column map) or None when M does not
-    contain A."""
+    contain A.
+
+    Component lemma: when A's 1-entries form one connected bipartite graph
+    (A's all-zero rows and columns aside), a copy maps them into a single
+    component of M's graph, which then has at least A's r' nonzero rows and
+    s' nonzero columns. If no component of M is that large the answer is
+    None without the walk. The test reads only `m.row_masks` and can only
+    answer "absent"; otherwise `_find_copy` runs unchanged."""
+    masks = [pm for pm in a.row_masks if pm]
+    if masks:
+        union = 0
+        for pm in masks:
+            union |= pm
+        r, s = len(masks), union.bit_count()
+        if _has_component(masks, r, s) and not _has_component(m.row_masks, r, s):
+            return None
     return _find_copy(m, a)
 
 

@@ -99,6 +99,40 @@ class TestCorruption:
         with pytest.raises(CacheError, match="contains the pattern"):
             cache.get(K22, 2)
 
+    # Two diagonal blocks, rows 1-2 x columns 1-2 and rows 3-5 x columns
+    # 3-5. The first holds a copy of K22, so the host's graph has a component
+    # large enough and the witness check walks.
+    BLOCK_WITH_K22 = ZeroOneMatrix.parse("11000\n11000\n00100\n00010\n00001")
+
+    def test_block_witness_with_a_copy_rejected_on_put(self, tmp_path):
+        with pytest.raises(CacheError, match="contains the pattern"):
+            CacheStore(tmp_path).put(K22, make_record(5, 7, "lowerBound", self.BLOCK_WITH_K22))
+
+    def test_block_witness_with_a_copy_rejected_on_get(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, make_record(5, 5, "lowerBound", free_witness(5, 5)))
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_text())
+        doc["records"][0] = make_record(5, 7, "lowerBound", self.BLOCK_WITH_K22).to_json_dict()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheError, match="contains the pattern"):
+            cache.get(K22, 5)
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            # anti-diagonal blocks of one row: every component is too small
+            "000011\n001100\n110000\n000000\n000000\n000000",
+            # diagonal 2x2 blocks 11/01: components fit K22's size, the walk finds no copy
+            "110000\n010000\n001100\n000100\n000011\n000001",
+        ],
+    )
+    def test_pattern_free_block_witness_accepted(self, tmp_path, witness):
+        cache = CacheStore(tmp_path)
+        w = ZeroOneMatrix.parse(witness)
+        cache.put(K22, make_record(6, w.weight, "lowerBound", w))
+        assert CacheStore(tmp_path).get(K22, 6).witness == w
+
     def test_weight_mismatch_rejected(self, tmp_path):
         cache = CacheStore(tmp_path)
         cache.put(K22, brute_force_ex(2, K22))

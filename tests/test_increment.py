@@ -168,6 +168,22 @@ class TestLambdaSchedule:
                         assert sched.types_of(i, z) == tuple(types), (t, n, k, i)
 
 
+    @pytest.mark.parametrize("t, U, eps", [(2, 40, 1.0), (3, 12, 0.5)])
+    def test_type_of_matches_a_linear_scan(self, t, U, eps):
+        # the docstring's definition, u by u: the unique u with
+        # z*lambda_{u+1} < z - i <= z*lambda_u, else None
+        sched = lambda_schedule(t, U, eps)
+        lam = sched.value
+        for z in (0.0, 0.5, 1.0, 3.0, 7.25):
+            levels = [k / 4 for k in range(-4, 4 * math.ceil(z) + 6)]
+            levels += [lv for lv, _ in sched.jump_levels(z)]
+            for i in levels:
+                rem = z - i
+                want = [u for u in range(t, U + 1) if rem > 0 and z * lam(u + 1) < rem <= z * lam(u)]
+                assert len(want) <= 1
+                assert sched.type_of(i, z) == (want[0] if want else None), (z, i)
+
+
 class TestPartSizes:
     @pytest.mark.parametrize(
         "cuts, width, parts, sizes",

@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import BOUNDED, COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
+from patex import matrix
 from patex.errors import FormatError, InputError
 from patex.matrix import (
     Embedding,
     ZeroOneMatrix,
+    _has_component,
     canonical_key,
     embedding_violation,
     find_embedding,
@@ -266,6 +268,82 @@ class TestContainment:
         host = ZeroOneMatrix.parse("11\n11\n11")
         e = find_embedding(host, K22)
         assert e.row_map == (1, 2) and e.col_map == (1, 2)
+
+
+def component_sizes(m: ZeroOneMatrix) -> list[tuple[int, int]]:
+    """(rows, columns) of each component of the 1-entries' bipartite graph
+    with an edge, by flood fill from each unvisited nonzero row."""
+    sizes, done = [], set()
+    for start in range(m.rows):
+        if start in done or not m.row_masks[start]:
+            continue
+        rows, cols, grew = {start}, m.row_masks[start], True
+        while grew:
+            grew = False
+            for i, mask in enumerate(m.row_masks):
+                if i not in rows and mask & cols:
+                    rows.add(i)
+                    cols |= mask
+                    grew = True
+        done |= rows
+        sizes.append((len(rows), cols.bit_count()))
+    return sizes
+
+
+class TestComponentLemma:
+    # Connected with a zero row: r' = 2 nonzero rows, s' = 3 columns.
+    PATH = ZeroOneMatrix.parse("110\n000\n011")
+
+    def test_component_of_exactly_the_nonzero_size_fits(self):
+        host = ZeroOneMatrix.parse("1100\n0000\n0110\n0001")
+        assert _has_component(host.row_masks, 2, 3)
+        assert not _has_component(host.row_masks, 2, 4)
+        assert find_embedding(host, self.PATH) == Embedding((1, 2, 3), (1, 2, 3))
+
+    def test_one_row_fewer_does_not_fit(self, monkeypatch):
+        # two components of one row and three columns each
+        host = ZeroOneMatrix.parse("1110000\n0000000\n0000111")
+        assert _has_component(host.row_masks, 1, 3)
+        assert not _has_component(host.row_masks, 2, 3)
+        # the zero row does not count, so the answer comes without the walk
+        monkeypatch.setattr(matrix, "_find_copy", None)
+        assert find_embedding(host, self.PATH) is None
+        monkeypatch.undo()
+        assert oracle_embedding(host, self.PATH) is None
+
+    def test_a_row_joins_every_older_component_it_meets(self):
+        host = ZeroOneMatrix.parse("1000\n0010\n0001\n1010")
+        assert _has_component(host.row_masks, 3, 2)
+        assert not _has_component(host.row_masks, 3, 3)
+        assert not _has_component(host.row_masks, 4, 1)
+
+    def test_disconnected_pattern_skips_the_test(self):
+        # I2's two 1-entries are two components; so are the host's
+        ident = ZeroOneMatrix.parse("10\n01")
+        assert not _has_component(ident.row_masks, 2, 2)
+        assert find_embedding(ZeroOneMatrix.parse("100\n000\n001"), ident) == Embedding((1, 3), (1, 3))
+
+    def test_weight_zero_pattern_skips_the_test(self):
+        assert find_embedding(ZeroOneMatrix.zeros(3, 2), ZeroOneMatrix.zeros(2, 2)) == Embedding((1, 2), (1, 2))
+
+    @BOUNDED
+    @given(st.data())
+    def test_matches_flood_fill(self, data):
+        cols = data.draw(st.integers(1, 7))
+        m = ZeroOneMatrix(data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=7)), cols)
+        sizes = component_sizes(m)
+        for need_rows in range(1, m.rows + 2):
+            for need_cols in range(1, m.cols + 2):
+                fits = any(r >= need_rows and c >= need_cols for r, c in sizes)
+                assert _has_component(m.row_masks, need_rows, need_cols) == fits, (need_rows, need_cols)
+
+    @pytest.mark.parametrize("pattern, found", [("11\n01", True), ("11\n11\n11", False)])
+    def test_reads_no_column_masks(self, pattern, found):
+        # the test scans row masks only; col_masks would cache a second copy
+        # of every host. The host is 32 diagonal 2x2 blocks of ones.
+        host = ZeroOneMatrix([3 << (2 * (i // 2)) for i in range(64)], 64)
+        assert (find_embedding(host, ZeroOneMatrix.parse(pattern)) is not None) == found
+        assert host._col_masks is None
 
 
 class TestVerify:
