@@ -6,11 +6,15 @@ put never downgrades, and concurrent puts are serialized by a per-key
 lock file. Witnesses re-verify on every get (dimensions, weight, and
 pattern-freeness); any mismatch raises CacheError with a rebuild hint.
 
+Files are compact JSON with sorted keys; indented files from earlier
+versions still load, and the first put that changes one rewrites it.
+
 A store parses each exact file content once: every read takes the file's
-bytes, and when they equal the bytes it last parsed for that key it reuses
-those records, handing out fresh copies. A file changed since, by a put or
-from outside, has other bytes and is parsed again; a malformed file is
-never kept, so it raises on every call. This pays in a
+bytes, and when they equal the bytes it last parsed or wrote for that key
+it reuses those records, handing out fresh copies. A put that writes keeps
+the bytes and a private copy of the records it wrote. A file changed from
+outside (another store or process) has other bytes and is parsed again; a
+malformed file is never kept, so it raises on every call. This pays in a
 process that reads one key file repeatedly (`extremal_table`, a long-lived
 store); a one-shot `ex --cache-dir` reads each file once and gains nothing.
 """
@@ -128,7 +132,7 @@ class CacheStore:
         merged = record if stored is None else _stronger(stored, record)
         if merged is stored:
             return _fresh(stored)
-        records = [rec for rec in records if rec.n != record.n] + [merged]
+        records = [rec for rec in records if rec.n != record.n] + [_fresh(merged)]
         records.sort(key=lambda r: (r.n, r.status, r.value))
         doc = {
             "patternKey": key,
@@ -138,12 +142,14 @@ class CacheStore:
         # The lock admits one writer per key at a time; the pid keeps this
         # temp file apart from another process's even if that one skips it.
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+        data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
         try:
-            tmp.write_text(json.dumps(doc, sort_keys=True, indent=1))
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
             raise CacheError(f"cannot write cache file {path}: {exc}") from exc
+        self._parsed[key] = (data, records)
         return merged
 
     def _verify(self, pattern: ZeroOneMatrix, rec: ExtremalRecord, key: str) -> None:

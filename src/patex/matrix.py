@@ -25,6 +25,7 @@ masks; when there is none it answers None. The test can only answer
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -254,10 +255,17 @@ class ZeroOneMatrix:
 def canonical_key(a: ZeroOneMatrix) -> str:
     """Stable digest keyed on the exact entries: equal matrices share a key,
     any single-entry change produces a different serialization (and hence a
-    different digest)."""
-    payload = f"{a.rows}x{a.cols}|" + "|".join(a.row_strings())
+    different digest). The digest is memoized, in a bounded LRU cache, on
+    the entries themselves, so equal matrices share one computation."""
+    return _canonical_key(a.rows, a.cols, a.row_masks)
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical_key(rows: int, cols: int, row_masks: tuple[int, ...]) -> str:
+    row_strings = (format(m, "b").zfill(cols)[::-1] for m in row_masks)
+    payload = f"{rows}x{cols}|" + "|".join(row_strings)
     digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
-    return f"{a.rows}x{a.cols}-{digest[:40]}"
+    return f"{rows}x{cols}-{digest[:40]}"
 
 
 def random_matrix(rng: SplitMix64, rows: int, cols: int, p: float) -> ZeroOneMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 
@@ -45,6 +46,22 @@ class TestPrecedence:
         cache.put(K22, make_record(4, 2, "lowerBound", free_witness(4, 2)))
         assert cache.get(K22, 4).value == 4  # no downgrade
 
+    def test_exact_replaces_a_stored_lower_bound(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, make_record(3, 3, "lowerBound", free_witness(3, 3)))
+        exact = brute_force_ex(3, K22)
+        assert cache.put(K22, exact) is exact
+        got = CacheStore(tmp_path).get(K22, 3)
+        assert got.to_json_dict() == exact.to_json_dict()
+
+    def test_disagreeing_exact_records_raise(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, brute_force_ex(3, K22))
+        # K22-free with weight 5, so only the claim "exact" is wrong
+        short = ZeroOneMatrix.parse("110\n101\n010")
+        with pytest.raises(CacheError, match=r"two exact records disagree \(6 vs 5\)"):
+            cache.put(K22, make_record(3, 5, "exact", short))
+
     def test_empty_cache(self, tmp_path):
         assert CacheStore(tmp_path).get(K22, 3) is None
 
@@ -60,6 +77,36 @@ class TestNoRewrite:
         cache.put(K22, make_record(3, 3, "lowerBound", free_witness(3, 3)))
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+class TestFileFormat:
+    def test_indented_file_loads_and_a_changing_put_writes_it_compact(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        exact = brute_force_ex(3, K22)
+        lower = make_record(4, 3, "lowerBound", free_witness(4, 3))
+        cache.put(K22, exact)
+        cache.put(K22, lower)
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_bytes())
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1))  # the earlier writer's form
+
+        older = CacheStore(tmp_path)
+        assert older.get(K22, 3).to_json_dict() == exact.to_json_dict()
+        assert older.get(K22, 4).to_json_dict() == lower.to_json_dict()
+
+        before = path.stat()
+        older.put(K22, make_record(4, 2, "lowerBound", free_witness(4, 2)))
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert b"\n" in path.read_bytes()
+
+        larger = make_record(4, 4, "lowerBound", free_witness(4, 4))
+        older.put(K22, larger)
+        data = path.read_bytes()
+        assert b"\n" not in data and b", " not in data and b": " not in data
+        doc["records"][1] = larger.to_json_dict()
+        assert json.loads(data) == doc
+        assert CacheStore(tmp_path).get(K22, 4).to_json_dict() == larger.to_json_dict()
 
 
 class TestRoundTrip:
@@ -144,6 +191,31 @@ class TestCorruption:
             cache.get(K22, 2)
 
 
+    def test_file_for_another_pattern(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, brute_force_ex(2, K22))
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_bytes())
+        doc["patternKey"] = canonical_key(ZeroOneMatrix.ones(1, 2))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheError, match="holds a different pattern"):
+            cache.get(K22, 2)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"pattern_key": "2x2-other"}, r"pattern key mismatch; delete"),
+            ({"witness": ZeroOneMatrix([1, 2], 2)}, r"witness is 2x2, expected 3x3; delete"),
+            ({"status": "upperBound"}, r"unknown status 'upperBound'; delete"),
+        ],
+    )
+    def test_invalid_record_rejected_with_its_reason(self, tmp_path, change, message):
+        rec = dataclasses.replace(make_record(3, 2, "lowerBound", free_witness(3, 2)), **change)
+        with pytest.raises(CacheError, match=r"invalid cache record for n=3: " + message):
+            CacheStore(tmp_path).put(K22, rec)
+        assert not list(tmp_path.glob("*.json"))
+
+
 class TestMalformedFile:
     """Every malformed file raises CacheError with the rebuild hint, from
     get and from put alike."""
@@ -192,10 +264,10 @@ class TestParsedOnce:
         checks.clear()
         for _ in range(3):
             assert cache.get(K22, 4).value == 3
-        assert (len(parses), len(checks)) == (1, 3)
+        assert (len(parses), len(checks)) == (0, 3)  # the store kept what its put wrote
         cache.put(K22, make_record(5, 4, "lowerBound", free_witness(5, 4)))
         assert cache.get(K22, 4).value == 3 and cache.get(K22, 5).value == 4
-        assert len(parses) == 1 + 2  # the put's read reuses; the new file's two records, once
+        assert len(parses) == 0  # the put's read reuses; the new file's records are kept too
 
     def test_outside_rewrite_is_seen(self, tmp_path):
         cache = CacheStore(tmp_path)
@@ -229,6 +301,33 @@ class TestParsedOnce:
         again = cache.put(K22, make_record(4, 2, "lowerBound", free_witness(4, 2)))
         again.provenance["extra"] = 1
         assert cache.get(K22, 4).provenance == {"solver": "test", "nested": {"runs": [1]}}
+
+    def test_record_from_a_writing_put_is_private(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        rec = make_record(4, 3, "lowerBound", free_witness(4, 3))
+        rec.provenance["nested"] = {"runs": [1]}
+        got = cache.put(K22, rec)
+        got.provenance["solver"] = "changed"
+        got.provenance["nested"]["runs"].append(2)
+        assert cache.get(K22, 4).provenance == {"solver": "test", "nested": {"runs": [1]}}
+
+    def test_other_process_write_between_operations_is_seen(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        cache.put(K22, make_record(4, 3, "lowerBound", free_witness(4, 3)))
+        assert cache.get(K22, 4).value == 3
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(1)  # held here until the child has unpickled it
+        child = ctx.Process(target=put_many, args=(tmp_path, [4, 5], barrier))
+        child.start()
+        try:
+            child.join(timeout=120)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.terminate()
+        assert cache.get(K22, 4).value == 4 and cache.get(K22, 5).value == 5
+        cache.put(K22, make_record(6, 6, "lowerBound", free_witness(6, 6)))
+        assert [CacheStore(tmp_path).get(K22, n).value for n in (4, 5, 6)] == [4, 5, 6]
 
     def test_second_store_sees_puts(self, tmp_path):
         first, second = CacheStore(tmp_path), CacheStore(tmp_path)

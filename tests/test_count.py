@@ -106,6 +106,17 @@ class TestSteppingBound:
         assert actual == 1960 and sb.bound > actual
         assert actual >= sb.bound / 16  # corrected constant holds
 
+    @pytest.mark.parametrize("n_copies", [10**12 - 1, 10**12, 10**12 + 1, 10**15])
+    @pytest.mark.parametrize("n, u, t", [(8, 2, 2), (64, 3, 2), (1000, 1, 3)])
+    def test_log_space_branch_matches_the_float_formula(self, n_copies, n, u, t):
+        formula = 0.5 * float(n_copies) ** ((u + 1) / u) * float(n) ** (-t / u)
+        assert stepping_bound(n_copies, n, u, t).bound == pytest.approx(formula, rel=1e-9)
+
+    def test_log_space_branch_past_the_float_range(self):
+        # float(10**400) overflows; 0.5 * (10**400)**(3/2) / 10**300 does not
+        bound = stepping_bound(10**400, 10**300, 2, 2).bound
+        assert math.isfinite(bound) and bound == pytest.approx(5e299, rel=1e-9)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             stepping_bound(10, -1, 2, 2)

@@ -553,3 +553,12 @@ class TestCountsOnce:
         assert search["heavyPossible"] and search["heavyEdges"] > 0
         assert 1 <= search["labelClassesExamined"] <= search["labelClasses"]
         assert trace.levels[0].branch == "embedded"
+
+
+class TestJsonSafe:
+    def test_non_finite_floats_become_strings_at_any_depth(self):
+        inf, nan = float("inf"), float("nan")
+        doc = {"a": inf, "b": [1, -inf, {"c": (nan, 2.5)}], "d": {"e": [[inf]], "f": "inf"}}
+        safe = increment._json_safe(doc)
+        assert safe == {"a": "inf", "b": [1, "-inf", {"c": ["nan", 2.5]}], "d": {"e": [["inf"]], "f": "inf"}}
+        assert json.loads(json.dumps(safe, allow_nan=False)) == safe

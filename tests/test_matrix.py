@@ -211,6 +211,11 @@ class TestCanonicalKey:
         b = a.with_entry(1, 1, 0)
         assert canonical_key(a) != canonical_key(b)
 
+    def test_keys_name_existing_cache_files(self):
+        # Cache files are named by these strings: a change orphans every file.
+        assert canonical_key(ZeroOneMatrix.parse("11\n11")) == "2x2-9af01f7cf52bd66abdc11fcceeef37b79be75c9f"
+        assert canonical_key(ZeroOneMatrix.parse("101\n010\n110")) == "3x3-d57806a24b5031e246fadda4da44ee911aef44d7"
+
     def test_key_roundtrips_through_serialization(self):
         m = COLUMN_2_PARTITE
         assert canonical_key(ZeroOneMatrix.from_json_dict(m.to_json_dict())) == canonical_key(m)
