@@ -54,6 +54,13 @@ def balance_violation(m: ZeroOneMatrix, r: int) -> Optional[str]:
 # Proper embedding of x-monotone cycles
 
 
+def _require_xmonotone_cycle(a: ZeroOneMatrix) -> None:
+    if _cycle_tour(a) is None:
+        raise PreconditionError("pattern is not a cycle")
+    if not _x_monotone_core(a):
+        raise PreconditionError("pattern is not x-monotone")
+
+
 def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     """Proper embedding of an x-monotone cycle pattern into an r-balanced
     host (r = pattern rows): row j of the pattern lands in band j. This is
@@ -64,17 +71,11 @@ def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Emb
     lexicographically least proper certificate (row map first, then column
     map), verified, or None when no proper copy exists; above weight
     r*s*sqrt(m)*n a copy always exists."""
+    _require_xmonotone_cycle(a)
     r = a.rows
-    if _cycle_tour(a) is None:
-        raise PreconditionError("pattern is not a cycle")
-    if not _x_monotone_core(a):
-        raise PreconditionError("pattern is not x-monotone")
-    if m.rows % r:
-        raise PreconditionError(
-            f"host rows {m.rows} are not divisible by pattern rows {r}"
-        )
-    if balance_violation(m, r) is not None:
-        raise PreconditionError("host is not r-balanced")
+    why = balance_violation(m, r)
+    if why is not None:
+        raise PreconditionError(f"host is not {r}-balanced: {why}")
     band = m.rows // r
     emb = _find_copy(m, a, [(p * band + 1, (p + 1) * band) for p in range(r)])
     if emb is not None and not verify_embedding(m, a, emb):
@@ -114,8 +115,10 @@ def dense_or_balanced(
     delete light columns (< c*sqrt(n)/2 ones), classify column-blocks sparse
     or dense with alpha = 1/(2k), columns imbalanced (fewer than r dense
     blocks) or balanced, and extract the branch carrying at least half the
-    surviving weight. Runs for any k and any c > 0; flags record whether the
-    weight precondition and the branch invariant actually held."""
+    surviving weight. A host with no heavy column goes through the same
+    dense rule: band 1 and the first n/k columns. Runs for any k and any
+    c > 0; flags record whether the weight precondition and the branch
+    invariant actually held."""
     if m.rows != m.cols:
         raise PreconditionError("dichotomy needs a square host")
     n = m.rows
@@ -129,48 +132,33 @@ def dense_or_balanced(
     precondition = w >= c * n**1.5 - 1e-9
     band = n // k
     light_threshold = c * math.sqrt(n) / 2.0
-    heavy_cols = [j for j in range(1, n + 1) if m.col_weight(j) >= light_threshold]
+    weights = {j: s_c for j in range(1, n + 1) if (s_c := m.col_weight(j)) >= light_threshold}
     details: dict = {
         "alpha": 1.0 / (2 * k),
         "lightThreshold": light_threshold,
-        "survivingColumns": len(heavy_cols),
+        "survivingColumns": len(weights),
     }
-    if not heavy_cols:
-        sub = m.submatrix(1, band, 1, band)
-        return DichotomyResult(
-            branch="dense",
-            matrix=sub,
-            row_indices=tuple(range(1, band + 1)),
-            col_indices=tuple(range(1, band + 1)),
-            weight=sub.weight,
-            r=r_meta,
-            weight_precondition_held=precondition,
-            invariant_holds=sub.weight >= 2 * c * (n / k) ** 1.5 - 1e-9,
-            details={**details, "case": 1, "degenerate": True},
-        )
-
-    counts = {j: _band_counts(m, k, j) for j in heavy_cols}
-    weights = {j: m.col_weight(j) for j in heavy_cols}
+    counts = {j: _band_counts(m, k, j) for j in weights}
     surviving_weight = sum(weights.values())
     # dense block test: count >= s_c / (2k), exact in integers
     dense_idx = {
         j: [i for i in range(k) if counts[j][i] * 2 * k >= weights[j]]
-        for j in heavy_cols
+        for j in weights
     }
-    imbalanced = [j for j in heavy_cols if len(dense_idx[j]) < r_meta]
-    balanced = [j for j in heavy_cols if len(dense_idx[j]) >= r_meta]
+    imbalanced = [j for j in weights if len(dense_idx[j]) < r_meta]
+    balanced = [j for j in weights if len(dense_idx[j]) >= r_meta]
     imb_weight = sum(weights[j] for j in imbalanced)
     bal_weight = surviving_weight - imb_weight
     details["imbalancedWeight"] = imb_weight
     details["balancedWeight"] = bal_weight
 
     if imb_weight * 2 >= surviving_weight:
-        # dense case: per imbalanced column its heaviest dense block, then
+        # dense case: per imbalanced column its heaviest dense block (one
+        # exists: the heaviest band holds >= s_c/k >= s_c/(2k) ones), then
         # the band covering the most of that weight
         heavy_block = {}
         for j in imbalanced:
-            cand = dense_idx[j] if dense_idx[j] else list(range(k))
-            heavy_block[j] = max(cand, key=lambda i: (counts[j][i], -i))
+            heavy_block[j] = max(dense_idx[j], key=lambda i: (counts[j][i], -i))
         score = [0] * k
         for j, i in heavy_block.items():
             score[i] += counts[j][i]
@@ -182,9 +170,9 @@ def dense_or_balanced(
         chosen = group[:band]
         if len(chosen) < band:
             # pad with unchosen heavy columns first, then light ones
-            taken, heavy = set(chosen), set(heavy_cols)
-            pool = [j for j in heavy_cols if j not in taken]
-            pool += [j for j in range(1, n + 1) if j not in heavy]
+            taken = set(chosen)
+            pool = [j for j in weights if j not in taken]
+            pool += [j for j in range(1, n + 1) if j not in weights]
             chosen += pool[: band - len(chosen)]
         chosen = sorted(chosen)
         rows = tuple(range(i_star * band + 1, (i_star + 1) * band + 1))
@@ -214,7 +202,7 @@ def dense_or_balanced(
     for i in best_set:
         rows.extend(range(i * band + 1, (i + 1) * band + 1))
     rows = tuple(rows)
-    cols = tuple(sorted(heavy_cols))
+    cols = tuple(weights)
     # truncate every column to its minimum band count, keeping the topmost
     # 1-entries of each picked band, so the result is exactly r-balanced
     window = (1 << band) - 1
@@ -272,10 +260,7 @@ def cycle_driver(
         raise DomainError(f"depth must be at least 0, got {depth}")
     if not 0 < c < math.inf:
         raise DomainError(f"c must be finite and positive, got {c}")
-    if _cycle_tour(a) is None:
-        raise PreconditionError("pattern is not a cycle")
-    if not _x_monotone_core(a):
-        raise PreconditionError("pattern is not x-monotone")
+    _require_xmonotone_cycle(a)
     if m.rows != m.cols:
         raise PreconditionError("driver needs a square host")
     r, s = a.rows, a.cols
@@ -307,7 +292,7 @@ def cycle_driver(
             stop_reason = "depth-reached"
         elif cur.rows % k:
             stop_reason = "divisibility"
-        elif cur.rows < k * max(1, r):
+        elif cur.rows < k * r:
             stop_reason = "host-too-small"
         else:
             stop_reason = None

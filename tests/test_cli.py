@@ -234,6 +234,26 @@ class TestCycles:
         assert doc["branch"] in ("dense", "balanced")
         assert doc["preconditionHeld"] is True
 
+    def test_dichotomy_without_heavy_columns(self, capsys, files):
+        # c = 5: every column of the all-ones 4x4 host has 4 < 5 ones, so the
+        # dense rule runs on no column and takes band 1 and columns 1..2
+        code, out = run(
+            capsys,
+            ["cycles", "dichotomy", files["host"], "--k", "2", "--c", "5", "--r", "2", "--s", "2"],
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["branch"], doc["rows"], doc["cols"], doc["weight"]) == ("dense", [1, 2], [1, 2], 4)
+        assert doc["details"] == {
+            "alpha": 0.25,
+            "balancedWeight": 0,
+            "band": 1,
+            "case": 1,
+            "imbalancedWeight": 0,
+            "lightThreshold": 5.0,
+            "survivingColumns": 0,
+        }
+
     def test_drive(self, capsys, files):
         code, out = run(capsys, ["cycles", "drive", files["host"], files["k22"], "--k", "2", "--c", "0.2"])
         summary = json.loads(out.strip().splitlines()[-1])

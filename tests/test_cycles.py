@@ -18,6 +18,10 @@ from patex.rng import SplitMix64
 from patex.search import deletion_lower_bound
 
 
+# A cycle (its bipartite graph is one 8-cycle) that is not x-monotone.
+NON_MONOTONE_8_CYCLE = ZeroOneMatrix.parse("0101\n0110\n1001\n1010")
+
+
 def balanced_host(rng, n, m_cols, r, lo_frac):
     """Random r-balanced n x m host with per-column band counts at least
     lo_frac of the band size."""
@@ -54,6 +58,9 @@ class TestBalance:
     def test_divisibility_diagnostic(self):
         assert "divide" in balance_violation(ZeroOneMatrix.ones(4, 2), 3)
 
+    def test_non_positive_band_count(self):
+        assert balance_violation(ZeroOneMatrix.ones(4, 2), 0) == "band count 0 is not positive"
+
 
 class TestEmbedBalanced:
     def test_all_ones(self):
@@ -64,12 +71,19 @@ class TestEmbedBalanced:
         assert embed_xmonotone_balanced(ZeroOneMatrix.zeros(4, 4), K22) is None
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^pattern is not a cycle$"):
             embed_xmonotone_balanced(ZeroOneMatrix.ones(4, 4), ZeroOneMatrix.ones(1, 2))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^pattern is not x-monotone$"):
+            embed_xmonotone_balanced(ZeroOneMatrix.ones(4, 4), NON_MONOTONE_8_CYCLE)
+        with pytest.raises(
+            PreconditionError, match="^host is not 2-balanced: 2 does not divide row count 5$"
+        ):
             embed_xmonotone_balanced(ZeroOneMatrix.ones(5, 4), K22)
         unbalanced = ZeroOneMatrix.from_rows([[1, 1], [1, 1], [0, 0], [0, 0]])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError,
+            match=r"^host is not 2-balanced: column 1 has unequal band counts \(2, 0\)$",
+        ):
             embed_xmonotone_balanced(unbalanced, K22)
 
     def test_above_threshold_always_embeds(self, rng):
@@ -215,9 +229,37 @@ class TestDichotomy:
                     truncated += res.matrix != sub
         assert truncated > 0
 
+    def test_no_heavy_column_takes_the_dense_rule(self, rng):
+        """With every column below c*sqrt(n)/2 ones, the dense rule picks
+        band 1 and pads with the first n/k columns."""
+        seen = 0
+        for n in (4, 8, 12, 16, 24):
+            for k in (k for k in range(1, n + 1) if n % k == 0):
+                host = random_matrix(rng, n, n, rng.random())
+                c = 2.0 * (max(host.col_weight(j) for j in range(1, n + 1)) + 1) / math.sqrt(n)
+                res = dense_or_balanced(host, 1 + rng.below(3), 2, k, c)
+                first = tuple(range(1, n // k + 1))
+                assert res.branch == "dense"
+                assert res.matrix == host.submatrix(1, n // k, 1, n // k)
+                assert res.row_indices == res.col_indices == first
+                assert res.weight == res.matrix.weight
+                assert res.details["survivingColumns"] == 0
+                assert res.details["band"] == 1
+                seen += 1
+        assert seen > 20
+
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
             dense_or_balanced(ZeroOneMatrix.ones(10, 10), 2, 2, 4, 1.0)
+
+    def test_rejects_non_square_host(self):
+        with pytest.raises(PreconditionError, match="^dichotomy needs a square host$"):
+            dense_or_balanced(ZeroOneMatrix.ones(4, 6), 2, 2, 2, 1.0)
+
+    @pytest.mark.parametrize("r_meta, s_meta", [(0, 2), (2, 0)])
+    def test_rejects_non_positive_pattern_dimensions(self, r_meta, s_meta):
+        with pytest.raises(DomainError, match="^pattern dimensions must be positive$"):
+            dense_or_balanced(ZeroOneMatrix.ones(4, 4), r_meta, s_meta, 2, 1.0)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_c(self, c):
@@ -296,6 +338,18 @@ class TestCycleDriver:
     def test_rejects_c_at_most_zero(self, c):
         with pytest.raises(DomainError, match="c must be finite and positive"):
             cycle_driver(ZeroOneMatrix.ones(4, 4), K22, 2, c, depth=0)
+
+    def test_rejects_non_square_host(self):
+        with pytest.raises(PreconditionError, match="^driver needs a square host$"):
+            cycle_driver(ZeroOneMatrix.ones(4, 6), K22, 2, 1.0)
+
+    @pytest.mark.parametrize("depth", [None, 0])
+    def test_rejects_non_cycle_patterns(self, depth):
+        # checked up front: at depth 0 the embedder never runs
+        with pytest.raises(PreconditionError, match="^pattern is not x-monotone$"):
+            cycle_driver(ZeroOneMatrix.ones(8, 8), NON_MONOTONE_8_CYCLE, 2, 1.0, depth)
+        with pytest.raises(PreconditionError, match="^pattern is not a cycle$"):
+            cycle_driver(ZeroOneMatrix.ones(8, 8), ZeroOneMatrix.ones(1, 2), 2, 1.0, depth)
 
     def test_rejects_negative_depth(self):
         with pytest.raises(DomainError, match="depth must be at least 0, got -1"):

@@ -17,7 +17,7 @@ from conftest import (
 )
 from patex.classify import min_column_parts, min_row_parts
 from patex.count import count_copies
-from patex.errors import DivisibilityError, DomainError, PreconditionError
+from patex.errors import DivisibilityError, DomainError, InputError, PreconditionError
 from patex.increment import (
     _part_sizes,
     density_increment_step,
@@ -378,6 +378,28 @@ class TestDrivers:
         host = deletion_lower_bound(16, K22, 5).witness
         with pytest.raises(DomainError, match="thm11 chooses the width per level; u is not accepted"):
             run_driver(host, K22, "thm11", k=2, u=5, depth=1)
+
+    def test_thm11_needs_two_column_parts(self):
+        identity = ZeroOneMatrix.from_rows([[1, 0], [0, 1]])
+        assert min_column_parts(identity)[0] == 1
+        with pytest.raises(
+            PreconditionError, match="^schedule driver needs a column partition with t >= 2$"
+        ):
+            run_driver(ZeroOneMatrix.ones(8, 8), identity, "thm11", k=2)
+
+    def test_thm11_rejects_a_schedule_too_large_to_build(self):
+        # t = 2, epsilon = 1e-4: U = ceil(20 / (1e-4 / 40)) = 8,000,000
+        with pytest.raises(DomainError, match="^epsilon too small to materialize the schedule$"):
+            run_driver(ZeroOneMatrix.ones(8, 8), K22, "thm11", k=2, epsilon=1e-4)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(InputError, match="^unknown driver mode 'thm99'$"):
+            run_driver(ZeroOneMatrix.ones(8, 8), K22, "thm99", k=2)
+
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    def test_rejects_k_below_two(self, mode):
+        with pytest.raises(DomainError, match="^k must be at least 2$"):
+            run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=1)
 
     def test_thm11_schedule_driver(self):
         host = deletion_lower_bound(16, K22, 5).witness

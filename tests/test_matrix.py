@@ -71,6 +71,44 @@ class TestParse:
         with pytest.raises(FormatError):
             ZeroOneMatrix.from_json_dict({"rows": 1, "cols": 1, "data": [1]})
 
+    @pytest.mark.parametrize(
+        "masks, cols",
+        [([], 2), ([1], 0), ([1, 2], -1)],
+    )
+    def test_constructor_rejects_empty_shapes(self, masks, cols):
+        with pytest.raises(FormatError, match="^matrix needs at least one row and one column$"):
+            ZeroOneMatrix(masks, cols)
+
+    @pytest.mark.parametrize(
+        "grid, want",
+        [
+            ([], "empty grid"),
+            ([[]], "matrix needs at least one row and one column"),
+            ([[1, 0], [1]], "ragged grid"),
+            ([[1, 2]], "entries must be 0 or 1"),
+        ],
+    )
+    def test_from_rows_rejects_bad_grids(self, grid, want):
+        with pytest.raises(FormatError, match=f"^{want}$"):
+            ZeroOneMatrix.from_rows(grid)
+
+    @pytest.mark.parametrize("masks", [[0b100], [1, -1]])
+    def test_constructor_rejects_masks_outside_the_columns(self, masks):
+        with pytest.raises(FormatError, match="^row mask exceeds the declared column count$"):
+            ZeroOneMatrix(masks, 2)
+
+    def test_json_missing_key_rejected(self):
+        with pytest.raises(FormatError, match="^bad matrix document: 'data'$"):
+            ZeroOneMatrix.from_json_dict({"rows": 1, "cols": 2})
+
+    def test_json_row_count_mismatch_rejected(self):
+        with pytest.raises(FormatError, match="^matrix document row count mismatch$"):
+            ZeroOneMatrix.from_json_dict({"rows": 2, "cols": 2, "data": ["11"]})
+
+    def test_embedding_json_missing_key_rejected(self):
+        with pytest.raises(FormatError, match="^bad embedding document: 'colMap'$"):
+            Embedding.from_json_dict({"rowMap": [1]})
+
 
 class TestRandomStream:
     """random_matrix draws each row in 128-bit lanes of one int; its entries
@@ -366,6 +404,18 @@ class TestVerify:
         assert not verify_embedding(COLUMN_2_PARTITE, K22, e)
         assert "outside" in embedding_violation(COLUMN_2_PARTITE, K22, e)
 
+    @pytest.mark.parametrize(
+        "rows, cols, want",
+        [
+            ((1,), (1, 2), "row map has 1 entries, pattern has 2 rows"),
+            ((1, 2), (1, 2, 3), "col map has 3 entries, pattern has 2 columns"),
+        ],
+    )
+    def test_map_length_mismatch(self, rows, cols, want):
+        e = Embedding(row_map=rows, col_map=cols)
+        assert embedding_violation(COLUMN_2_PARTITE, K22, e) == want
+        assert not verify_embedding(COLUMN_2_PARTITE, K22, e)
+
 
 def same_matrix(x, y):
     return (x.rows, x.cols, x.row_masks, x.col_masks, x.weight) == (
@@ -409,6 +459,30 @@ class TestSubmatrix:
         for bounds in ((0, 2, 1, 4), (1, 5, 1, 4), (1, 2, 0, 4), (1, 2, 1, 5), (2, 1, 1, 4), (1, 2, 3, 2)):
             with pytest.raises(InputError):
                 COLUMN_2_PARTITE.submatrix(*bounds)
+
+    @pytest.mark.parametrize(
+        "rows, cols, want",
+        [
+            ([], [1], "empty selection"),
+            ([1], [], "empty selection"),
+            ([2, 1], [1], "selections must be strictly increasing"),
+            ([1], [3, 3], "selections must be strictly increasing"),
+            ([0, 1], [1], "selection out of range"),
+            ([1, 5], [1], "selection out of range"),
+            ([1], [1, 5], "selection out of range"),
+        ],
+    )
+    def test_select_rejects_bad_index_lists(self, rows, cols, want):
+        with pytest.raises(InputError, match=f"^{want}$"):
+            COLUMN_2_PARTITE.select(rows, cols)
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (5, 1), (1, 0), (1, 5)])
+    def test_entry_and_with_entry_out_of_range(self, i, j):
+        want = rf"^entry \({i},{j}\) outside 4x4$"
+        with pytest.raises(InputError, match=want):
+            COLUMN_2_PARTITE.entry(i, j)
+        with pytest.raises(InputError, match=want):
+            COLUMN_2_PARTITE.with_entry(i, j, 1)
 
 
 class TestColumnMasks:

@@ -1,0 +1,100 @@
+"""Line audit: list every function-body line of `patex` that a test run never
+executes.
+
+A pytest plugin, standard library only. It installs a `sys.settrace` tracer
+that records line events only in frames whose file lies in the imported
+`patex` package, and at the end of the session prints each function-body
+line that never ran, grouped by module, with per-module counts. Module and
+class bodies are left out: they run at import. Processes the tests spawn
+are not traced.
+
+    PYTHONPATH=src:tools python -m pytest -q -p line_audit
+
+Tracing slows the suite several times over. It is not part of the test
+suite or of CI.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import inspect
+import sys
+import threading
+from pathlib import Path
+
+# file name -> lines seen running, or None for a file outside the package
+_hits: dict[str, set[int] | None] = {}
+_prefix = ""
+
+
+def _package_dir() -> Path:
+    spec = importlib.util.find_spec("patex")
+    if spec is None or spec.origin is None:
+        raise RuntimeError("line_audit: the patex package is not importable")
+    return Path(spec.origin).parent
+
+
+def _global(frame, event, arg):
+    filename = frame.f_code.co_filename
+    if filename not in _hits:
+        _hits[filename] = set() if filename.startswith(_prefix) else None
+    lines = _hits[filename]
+    if lines is None:
+        return None
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    return local
+
+
+def _body_lines(path: Path) -> dict[int, str]:
+    """Line number -> source text of every line that holds bytecode inside a
+    function, lambda or comprehension body (the `def` line excluded)."""
+    source = path.read_text()
+    text = source.splitlines()
+    found: set[int] = set()
+    stack = [compile(source, str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        stack.extend(c for c in code.co_consts if inspect.iscode(c))
+        if not code.co_flags & inspect.CO_NEWLOCALS:
+            continue  # module or class body
+        for _, _, line in code.co_lines():
+            if line is not None and line != code.co_firstlineno:
+                found.add(line)
+    return {n: text[n - 1].strip() for n in sorted(found)}
+
+
+def pytest_configure(config):
+    global _prefix
+    _prefix = str(_package_dir()) + "/"
+    threading.settrace(_global)
+    sys.settrace(_global)
+
+
+def pytest_unconfigure(config):
+    sys.settrace(None)
+    threading.settrace(None)
+
+
+def pytest_terminal_summary(terminalreporter):
+    tr = terminalreporter
+    tr.section("line audit: function-body lines never run")
+    total = missed = 0
+    per_module = []
+    for path in sorted(_package_dir().glob("*.py")):
+        body = _body_lines(path)
+        ran = _hits.get(str(path)) or set()
+        never = [(n, src) for n, src in body.items() if n not in ran]
+        total += len(body)
+        missed += len(never)
+        per_module.append((path.name, len(never), len(body)))
+        for n, src in never:
+            tr.write_line(f"{path.name}:{n}: {src}")
+    tr.write_line("")
+    for name, k, n in sorted(per_module, key=lambda row: (-row[1], row[0])):
+        tr.write_line(f"{name}: {k} of {n} never ran")
+    tr.write_line(f"total: {missed} of {total} function-body lines never ran")
