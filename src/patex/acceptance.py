@@ -335,6 +335,7 @@ def check_increment_soundness() -> tuple[bool, str]:
         if step.kind != "densified":
             return False, f"pattern-free host {i} did not densify"
         b = step.block
+        # Each block counted alone checks the step's one-walk band counts.
         block = host.submatrix((b - 1) * 4 + 1, b * 4, 1, 16)
         recount = _count_copies(block, 2, 2)
         if recount != step.count:

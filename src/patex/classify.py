@@ -142,8 +142,6 @@ def _cycle_tour(a: ZeroOneMatrix) -> Optional[tuple[tuple[int, int], ...]]:
         if cur == start:
             break
         tour.append(cur)
-        if len(tour) > a.weight:
-            return None
     if len(tour) != a.weight:
         return None
     return tuple(tour)

@@ -6,6 +6,12 @@ distinct columns whose induced submatrix is all ones. Counts are exact
 arbitrary-precision integers (they overflow 64 bits at modest sizes), and
 the bounds are evaluated from integer numerators and denominators wherever
 possible so inequality tests do not hinge on rounding.
+
+`_count_copies` walks the u-sets of rows or the t-sets of columns, whichever
+are fewer, and can also count the copies inside each of k equal horizontal
+bands. Over rows the one walk gives both the total and the band counts;
+over columns, whose t-sets span every band, each band is counted on its own.
+The density-increment steps rank their blocks by these band counts.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .errors import DomainError
 from .matrix import ZeroOneMatrix
@@ -26,36 +33,90 @@ class CopyCount:
     count: int
 
 
-def _count_copies(m: ZeroOneMatrix, u: int, t: int) -> int:
-    """Sum of binom(common-line size, t) over u-subsets of the cheaper axis."""
+@lru_cache(maxsize=64)
+def _binoms(width: int, other: int) -> tuple[int, ...]:
+    """binom(size, other) for size = 0..width (zero below other)."""
+    return tuple(math.comb(size, other) for size in range(width + 1))
+
+
+class _Count(int):
+    """An exact copy count that also carries, as `bands`, the counts inside
+    each of the k equal horizontal bands it was walked with (band 1 first)."""
+
+    bands: tuple[int, ...]
+
+
+def _count_copies(m: ZeroOneMatrix, u: int, t: int, k: int = 1) -> int:
+    """K_{u,t} copies of m: the sum of binom(common-line size, other) over
+    the subsets of the cheaper axis. With k > 1 (k divides m.rows) the count
+    is a `_Count` whose `bands` come from the same walk when rows are the
+    cheaper axis."""
+    h = m.rows // k
     if math.comb(m.rows, u) <= math.comb(m.cols, t):
-        masks, pick, other = m.row_masks, u, t
+        bands, total = _walk(m.row_masks, u, t, m.cols, h)
     else:
-        masks, pick, other = m.col_masks, t, u
-    if pick > len(masks):
-        return 0
-    # Depth-first intersection that abandons a branch once its common set has
-    # fewer than `other` members (intersections only shrink); the last level
-    # sums binom(size, other) in a loop with that reject instead of recursing.
-    n = len(masks)
-    comb = math.comb
-
-    def rec(start: int, depth: int, inter: int) -> int:
-        total = 0
-        if depth == pick - 1:
-            for mask in masks[start:]:
-                size = (inter & mask).bit_count()
-                if size >= other:
-                    total += comb(size, other)
-            return total
-        for i in range(start, n - (pick - depth) + 1):
-            nxt = inter & masks[i]
-            if nxt.bit_count() >= other:
-                total += rec(i + 1, depth + 1, nxt)
+        # A t-set of columns spans every band, so each band is counted on
+        # its own, along whichever axis is cheaper there.
+        bands, total = _walk(m.col_masks, t, u, m.rows, m.cols)
+        if k > 1:
+            bands = tuple(
+                _count_copies(m.submatrix(lo, lo + h - 1, 1, m.cols), u, t)
+                for lo in range(1, m.rows + 1, h)
+            )
+    if k == 1:
         return total
+    out = _Count(total)
+    out.bands = bands
+    return out
 
-    full = (1 << (m.cols if masks is m.row_masks else m.rows)) - 1
-    return rec(0, 0, full)
+
+def _walk(
+    masks: Sequence[int], pick: int, other: int, width: int, h: int
+) -> tuple[tuple[int, ...], int]:
+    """Copies whose `pick` lines all lie in one band of h consecutive lines,
+    band by band, and all copies. A set of lines lies in one band exactly
+    when its first and last lines do, so the walk carries the end of its
+    first line's band and splits the last line's scan there."""
+    n = len(masks)
+    binom = _binoms(width, other)
+    full = (1 << width) - 1
+
+    # Depth-first intersection that abandons a branch once its common set has
+    # fewer than `other` members (intersections only shrink). The level above
+    # the last runs the last one inline. Returns the copies whose last line
+    # comes before `end`, and all of them.
+    def rec(start: int, stop: int, depth: int, inter: int, end: int) -> tuple[int, int]:
+        inside = total = 0
+        for i in range(start, stop):
+            nxt = inter & masks[i]
+            if nxt.bit_count() < other:
+                continue
+            if depth < pick - 2:
+                a, b = rec(i + 1, n - pick + depth + 2, depth + 1, nxt, end)
+            else:
+                a = 0
+                for mask in masks[i + 1 : end]:
+                    a += binom[(nxt & mask).bit_count()]
+                b = a
+                if end < n:
+                    for mask in masks[end if end > i else i + 1 :]:
+                        b += binom[(nxt & mask).bit_count()]
+            inside += a
+            total += b
+        return inside, total
+
+    bands = []
+    total = 0
+    for lo in range(0, n, h):
+        end = lo + h
+        if pick == 1:
+            # Each line is a set of its own, in its own band.
+            inside = every = sum(binom[mask.bit_count()] for mask in masks[lo:end])
+        else:
+            inside, every = rec(lo, min(end, n - pick + 1), 0, full, end)
+        bands.append(inside)
+        total += every
+    return tuple(bands), total
 
 
 def count_copies(m: ZeroOneMatrix, u: int, t: int) -> CopyCount:

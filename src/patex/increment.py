@@ -304,7 +304,9 @@ def _horizontal_step(
 ) -> StepResult:
     """Embed-or-densify over k horizontal bands with column parts of the
     given sizes (t = len(sizes)). total, when given, is the caller's K_{u,t}
-    count of m; the step counts it itself otherwise."""
+    count of m; a total from `_count_copies(m, u, t, k)` also hands over the
+    band counts of the same walk, and the step counts each band otherwise.
+    Without a total the step makes that one walk itself."""
     if k < 1 or m.rows % k:
         raise DivisibilityError(f"{k} does not divide row count {m.rows}")
     if u < 1:
@@ -330,10 +332,14 @@ def _horizontal_step(
             label=label,
             heavy=(HeavySearch(examined=i + 1, **found),),
         )
-    counts = [_count_copies(m.submatrix(lo, hi, 1, m.cols), u, t) for lo, hi in bands]
-    best = max(range(k), key=lambda p: (counts[p], -p))
     if total is None:
-        total = _count_copies(m, u, t)
+        total = _count_copies(m, u, t, k)
+    # A total walked with these bands carries their counts; a count the
+    # caller knew from the level above does not, and its bands are counted.
+    counts = getattr(total, "bands", None)
+    if counts is None:
+        counts = [_count_copies(m.submatrix(lo, hi, 1, m.cols), u, t) for lo, hi in bands]
+    best = max(range(k), key=lambda p: (counts[p], -p))
     narrow_total = sum(counts)
     guarantee = counts[best] * 4 * r ** (u - 1) * u**u * k >= math.factorial(u) * total
     lo, hi = bands[best]
@@ -343,7 +349,7 @@ def _horizontal_step(
         row_range=(lo, hi),
         col_range=(1, m.cols),
         count=counts[best],
-        total=total,
+        total=int(total),  # without the band counts it may carry
         narrow_total=narrow_total,
         guarantee_met=guarantee,
         heavy=(HeavySearch(examined=len(classes), **found),),
@@ -376,7 +382,8 @@ def symmetric_increment_step(
     (t!)^2 / (16 (rs)^(t-1) t^(2t)) * N / k^2. Both part partitions are
     refined to t = max(row parts, column parts) before the first pass, so
     fewer than t rows or columns always raise PreconditionError. total,
-    when given, is the caller's K_{t,t} count of M."""
+    when given, is the caller's K_{t,t} count of M, and the horizontal pass
+    reads its band counts from it as `_horizontal_step` does."""
     if m.rows % k or m.cols % k:
         raise DivisibilityError(f"{k} must divide both dimensions {m.rows}x{m.cols}")
     t_row, row_cuts = min_row_parts(a)
@@ -565,6 +572,11 @@ def run_driver(
     # counted its chosen block, and a jump counted the next width.
     known: dict[int, int] = {}
 
+    def level_count(width: int) -> int:
+        # A level's own count, with its band counts for the step when k
+        # divides its rows (a level that it does not divide takes no step).
+        return _count_copies(cur, width, t, k if cur.rows % k == 0 else 1)
+
     while True:
         if schedule is not None:
             u_lvl = schedule.type_of(float(i), z)
@@ -575,7 +587,7 @@ def run_driver(
             u_lvl = u_fixed
         count = known.get(u_lvl)
         if count is None:
-            count = _count_copies(cur, u_lvl, t)
+            count = level_count(u_lvl)
         if n_base is None:
             n_base = count
 
@@ -623,7 +635,7 @@ def run_driver(
             col_range=(col_off + 1, col_off + cur.cols),
             weight=cur.weight,
             u=u_lvl,
-            count=count,
+            count=int(count),  # without the band counts it may carry
             checks=checks,
         )
 
@@ -673,7 +685,7 @@ def run_driver(
             u_next = schedule.type_of(float(i + 1), z)
             if u_next is not None and u_next > u_lvl:
                 sb = stepping_bound(step.count, n0, u_lvl, t)
-                actual = _count_copies(cur, u_lvl + 1, t)
+                actual = level_count(u_lvl + 1)
                 known[u_lvl + 1] = actual
                 pending_jump = {
                     "fromWidth": u_lvl,

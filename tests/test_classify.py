@@ -107,6 +107,8 @@ class TestGraphShape:
         assert all(is_cycle(m) for m in SIX_CYCLES_3X3)
         assert not is_cycle(DOUBLY_2_PARTITE)  # two disjoint 4-cycles
         assert not is_cycle(ZeroOneMatrix.ones(1, 2))
+        assert not is_cycle(ZeroOneMatrix.parse("11\n11\n00"))  # an empty row
+        assert not is_cycle(ZeroOneMatrix.parse("110\n110"))  # an empty column
 
     def test_cycle_weight_is_twice_line_count(self):
         for m in enumerate_cycles(6) + enumerate_cycles(8):
@@ -116,6 +118,19 @@ class TestGraphShape:
         for m in SIX_CYCLES_3X3:
             tour = _cycle_tour(m)
             assert sorted(tour) == sorted(m.one_entries())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "111\n110\n001",  # row 1 holds three ones
+            "110\n101\n101",  # every row holds two, column 1 three
+        ],
+    )
+    def test_cycle_tour_rejects_a_line_without_two_ones(self, text):
+        assert _cycle_tour(ZeroOneMatrix.parse(text)) is None
+
+    def test_cycle_tour_rejects_the_all_zero_pattern(self):
+        assert _cycle_tour(ZeroOneMatrix.zeros(2, 2)) is None
 
 
 class TestXMonotone:

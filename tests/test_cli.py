@@ -411,6 +411,12 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "no-such-check" in captured.err
 
+    def test_host_file_not_utf8(self, capsys, tmp_path):
+        host = tmp_path / "host.pat"
+        host.write_bytes(b"1\xff\n")
+        assert dispatch(["count", str(host), "--u", "1", "--t", "1"]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {host}: not UTF-8 text\n"
+
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
 

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import COLUMN_2_PARTITE, K22, oracle_count_copies, random_matrix
+from conftest import BOUNDED, COLUMN_2_PARTITE, K22, oracle_count_copies, random_matrix
 from patex.count import (
+    _count_copies,
     count_copies,
     stepping_bound,
     supersat_bound,
@@ -46,6 +49,42 @@ class TestCountCopies:
             count_copies(K22, 0, 1)
 
 
+@st.composite
+def banded_hosts(draw) -> tuple[ZeroOneMatrix, int]:
+    """A host of up to 12 rows in k = 1..4 equal bands, with 1-3 rows per
+    band and 1-3 columns or 1-2 rows per band and 1-6 columns, so that
+    both axes are the cheaper one for some widths."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rows, cols = k * draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    else:
+        rows, cols = k * draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return ZeroOneMatrix(masks, cols), k
+
+
+@BOUNDED
+@given(banded_hosts(), st.integers(1, 4), st.integers(1, 4))
+@example((ZeroOneMatrix.zeros(8, 3), 4), 2, 2)  # all zero
+@example((ZeroOneMatrix.ones(12, 3), 4), 2, 2)  # columns are cheaper
+@example((ZeroOneMatrix.ones(12, 3), 3), 2, 1)  # columns, one column per set
+@example((ZeroOneMatrix.ones(4, 6), 2), 2, 2)  # rows are cheaper
+@example((ZeroOneMatrix.ones(4, 6), 4), 1, 3)  # rows, one row per set
+@example((ZeroOneMatrix.ones(2, 6), 2), 3, 2)  # u > rows
+@example((ZeroOneMatrix.ones(6, 2), 3), 2, 3)  # t > cols
+def test_banded_count_matches_oracle(host, u, t):
+    # One walk gives the total and every band's count, on both axes.
+    m, k = host
+    count = _count_copies(m, u, t, k)
+    assert count == oracle_count_copies(m, u, t)
+    h = m.rows // k
+    bands = [
+        oracle_count_copies(m.submatrix(lo, lo + h - 1, 1, m.cols), u, t)
+        for lo in range(1, m.rows + 1, h)
+    ]
+    assert list(getattr(count, "bands", (count,))) == bands
+
+
 class TestSupersatBound:
     def test_inapplicable_below_threshold(self):
         sb = supersat_bound(16, 4, 2, 2)
@@ -71,6 +110,10 @@ class TestSupersatBound:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             supersat_bound(5, 0, 2, 2)
+
+    def test_width_guard(self):
+        with pytest.raises(DomainError, match="^u and t must be positive$"):
+            supersat_bound(5, 4, 0, 2)
 
 
 class TestSteppingBound:
@@ -120,3 +163,7 @@ class TestSteppingBound:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             stepping_bound(10, -1, 2, 2)
+
+    def test_width_guard(self):
+        with pytest.raises(DomainError, match="^u and t must be positive$"):
+            stepping_bound(10, 4, 2, 0)

@@ -16,7 +16,7 @@ from conftest import (
     random_matrix,
 )
 from patex.classify import min_column_parts, min_row_parts
-from patex.count import count_copies
+from patex.count import _count_copies, count_copies
 from patex.errors import DivisibilityError, DomainError, InputError, PreconditionError
 from patex.increment import (
     _part_sizes,
@@ -88,6 +88,11 @@ class TestConstants:
         with pytest.raises(DomainError):
             make_constants(2, 2, 2, 2, 0.0)
 
+    @pytest.mark.parametrize("r, s, u", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_size_guard(self, r, s, u):
+        with pytest.raises(DomainError, match="^r, s, u must be positive$"):
+            make_constants(2, r, s, u, 1.0)
+
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(DomainError, match="epsilon"):
@@ -133,6 +138,15 @@ class TestLambdaSchedule:
         for _ in range(2):  # an error is never cached
             with pytest.raises(DomainError):
                 lambda_schedule(2, 3, 1.0)
+
+    def test_guard_messages(self):
+        with pytest.raises(DomainError, match="^t must be positive$"):
+            lambda_schedule(0, 5, 1.0)
+        sched = lambda_schedule(2, 5, 1.0)
+        with pytest.raises(InputError, match=r"^u=1 outside 2\.\.6$"):
+            sched.value(1)
+        with pytest.raises(InputError, match=r"^closed form defined for 3\.\.5$"):
+            sched.closed_form(2)
 
     def test_repeated_call_returns_the_same_schedule(self):
         sched = lambda_schedule(3, 2700, 1.0)
@@ -264,6 +278,10 @@ class TestDensityStep:
     def test_divisibility_error(self):
         with pytest.raises(DivisibilityError):
             density_increment_step(ZeroOneMatrix.ones(6, 6), K22, 2, 4)
+
+    def test_width_guard(self):
+        with pytest.raises(DomainError, match="^u must be positive$"):
+            density_increment_step(ZeroOneMatrix.ones(4, 4), K22, 0, 2)
 
 
 class TestSymmetricStep:
@@ -536,6 +554,23 @@ class TestCountsOnce:
             assert res.count == oracle_count_copies(block, u, t)
             assert res.total == oracle_count_copies(m, u, t)
         assert densified >= 3
+
+    @pytest.mark.parametrize("u, k", [(2, 2), (2, 4), (3, 2), (4, 4)])
+    def test_walked_total_gives_the_same_step(self, u, k):
+        # A total from the banded walk carries its bands' counts, which the
+        # step uses; a plain total makes the step count each band itself.
+        # With k = 2 < r = 4 no heavy edge exists and every step densifies.
+        rng = SplitMix64(0xBA2D)
+        t, cuts = min_column_parts(COLUMN_2_PARTITE)
+        sizes = _part_sizes(cuts, COLUMN_2_PARTITE.cols, t)
+        for p in (0.2, 0.4, 0.6):
+            host = random_matrix(rng, 16, 16, p)
+            walked = _count_copies(host, u, t, k)
+            step = increment._horizontal_step(host, COLUMN_2_PARTITE, u, k, sizes, walked)
+            plain = increment._horizontal_step(host, COLUMN_2_PARTITE, u, k, sizes, int(walked))
+            assert step == plain
+            if step.kind == "densified":
+                assert type(step.total) is int and type(step.count) is int
 
     @pytest.mark.parametrize("mode", ["thm21", "thm12"])
     def test_level_counts_with_width_other_than_t(self, mode):

@@ -173,6 +173,11 @@ class TestRandomStream:
             got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
             assert got_rng.bernoulli_mask(4, p) == self.reference(want_rng, 1, 4, p)[0]
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_below_needs_a_positive_bound(self, bound):
+        with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+            SplitMix64(11).below(bound)
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_non_positive_count_draws_nothing(self, count):
         rng = SplitMix64(11)

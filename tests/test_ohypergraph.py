@@ -26,6 +26,10 @@ class TestBuild:
         phi = build_column_hypergraph(ZeroOneMatrix.from_rows([[1, 0, 1]]), 2, 1)
         assert phi == {(1, 3): frozenset({1})}
 
+    def test_width_guard(self):
+        with pytest.raises(DomainError, match="^t must be positive$"):
+            build_column_hypergraph(ZeroOneMatrix.ones(2, 2), 0, 1)
+
     def test_fixture_phi(self):
         phi = build_column_hypergraph(COLUMN_2_PARTITE, 2, 2)
         assert phi[(1, 4)] == frozenset({1, 2})

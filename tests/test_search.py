@@ -58,6 +58,11 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_ex(2, ZeroOneMatrix.zeros(1, 1))
 
+    @pytest.mark.parametrize("solve", [brute_force_ex, exact_ex, lambda n, a: deletion_lower_bound(n, a, 1)])
+    def test_size_guard(self, solve):
+        with pytest.raises(DomainError, match="^n must be positive$"):
+            solve(0, K22)
+
     def test_pattern_larger_than_host(self):
         rec = brute_force_ex(2, ZeroOneMatrix.ones(3, 1))
         assert rec.value == 4 and rec.witness == ZeroOneMatrix.ones(2, 2)
