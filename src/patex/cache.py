@@ -17,12 +17,18 @@ outside (another store or process) has other bytes and is parsed again; a
 malformed file is never kept, so it raises on every call. This pays in a
 process that reads one key file repeatedly (`extremal_table`, a long-lived
 store); a one-shot `ex --cache-dir` reads each file once and gains nothing.
+
+The directory prefix is computed once; each key's file, lock and temp paths
+are plain strings equal to the `Path` joins (`directory / name`), so
+messages name the same paths. A record handed out is rebuilt with the
+`ExtremalRecord` constructor, its JSON-shaped provenance (dicts, lists,
+tuples) copied by a small recursive copier; the immutable witness matrix is
+shared.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
+import contextlib
 import fcntl
 import json
 import os
@@ -50,29 +56,46 @@ def _stronger(a: ExtremalRecord, b: ExtremalRecord) -> ExtremalRecord:
     return a if a.value >= b.value else b
 
 
+def _copy_json(value):
+    """A deep copy of JSON-shaped data: dicts, lists and tuples are rebuilt,
+    anything else (str, int, float, bool, None) is shared."""
+    if isinstance(value, dict):
+        return {k: _copy_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(_copy_json(v) for v in value)
+    return value
+
+
 def _fresh(rec: ExtremalRecord) -> ExtremalRecord:
     """A copy of a stored record that the caller may change freely."""
-    return dataclasses.replace(rec, provenance=copy.deepcopy(rec.provenance))
+    return ExtremalRecord(
+        rec.pattern_key, rec.n, rec.value, rec.status, rec.witness, _copy_json(rec.provenance)
+    )
 
 
 class CacheStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # What `directory / name` puts before name: "" for ".", "/" for "/".
+        self._prefix = str(self.directory / "_")[:-1]
         # key -> (bytes of the key's file, the records parsed from them)
         self._parsed: dict[str, tuple[bytes, list[ExtremalRecord]]] = {}
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
-    def _read(self, key: str) -> tuple[Path, list[ExtremalRecord]]:
+    def _read(self, key: str) -> tuple[str, list[ExtremalRecord]]:
         """The key's file and its records (none when the file does not
         exist), parsed once per file content. A malformed file raises
         CacheError. The records are shared with the store: copy before
         handing one out."""
         path = self._path(key)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as f:
+                data = f.read()
             parsed = self._parsed.get(key)
             if parsed is not None and parsed[0] == data:
                 return path, parsed[1]
@@ -113,7 +136,7 @@ class CacheStore:
         so concurrent writers (threads or processes) never lose records."""
         key = canonical_key(pattern)
         self._verify(pattern, record, key)
-        lock_path = self.directory / f"{key}.lock"
+        lock_path = f"{self._prefix}{key}.lock"
         try:
             lock = os.open(lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
         except OSError as exc:
@@ -141,13 +164,15 @@ class CacheStore:
         }
         # The lock admits one writer per key at a time; the pid keeps this
         # temp file apart from another process's even if that one skips it.
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+        tmp = f"{self._prefix}{key}.{os.getpid()}.tmp"
         data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
         try:
-            tmp.write_bytes(data)
+            with open(tmp, "wb") as f:
+                f.write(data)
             os.replace(tmp, path)
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise CacheError(f"cannot write cache file {path}: {exc}") from exc
         self._parsed[key] = (data, records)
         return merged

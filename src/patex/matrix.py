@@ -40,7 +40,8 @@ class ZeroOneMatrix:
     Treat instances as frozen: every operation returns a new matrix. Row
     masks are the stored form; the column masks (bit i-1 = row i) are derived
     the first time `col_masks` is read. A contiguous `submatrix` is a shift
-    and a mask per row; `select` gathers bits for non-contiguous picks.
+    and a mask per row, and per column too when the parent's column masks
+    are cached; `select` gathers bits for non-contiguous picks.
     """
 
     __slots__ = ("rows", "cols", "row_masks", "_col_masks", "weight")
@@ -189,10 +190,16 @@ class ZeroOneMatrix:
         if not (1 <= row_lo <= row_hi <= self.rows and 1 <= col_lo <= col_hi <= self.cols):
             raise InputError("submatrix bounds out of range")
         shift, window = col_lo - 1, (1 << (col_hi - col_lo + 1)) - 1
-        return ZeroOneMatrix(
+        sub = ZeroOneMatrix(
             [(m >> shift) & window for m in self.row_masks[row_lo - 1 : row_hi]],
             col_hi - col_lo + 1,
         )
+        if self._col_masks is not None:
+            # The same window along the other axis, so `transpose()` and
+            # `col_masks` of the result need not rebuild them bit by bit.
+            shift, window = row_lo - 1, (1 << (row_hi - row_lo + 1)) - 1
+            sub._col_masks = tuple((c >> shift) & window for c in self._col_masks[col_lo - 1 : col_hi])
+        return sub
 
     def select(self, rows: Iterable[int], cols: Iterable[int]) -> "ZeroOneMatrix":
         """Submatrix from strictly increasing 1-based row/column index lists."""
@@ -325,8 +332,7 @@ def _find_copy(
     outsizes M."""
     r = a.rows
     host_masks = m.row_masks
-    # Per pattern row, the 0-based pattern columns holding a 1.
-    touched = [[j for j in range(a.cols) if pm >> j & 1] for pm in a.row_masks]
+    touched = _touched_columns(a.row_masks)
     row_map = [0] * r
 
     def rec(p: int, h_start: int, col_masks: list[int]) -> Optional[Embedding]:
@@ -368,6 +374,28 @@ def _find_copy(
     return rec(0, 1, [(1 << m.cols) - 1] * a.cols)
 
 
+@functools.lru_cache(maxsize=1024)
+def _touched_columns(row_masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per pattern row, the 0-based pattern columns holding a 1; memoized
+    per distinct pattern."""
+    return tuple(tuple(j for j in range(pm.bit_length()) if pm >> j & 1) for pm in row_masks)
+
+
+@functools.lru_cache(maxsize=1024)
+def _component_gate(row_masks: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """(r', s'), the pattern's nonzero row and column counts, when its
+    1-entries form one connected bipartite graph; None otherwise, and for
+    the all-zero pattern. Memoized per distinct pattern."""
+    masks = [pm for pm in row_masks if pm]
+    if not masks:
+        return None
+    union = 0
+    for pm in masks:
+        union |= pm
+    r, s = len(masks), union.bit_count()
+    return (r, s) if _has_component(masks, r, s) else None
+
+
 def _has_component(row_masks: Sequence[int], rows: int, cols: int) -> bool:
     """True when the bipartite graph of the 1-entries (rows on one side,
     columns on the other) has a component with at least `rows` rows and
@@ -407,15 +435,16 @@ def find_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Embedding]:
     component of M's graph, which then has at least A's r' nonzero rows and
     s' nonzero columns. If no component of M is that large the answer is
     None without the walk. The test reads only `m.row_masks` and can only
-    answer "absent"; otherwise `_find_copy` runs unchanged."""
-    masks = [pm for pm in a.row_masks if pm]
-    if masks:
-        union = 0
-        for pm in masks:
-            union |= pm
-        r, s = len(masks), union.bit_count()
-        if _has_component(masks, r, s) and not _has_component(m.row_masks, r, s):
-            return None
+    answer "absent"; otherwise `_find_copy` runs unchanged.
+
+    The pattern-side facts are computed once per distinct pattern, in
+    bounded LRU caches keyed on A's row masks: whether A is connected with
+    its r' and s' (`_component_gate`), and each pattern row's touched
+    columns (`_touched_columns`, read by `_find_copy`). Every host-side
+    step runs on every call."""
+    gate = _component_gate(a.row_masks)
+    if gate is not None and not _has_component(m.row_masks, *gate):
+        return None
     return _find_copy(m, a)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import multiprocessing
+import os
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +304,17 @@ class TestParsedOnce:
         again.provenance["extra"] = 1
         assert cache.get(K22, 4).provenance == {"solver": "test", "nested": {"runs": [1]}}
 
+    def test_list_inside_a_tuple_is_private(self, tmp_path):
+        cache = CacheStore(tmp_path)
+        rec = make_record(4, 3, "lowerBound", free_witness(4, 3))
+        rec.provenance["pair"] = ([1], 2)
+        cache.put(K22, rec)  # the store keeps its own copy of what it wrote
+        rec.provenance["pair"][0].append("changed by the caller")
+        got = cache.get(K22, 4)
+        assert got.provenance["pair"] == ([1], 2)
+        got.provenance["pair"][0].append("changed")
+        assert cache.get(K22, 4).provenance == {"solver": "test", "pair": ([1], 2)}
+
     def test_record_from_a_writing_put_is_private(self, tmp_path):
         cache = CacheStore(tmp_path)
         rec = make_record(4, 3, "lowerBound", free_witness(4, 3))
@@ -368,3 +381,68 @@ class TestConcurrency:
             got = cache.get(K22, n)
             assert got is not None and got.value == n, f"record for n={n} lost"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestPaths:
+    """Key files, locks and temp files sit where `Path(directory) / name`
+    puts them, and every message names that path."""
+
+    @staticmethod
+    def expected(directory):
+        key = canonical_key(K22)
+        return key, Path(directory) / f"{key}.json"
+
+    def test_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        key, path = self.expected(".")
+        assert str(path) == f"{key}.json"
+        CacheStore(".").put(K22, brute_force_ex(3, K22))
+        assert sorted(os.listdir(tmp_path)) == [f"{key}.json", f"{key}.lock"]
+        assert CacheStore(".").get(K22, 3).value == 6
+        path.write_text("{not json")
+        with pytest.raises(CacheError) as err:
+            CacheStore(".").get(K22, 3)
+        assert str(err.value).startswith(f"unreadable cache file {key}.json: ")
+
+    @pytest.mark.parametrize("suffix", ["", "/", "/sub//dir", "/sub/./dir/"])
+    def test_string_directories(self, tmp_path, suffix):
+        directory = str(tmp_path) + suffix
+        key, path = self.expected(directory)
+        cache = CacheStore(directory)
+        cache.put(K22, make_record(3, 3, "lowerBound", free_witness(3, 3)))
+        assert path.is_file() and path.with_suffix(".lock").is_file()
+        assert sorted(os.listdir(path.parent)) == [f"{key}.json", f"{key}.lock"]
+        doc = json.loads(path.read_text())
+        doc["records"][0]["value"] = 99
+        path.write_text(json.dumps(doc))
+        want = (
+            "invalid cache record for n=3: witness weight 3 != value 99; "
+            f"delete {path} to rebuild"
+        )
+        with pytest.raises(CacheError) as err:
+            cache.get(K22, 3)
+        assert str(err.value) == want
+
+    def test_lock_that_cannot_be_opened(self, tmp_path):
+        key, _ = self.expected(tmp_path)
+        lock = tmp_path / f"{key}.lock"
+        lock.mkdir()
+        with pytest.raises(CacheError) as err:
+            CacheStore(tmp_path).put(K22, brute_force_ex(3, K22))
+        assert str(err.value) == f"cannot open cache lock {lock}: [Errno 21] Is a directory: '{lock}'"
+        assert sorted(os.listdir(tmp_path)) == [f"{key}.lock"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        key, path = self.expected(tmp_path)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        cache = CacheStore(tmp_path)
+        with pytest.raises(CacheError) as err:
+            cache.put(K22, brute_force_ex(3, K22))
+        assert str(err.value) == f"cannot write cache file {path}: disk full"
+        assert sorted(os.listdir(tmp_path)) == [f"{key}.lock"]
+        monkeypatch.undo()
+        assert cache.get(K22, 3) is None  # nothing half-written was kept

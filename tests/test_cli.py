@@ -9,6 +9,7 @@ import pytest
 
 from conftest import COLUMN_2_PARTITE, DOUBLY_2_PARTITE, K22, random_matrix
 from patex.cli import dispatch
+from patex.count import stepping_bound
 from patex.matrix import Embedding, ZeroOneMatrix, verify_embedding
 from patex.ohypergraph import build_column_hypergraph
 from patex.rng import SplitMix64
@@ -72,6 +73,15 @@ class TestCount:
         assert doc["supersatBound"]["applicable"] is False
         assert doc["steppingBound"]["applicable"] is True
         assert doc["steppingBound"]["threshold"] == 12
+
+    def test_non_square_host_has_no_supersaturation_bound(self, capsys, tmp_path):
+        host = tmp_path / "wide.pat"
+        host.write_text(ZeroOneMatrix.ones(3, 4).to_text())
+        code, out = run(capsys, ["count", str(host), "--u", "2", "--t", "2", "--bounds"])
+        doc = json.loads(out)
+        assert code == 0 and doc["count"] == 18  # C(3,2) row pairs x C(4,2) column pairs
+        assert doc["supersatBound"] is None
+        assert doc["steppingBound"] == stepping_bound(18, 4, 2, 2).to_json_dict()
 
 
 class TestTcut:

@@ -394,6 +394,46 @@ class TestComponentLemma:
         assert host._col_masks is None
 
 
+class TestPatternMemo:
+    """The component gate and the touched columns are memoized per distinct
+    pattern; what a call answers must not depend on which equal pattern
+    object filled the memo."""
+
+    def test_equal_patterns_get_identical_certificates(self, rng):
+        for _ in range(150):
+            host = random_matrix(rng, 8, 8, 0.3 + 0.4 * rng.random())
+            a = random_matrix(rng, 1 + rng.below(3), 1 + rng.below(3), 0.6)
+            twin = ZeroOneMatrix(list(a.row_masks), a.cols)
+            assert twin is not a and twin == a
+            got = find_embedding(host, a)
+            assert find_embedding(host, twin) == got
+            assert oracle_embedding(host, a) == (None if got is None else (got.row_map, got.col_map))
+            # banded: pattern row p in host rows 1 + 8p/r .. 8(p+1)/r
+            bands = [(1 + 8 * p // a.rows, 8 * (p + 1) // a.rows) for p in range(a.rows)]
+            banded = matrix._find_copy(host, a, bands)
+            assert matrix._find_copy(host, twin, bands) == banded
+            if banded is not None:
+                assert verify_embedding(host, a, banded)
+                assert all(lo <= h <= hi for h, (lo, hi) in zip(banded.row_map, bands))
+
+    def test_disconnected_pattern_still_walks(self):
+        ident = ZeroOneMatrix.parse("100\n010\n001")
+        assert matrix._component_gate(ident.row_masks) is None
+        # every component of the host is a single 1-entry
+        host = ZeroOneMatrix.parse("1000\n0000\n0010\n0001")
+        assert find_embedding(host, ident) == Embedding((1, 3, 4), (1, 3, 4))
+        assert find_embedding(host, ZeroOneMatrix.parse("100\n010\n001")) == Embedding((1, 3, 4), (1, 3, 4))
+
+    def test_memos_stay_bounded(self):
+        host = ZeroOneMatrix.parse("101010\n010101\n111000")
+        for i in range(1, 1100):  # 1,099 distinct 2x6 patterns
+            a = ZeroOneMatrix([i & 63, i >> 6], 6)
+            assert (find_embedding(host, a) is None) == (oracle_embedding(host, a) is None)
+        for memo in (matrix._component_gate, matrix._touched_columns):
+            info = memo.cache_info()
+            assert info.maxsize == 1024 and info.currsize <= 1024
+
+
 class TestVerify:
     def test_row_map_not_increasing(self):
         e = Embedding(row_map=(2, 2), col_map=(1, 4))
@@ -459,6 +499,24 @@ class TestSubmatrix:
                 sub = m.submatrix(a, b, c, d)
                 assert same_matrix(sub, m.select(range(a, b + 1), range(c, d + 1)))
             assert same_matrix(m.submatrix(1, rows, 1, cols), m)
+
+    def test_column_masks_of_a_window_of_a_cached_parent(self, rng):
+        for _ in range(200):
+            rows, cols = 1 + rng.below(70), 1 + rng.below(70)
+            m = random_matrix(rng, rows, cols, rng.random())
+            r_lo = 1 + rng.below(rows)
+            r_hi = r_lo + rng.below(rows - r_lo + 1)
+            c_lo = 1 + rng.below(cols)
+            c_hi = c_lo + rng.below(cols - c_lo + 1)
+            assert m.submatrix(r_lo, r_hi, c_lo, c_hi)._col_masks is None  # still derived lazily
+            m.col_masks
+            sub = m.submatrix(r_lo, r_hi, c_lo, c_hi)
+            assert sub._col_masks is not None  # shifted and masked from the parent's
+            fresh = ZeroOneMatrix(sub.row_masks, sub.cols)
+            assert same_matrix(sub, fresh)
+            t = sub.transpose()
+            assert t.row_masks == fresh.col_masks
+            assert same_matrix(t.transpose(), fresh)
 
     def test_bounds_checked(self):
         for bounds in ((0, 2, 1, 4), (1, 5, 1, 4), (1, 2, 0, 4), (1, 2, 1, 5), (2, 1, 1, 4), (1, 2, 3, 2)):
