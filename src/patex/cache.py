@@ -171,7 +171,8 @@ class CacheStore:
                 f.write(data)
             os.replace(tmp, path)
         except OSError as exc:
-            with contextlib.suppress(FileNotFoundError):
+            # Best effort: tmp may never have been made, or be a directory.
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise CacheError(f"cannot write cache file {path}: {exc}") from exc
         self._parsed[key] = (data, records)

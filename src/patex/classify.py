@@ -202,15 +202,13 @@ class WindingProfile:
         return {"row0": self.row0, "col0": self.col0, "faces": [list(r) for r in self.faces]}
 
 
-def winding_profile(a: ZeroOneMatrix, reverse: bool = False) -> WindingProfile:
+def winding_profile(a: ZeroOneMatrix) -> WindingProfile:
     """Face windings computed by signed crossings of a rightward horizontal
-    ray from each cell center with the directed vertical segments; reversing
-    the orientation negates every face."""
+    ray from each cell center with the directed vertical segments, for the
+    orientation of `_cycle_tour`; the other orientation negates every face."""
     if not is_cycle(a):
         raise UnsupportedError("winding profile is only defined for cycle patterns")
     tour = _cycle_tour(a)
-    if reverse:
-        tour = tuple(reversed(tour))
     vsegs = []
     npts = len(tour)
     for idx in range(npts):

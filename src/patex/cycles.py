@@ -11,6 +11,7 @@ columns of the pattern are legal: a zero row takes the first row of its band
 and the greedy column assignment places zero columns. The dichotomy's
 balanced branch reads the band counts and the truncated columns straight off
 the host's column masks and builds its matrix once, by transposing them.
+The embedder's and the driver's certificates pass the `certified` gate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 from .classify import _cycle_tour, _x_monotone_core, is_cycle
 from .errors import DivisibilityError, DomainError, PreconditionError
 from .increment import IncrementTrace, TraceLevel
-from .matrix import Embedding, ZeroOneMatrix, _find_copy, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, _find_copy, certified
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +70,7 @@ def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Emb
     first row of its band, and the leftmost increasing columns place every
     column, zero columns included. The walk is exhaustive, so it returns the
     lexicographically least proper certificate (row map first, then column
-    map), verified, or None when no proper copy exists; above weight
+    map), passed through `certified`, or None when no proper copy exists; above weight
     r*s*sqrt(m)*n a copy always exists."""
     _require_xmonotone_cycle(a)
     r = a.rows
@@ -78,9 +79,7 @@ def embed_xmonotone_balanced(m: ZeroOneMatrix, a: ZeroOneMatrix) -> Optional[Emb
         raise PreconditionError(f"host is not {r}-balanced: {why}")
     band = m.rows // r
     emb = _find_copy(m, a, [(p * band + 1, (p + 1) * band) for p in range(r)])
-    if emb is not None and not verify_embedding(m, a, emb):
-        raise AssertionError("proper embedding failed verification")
-    return emb
+    return None if emb is None else certified(m, a, emb)
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +251,8 @@ def cycle_driver(
     descends into the extracted (n/k) x (n/k) matrix with the weight target
     doubled, a balanced branch attempts the proper embedding. Returns a
     trace whose final level is an embedding, a failed balanced attempt, or
-    exhaustion; the embedding, when found, is verified against the original
-    host."""
+    exhaustion; the embedding, when found, passes `certified` against the
+    original host."""
     if k < 2:
         raise DomainError("k must be at least 2")
     if depth is not None and depth < 0:
@@ -307,12 +306,10 @@ def cycle_driver(
             emb_local = embed_xmonotone_balanced(res.matrix, a)
             stop_reason = "balanced-embed-failed"
             if emb_local is not None:
-                embedding = Embedding(
+                embedding = certified(m, a, Embedding(
                     row_map=tuple(rows_abs[res.row_indices[v - 1] - 1] for v in emb_local.row_map),
                     col_map=tuple(cols_abs[res.col_indices[v - 1] - 1] for v in emb_local.col_map),
-                )
-                if not verify_embedding(m, a, embedding):
-                    raise AssertionError("cycle driver certificate failed on the host")
+                ))
                 stop_reason = "embedded"
             levels.append(TraceLevel(branch="balanced", **base))
             break

@@ -9,7 +9,8 @@ the pattern's column intervals), or returns the block with the most K_{u,t}
 copies. The embedding maps the pattern's columns onto the structure's
 vertices in order and pattern row a to the first row of block label[a] with
 a 1 in each of row a's 1-columns, found by `_find_copy`, the banded walk
-behind `find_embedding`. The advertised constants make the densify guarantee
+behind `find_embedding`; every certificate a step or driver returns has
+passed `certified` against its host. The advertised constants make the densify guarantee
 astronomically demanding, so drivers accept user-supplied (k, depth) and
 record which of the closed-form thresholds actually held at every level; all
 counts are exact integers and oversized constants are handled in log10 space.
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Union
 from .classify import min_column_parts, min_row_parts
 from .count import _count_copies, stepping_bound, supersat_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
-from .matrix import Embedding, ZeroOneMatrix, _find_copy, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, _find_copy, certified
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
 # traces the increment layer through this module's attributes.
 from .ohypergraph import (  # noqa: F401
@@ -153,11 +154,6 @@ class LambdaSchedule:
         if not (self.t + 1 <= u <= self.U):
             raise InputError(f"closed form defined for {self.t + 1}..{self.U}")
         return self.epsilon0 + self.t / (2.0 * (u - 1)) + self.t / (2.0 * u)
-
-    def jump_levels(self, z: float) -> tuple[tuple[float, int], ...]:
-        """Recursion depths i = z - z*lambda_u at which the tracked clique
-        width steps up to u, for u = t+1..U."""
-        return tuple((z - z * self.value(u), u) for u in range(self.t + 1, self.U + 1))
 
     def type_of(self, i: float, z: float) -> Optional[int]:
         """The unique u with z*lambda_{u+1} < z - i <= z*lambda_u, or None
@@ -287,11 +283,8 @@ def _assemble_embedding(
     host = m.select(range(1, m.rows + 1), verts)
     found = _find_copy(host, a, [bands[b - 1] for b in label])
     if found is None:
-        raise AssertionError("label class lost its witness row")
-    emb = Embedding(row_map=found.row_map, col_map=tuple(verts))
-    if not verify_embedding(m, a, emb):
-        raise AssertionError("assembled certificate failed verification")
-    return emb
+        raise AssertionError("label class lost its witness row")  # unreachable: a heavy edge has them
+    return certified(m, a, Embedding(row_map=found.row_map, col_map=tuple(verts)))
 
 
 def _horizontal_step(
@@ -384,7 +377,7 @@ def symmetric_increment_step(
     fewer than t rows or columns always raise PreconditionError. total,
     when given, is the caller's K_{t,t} count of M, and the horizontal pass
     reads its band counts from it as `_horizontal_step` does."""
-    if m.rows % k or m.cols % k:
+    if k < 1 or m.rows % k or m.cols % k:
         raise DivisibilityError(f"{k} must divide both dimensions {m.rows}x{m.cols}")
     t_row, row_cuts = min_row_parts(a)
     t_col, col_cuts = min_column_parts(a)
@@ -402,9 +395,7 @@ def symmetric_increment_step(
     heavy = step1.heavy + step2.heavy
     if step2.kind == "embedded":
         inner = step2.embedding
-        emb = Embedding(inner.col_map, inner.row_map).shifted(row_lo - 1, 0)
-        if not verify_embedding(m, a, emb):
-            raise AssertionError("transposed certificate failed verification")
+        emb = certified(m, a, Embedding(inner.col_map, inner.row_map).shifted(row_lo - 1, 0))
         return StepResult(kind="embedded", embedding=emb, label=step2.label, heavy=heavy)
     q = step2.block
     col_lo, col_hi = step2.row_range  # rows of the transpose are columns of m1
@@ -515,8 +506,9 @@ def run_driver(
 
     The pattern's width t is its column part count, or for thm12 the larger
     of its row and column part counts; every level counts K_{u,t} copies.
-    Stops on a verified embedding, on exhausted depth/divisibility, or when
-    the tracked count reaches zero.
+    A densified step hands its chosen block's count down to the next level.
+    Stops on an embedding that passed `certified` against m, on exhausted
+    depth/divisibility, or when the tracked count reaches zero.
     """
     if mode not in ("thm21", "thm12", "thm11"):
         raise InputError(f"unknown driver mode {mode!r}")
@@ -566,11 +558,9 @@ def run_driver(
     row_off = 0
     col_off = 0
     i = 0
-    n_base = None  # count at level 0 for the chain bound
-    pending_jump: Optional[dict] = None
-    # K_{u,t} counts of cur already known, by width u: a densified step
-    # counted its chosen block, and a jump counted the next width.
-    known: dict[int, int] = {}
+    # (width, K_{width,t} count of cur) from the step above, which counted
+    # the block it chose (the grid step at width t); None at level 0.
+    above: Optional[tuple[int, int]] = None
 
     def level_count(width: int) -> int:
         # A level's own count, with its band counts for the step when k
@@ -585,16 +575,24 @@ def run_driver(
                 break
         else:
             u_lvl = u_fixed
-        count = known.get(u_lvl)
-        if count is None:
-            count = level_count(u_lvl)
-        if n_base is None:
-            n_base = count
-
         checks: dict = {}
-        if pending_jump is not None:
-            checks["jump"] = pending_jump
-            pending_jump = None
+        if above is None:
+            count = n_base = level_count(u_lvl)  # n_base anchors the chain bound
+        else:
+            width, counted = above
+            count = counted if u_lvl == width else level_count(u_lvl)
+            if schedule is not None and u_lvl > width:
+                # The width grew: the stepping-up bound from the count above
+                # against this block's K_{width+1,t} count.
+                sb = stepping_bound(counted, n0, width, t)
+                actual = count if u_lvl == width + 1 else level_count(width + 1)
+                checks["jump"] = {
+                    "fromWidth": width,
+                    "toWidth": u_lvl,
+                    "steppingApplicable": sb.applicable,
+                    "steppingBound": sb.bound,
+                    "steppingHolds": (not sb.applicable) or actual >= sb.bound,
+                }
         try:
             chain = n_base / (k ** (rate * i))
         except OverflowError:
@@ -658,9 +656,7 @@ def run_driver(
         checks["heavySearch"] = [h.to_json_dict() for h in step.heavy]
 
         if step.kind == "embedded":
-            embedding = step.embedding.shifted(row_off, col_off)
-            if not verify_embedding(m, a, embedding):
-                raise AssertionError("driver certificate failed against the original host")
+            embedding = certified(m, a, step.embedding.shifted(row_off, col_off))
             levels.append(TraceLevel(branch="embedded", **base_level))
             stop_reason = "embedded"
             break
@@ -678,22 +674,7 @@ def run_driver(
         cur = cur.submatrix(rlo, rhi, clo, chi)
         row_off += rlo - 1
         col_off += clo - 1
-        # The chosen block is the next level; the grid step counted K_{t,t}.
-        known = {t if grid else u_lvl: step.count}
-
-        if schedule is not None:
-            u_next = schedule.type_of(float(i + 1), z)
-            if u_next is not None and u_next > u_lvl:
-                sb = stepping_bound(step.count, n0, u_lvl, t)
-                actual = level_count(u_lvl + 1)
-                known[u_lvl + 1] = actual
-                pending_jump = {
-                    "fromWidth": u_lvl,
-                    "toWidth": u_next,
-                    "steppingApplicable": sb.applicable,
-                    "steppingBound": sb.bound,
-                    "steppingHolds": (not sb.applicable) or actual >= sb.bound,
-                }
+        above = (t if grid else u_lvl, step.count)
         i += 1
 
     return IncrementTrace(

@@ -3,9 +3,11 @@
 A matrix M contains a pattern A when strictly increasing row and column
 injections map every 1-entry of A onto a 1-entry of M; the pair of injections
 is the certificate (an Embedding) and can be checked independently of how it
-was found. Rows are stored as integer bitmasks (bit j-1 = column j), which is
-an internal representation choice only: the public API and all serialized
-formats are 1-based grids.
+was found: `embedding_violation` names the first condition it breaks. Every
+certificate that a construction builds passes one gate, `certified`, which
+raises AssertionError quoting that violation. Rows are stored as integer
+bitmasks (bit j-1 = column j), which is an internal representation choice
+only: the public API and all serialized formats are 1-based grids.
 
 One backtracking walk, `_find_copy`, builds every containment certificate
 and returns it as an Embedding. `find_embedding` runs it over all host rows;
@@ -473,3 +475,13 @@ def embedding_violation(m: ZeroOneMatrix, a: ZeroOneMatrix, e: Embedding) -> Opt
 
 def verify_embedding(m: ZeroOneMatrix, a: ZeroOneMatrix, e: Embedding) -> bool:
     return embedding_violation(m, a, e) is None
+
+
+def certified(m: ZeroOneMatrix, a: ZeroOneMatrix, e: Embedding) -> Embedding:
+    """The certificate gate of the constructions: e when it is a copy of A
+    in M, else AssertionError quoting `embedding_violation`. A construction
+    that builds a wrong certificate is a bug, never an answer."""
+    why = embedding_violation(m, a, e)
+    if why is not None:
+        raise AssertionError(f"certificate failed verification: {why}")
+    return e

@@ -22,6 +22,7 @@ edge).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -241,7 +242,7 @@ class AvoidanceThreshold:
     """Edge-count threshold 2*n^(t-delta) with delta = 1/(t*s^(t-1)) above
     which an ordered complete t-partite sub-hypergraph with parts of size s
     is unavoidable; gamma = (t-1)/(t*s^(t-1)) is the companion exponent used
-    to separate rare cut patterns."""
+    to separate rare cut patterns. A threshold past the float range is inf."""
 
     n: int
     t: int
@@ -259,6 +260,8 @@ def avoidance_threshold(n: int, t: int, s: int) -> AvoidanceThreshold:
         raise DomainError("n, t, s must be positive")
     delta = 1.0 / (t * s ** (t - 1))
     gamma = (t - 1.0) / (t * s ** (t - 1))
-    return AvoidanceThreshold(
-        n=n, t=t, s=s, delta=delta, gamma=gamma, threshold=2.0 * n ** (t - delta)
-    )
+    try:
+        threshold = 2.0 * n ** (t - delta)
+    except OverflowError:  # the power is past the float range
+        threshold = math.inf
+    return AvoidanceThreshold(n=n, t=t, s=s, delta=delta, gamma=gamma, threshold=threshold)

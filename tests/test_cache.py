@@ -432,6 +432,15 @@ class TestPaths:
         assert str(err.value) == f"cannot open cache lock {lock}: [Errno 21] Is a directory: '{lock}'"
         assert sorted(os.listdir(tmp_path)) == [f"{key}.lock"]
 
+    def test_temp_path_that_is_a_directory(self, tmp_path):
+        key, path = self.expected(tmp_path)
+        tmp = tmp_path / f"{key}.{os.getpid()}.tmp"
+        tmp.mkdir()
+        with pytest.raises(CacheError) as err:
+            CacheStore(tmp_path).put(K22, brute_force_ex(3, K22))
+        assert str(err.value) == f"cannot write cache file {path}: [Errno 21] Is a directory: '{tmp}'"
+        assert tmp.is_dir() and not path.exists()
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         key, path = self.expected(tmp_path)
 

@@ -164,9 +164,12 @@ class TestWinding:
 
     def test_reversal_negates(self):
         for m in SIX_CYCLES_3X3 + (K22,):
-            fwd = winding_profile(m)
-            rev = winding_profile(m, reverse=True)
-            assert rev.faces == tuple(tuple(-v for v in row) for row in fwd.faces)
+            prof = winding_profile(m)
+            rev = tuple(reversed(_cycle_tour(m)))
+            for i, row in enumerate(prof.faces):
+                for j, v in enumerate(row):
+                    y, x = prof.row0 + i + 0.5, prof.col0 + j + 0.5
+                    assert oracle_winding(rev, y, x) == -v
 
     def test_matches_angle_summation_oracle(self):
         for m in SIX_CYCLES_3X3 + (K22,) + tuple(enumerate_cycles(8)[:20]):

@@ -117,6 +117,14 @@ class TestTcut:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_threshold_past_the_float_range_is_inf(self, capsys, tmp_path):
+        # 2 * 6^(400 - 1/400) is past the float range.
+        path = tmp_path / "wide.pat"
+        path.write_text(ZeroOneMatrix.ones(2, 6).to_text())
+        code, out = run(capsys, ["tcut", str(path), "--t", "400", "--s", "1"])
+        assert code == 0
+        assert json.loads(out)["threshold"]["threshold"] == "inf"
+
     def test_negative_trials_rejected(self, capsys, files):
         code = dispatch(["tcut", files["fixture"], "--t", "2", "--s", "1", "--trials", "-5"])
         captured = capsys.readouterr()

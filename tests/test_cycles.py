@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import K22, SIX_CYCLES_3X3, random_matrix
+from patex import cycles
 from patex.classify import is_cycle
 from patex.cycles import (
     balance_violation,
@@ -13,7 +14,7 @@ from patex.cycles import (
     enumerate_cycles,
 )
 from patex.errors import DivisibilityError, DomainError, PreconditionError
-from patex.matrix import ZeroOneMatrix, find_embedding, verify_embedding
+from patex.matrix import Embedding, ZeroOneMatrix, find_embedding, verify_embedding
 from patex.rng import SplitMix64
 from patex.search import deletion_lower_bound
 
@@ -69,6 +70,13 @@ class TestEmbedBalanced:
 
     def test_zero_host(self):
         assert embed_xmonotone_balanced(ZeroOneMatrix.zeros(4, 4), K22) is None
+
+    def test_wrong_certificate_stops_at_the_gate(self, monkeypatch):
+        # A walk that handed back a column map off the host.
+        monkeypatch.setattr(cycles, "_find_copy", lambda m, a, bands: Embedding((1, 3), (1, 5)))
+        with pytest.raises(AssertionError) as err:
+            embed_xmonotone_balanced(ZeroOneMatrix.ones(4, 4), K22)
+        assert str(err.value) == "certificate failed verification: col map value 5 outside 1..4"
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError, match="^pattern is not a cycle$"):

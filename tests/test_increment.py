@@ -26,7 +26,8 @@ from patex.increment import (
     run_driver,
     symmetric_increment_step,
 )
-from patex.matrix import ZeroOneMatrix, verify_embedding
+from patex.count import stepping_bound
+from patex.matrix import Embedding, ZeroOneMatrix, verify_embedding
 from patex.rng import SplitMix64
 from patex.search import deletion_lower_bound
 
@@ -125,14 +126,14 @@ class TestLambdaSchedule:
         for i in (0.5, 1.0, 2.0, 4.0):
             u = sched.type_of(i, z)
             assert z * sched.value(u + 1) < z - i <= z * sched.value(u)
-        jumps = sched.jump_levels(z)
-        assert all(jumps[i][0] <= jumps[i + 1][0] for i in range(len(jumps) - 1))
+        jumps = [z - z * sched.value(u) for u in range(3, 41)]
+        assert jumps == sorted(jumps)
 
     def test_jump_levels_have_two_types(self):
         sched = lambda_schedule(2, 40, 1.0)
         z = 10.0
-        level, u = sched.jump_levels(z)[0]
-        assert set(sched.types_of(level, z)) == {u - 1, u}
+        u = 3
+        assert set(sched.types_of(z - z * sched.value(u), z)) == {u - 1, u}
 
     def test_domain_error(self):
         for _ in range(2):  # an error is never cached
@@ -168,7 +169,7 @@ class TestLambdaSchedule:
                 for n in sorted(ns):
                     z = math.log(n) / math.log(k)
                     levels = [float(i) for i in range(math.ceil(z) + 2)]
-                    levels += [lv for lv, _ in sched.jump_levels(z) if lv < z + 1]
+                    levels += [z - z * lam(u) for u in range(t + 1, U + 1)]
                     for i in levels:
                         rem = z - i
                         typed, types = [], []
@@ -190,7 +191,7 @@ class TestLambdaSchedule:
         lam = sched.value
         for z in (0.0, 0.5, 1.0, 3.0, 7.25):
             levels = [k / 4 for k in range(-4, 4 * math.ceil(z) + 6)]
-            levels += [lv for lv, _ in sched.jump_levels(z)]
+            levels += [z - z * lam(u) for u in range(t + 1, U + 1)]
             for i in levels:
                 rem = z - i
                 want = [u for u in range(t, U + 1) if rem > 0 and z * lam(u + 1) < rem <= z * lam(u)]
@@ -329,6 +330,11 @@ class TestSymmetricStep:
         with pytest.raises(DivisibilityError):
             symmetric_increment_step(ZeroOneMatrix.ones(8, 6), K22, 4)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(DivisibilityError, match=f"^{k} must divide both dimensions 8x8$"):
+            symmetric_increment_step(ZeroOneMatrix.ones(8, 8), K22, k)
+
 
 class TestDrivers:
     def test_all_ones_embeds_at_level_zero(self):
@@ -336,6 +342,15 @@ class TestDrivers:
         assert trace.stop_reason == "embedded"
         assert trace.levels[0].branch == "embedded"
         assert verify_embedding(ZeroOneMatrix.ones(16, 16), K22, trace.embedding)
+
+    def test_wrong_certificate_stops_at_the_gate(self, monkeypatch):
+        # A step whose walk handed back a non-increasing row map.
+        monkeypatch.setattr(increment, "_find_copy", lambda m, a, bands: Embedding((1, 1), (1, 2)))
+        want = "certificate failed verification: row map not strictly increasing at value 1"
+        for mode in ("thm21", "thm12"):
+            with pytest.raises(AssertionError) as err:
+                run_driver(ZeroOneMatrix.ones(16, 16), K22, mode, k=4)
+            assert str(err.value) == want
 
     def test_free_host_trace_is_sound(self):
         host = deletion_lower_bound(16, K22, 7).witness
@@ -555,6 +570,43 @@ class TestCountsOnce:
             assert res.total == oracle_count_copies(m, u, t)
         assert densified >= 3
 
+    def test_jump_checks_match_recount(self):
+        # A level whose schedule width grew records the stepping-up check:
+        # the bound from the block's K_{from,t} count, held against its
+        # K_{from+1,t} count, also when the width skips past from + 1.
+        rng = SplitMix64(0x5717)
+        runs = [
+            (a, random_matrix(rng, n, n, 0.5), k, epsilon)
+            for a in (COLUMN_2_PARTITE, DOUBLY_2_PARTITE)
+            for n, k, epsilon in ((16, 2, 1.0), (16, 4, 3.0), (32, 2, 3.0))
+        ]
+        # Five rows leave k = 4 blocks no heavy edge. Level 1 jumps from
+        # width 2 to 4, and its K_{3,2} count meets the bound that its
+        # K_{4,2} count misses.
+        runs.append((ZeroOneMatrix.ones(5, 2), random_matrix(SplitMix64(11), 32, 32, 0.6), 4, 1.0))
+        seen = set()
+        for a, host, k, epsilon in runs:
+            t = min_column_parts(a)[0]
+            trace = run_driver(host, a, "thm11", k=k, epsilon=epsilon)
+            assert "jump" not in trace.levels[0].checks
+            for prev, level in zip(trace.levels, trace.levels[1:]):
+                if level.u == prev.u:
+                    assert "jump" not in level.checks
+                    continue
+                sub = host.submatrix(*level.row_range, *level.col_range)
+                low = prev.u
+                sb = stepping_bound(oracle_count_copies(sub, low, t), host.cols, low, t)
+                holds = not sb.applicable or oracle_count_copies(sub, low + 1, t) >= sb.bound
+                assert level.checks["jump"] == {
+                    "fromWidth": low,
+                    "toWidth": level.u,
+                    "steppingApplicable": sb.applicable,
+                    "steppingBound": sb.bound,
+                    "steppingHolds": holds,
+                }
+                seen.add((level.u == low + 1, holds and level.count < sb.bound))
+        assert {(True, False), (False, False), (False, True)} <= seen
+
     @pytest.mark.parametrize("u, k", [(2, 2), (2, 4), (3, 2), (4, 4)])
     def test_walked_total_gives_the_same_step(self, u, k):
         # A total from the banded walk carries its bands' counts, which the
@@ -586,7 +638,7 @@ class TestCountsOnce:
                 trace = run_driver(host, a, mode, k=2, u=u)
                 for level in trace.levels:
                     sub = host.submatrix(*level.row_range, *level.col_range)
-                    assert level.u == u
+                    assert level.u == u and "jump" not in level.checks
                     assert level.count == oracle_count_copies(sub, u, t)
 
     def test_heavy_search_recorded(self):

@@ -14,6 +14,7 @@ from patex.matrix import (
     ZeroOneMatrix,
     _has_component,
     canonical_key,
+    certified,
     embedding_violation,
     find_embedding,
     verify_embedding,
@@ -460,6 +461,16 @@ class TestVerify:
         e = Embedding(row_map=rows, col_map=cols)
         assert embedding_violation(COLUMN_2_PARTITE, K22, e) == want
         assert not verify_embedding(COLUMN_2_PARTITE, K22, e)
+
+    def test_certified_passes_a_copy_and_quotes_a_violation(self):
+        good = find_embedding(COLUMN_2_PARTITE, K22)
+        assert certified(COLUMN_2_PARTITE, K22, good) is good
+        bad = Embedding(row_map=(1, 2), col_map=(1, 2))
+        want = "certificate failed verification: " + embedding_violation(COLUMN_2_PARTITE, K22, bad)
+        assert want.endswith("pattern 1-entry (1,1) lands on 0-entry (1,1)")
+        with pytest.raises(AssertionError) as err:
+            certified(COLUMN_2_PARTITE, K22, bad)
+        assert str(err.value) == want
 
 
 def same_matrix(x, y):

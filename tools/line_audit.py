@@ -6,7 +6,8 @@ that records line events only in frames whose file lies in the imported
 `patex` package, and at the end of the session prints each function-body
 line that never ran, grouped by module, with per-module counts. Module and
 class bodies are left out: they run at import. Processes the tests spawn
-are not traced.
+are not traced. A never-run line that ends in `# unreachable: <reason>` is
+intended to be unreachable; it is listed and counted apart.
 
     PYTHONPATH=src:tools python -m pytest -q -p line_audit
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import re
 import sys
 import threading
 from pathlib import Path
@@ -25,6 +27,7 @@ from pathlib import Path
 # file name -> lines seen running, or None for a file outside the package
 _hits: dict[str, set[int] | None] = {}
 _prefix = ""
+_UNREACHABLE = re.compile(r"#\s*unreachable:\s*\S.*$")
 
 
 def _package_dir() -> Path:
@@ -85,16 +88,28 @@ def pytest_terminal_summary(terminalreporter):
     tr.section("line audit: function-body lines never run")
     total = missed = 0
     per_module = []
+    intended = []
     for path in sorted(_package_dir().glob("*.py")):
         body = _body_lines(path)
         ran = _hits.get(str(path)) or set()
-        never = [(n, src) for n, src in body.items() if n not in ran]
+        never = []
+        for n, src in body.items():
+            if n not in ran:
+                line = f"{path.name}:{n}: {src}"
+                (intended if _UNREACHABLE.search(src) else never).append(line)
         total += len(body)
         missed += len(never)
         per_module.append((path.name, len(never), len(body)))
-        for n, src in never:
-            tr.write_line(f"{path.name}:{n}: {src}")
+        for line in never:
+            tr.write_line(line)
+    tr.write_line("")
+    tr.write_line("marked unreachable, never ran:")
+    for line in intended:
+        tr.write_line(line)
     tr.write_line("")
     for name, k, n in sorted(per_module, key=lambda row: (-row[1], row[0])):
         tr.write_line(f"{name}: {k} of {n} never ran")
-    tr.write_line(f"total: {missed} of {total} function-body lines never ran")
+    tr.write_line(
+        f"total: {missed} of {total} function-body lines never ran, "
+        f"and {len(intended)} marked unreachable"
+    )
