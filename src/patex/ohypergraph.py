@@ -7,17 +7,20 @@ witnesses in at least r blocks. heavy_label_classes groups the heavy edges
 by their r smallest blocks straight from the row and column masks, each
 class as a completion map from (t-1)-prefixes to the bitmask of the last
 columns that complete them; it is the one form a label class takes in the
-library. Per column prefix it ORs the row masks of the prefix's common rows
-band by band, so a column's label is the first r bands whose OR holds it,
-and drops a group of columns once too few bands remain to finish its label.
-build_column_hypergraph lists every edge with its blocks and is kept as the
-reference for that grouping. A random t-cut of [n] is t-1 uniform points;
-cut_probability gives the exact chance that one cuts an edge (puts its j-th
-vertex in the j-th part) and cut_hits counts the hits over seeded trials,
-the one sampler of the library. Last comes the exhaustive search of a
-completion map for an ordered complete t-partite sub-hypergraph (parts of
-prescribed sizes, each part entirely before the next, every transversal an
-edge).
+library. It walks the column prefixes depth-first, and each prefix's loop
+labels the next columns of every prefix one longer: band by band over the
+bands that still hold a common row, it ORs that band's rows into a reach,
+so a column's label is the first r bands whose reach holds it, drops a
+group of columns once too few bands remain to finish its label, and stops
+once no group is left. Labels stay band bitmasks until the classes are
+returned. build_column_hypergraph lists every edge with its blocks and is
+kept as the reference for that grouping. A random t-cut of [n] is t-1
+uniform points; cut_probability gives the exact chance that one cuts an
+edge (puts its j-th vertex in the j-th part) and cut_hits counts the hits
+over seeded trials, the one sampler of the library. Last comes the
+exhaustive search of a completion map for an ordered complete t-partite
+sub-hypergraph (parts of prescribed sizes, each part entirely before the
+next, every transversal an edge).
 """
 
 from __future__ import annotations
@@ -66,69 +69,69 @@ def heavy_label_classes(
     a heavy edge to the bitmask (bit v = column v) of the last columns that
     complete it. Expanded to edges, the classes equal grouping the edges of
     build_column_hypergraph(m, t, k) that have at least r blocks by their r
-    smallest blocks. Column prefixes are extended depth-first; for each one,
-    reach[b] ORs the row masks of its common rows in band b, the candidate
-    next columns are split band by band into (label, columns) groups by
-    whether reach[b] holds them, and a group is dropped once fewer bands
-    remain than its label still needs. A prefix is extended only by columns
-    whose common rows still meet r bands, since adding columns only shrinks
-    that set. No edge is heavy when r > k."""
+    smallest blocks. Column prefixes are extended depth-first, and each
+    prefix's loop labels the next columns of every child prefix: it walks
+    the prefix's common rows band by band (only the bands that hold one),
+    keeps those in the child's new column, ORs their row masks into that
+    band's reach, and splits the candidate columns into (label, columns)
+    groups by whether the reach holds them. A group is dropped once fewer
+    of those bands remain than its label still needs, and the band loop
+    stops when no group is left. A prefix is extended only by columns whose
+    common rows still meet r bands, since adding columns only shrinks that
+    set; a (t-1)-prefix's groups go straight into its classes. Labels are
+    band bitmasks until they are returned. No edge is heavy when r > k."""
     if t < 1 or r < 1:
         raise DomainError("t and r must be positive")
     if k < 1 or m.rows % k:
         raise DivisibilityError(f"{k} does not divide row count {m.rows}")
-    if r > k:
+    n = m.cols
+    if r > k or t > n:
         return {}
     band = m.rows // k
     row_masks = m.row_masks
     cols = m.col_masks
-    n = m.cols
-    # (band index, its label entry, bands after it)
-    bands = [(b, (b + 1,), k - b - 1) for b in range(k)]
-    classes: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    found: dict[int, dict[tuple[int, ...], int]] = {}
 
-    def rec(start: int, depth: int, rows: int, prefix: tuple[int, ...]):
-        last = n - t + depth
-        if start > last:
-            # Too few columns remain for a t-set; at t >= n + 2 the candidate
-            # mask below would also need a negative shift.
-            return
-        # reach[b] has bit c set iff column c has a 1 in a common row inside
-        # band b, so a column's label is the first r bands whose reach has it.
-        reach = [0] * k
-        x = rows
-        while x:
-            low = x & -x
-            i = low.bit_length() - 1
-            reach[i // band] |= row_masks[i]
-            x ^= low
-        # Split the candidate columns band by band into (label, bands still
-        # needed, columns) groups; a miss part is dropped once fewer bands
-        # remain than it still needs.
-        groups = [((), r, ((1 << (last + 1)) - 1) & (-1 << start))]
+    def split(bands, col: int, cand: int) -> list[tuple[int, int]]:
+        """[(label, columns)] for the labels among cand when the common rows
+        are those of `bands` ((band bit, rows) pairs in band order) that lie
+        in col."""
+        left = len(bands)
+        groups = [(0, r, cand)]  # (label so far, bands it still needs, columns)
         done = []
-        for b, entry, left in bands:
-            hit_b = reach[b]
+        for bit, x in bands:
+            left -= 1
+            x &= col
+            if not x:
+                continue
+            reach = 0
+            while x:
+                low = x & -x
+                reach |= row_masks[low.bit_length() - 1]
+                x ^= low
             nxt = []
-            for label, need, group in groups:
-                hit = group & hit_b
+            for group in groups:
+                label, need, g = group
+                hit = g & reach
                 if hit:
                     if need == 1:
-                        done.append((label + entry, hit))
-                    else:
-                        nxt.append((label + entry, need - 1, hit))
-                if left >= need:
-                    miss = group & ~hit_b
-                    if miss:
-                        nxt.append((label, need, miss))
+                        done.append((label | bit, hit))
+                    elif need <= left + 1:
+                        nxt.append((label | bit, need - 1, hit))
+                    if left >= need and hit != g:
+                        nxt.append((label, need, g ^ hit))
+                elif left >= need:
+                    nxt.append(group)
             if not nxt:
                 break
             groups = nxt
-        if depth == t - 1:
-            for label, hit in done:
-                completions = classes.setdefault(label, {})
-                completions[prefix] = completions.get(prefix, 0) | hit << 1
-            return
+        return done
+
+    def rec(prefix: tuple[int, ...], bands, done) -> None:
+        # Extend prefix (common rows split as `bands`) by each column done
+        # holds; the children at depth t - 1 are labelled and recorded here.
+        depth = len(prefix) + 1
+        tail = (1 << (n - t + depth + 1)) - 1
         union = 0
         for _, hit in done:
             union |= hit
@@ -136,9 +139,39 @@ def heavy_label_classes(
             low = union & -union
             c = low.bit_length() - 1
             union ^= low
-            rec(c + 1, depth + 1, rows & cols[c], prefix + (c + 1,))
+            cand = tail & (-1 << (c + 1))
+            if depth == t - 1:
+                labelled = split(bands, cols[c], cand)
+                if labelled:
+                    edge_prefix = prefix + (c + 1,)
+                    for label, hit in labelled:
+                        completions = found.get(label)
+                        if completions is None:
+                            found[label] = {edge_prefix: hit << 1}
+                        else:
+                            completions[edge_prefix] = hit << 1
+            else:
+                col = cols[c]
+                sub = [(bit, x) for bit, y in bands if (x := y & col)]
+                labelled = split(sub, -1, cand)
+                if labelled:
+                    rec(prefix + (c + 1,), sub, labelled)
 
-    rec(0, 0, (1 << m.rows) - 1, ())
+    full = (1 << band) - 1
+    bands = [(1 << b, full << (b * band)) for b in range(k)]
+    labelled = split(bands, -1, (1 << (n - t + 1)) - 1)
+    if t == 1:
+        found = {label: {(): hit << 1} for label, hit in labelled}
+    elif labelled:
+        rec((), bands, labelled)
+    classes = {}
+    for label, completions in found.items():
+        blocks = []
+        while label:
+            low = label & -label
+            blocks.append(low.bit_length())
+            label ^= low
+        classes[tuple(blocks)] = completions
     return classes
 
 

@@ -13,6 +13,8 @@ import io
 
 import pytest
 
+import patex.acceptance as acceptance
+import patex.increment as increment
 from patex.acceptance import CHECKS, run_suite
 
 NAMES = [name for name, _, _ in CHECKS]
@@ -108,3 +110,23 @@ def test_criterion_12_determinism(suite_runs):
 def test_every_check_ran(suite_runs):
     assert set(suite_runs["first"]) == set(NAMES)
     assert set(suite_runs["second"]) == set(NAMES)
+
+
+class TestIncrementSoundnessFails:
+    """The FAIL branches of the increment-soundness check, each seen with a
+    known-wrong kernel in place of the one it checks."""
+
+    def test_step_that_finds_no_heavy_class(self, monkeypatch):
+        monkeypatch.setattr(increment, "heavy_label_classes", lambda m, t, k, r: {})
+        assert acceptance.check_increment_soundness() == (
+            False,
+            "planted instance 0 not embedded (pattern 2x2)",
+        )
+
+    def test_recount_off_by_one(self, monkeypatch):
+        count = acceptance._count_copies
+        monkeypatch.setattr(acceptance, "_count_copies", lambda *args: count(*args) + 1)
+        assert acceptance.check_increment_soundness() == (
+            False,
+            "host 0: block recount 1 != reported 0",
+        )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import COLUMN_2_PARTITE, DOUBLY_2_PARTITE, K22, random_matrix
-from patex.cli import dispatch
+from patex.cli import dispatch, main
 from patex.count import stepping_bound
 from patex.matrix import Embedding, ZeroOneMatrix, verify_embedding
 from patex.ohypergraph import build_column_hypergraph
@@ -482,3 +482,10 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "PASS constants-arithmetic" in proc.stdout
+
+    def test_main_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["patex", "verify-suite", "--filter", "canonical-fixtures"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert "PASS canonical-fixtures" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -662,6 +663,24 @@ class TestCountsOnce:
         assert search["heavyPossible"] and search["heavyEdges"] > 0
         assert 1 <= search["labelClassesExamined"] <= search["labelClasses"]
         assert trace.levels[0].branch == "embedded"
+
+    def test_dense_six_cycle_trace_pinned(self):
+        # A dense 64 x 64 host at k = 4: t = 3 and r = 3, so all four 3-of-4
+        # labels occur and the first class in order embeds. The digest was
+        # recorded before the label walk was rewritten.
+        host = random_matrix(SplitMix64(0x99), 64, 64, 0.3)
+        trace = run_driver(host, SIX_CYCLES_3X3[0], "thm21", k=4)
+        (search,) = trace.levels[0].checks["heavySearch"]
+        assert search == {
+            "heavyPossible": True,
+            "heavyEdges": 4594,
+            "labelClasses": 4,
+            "labelClassesExamined": 1,
+        }
+        doc = json.dumps(trace.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "f9b635bb22fc3aa4ba0f8614b538c399b8c236a761f8d1551becf231f148e73b"
+        )
 
 
 class TestJsonSafe:

@@ -97,11 +97,28 @@ class TestHeavyLabelClasses:
                             if r > k or t > cols:
                                 assert got == {}
 
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_matches_grouping_at_benchmark_scale(self, r):
-        m = random_matrix(SplitMix64(0x128), 128, 128, 0.1)
-        got = {label: expand(c) for label, c in heavy_label_classes(m, 2, 4, r).items()}
-        assert got and got == self.grouped(m, 2, 4, r)
+    @pytest.mark.parametrize(
+        "seed, n, p, t, k, r",
+        [
+            pytest.param(0x128, 128, 0.1, 2, 4, 2, id="2"),
+            pytest.param(0x128, 128, 0.1, 2, 4, 3, id="3"),
+            # The dense 64 x 64 blocks of the driver's slowest steps.
+            pytest.param(0x99, 64, 0.3, 3, 4, 3, id="dense-t3-k4-r3"),
+        ]
+        + [
+            # Thin bands: four rows each, so most of a leaf's bands are empty.
+            pytest.param(0x16, 64, p, t, 16, r, id=f"thin-p{p}-t{t}-k16-r{r}")
+            for p in (0.1, 0.3)
+            for t in (2, 3)
+            for r in (2, 3, 4)
+        ],
+    )
+    def test_matches_grouping_at_benchmark_scale(self, seed, n, p, t, k, r):
+        m = random_matrix(SplitMix64(seed), n, n, p)
+        got = {label: expand(c) for label, c in heavy_label_classes(m, t, k, r).items()}
+        assert got == self.grouped(m, t, k, r)
+        # At p = 0.1 no column triple has witness rows in three of the bands.
+        assert got or (p, t) == (0.1, 3) and r > 2
 
     def test_labels_are_first_r_blocks(self):
         m = ZeroOneMatrix.ones(8, 2)
