@@ -360,10 +360,10 @@ def check_lambda_schedule() -> tuple[bool, str]:
     for t in range(2, 6):
         for cap in range(t + 2, 201):
             sched = lambda_schedule(t, cap, 1.0)
+            vals = sched.lambdas  # lambda_u for u = t..cap+1
             for u in range(t + 1, cap + 1):
-                worst = max(worst, abs(sched.value(u) - sched.closed_form(u)))
-            vals = [sched.value(u) for u in range(t, cap + 2)]
-            if any(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)):
+                worst = max(worst, abs(vals[u - t] - sched.closed_form(u)))
+            if any(a <= b for a, b in zip(vals, vals[1:])):
                 return False, f"schedule not strictly decreasing at t={t}, U={cap}"
     if worst > 1e-12:
         return False, f"recurrence vs closed form drift {worst} exceeds 1e-12"

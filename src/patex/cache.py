@@ -78,7 +78,10 @@ def _fresh(rec: ExtremalRecord) -> ExtremalRecord:
 class CacheStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise CacheError(f"cannot use cache directory {self.directory}: {exc.strerror or exc}") from None
         # What `directory / name` puts before name: "" for ".", "/" for "/".
         self._prefix = str(self.directory / "_")[:-1]
         # key -> (bytes of the key's file, the records parsed from them)

@@ -6,6 +6,10 @@ permutation / acyclic / cycle tests on the associated bipartite graph, and
 the geometry of cycle patterns: x-monotonicity and face winding numbers of
 the directed closed curve through the 1-entries.
 
+Every predicate reads the pattern's row and column bit masks directly: the
+acyclicity test keeps one column mask per component, and the cycle tour
+steps from set bit to set bit, so no adjacency lists or union-find are built.
+
 Coordinate convention for the curve: x = column index growing rightward,
 y = row index growing downward. Winding positivity is orientation-symmetric
 (either orientation of the curve is accepted), which makes the sign
@@ -82,23 +86,22 @@ def is_permutation(a: ZeroOneMatrix) -> bool:
 
 def is_acyclic(a: ZeroOneMatrix) -> bool:
     """True iff the bipartite graph (rows + columns, edges = 1-entries) is a
-    forest. Union-find: a 1-entry closing a component creates a cycle."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in a.one_entries():
-        u, v = ("r", i), ("c", j)
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
+    forest. One pass over the row masks keeps the column mask of each
+    component of the rows read so far; a row that meets one component in
+    two columns closes a cycle, and otherwise joins every component it meets."""
+    parts = []  # disjoint column masks, one per component
+    for m in a.row_masks:
+        joined, rest = m, []
+        for part in parts:
+            shared = part & m
+            if shared & (shared - 1):
+                return False
+            if shared:
+                joined |= part
+            else:
+                rest.append(part)
+        rest.append(joined)
+        parts = rest
     return True
 
 
@@ -107,54 +110,28 @@ def _cycle_tour(a: ZeroOneMatrix) -> Optional[tuple[tuple[int, int], ...]]:
     exactly two of them and the bipartite graph is one cycle; None otherwise.
     Empty rows/columns are tolerated here (callers decide whether to allow
     them). The tour starts at the smallest 1-entry and leaves it along its
-    row."""
-    row_cols = {}
-    col_rows = {}
-    for i, m in enumerate(a.row_masks):
-        c = m.bit_count()
-        if c == 0:
-            continue
-        if c != 2:
-            return None
-        row_cols[i + 1] = [b + 1 for b in range(a.cols) if (m >> b) & 1]
-    for j, m in enumerate(a.col_masks):
-        c = m.bit_count()
-        if c == 0:
-            continue
-        if c != 2:
-            return None
-        col_rows[j + 1] = [b + 1 for b in range(a.rows) if (m >> b) & 1]
-    if not row_cols:
+    row: each step goes to the other set bit of the current row mask, then of
+    the current column mask, until it is back at the start."""
+    rows, cols = a.row_masks, a.col_masks
+    if not a.weight or any(m.bit_count() not in (0, 2) for m in rows + cols):
         return None
-    start = min(a.one_entries())
-    tour = [start]
-    move_along_row = True
-    cur = start
+    i0 = next(i for i, m in enumerate(rows) if m)
+    j0 = (rows[i0] & -rows[i0]).bit_length() - 1
+    i, j, tour = i0, j0, []
     while True:
-        i, j = cur
-        if move_along_row:
-            c1, c2 = row_cols[i]
-            cur = (i, c2 if j == c1 else c1)
-        else:
-            r1, r2 = col_rows[j]
-            cur = (r2 if i == r1 else r1, j)
-        move_along_row = not move_along_row
-        if cur == start:
+        tour.append((i + 1, j + 1))
+        j = (rows[i] ^ 1 << j).bit_length() - 1
+        tour.append((i + 1, j + 1))
+        i = (cols[j] ^ 1 << i).bit_length() - 1
+        if (i, j) == (i0, j0):
             break
-        tour.append(cur)
-    if len(tour) != a.weight:
-        return None
-    return tuple(tour)
+    return tuple(tour) if len(tour) == a.weight else None
 
 
 def is_cycle(a: ZeroOneMatrix) -> bool:
     """Every row and column has exactly two 1-entries (no empty lines) and
     the bipartite graph is a single cycle."""
-    if any(m.bit_count() == 0 for m in a.row_masks):
-        return False
-    if any(m.bit_count() == 0 for m in a.col_masks):
-        return False
-    return _cycle_tour(a) is not None
+    return all(a.row_masks) and all(a.col_masks) and _cycle_tour(a) is not None
 
 
 def _x_monotone_core(a: ZeroOneMatrix) -> bool:
@@ -205,32 +182,24 @@ class WindingProfile:
 def winding_profile(a: ZeroOneMatrix) -> WindingProfile:
     """Face windings computed by signed crossings of a rightward horizontal
     ray from each cell center with the directed vertical segments, for the
-    orientation of `_cycle_tour`; the other orientation negates every face."""
-    if not is_cycle(a):
+    orientation of `_cycle_tour`; the other orientation negates every face.
+    A cycle has no empty line, so its bounding box is the whole pattern."""
+    tour = _cycle_tour(a) if all(a.row_masks) and all(a.col_masks) else None
+    if tour is None:
         raise UnsupportedError("winding profile is only defined for cycle patterns")
-    tour = _cycle_tour(a)
-    vsegs = []
-    npts = len(tour)
-    for idx in range(npts):
-        (r1, c1) = tour[idx]
-        (r2, c2) = tour[(idx + 1) % npts]
-        if c1 == c2:
-            vsegs.append((c1, r1, r2))
-    rows = [p[0] for p in tour]
-    cols = [p[1] for p in tour]
-    rmin, rmax = min(rows), max(rows)
-    cmin, cmax = min(cols), max(cols)
+    # The tour's odd steps run along a column: tour[1] -> tour[2], ..., tour[-1] -> tour[0].
+    vsegs = [(c, r1, r2) for (r1, c), (r2, _) in zip(tour[1::2], tour[2::2] + tour[:1])]
     faces = []
-    for i in range(rmin, rmax):
+    for i in range(1, a.rows):
         row = []
-        for j in range(cmin, cmax):
+        for j in range(1, a.cols):
             w = 0
             for (c, r1, r2) in vsegs:
                 if c >= j + 1 and min(r1, r2) <= i < max(r1, r2):
                     w += 1 if r2 > r1 else -1
             row.append(w)
         faces.append(tuple(row))
-    return WindingProfile(row0=rmin, col0=cmin, faces=tuple(faces))
+    return WindingProfile(row0=1, col0=1, faces=tuple(faces))
 
 
 def is_positive_cycle(a: ZeroOneMatrix) -> bool:

@@ -404,6 +404,14 @@ class TestPaths:
             CacheStore(".").get(K22, 3)
         assert str(err.value).startswith(f"unreadable cache file {key}.json: ")
 
+    @pytest.mark.parametrize("below, reason", [("", "File exists"), ("/sub", "Not a directory")])
+    def test_directory_blocked_by_a_file(self, tmp_path, below, reason):
+        (tmp_path / "somefile").write_text("")
+        directory = str(tmp_path / "somefile") + below
+        with pytest.raises(CacheError) as err:
+            CacheStore(directory)
+        assert str(err.value) == f"cannot use cache directory {directory}: {reason}"
+
     @pytest.mark.parametrize("suffix", ["", "/", "/sub//dir", "/sub/./dir/"])
     def test_string_directories(self, tmp_path, suffix):
         directory = str(tmp_path) + suffix

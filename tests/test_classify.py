@@ -49,6 +49,38 @@ def brute_min_parts(a, axis_cols=True):
     return m.cols
 
 
+def all_patterns(rows, cols):
+    full = (1 << cols) - 1
+    for bits in range(1 << (rows * cols)):
+        yield ZeroOneMatrix([(bits >> (i * cols)) & full for i in range(rows)], cols)
+
+
+def graph_oracle(m):
+    """(edges, vertices, components, degrees) of the bipartite graph whose
+    vertices are the rows and columns holding a 1-entry and whose edges are
+    the 1-entries, by a plain depth-first search over an edge list."""
+    edges = [(("r", i), ("c", j)) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1) if m.entry(i, j)]
+    degree = {}
+    for u, v in edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    seen, components = set(), 0
+    for root in degree:
+        if root in seen:
+            continue
+        components += 1
+        stack = [root]
+        seen.add(root)
+        while stack:
+            x = stack.pop()
+            for u, v in edges:
+                y = v if u == x else u if v == x else None
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(edges), len(degree), components, degree
+
+
 class TestPartiteProfiles:
     def test_canonical_trio(self):
         assert min_column_parts(COLUMN_2_PARTITE) == (2, (2,))
@@ -110,6 +142,23 @@ class TestGraphShape:
         assert not is_cycle(ZeroOneMatrix.parse("11\n11\n00"))  # an empty row
         assert not is_cycle(ZeroOneMatrix.parse("110\n110"))  # an empty column
 
+    @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 5) for c in range(1, 5) if r * c <= 12])
+    def test_graph_predicates_match_the_oracle_exhaustively(self, rows, cols):
+        for m in all_patterns(rows, cols):
+            edges, vertices, components, degree = graph_oracle(m)
+            assert is_acyclic(m) == (edges == vertices - components)
+            one_cycle = edges > 0 and components == 1 and set(degree.values()) == {2}
+            tour = _cycle_tour(m)
+            assert (tour is not None) == one_cycle
+            assert is_cycle(m) == (one_cycle and vertices == m.rows + m.cols)
+            if tour is None:
+                continue
+            assert len(tour) == m.weight and sorted(tour) == sorted(m.one_entries())
+            assert tour[0] == min(m.one_entries())
+            for k, (p, q) in enumerate(zip(tour, tour[1:] + tour[:1])):
+                shared = k % 2  # even steps stay in a row, odd steps in a column
+                assert p[shared] == q[shared] and p[1 - shared] != q[1 - shared]
+
     def test_cycle_weight_is_twice_line_count(self):
         for m in enumerate_cycles(6) + enumerate_cycles(8):
             assert m.weight == 2 * m.rows == 2 * m.cols
@@ -127,6 +176,10 @@ class TestGraphShape:
         ],
     )
     def test_cycle_tour_rejects_a_line_without_two_ones(self, text):
+        assert _cycle_tour(ZeroOneMatrix.parse(text)) is None
+
+    @pytest.mark.parametrize("text", ["1100\n1100\n0011\n0011", "11000\n11000\n00000\n00101\n00101"])
+    def test_cycle_tour_rejects_two_disjoint_cycles(self, text):
         assert _cycle_tour(ZeroOneMatrix.parse(text)) is None
 
     def test_cycle_tour_rejects_the_all_zero_pattern(self):

@@ -452,6 +452,20 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and directory in captured.err
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_cache_dir_that_is_a_file(self, capsys, files, monkeypatch, via_env):
+        blocker = files["dir"] / "somefile"
+        blocker.write_text("")
+        argv = ["ex", files["k22"], "--n", "3"]
+        if via_env:
+            monkeypatch.setenv("PATTERN_EXTREMAL_CACHE", str(blocker))
+        else:
+            argv = ["--cache-dir", str(blocker)] + argv
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot use cache directory {blocker}: File exists\n"
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, files):
