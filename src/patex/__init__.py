@@ -13,7 +13,6 @@ from .classify import (
     is_acyclic,
     is_cycle,
     is_permutation,
-    is_positive_cycle,
     is_x_monotone,
     min_column_parts,
     min_row_parts,

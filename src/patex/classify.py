@@ -175,6 +175,12 @@ class WindingProfile:
     def values(self) -> tuple[int, ...]:
         return tuple(v for row in self.faces for v in row)
 
+    @property
+    def positive(self) -> bool:
+        """All face windings share one sign under one of the two orientations."""
+        values = self.values()
+        return all(v >= 0 for v in values) or all(v <= 0 for v in values)
+
     def to_json_dict(self) -> dict:
         return {"row0": self.row0, "col0": self.col0, "faces": [list(r) for r in self.faces]}
 
@@ -200,9 +206,3 @@ def winding_profile(a: ZeroOneMatrix) -> WindingProfile:
             row.append(w)
         faces.append(tuple(row))
     return WindingProfile(row0=1, col0=1, faces=tuple(faces))
-
-
-def is_positive_cycle(a: ZeroOneMatrix) -> bool:
-    """All face windings share one sign under one of the two orientations."""
-    values = winding_profile(a).values()
-    return all(v >= 0 for v in values) or all(v <= 0 for v in values)

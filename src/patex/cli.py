@@ -114,6 +114,7 @@ def _cmd_classify(args) -> int:
     a = _load_matrix(args.pattern)
     prof = _classify.partite_profile(a)
     cyc = _classify.is_cycle(a)
+    winding = _classify.winding_profile(a) if cyc else None
     report = {
         "pattern": a.to_json_dict(),
         "weight": a.weight,
@@ -123,9 +124,9 @@ def _cmd_classify(args) -> int:
         "isPermutation": _classify.is_permutation(a),
         "isAcyclic": _classify.is_acyclic(a),
         "isCycle": cyc,
-        "isXMonotone": _classify.is_x_monotone(a) if cyc else None,
-        "isPositiveCycle": _classify.is_positive_cycle(a) if cyc else None,
-        "windingProfile": _classify.winding_profile(a).to_json_dict() if cyc else None,
+        "isXMonotone": _classify._x_monotone_core(a) if cyc else None,
+        "isPositiveCycle": winding.positive if cyc else None,
+        "windingProfile": winding.to_json_dict() if cyc else None,
     }
     _emit(report, args.format)
     return 0

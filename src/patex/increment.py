@@ -155,23 +155,12 @@ class LambdaSchedule:
             raise InputError(f"closed form defined for {self.t + 1}..{self.U}")
         return self.epsilon0 + self.t / (2.0 * (u - 1)) + self.t / (2.0 * u)
 
-    def type_of(self, i: float, z: float) -> Optional[int]:
-        """The unique u with z*lambda_{u+1} < z - i <= z*lambda_u, or None
-        once z - i <= 0 (the schedule is exhausted). For z >= 0 the products
-        z*lambda_u do not increase with u, so the u with z - i <= z*lambda_u
-        form a prefix and the answer is its last member; it is empty when
-        z - i > z = z*lambda_t."""
-        rem = z - i
-        if rem <= 0:
-            return None
-        lams = self.lambdas
-        idx = bisect_right(lams, -rem, 0, len(lams) - 1, key=lambda v: -(z * v)) - 1
-        return self.t + idx if idx >= 0 else None
-
     def types_of(self, i: float, z: float) -> tuple[int, ...]:
         """All u with z - z*lambda_u <= i <= z - z*lambda_{u+1}; a jump level
         has two. For z >= 0 the keys z - z*lambda_u do not decrease with u,
-        so the matching u form one run, found by two bisections."""
+        so the matching u form one run, found by two bisections. The width
+        of level 0 <= i < z is the run's last u, the one with
+        z*lambda_{u+1} < z - i <= z*lambda_u (the keys run from 0 to z)."""
         lams = self.lambdas
         key = lambda v: z - z * v  # noqa: E731
         first = bisect_left(lams, i, 1, len(lams), key=key) - 1
@@ -527,7 +516,10 @@ def run_driver(
     sizes = _part_sizes(cuts, a.cols, t)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
     n0 = m.cols
-    z = math.log(n0) / math.log(k) if n0 > 1 else 0.0
+    e, power = 0, 1  # z is exact when n0 = k^e, n0 = 1 included
+    while power < n0:
+        e, power = e + 1, power * k
+    z = float(e) if power == n0 else math.log(n0) / math.log(k)
 
     schedule = None
     if mode == "thm11":
@@ -569,10 +561,11 @@ def run_driver(
 
     while True:
         if schedule is not None:
-            u_lvl = schedule.type_of(float(i), z)
-            if u_lvl is None:
+            if i >= z:
                 stop_reason = "schedule-exhausted"
                 break
+            types = schedule.types_of(float(i), z)
+            u_lvl = types[-1]
         else:
             u_lvl = u_fixed
         checks: dict = {}
@@ -625,7 +618,7 @@ def run_driver(
                 checks["rowsBelowEpsPower"] = True
         if schedule is not None:
             checks["lambda"] = schedule.value(u_lvl)
-            checks["types"] = list(schedule.types_of(float(i), z))
+            checks["types"] = list(types)
 
         base_level = dict(
             level=i,

@@ -138,19 +138,12 @@ class ZeroOneMatrix:
             raise FormatError(f"bad matrix document: {exc}") from exc
         if len(data) != rows:
             raise FormatError("matrix document row count mismatch")
-        masks = []
-        for line in data:
-            if not isinstance(line, str):
-                raise FormatError("matrix document rows must be strings")
-            if not line or len(line) != cols or line.strip("01"):
-                # Whitespace, comments or line breaks inside a row: the rows
-                # read as pattern text, so they pass or fail exactly as there.
-                m = cls.parse("\n".join(data))
-                if m.rows != rows or m.cols != cols:
-                    raise FormatError("matrix document dimension mismatch")
-                return m
-            masks.append(int(line[::-1], 2))
-        return cls(masks, cols)
+        if not all(isinstance(line, str) for line in data):
+            raise FormatError("matrix document rows must be strings")
+        m = cls.parse("\n".join(data))
+        if m.rows != rows or m.cols != cols:
+            raise FormatError("matrix document dimension mismatch")
+        return m
 
     # ------------------------------------------------------------------
     # Accessors (1-based)

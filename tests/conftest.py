@@ -2,21 +2,21 @@
 
 Oracles here deliberately avoid the library's search kernels: containment is
 checked by enumerating every increasing injection pair, copy counts by
-enumerating every (row-subset, column-subset) pair, winding numbers by the
+enumerating every (row-subset, column-subset) pair, the bipartite graph of a
+pattern by a depth-first search over its edge list, winding numbers by the
 angle-summation point-in-polygon rule. The canonical fixtures, the
-containment oracle and the planted increment hosts are the acceptance
-suite's own, imported from there.
+containment and copy-count oracles and the planted increment hosts are the
+acceptance suite's own, imported from there.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
-from patex.acceptance import (  # noqa: F401 -- fixtures and oracle shared with the suite
+from patex.acceptance import (  # noqa: F401 -- fixtures and oracles shared with the suite
     COLUMN_2_PARTITE,
     DOUBLY_2_PARTITE,
     IDENTITY2,
@@ -24,6 +24,7 @@ from patex.acceptance import (  # noqa: F401 -- fixtures and oracle shared with 
     ROW_2_PARTITE,
     SIX_CYCLES_3X3,
     _plant_instance as plant,
+    oracle_count_copies,
     oracle_embedding,
 )
 from patex.matrix import ZeroOneMatrix, random_matrix  # noqa: F401 -- shared sampler
@@ -33,14 +34,30 @@ from patex.rng import SplitMix64
 BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
 
 
-def oracle_count_copies(m: ZeroOneMatrix, u: int, t: int) -> int:
-    """Copy count by enumerating every (u rows, t columns) pair."""
-    total = 0
-    for rows in combinations(range(1, m.rows + 1), u):
-        for cols in combinations(range(1, m.cols + 1), t):
-            if all(m.entry(i, j) for i in rows for j in cols):
-                total += 1
-    return total
+def graph_oracle(m):
+    """(edges, vertices, components, degrees) of the bipartite graph whose
+    vertices are the rows and columns holding a 1-entry and whose edges are
+    the 1-entries, by a plain depth-first search over an edge list."""
+    edges = [(("r", i), ("c", j)) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1) if m.entry(i, j)]
+    degree = {}
+    for u, v in edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    seen, components = set(), 0
+    for root in degree:
+        if root in seen:
+            continue
+        components += 1
+        stack = [root]
+        seen.add(root)
+        while stack:
+            x = stack.pop()
+            for u, v in edges:
+                y = v if u == x else u if v == x else None
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(edges), len(degree), components, degree
 
 
 def oracle_winding(tour, y: float, x: float) -> int:

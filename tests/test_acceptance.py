@@ -124,9 +124,11 @@ class TestIncrementSoundnessFails:
         )
 
     def test_recount_off_by_one(self, monkeypatch):
-        count = acceptance._count_copies
-        monkeypatch.setattr(acceptance, "_count_copies", lambda *args: count(*args) + 1)
+        # The step's count kernel is one high; the check recounts each block
+        # by enumeration, not with that kernel.
+        count = increment._count_copies
+        monkeypatch.setattr(increment, "_count_copies", lambda *args: count(*args) + 1)
         assert acceptance.check_increment_soundness() == (
             False,
-            "host 0: block recount 1 != reported 0",
+            "host 0: block recount 0 != reported 1",
         )

@@ -9,6 +9,7 @@ from conftest import (
     K22,
     ROW_2_PARTITE,
     SIX_CYCLES_3X3,
+    graph_oracle,
     oracle_winding,
     random_matrix,
 )
@@ -17,7 +18,6 @@ from patex.classify import (
     is_acyclic,
     is_cycle,
     is_permutation,
-    is_positive_cycle,
     is_x_monotone,
     min_column_parts,
     min_row_parts,
@@ -53,32 +53,6 @@ def all_patterns(rows, cols):
     full = (1 << cols) - 1
     for bits in range(1 << (rows * cols)):
         yield ZeroOneMatrix([(bits >> (i * cols)) & full for i in range(rows)], cols)
-
-
-def graph_oracle(m):
-    """(edges, vertices, components, degrees) of the bipartite graph whose
-    vertices are the rows and columns holding a 1-entry and whose edges are
-    the 1-entries, by a plain depth-first search over an edge list."""
-    edges = [(("r", i), ("c", j)) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1) if m.entry(i, j)]
-    degree = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    seen, components = set(), 0
-    for root in degree:
-        if root in seen:
-            continue
-        components += 1
-        stack = [root]
-        seen.add(root)
-        while stack:
-            x = stack.pop()
-            for u, v in edges:
-                y = v if u == x else u if v == x else None
-                if y is not None and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return len(edges), len(degree), components, degree
 
 
 class TestPartiteProfiles:
@@ -213,7 +187,7 @@ class TestWinding:
     def test_square_cycle_positive(self):
         prof = winding_profile(K22)
         assert prof.faces == ((1,),)
-        assert is_positive_cycle(K22)
+        assert winding_profile(K22).positive
 
     def test_reversal_negates(self):
         for m in SIX_CYCLES_3X3 + (K22,):
@@ -267,7 +241,7 @@ class TestWinding:
                     assert w_v == prof.faces[i][j]
 
     def test_mixed_sign_cycle_exists(self):
-        hits = [m for m in enumerate_cycles(8) if not is_positive_cycle(m)]
+        hits = [m for m in enumerate_cycles(8) if not winding_profile(m).positive]
         assert hits, "some length-8 cycle should have faces of both signs"
         sample = hits[0]
         values = winding_profile(sample).values()
@@ -283,7 +257,7 @@ class TestWinding:
             for m in enumerate_cycles(length):
                 p = partite_profile(m).profile
                 if p[0] <= 2 and p[1] <= 2:
-                    assert is_positive_cycle(m)
+                    assert winding_profile(m).positive
 
     def test_rejects_non_cycle(self):
         with pytest.raises(UnsupportedError):

@@ -3,9 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import K22, SIX_CYCLES_3X3, random_matrix
+from conftest import K22, SIX_CYCLES_3X3, graph_oracle, random_matrix
 from patex import cycles
-from patex.classify import is_cycle
 from patex.cycles import (
     balance_violation,
     cycle_driver,
@@ -377,28 +376,23 @@ class TestEnumerate:
         assert len(enumerate_cycles(8)) == 72
 
     def test_completeness_against_filter_oracle(self):
-        # all side x side matrices with exactly two 1s per row whose columns
-        # also carry exactly two, filtered through is_cycle
+        # every side x side matrix with two 1-entries in each row and each
+        # column whose bipartite graph is connected, i.e. one cycle
         for side in (2, 3, 4):
-            def rec(i, col_counts, masks, acc):
-                if i == side:
-                    m = ZeroOneMatrix(list(masks), side)
-                    if is_cycle(m):
-                        acc.append(m)
-                    return
-                for (x, y) in combinations(range(side), 2):
-                    if col_counts[x] < 2 and col_counts[y] < 2:
-                        col_counts[x] += 1
-                        col_counts[y] += 1
-                        masks.append((1 << x) | (1 << y))
-                        rec(i + 1, col_counts, masks, acc)
-                        masks.pop()
-                        col_counts[x] -= 1
-                        col_counts[y] -= 1
+            pairs = [mask for mask in range(1 << side) if mask.bit_count() == 2]
+            want = []
+            for masks in product(pairs, repeat=side):
+                m = ZeroOneMatrix(masks, side)
+                _, vertices, components, degree = graph_oracle(m)
+                if vertices == 2 * side and components == 1 and set(degree.values()) == {2}:
+                    want.append(m)
+            assert sorted(want, key=lambda m: m.row_strings()) == enumerate_cycles(2 * side)
 
-            acc = []
-            rec(0, [0] * side, [], acc)
-            assert sorted(acc, key=lambda m: m.row_strings()) == enumerate_cycles(2 * side)
+    @pytest.mark.parametrize("side, count", [(2, 1), (3, 6), (4, 72), (5, 1440)])
+    def test_closed_form_count(self, side, count):
+        # side! (side-1)! / 2 labelled Hamiltonian cycles of K_{side,side}
+        assert count == math.factorial(side) * math.factorial(side - 1) // 2
+        assert len(enumerate_cycles(2 * side)) == count
 
     def test_lexicographic_order(self):
         mats = enumerate_cycles(6)

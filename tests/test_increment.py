@@ -120,12 +120,12 @@ class TestLambdaSchedule:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_type_rule(self):
+        # A level's width is its last type; the schedule ends at i = z.
         sched = lambda_schedule(2, 40, 1.0)
         z = 5.0
-        assert sched.type_of(0.0, z) == 2
-        assert sched.type_of(z, z) is None
+        assert sched.types_of(0.0, z) == (2,)
         for i in (0.5, 1.0, 2.0, 4.0):
-            u = sched.type_of(i, z)
+            u = sched.types_of(i, z)[-1]
             assert z * sched.value(u + 1) < z - i <= z * sched.value(u)
         jumps = [z - z * sched.value(u) for u in range(3, 41)]
         assert jumps == sorted(jumps)
@@ -162,13 +162,13 @@ class TestLambdaSchedule:
             lambda_schedule(2, 40, epsilon)
 
     def test_lookups_match_defining_inequalities(self):
+        # The driver's z is log_k n0, and exactly j when n0 = k^j.
         for t, eps, U in ((2, 1.0, 40), (3, 2.0, 60)):
             sched = lambda_schedule(t, U, eps)
             lam = sched.value
-            for k in (2, 4):
-                ns = set(range(2, 65)) | {k**j for j in range(1, 9)}
-                for n in sorted(ns):
-                    z = math.log(n) / math.log(k)
+            for k in (2, 3, 4, 5, 16):
+                zs = {math.log(n) / math.log(k) for n in range(2, 65)} | {float(j) for j in range(1, 9)}
+                for z in sorted(zs):
                     levels = [float(i) for i in range(math.ceil(z) + 2)]
                     levels += [z - z * lam(u) for u in range(t + 1, U + 1)]
                     for i in levels:
@@ -179,25 +179,27 @@ class TestLambdaSchedule:
                                 typed.append(u)
                             if z - z * lam(u) <= i <= z - z * lam(u + 1):
                                 types.append(u)
-                        got = sched.type_of(i, z)
-                        assert ([] if got is None else [got]) == typed, (t, n, k, i)
-                        assert sched.types_of(i, z) == tuple(types), (t, n, k, i)
+                        assert sched.types_of(i, z) == tuple(types), (t, z, k, i)
+                        if i.is_integer():  # a level the driver gives a width
+                            assert typed == (types[-1:] if i < z else []), (t, z, k, i)
 
 
     @pytest.mark.parametrize("t, U, eps", [(2, 40, 1.0), (3, 12, 0.5)])
     def test_type_of_matches_a_linear_scan(self, t, U, eps):
-        # the docstring's definition, u by u: the unique u with
-        # z*lambda_{u+1} < z - i <= z*lambda_u, else None
+        # the width rule, u by u: at most one u has
+        # z*lambda_{u+1} < z - i <= z*lambda_u, and on an integer level
+        # 0 <= i < z it is the last type; no u has it elsewhere
         sched = lambda_schedule(t, U, eps)
         lam = sched.value
-        for z in (0.0, 0.5, 1.0, 3.0, 7.25):
+        for z in [q / 8 for q in range(81)] + [7.25, math.log(10) / math.log(3)]:
             levels = [k / 4 for k in range(-4, 4 * math.ceil(z) + 6)]
             levels += [z - z * lam(u) for u in range(t + 1, U + 1)]
             for i in levels:
                 rem = z - i
                 want = [u for u in range(t, U + 1) if rem > 0 and z * lam(u + 1) < rem <= z * lam(u)]
                 assert len(want) <= 1
-                assert sched.type_of(i, z) == (want[0] if want else None), (z, i)
+                if i.is_integer():
+                    assert want == (list(sched.types_of(i, z)[-1:]) if i < z else []), (z, i)
 
 
 class TestPartSizes:
@@ -456,12 +458,35 @@ class TestDrivers:
         assert [lv.branch for lv in trace.levels] == ["exhausted"]
 
     def test_schedule_exhausted_stop(self):
-        # z = log_16 16 = 1: level 0 densifies into one row, and at level 1
-        # z - i = 0, past the schedule's last type.
+        # z = log_16 16 = 1: level 0 densifies into one row, and the
+        # schedule ends at level 1 = z.
         host = ZeroOneMatrix([(1 << 16) - 1] * 2 + [0] * 14, 16)
         trace = run_driver(host, COLUMN_2_PARTITE, "thm11", k=16)
         assert trace.stop_reason == "schedule-exhausted"
         assert [lv.branch for lv in trace.levels] == ["densified"]
+
+    def test_integer_jump_level_takes_the_last_type(self):
+        # t = 3, eps = 1.5, z = log_2 8 = 3: level 2 sits exactly on the
+        # jump z - z*lambda_10 = 2, so it has types 9 and 10 and width 10.
+        # With k = 2 < r = 3 rows no heavy edge exists and every level densifies.
+        trace = run_driver(ZeroOneMatrix.ones(1024, 8), ZeroOneMatrix.ones(3, 3), "thm11", k=2, epsilon=1.5)
+        assert [lv.checks["types"] for lv in trace.levels] == [[3], [5], [9, 10]]
+        assert [lv.u for lv in trace.levels] == [3, 5, 10]
+        assert trace.stop_reason == "schedule-exhausted"
+
+    def test_checkpoint_on_an_exact_power(self):
+        # z = log_5 125 is 3, but the ratio of float logs is
+        # 3.0000000000000004, which put the checkpoint ceil((1 - 1/3) z) at 3.
+        trace = run_driver(ZeroOneMatrix.zeros(25, 125), ZeroOneMatrix.parse("111"), "thm21", k=5, depth=0)
+        assert trace.levels[0].checks["contradictionCheckpointLevel"] == 2
+        # z is e on every exact power n0 = k^e (the factor 1 - 1/3 is still
+        # a float: at k = 2, e = 9 it gives 7, not 6).
+        for k in range(2, 17):
+            for e in range(1, 13):
+                if k**e <= 4096:
+                    trace = run_driver(ZeroOneMatrix.zeros(1, k**e), ZeroOneMatrix.parse("111"), "thm21", k=k)
+                    want = math.ceil((1 - 1 / 3) * e)
+                    assert trace.levels[0].checks["contradictionCheckpointLevel"] == want, (k, e)
 
     def test_wide_pattern_supersaturation(self):
         # t = 10: w^100 overflows a float, the exact bound does not.
@@ -589,6 +614,13 @@ class TestCountsOnce:
         for a, host, k, epsilon in runs:
             t = min_column_parts(a)[0]
             trace = run_driver(host, a, "thm11", k=k, epsilon=epsilon)
+            lam = lambda_schedule(t, trace.params["U"], epsilon).value
+            z = math.log2(host.cols) / math.log2(k)  # exact: both are powers of 2
+            for i, level in enumerate(trace.levels):
+                # the width rule, u by u, and the level's last type
+                rem = z - i
+                assert [u for u in range(t, trace.params["U"] + 1) if z * lam(u + 1) < rem <= z * lam(u)] == [level.u]
+                assert level.u == level.checks["types"][-1]
             assert "jump" not in trace.levels[0].checks
             for prev, level in zip(trace.levels, trace.levels[1:]):
                 if level.u == prev.u:

@@ -72,6 +72,15 @@ class TestParse:
         with pytest.raises(FormatError):
             ZeroOneMatrix.from_json_dict({"rows": 1, "cols": 1, "data": [1]})
 
+    def test_non_string_json_row_after_a_text_row_rejected(self):
+        # every row is checked to be a string before any is read
+        with pytest.raises(FormatError, match="^matrix document rows must be strings$"):
+            ZeroOneMatrix.from_json_dict({"rows": 2, "cols": 2, "data": ["0 1", 5]})
+
+    def test_json_without_data_rows_rejected(self):
+        with pytest.raises(FormatError, match="^pattern has no data lines$"):
+            ZeroOneMatrix.from_json_dict({"rows": 0, "cols": 2, "data": []})
+
     @pytest.mark.parametrize(
         "masks, cols",
         [([], 2), ([1], 0), ([1, 2], -1)],
