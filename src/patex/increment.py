@@ -544,6 +544,16 @@ def run_driver(
     constants = make_constants(t, a.rows, a.cols, u_fixed, epsilon) if t >= 2 else None
     rate = 2 + epsilon if grid else 1 + epsilon
 
+    checkpoint = None  # the contradiction checkpoint level ceil((1 - epsilon/t) z)
+    if not grid and z > 0:
+        if power == n0:
+            # z = e exactly: keep the factor exact too, or ceil((1 - 1/3) 9) is
+            # 7. str() gives back the decimal the float was written as, so 0.6
+            # is 3/5 and not the double just below it.
+            checkpoint = math.ceil((1 - Fraction(str(epsilon)) / t) * e)
+        else:
+            checkpoint = math.ceil((1 - epsilon / t) * z)
+
     levels: list[TraceLevel] = []
     embedding = None
     cur = m
@@ -608,8 +618,7 @@ def run_driver(
             supers = supersat_bound(cur.weight, n0, t, t)
             checks["supersaturationLowerBound"] = supers.bound
             checks["supersaturationHolds"] = count >= supers.exact
-        if not grid and z > 0:
-            checkpoint = math.ceil((1 - epsilon / t) * z)
+        if checkpoint is not None:
             checks["contradictionCheckpointLevel"] = checkpoint
             checks["pastContradictionCheckpoint"] = i >= checkpoint
             try:

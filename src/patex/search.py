@@ -13,9 +13,10 @@ last row a single 1-entry (L `11/10`, I3), those of the narrower k x w
 matrices (the width bound); and the weight of a node's first admitted row,
 which caps every row below it (the row cap). The oracle and the
 branch-and-bound detect containment from one lemma in two separate
-implementations, and the oracle uses neither the branch-and-bound's one
-symmetry rule (sorted rows) nor any of its three bounds, so it checks the
-detector, the rule and the bounds.
+implementations, and the oracle uses neither the branch-and-bound's two
+symmetry rules (sorted rows, and for all-ones patterns double-lex rows and
+columns) nor any of its three bounds, so it checks the detector, the rules
+and the bounds.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -26,7 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, DomainError, FormatError, UnsupportedError
 from .matrix import ZeroOneMatrix, canonical_key, find_embedding, random_matrix
@@ -99,7 +100,8 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     cells. Its one bound is arithmetic: a row holds at most n ones, so with
     masks tried heaviest first, the loop at row idx stops at the first mask
     with weight + |mask| + (n - idx - 1) * n <= best. It uses none of
-    `exact_ex`'s sorted rows, tail bound, width bound and row cap.
+    `exact_ex`'s sorted rows, double-lex columns, tail bound, width bound and
+    row cap.
 
     Containment is checked without the code of `find_embedding` and
     `exact_ex`, which this oracle checks. For each increasing choice C of
@@ -170,17 +172,20 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
     )
 
 
+_MEMO_CAP = 4096  # entries kept by `_Levels.forbidden`
+
+
 class _Levels:
     """Incremental containment detector for hosts of width w. Fix an
     increasing choice C of a.cols host columns; pattern row i then needs the
     host bits need_C[i]. Matching each pattern row to the earliest later host
     row that covers its need is optimal, so per C a prefix only records how
-    many pattern rows it matches. A state is a tuple `levels`, where
+    many pattern rows it matches. A state is a sequence `levels`, where
     `levels[i]` is the bitset of the choices whose count is i. A row `mask`
     completes a copy exactly when `covers[-1][mask] & levels[-1]` is
     nonzero."""
 
-    __slots__ = ("covers", "singles", "start")
+    __slots__ = ("covers", "steps", "singles", "forbidden_memo", "start")
 
     def __init__(self, a: ZeroOneMatrix, w: int):
         choices = list(combinations(range(w), a.cols))
@@ -197,30 +202,40 @@ class _Levels:
                     if mask & bit:
                         cover[mask] |= cover[mask ^ bit]
             self.covers.append(cover)
+        # (level, covers of its pattern row), from the second-to-last level up
+        self.steps = tuple((i, self.covers[i]) for i in range(a.rows - 2, -1, -1))
         # (column bit, the choices its single-column row completes)
         self.singles = tuple((1 << c, self.covers[-1][1 << c]) for c in range(w))
+        # forbidden() by `ready`: a search asks again and again for few values
+        # (609 at most for I3, n = 7, over 11M nodes); emptied when full
+        self.forbidden_memo: dict[int, int] = {}
         self.start = ((1 << len(choices)) - 1,) + (0,) * (a.rows - 1)
 
-    def advance(self, levels: tuple, mask: int) -> tuple:
+    def advance(self, levels: Sequence[int], mask: int) -> list[int]:
         """The levels after a row `mask` that completes no copy; the caller
         tests containment first."""
-        covers = self.covers
         grown = list(levels)
-        for i in range(len(grown) - 2, -1, -1):
-            moved = grown[i] & covers[i][mask]
-            grown[i] ^= moved
-            grown[i + 1] |= moved
-        return tuple(grown)
+        for i, cover in self.steps:
+            moved = grown[i] & cover[mask]
+            if moved:
+                grown[i] ^= moved
+                grown[i + 1] |= moved
+        return grown
 
     def forbidden(self, ready: int) -> int:
         """The host columns c such that the row holding only c completes a
         copy for some choice in `ready`; given levels[-1], those whose row
         completes a copy. When the pattern's last row has a single 1-entry,
         every row holding such a c does."""
-        out = 0
-        for bit, single in self.singles:
-            if single & ready:
-                out |= bit
+        out = self.forbidden_memo.get(ready)
+        if out is None:
+            if len(self.forbidden_memo) >= _MEMO_CAP:
+                self.forbidden_memo.clear()
+            out = 0
+            for bit, single in self.singles:
+                if single & ready:
+                    out |= bit
+            self.forbidden_memo[ready] = out
         return out
 
 
@@ -252,22 +267,34 @@ def exact_ex(
     that is cut. The cut is decided in the parent, before the child's state
     is built: the parent passes its forbidden set down, and each child ORs
     in only the columns of the choices its row newly makes ready. Per mask
-    the cuts run in this order: the weight bound, containment, the row cap
-    (first admitted mask only), then the width bound. Each height k is then
-    solved at every width w = 1..n; at height k both cuts read only heights
-    below k, so the order of the widths does not matter. provenance["nodes"]
-    sums over all widths. Patterns the bound does not cover solve width n
-    only.
+    the cuts run in this order: the weight bound, containment, the column
+    order (all-ones patterns), the row cap (first mask kept only), then the
+    width bound. Each height k is then solved at every width w = 1..n; at
+    height k both cuts read only heights below k, so the order of the widths
+    does not matter. provenance["nodes"] sums over all widths. Patterns the
+    bound does not cover solve width n only.
 
     The third bound, the row cap, applies to every pattern. A mask that
     completes a copy under a prefix does so under every longer one, and
     masks run heaviest first, so each row below a node weighs at most the
     node's first admitted mask, and the children start their loops there.
 
-    When every row of the pattern is equal, containment depends only on the
-    multiset of host rows (any r host rows can be taken in increasing
-    order), so witnesses are sorted: each row's index in the mask order is
-    at least the previous row's. This is the search's one symmetry rule.
+    The search has two symmetry rules. When every row of the pattern is
+    equal, containment depends only on the multiset of host rows (any r host
+    rows can be taken in increasing order), so witnesses are sorted: each
+    row's index in the mask order is at least the previous row's. When the
+    pattern is moreover all ones, permuting host columns keeps containment
+    too, and witnesses are double-lex (Flener et al., "Breaking row and
+    column symmetries in matrix models", CP 2002): their columns are also
+    non-increasing, read top-down with 1 > 0. Every host has such an image:
+    sorting the rows never raises the sequence of row indices in the mask
+    order, and swapping two adjacent columns that are out of order keeps
+    every row weight and lowers the first row where they differ, so
+    alternating the two ends at a host in both orders. Bit i of `tied` says
+    that host columns i and i+1 are equal in every row so far; a mask with
+    bit i+1 but not bit i then puts them out of order and is skipped, before
+    the row cap: rows stay sorted, so each row below weighs at most the
+    first mask kept.
 
     On budget exhaustion at height k the best witness found is returned as
     a lower bound: a k-row (or (k-1)-row) witness padded with all-zero top
@@ -285,13 +312,15 @@ def exact_ex(
     if trivial is not None:
         return trivial
     sorted_rows = len(set(a.row_masks)) == 1
+    double_lex = sorted_rows and a.row_masks[0] == (1 << a.cols) - 1
     # The width bound reads ex(k x w) for every w <= n; patterns it does not
     # cover solve width n only.
     pin = a.rows >= 2 and a.row_masks[-1].bit_count() == 1
     widths = range(1, n + 1) if pin else (n,)
-    per_width = {
-        w: (sorted(range(1 << w), key=lambda m: (-m.bit_count(), m)), _Levels(a, w)) for w in widths
-    }
+    per_width = {}
+    for w in widths:
+        mask_order = sorted(range(1 << w), key=lambda m: (-m.bit_count(), m))
+        per_width[w] = mask_order, [m.bit_count() for m in mask_order], _Levels(a, w)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tail = [[0] * (n + 1)]  # tail[k][w] = ex(k x w; A) for the widths solved
     tail_rows: tuple[int, ...] = ()  # a witness for tail[-1][n]
@@ -302,57 +331,66 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(rows_left: int, levels: tuple, weight: int, start: int, forbidden: int):
+    def rec(rows_left: int, levels: Sequence[int], weight: int, start: int, forbidden: int, tied: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
-        below = tail[rows_left - 1][w]
+        tail_below = tail[rows_left - 1]
+        below = tail_below[w]
         ready = levels[-1]
         first = None
-        for i in range(start, len(mask_order)):
-            mask = mask_order[i]
-            bound = weight + mask.bit_count() + below
-            if bound <= best:
+        for i in range(start, size):
+            row_weight = weight + weights[i]
+            if row_weight + below <= best:
                 return
             if timed_out:
-                open_bound = max(open_bound, bound)
+                open_bound = max(open_bound, row_weight + below)
                 return
             nodes += 1
             if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
                 timed_out = True
-                open_bound = max(open_bound, bound)
+                open_bound = max(open_bound, row_weight + below)
                 return
+            mask = mask_order[i]
             if completes[mask] & ready:
                 continue
+            if tied and tied & (mask >> 1) & ~mask:
+                continue  # double lex: two tied columns would leave their order
             if first is None:
                 # the row cap: every mask before this one is dead below too
                 first = i
-                below = min(below, (rows_left - 1) * mask.bit_count())
-                bound = weight + mask.bit_count() + below
-                if bound <= best:
+                below = min(below, (rows_left - 1) * weights[i])
+                if row_weight + below <= best:
                     return
             if rows_left == 1:
-                best = bound
+                best = row_weight
                 best_rows = (*rows_sofar, mask)
                 continue
             child_forbidden = forbidden
             if pin:
                 newly_ready = levels[-2] & makes_ready[mask]
                 if newly_ready:
-                    child_forbidden |= detector.forbidden(newly_ready)
+                    child_forbidden |= forbidden_of(newly_ready)
                 # the width bound, decided before the child is built
-                if bound - below + tail[rows_left - 1][w - child_forbidden.bit_count()] <= best:
+                if row_weight + tail_below[w - child_forbidden.bit_count()] <= best:
                     continue
             rows_sofar.append(mask)
-            grown = detector.advance(levels, mask)
-            rec(rows_left - 1, grown, bound - below, i if sorted_rows else first, child_forbidden)
+            rec(
+                rows_left - 1,
+                advance(levels, mask),
+                row_weight,
+                i if sorted_rows else first,
+                child_forbidden,
+                tied and tied & ~(mask ^ (mask >> 1)),
+            )
             rows_sofar.pop()
 
     for k in range(1, n + 1):
         solved = [0] * (n + 1)
         for w in widths:
-            mask_order, detector = per_width[w]
+            mask_order, weights, detector = per_width[w]
+            size, advance, forbidden_of = len(mask_order), detector.advance, detector.forbidden
             completes, makes_ready = detector.covers[-1], detector.covers[-2] if pin else None
             best, best_rows = -1, None
-            rec(k, detector.start, 0, 0, 0)
+            rec(k, detector.start, 0, 0, 0, ((1 << w) - 1) >> 1 if double_lex else 0)
             if timed_out:
                 break
             solved[w] = best

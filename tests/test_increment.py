@@ -479,14 +479,24 @@ class TestDrivers:
         # 3.0000000000000004, which put the checkpoint ceil((1 - 1/3) z) at 3.
         trace = run_driver(ZeroOneMatrix.zeros(25, 125), ZeroOneMatrix.parse("111"), "thm21", k=5, depth=0)
         assert trace.levels[0].checks["contradictionCheckpointLevel"] == 2
-        # z is e on every exact power n0 = k^e (the factor 1 - 1/3 is still
-        # a float: at k = 2, e = 9 it gives 7, not 6).
+        # z is e on every exact power n0 = k^e, and the factor 1 - 1/3 is
+        # exact too: the float product ceil(0.6666666666666667 * 9) is 7.
         for k in range(2, 17):
             for e in range(1, 13):
                 if k**e <= 4096:
                     trace = run_driver(ZeroOneMatrix.zeros(1, k**e), ZeroOneMatrix.parse("111"), "thm21", k=k)
-                    want = math.ceil((1 - 1 / 3) * e)
+                    want = -(-2 * e // 3)
                     assert trace.levels[0].checks["contradictionCheckpointLevel"] == want, (k, e)
+        trace = run_driver(ZeroOneMatrix.zeros(1, 512), ZeroOneMatrix.parse("111"), "thm21", k=2, depth=0)
+        assert trace.levels[0].checks["contradictionCheckpointLevel"] == 6
+
+    @pytest.mark.parametrize("n0, epsilon, want", [(32, 0.6, 4), (1024, 0.6, 8), (1024, 0.3, 9)])
+    def test_checkpoint_reads_epsilon_as_written(self, n0, epsilon, want):
+        # The double nearest 0.6 lies below 3/5, and its exact ratio would
+        # put ceil((1 - 0.2) * 5) = 4 at 5; the decimal 0.6 gives 4.
+        host = ZeroOneMatrix.zeros(1, n0)
+        trace = run_driver(host, ZeroOneMatrix.parse("111"), "thm21", k=2, epsilon=epsilon, depth=0)
+        assert trace.levels[0].checks["contradictionCheckpointLevel"] == want
 
     def test_wide_pattern_supersaturation(self):
         # t = 10: w^100 overflows a float, the exact bound does not.

@@ -22,6 +22,18 @@ def _equal_row_patterns_up_to_3x3():
             yield ZeroOneMatrix.from_rows([[(bits >> j) & 1 for j in range(cols)]] * rows)
 
 
+def _mask_ranks(witness):
+    """Each witness row's index in the search's mask order."""
+    n = witness.cols
+    rank = {m: i for i, m in enumerate(sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)))}
+    return [rank[m] for m in witness.row_masks]
+
+
+def _columns(witness):
+    """The witness's columns, each read top-down."""
+    return [tuple(witness.entry(i, j) for i in range(1, witness.rows + 1)) for j in range(1, witness.cols + 1)]
+
+
 def _orbit(a):
     """The 8 images of a under transposition, row reversal and column
     reversal."""
@@ -122,7 +134,7 @@ class TestExactMatchesOracle:
     def test_tail_bounds_are_rectangular_optima(self):
         rec = exact_ex(5, K22)
         assert rec.provenance["tailBounds"] == [5, 6, 8, 10, 12]  # z(k, 5; 2)
-        assert rec.provenance["nodes"] == 1251
+        assert rec.provenance["nodes"] == 358
 
     @pytest.mark.parametrize(
         "a, witness, tail_bounds, nodes",
@@ -140,6 +152,17 @@ class TestExactMatchesOracle:
         assert "/".join(rec.witness.row_strings()) == witness
         assert rec.provenance["tailBounds"] == tail_bounds
         assert rec.provenance["nodes"] == nodes
+
+    @pytest.mark.parametrize("a, n", [(L, 6), (I3, 6)])
+    def test_forbidden_memo_emptied_when_full(self, monkeypatch, a, n):
+        # a memo that holds one entry and empties on every miss changes
+        # nothing in the record
+        want = exact_ex(n, a)
+        monkeypatch.setattr(search, "_MEMO_CAP", 1)
+        got = exact_ex(n, a)
+        assert got.witness.row_strings() == want.witness.row_strings()
+        assert got.provenance["nodes"] == want.provenance["nodes"]
+        assert got.provenance["tailBounds"] == want.provenance["tailBounds"]
 
     def test_plain_path_pin(self):
         # six-cycle-a gets the row cap but not the width bound
@@ -176,20 +199,25 @@ class TestExactMatchesOracle:
 
     def test_equal_row_patterns_sorted_witnesses(self):
         # containment of an equal-row pattern depends only on the multiset
-        # of host rows, so the search keeps its rows sorted; the oracle does not
+        # of host rows, so the search keeps its rows sorted; for an all-ones
+        # pattern it keeps its columns non-increasing too (double lex). The
+        # oracle uses neither rule
         cases = 0
         for a in _equal_row_patterns_up_to_3x3():
-            for n in range(max(a.rows, a.cols), 5):
-                mask_rank = {m: i for i, m in enumerate(sorted(range(1 << n), key=lambda m: (-m.bit_count(), m)))}
+            all_ones = a.weight == a.rows * a.cols
+            for n in range(max(a.rows, a.cols), 6 if all_ones else 5):
                 got = exact_ex(n, a)
                 assert got.status == "exact"
                 assert got.value == brute_force_ex(n, a).value, f"pattern {a.row_strings()} n={n}"
                 assert got.witness.weight == got.value
                 assert oracle_embedding(got.witness, a) is None
-                ranks = [mask_rank[m] for m in got.witness.row_masks]
+                ranks = _mask_ranks(got.witness)
                 assert ranks == sorted(ranks)
+                if all_ones:
+                    columns = _columns(got.witness)
+                    assert columns == sorted(columns, reverse=True)
                 cases += 1
-        assert cases == 75
+        assert cases == 84
 
     @pytest.mark.parametrize("a, value", [(SIX_CYCLES_3X3[0], 24), (I3, 20), (COLUMN_2_PARTITE, 29)])
     def test_oracle_agrees_at_n6(self, a, value):
@@ -222,7 +250,7 @@ class TestExactMatchesOracle:
         ],
     )
     def test_pinned_values_n5(self, text, value):
-        # the oracle uses none of exact_ex's symmetry rule and bounds
+        # the oracle uses none of exact_ex's symmetry rules and bounds
         a = ZeroOneMatrix.parse(text.replace("/", "\n"))
         for rec in (brute_force_ex(5, a), exact_ex(5, a)):
             assert rec.status == "exact" and rec.value == value
@@ -241,12 +269,52 @@ class TestExactMatchesOracle:
         assert rec.witness.weight == 24
         assert oracle_embedding(rec.witness, K22) is None
 
-    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 90 s; set PATEX_SLOW=1")
-    def test_zarankiewicz_n9_slow(self):
-        rec = exact_ex(9, K22)
-        assert rec.status == "exact" and rec.value == 29  # z(9;2), Guy's tables
-        assert rec.witness.weight == 29
+    @pytest.mark.parametrize(
+        "n, value",
+        [
+            (9, 29), (10, 34), (11, 39), (12, 45),  # z(n;2), Guy's tables
+            # (q + 1)n at n = q^2 + q + 1, q = 3: the PG(2, 3) witness of
+            # test_closed_forms.py meets the counting bound there
+            (13, 52),
+        ],
+    )
+    def test_zarankiewicz_n9_to_n13(self, n, value):
+        rec = exact_ex(n, K22)
+        assert rec.status == "exact" and rec.value == value
+        assert rec.witness.weight == value
         assert oracle_embedding(rec.witness, K22) is None
+
+    @pytest.mark.parametrize("a, value", [(ZeroOneMatrix.ones(2, 3), 39), (ZeroOneMatrix.ones(3, 3), 49)])
+    def test_all_ones_pins_n9(self, a, value):
+        # the search with sorted rows only, and no column rule, gives the
+        # same values in 20 s and 343 s
+        rec = exact_ex(9, a)
+        assert rec.status == "exact" and rec.value == value
+        assert rec.witness.weight == value
+        assert oracle_embedding(rec.witness, a) is None
+
+    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="up to 25 s a case; set PATEX_SLOW=1")
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)])
+    def test_all_ones_patterns_match_the_oracle_at_n6_slow(self, rows, cols):
+        # 3 x 1 and 3 x 2 are left out: the oracle takes about a minute on each
+        a = ZeroOneMatrix.ones(rows, cols)
+        got, expect = exact_ex(6, a), brute_force_ex(6, a)
+        assert got.status == expect.status == "exact"
+        assert got.value == expect.value
+        assert oracle_embedding(got.witness, a) is None
+
+    @pytest.mark.parametrize("a, n", [(K22, 8), (ZeroOneMatrix.ones(3, 3), 7)])
+    def test_all_ones_witnesses_are_double_lex(self, a, n):
+        # rows in the search's mask order, columns non-increasing read
+        # top-down with 1 > 0: each orbit of an all-ones pattern's hosts
+        # under row and column permutations holds such a host
+        rec = exact_ex(n, a)
+        ranks = _mask_ranks(rec.witness)
+        assert ranks == sorted(ranks)
+        columns = _columns(rec.witness)
+        assert columns == sorted(columns, reverse=True)
+        assert rec.witness.weight == rec.value
+        assert oracle_embedding(rec.witness, a) is None
 
     def test_budget_bound_stays_above_the_capped_search(self):
         # a zero budget stops at node 1024 inside height 2; the open bound
@@ -371,9 +439,10 @@ class TestTable:
         table = extremal_table(K22, range(2, 8), budget_seconds=0)
         assert calls == [2, 3, 4, 5, 6, 7]
         assert table == [exact_ex(n, K22, 0) for n in range(2, 8)]
-        # Lower bounds from a zero budget need not increase with n.
-        assert [r.value for r in table[3:]] == [12, 9, 8]
-        assert [r.status for r in table[3:]] == ["lowerBound"] * 3
+        # n = 5 finishes below node 1024. Lower bounds from a zero budget
+        # need not increase with n.
+        assert [r.value for r in table[3:]] == [12, 15, 10]
+        assert [r.status for r in table[3:]] == ["exact", "lowerBound", "lowerBound"]
 
     def test_cache_integration(self, tmp_path):
         from patex.cache import CacheStore
