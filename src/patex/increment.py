@@ -473,6 +473,14 @@ class IncrementTrace:
         }
 
 
+def _ceil_log(n: int, k: int) -> tuple[int, int]:
+    """(e, k^e) for the least e >= 0 with k^e >= n."""
+    e, power = 0, 1
+    while power < n:
+        e, power = e + 1, power * k
+    return e, power
+
+
 def run_driver(
     m: ZeroOneMatrix,
     a: ZeroOneMatrix,
@@ -516,10 +524,12 @@ def run_driver(
     sizes = _part_sizes(cuts, a.cols, t)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
     n0 = m.cols
-    e, power = 0, 1  # z is exact when n0 = k^e, n0 = 1 included
-    while power < n0:
-        e, power = e + 1, power * k
-    z = float(e) if power == n0 else math.log(n0) / math.log(k)
+    e, power = _ceil_log(n0, k)
+    # On an exact power n0 = k^e (n0 = 1 included) z is e, and epsilon is read
+    # exactly too: str() gives back the decimal the float was written as, so
+    # 0.6 is 3/5 and not the double just below it.
+    exact_eps = Fraction(str(epsilon)) if power == n0 else None
+    z = float(e) if exact_eps is not None else math.log(n0) / math.log(k)
 
     schedule = None
     if mode == "thm11":
@@ -546,11 +556,9 @@ def run_driver(
 
     checkpoint = None  # the contradiction checkpoint level ceil((1 - epsilon/t) z)
     if not grid and z > 0:
-        if power == n0:
-            # z = e exactly: keep the factor exact too, or ceil((1 - 1/3) 9) is
-            # 7. str() gives back the decimal the float was written as, so 0.6
-            # is 3/5 and not the double just below it.
-            checkpoint = math.ceil((1 - Fraction(str(epsilon)) / t) * e)
+        if exact_eps is not None:
+            # z = e exactly: keep the factor exact too, or ceil((1 - 1/3) 9) is 7.
+            checkpoint = math.ceil((1 - exact_eps / t) * e)
         else:
             checkpoint = math.ceil((1 - epsilon / t) * z)
 
@@ -621,10 +629,17 @@ def run_driver(
         if checkpoint is not None:
             checks["contradictionCheckpointLevel"] = checkpoint
             checks["pastContradictionCheckpoint"] = i >= checkpoint
-            try:
-                checks["rowsBelowEpsPower"] = cur.rows < n0 ** (epsilon / t)
-            except OverflowError:  # the power is past the float range
-                checks["rowsBelowEpsPower"] = True
+            j, rows_power = _ceil_log(cur.rows, k)
+            if exact_eps is not None and rows_power == cur.rows:
+                # rows = k^j < n0^(p / (q t)) exactly when j t q < e p. The
+                # float power can miss an equality: 3125 ** 0.2 > 5.
+                below = j * t * exact_eps.denominator < e * exact_eps.numerator
+            else:
+                try:
+                    below = cur.rows < n0 ** (epsilon / t)
+                except OverflowError:  # the power is past the float range
+                    below = True
+            checks["rowsBelowEpsPower"] = below
         if schedule is not None:
             checks["lambda"] = schedule.value(u_lvl)
             checks["types"] = list(types)

@@ -78,29 +78,6 @@ class ZeroOneMatrix:
     # Constructors
 
     @classmethod
-    def from_rows(cls, grid: Iterable[Iterable[int]]) -> "ZeroOneMatrix":
-        rows = [list(r) for r in grid]
-        if not rows:
-            raise FormatError("empty grid")
-        cols = len(rows[0])
-        masks = []
-        for r in rows:
-            if len(r) != cols:
-                raise FormatError("ragged grid")
-            mask = 0
-            for j, v in enumerate(r):
-                if v not in (0, 1):
-                    raise FormatError("entries must be 0 or 1")
-                if v:
-                    mask |= 1 << j
-            masks.append(mask)
-        return cls(masks, cols)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ZeroOneMatrix":
-        return cls([0] * rows, cols)
-
-    @classmethod
     def ones(cls, rows: int, cols: int) -> "ZeroOneMatrix":
         return cls([(1 << cols) - 1] * rows, cols)
 
@@ -153,11 +130,8 @@ class ZeroOneMatrix:
             raise InputError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
         return (self.row_masks[i - 1] >> (j - 1)) & 1
 
-    def row_string(self, i: int) -> str:
-        return format(self.row_masks[i - 1], "b").zfill(self.cols)[::-1]
-
     def row_strings(self) -> tuple[str, ...]:
-        return tuple(self.row_string(i) for i in range(1, self.rows + 1))
+        return tuple(_row_string(m, self.cols) for m in self.row_masks)
 
     def one_entries(self) -> tuple[tuple[int, int], ...]:
         """All 1-entry positions as 1-based (row, col), row-major order."""
@@ -231,9 +205,6 @@ class ZeroOneMatrix:
     # ------------------------------------------------------------------
     # Serialization
 
-    def to_text(self) -> str:
-        return "\n".join(self.row_strings())
-
     def to_json_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "data": list(self.row_strings())}
 
@@ -254,6 +225,11 @@ class ZeroOneMatrix:
         return f"ZeroOneMatrix({self.rows}x{self.cols}, weight={self.weight})"
 
 
+def _row_string(mask: int, cols: int) -> str:
+    """A row mask as 0/1 text, column 1 (the lowest bit) first."""
+    return format(mask, "b").zfill(cols)[::-1]
+
+
 def canonical_key(a: ZeroOneMatrix) -> str:
     """Stable digest keyed on the exact entries: equal matrices share a key,
     any single-entry change produces a different serialization (and hence a
@@ -264,8 +240,7 @@ def canonical_key(a: ZeroOneMatrix) -> str:
 
 @functools.lru_cache(maxsize=1024)
 def _canonical_key(rows: int, cols: int, row_masks: tuple[int, ...]) -> str:
-    row_strings = (format(m, "b").zfill(cols)[::-1] for m in row_masks)
-    payload = f"{rows}x{cols}|" + "|".join(row_strings)
+    payload = f"{rows}x{cols}|" + "|".join(_row_string(m, cols) for m in row_masks)
     digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
     return f"{rows}x{cols}-{digest[:40]}"
 

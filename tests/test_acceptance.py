@@ -9,13 +9,17 @@ violations and verifies the repaired form instead. The test is strict-xfail:
 it will start failing loudly if the check ever turns green.
 """
 
+import dataclasses
 import io
+import itertools
+import types
 
 import pytest
 
 import patex.acceptance as acceptance
 import patex.increment as increment
 from patex.acceptance import CHECKS, run_suite
+from patex.cli import dispatch
 
 NAMES = [name for name, _, _ in CHECKS]
 
@@ -132,3 +136,61 @@ class TestIncrementSoundnessFails:
             False,
             "host 0: block recount 0 != reported 1",
         )
+
+
+def _printed(name):
+    buf = io.StringIO()
+    run_suite(name, stream=buf)
+    return buf.getvalue()
+
+
+class TestGreenChecksFail:
+    """The FAIL branches of three green checks, each seen with a known-wrong
+    kernel patched into the suite."""
+
+    def test_containment_kernel_that_finds_nothing(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "find_embedding", lambda m, a: None)
+        assert _printed("containment-oracle-equivalence") == (
+            "FAIL containment-oracle-equivalence: kernel and enumeration disagree on "
+            "host=('1000', '1111') pattern=('001',)\n"
+        )
+
+    def test_branch_and_bound_off_by_one(self, monkeypatch):
+        exact_ex = acceptance.exact_ex
+
+        def off_by_one(n, a):
+            rec = exact_ex(n, a)
+            return dataclasses.replace(rec, value=rec.value + 1)
+
+        monkeypatch.setattr(acceptance, "exact_ex", off_by_one)
+        assert _printed("extremal-regression") == (
+            "FAIL extremal-regression: branch-and-bound ex(2, 2x2 all-ones) = 4 (exact)\n"
+        )
+
+    def test_cut_sampler_that_never_hits(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "cut_hits", lambda edge, n, trials, rng: 0)
+        assert _printed("t-cut-statistics") == (
+            "FAIL t-cut-statistics: edge (7, 23) in [50]: frequency 0.0 vs exact 0.32 "
+            "(tolerance 0.004425381339500586)\n"
+        )
+
+
+class TestRunnerFails:
+    """The runner's crash and time-limit branches, and the exit code that
+    `verify-suite` returns for them."""
+
+    def test_raising_check(self, monkeypatch, capsys):
+        def crash():
+            raise ValueError("no host")
+
+        monkeypatch.setattr(acceptance, "CHECKS", (("crashing-check", 1.0, crash),))
+        assert dispatch(["verify-suite", "--filter", "crashing-check"]) == 1
+        assert capsys.readouterr().out == "FAIL crashing-check: raised ValueError: no host\n"
+
+    def test_passing_check_over_its_limit(self, monkeypatch, capsys):
+        # Each reading of the clock is 2.5 s after the one before.
+        ticks = itertools.count(0.0, 2.5)
+        monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        monkeypatch.setattr(acceptance, "CHECKS", (("slow-check", 1.0, lambda: (True, "all held")),))
+        assert dispatch(["verify-suite", "--filter", "slow-check"]) == 1
+        assert capsys.readouterr().out == "FAIL slow-check: exceeded time limit of 1s; all held\n"

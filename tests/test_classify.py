@@ -105,7 +105,7 @@ class TestGraphShape:
         import itertools
 
         for perm in itertools.permutations(range(3)):
-            m = ZeroOneMatrix.from_rows([[1 if j == perm[i] else 0 for j in range(3)] for i in range(3)])
+            m = ZeroOneMatrix([1 << perm[i] for i in range(3)], 3)
             assert is_permutation(m) and is_acyclic(m)
 
     def test_cycle(self):
@@ -157,7 +157,7 @@ class TestGraphShape:
         assert _cycle_tour(ZeroOneMatrix.parse(text)) is None
 
     def test_cycle_tour_rejects_the_all_zero_pattern(self):
-        assert _cycle_tour(ZeroOneMatrix.zeros(2, 2)) is None
+        assert _cycle_tour(ZeroOneMatrix([0] * 2, 2)) is None
 
 
 class TestXMonotone:

@@ -19,11 +19,11 @@ from patex.search import ExtremalRecord
 @pytest.fixture
 def files(tmp_path):
     host = tmp_path / "host.pat"
-    host.write_text(ZeroOneMatrix.ones(4, 4).to_text())
+    host.write_text("\n".join(ZeroOneMatrix.ones(4, 4).row_strings()))
     fixture = tmp_path / "fixture.pat"
-    fixture.write_text(COLUMN_2_PARTITE.to_text())
+    fixture.write_text("\n".join(COLUMN_2_PARTITE.row_strings()))
     k22 = tmp_path / "k22.pat"
-    k22.write_text(K22.to_text())
+    k22.write_text("\n".join(K22.row_strings()))
     return {"host": str(host), "fixture": str(fixture), "k22": str(k22), "dir": tmp_path}
 
 
@@ -60,7 +60,7 @@ class TestContains:
 
     def test_negative(self, capsys, files, tmp_path):
         big = tmp_path / "big.pat"
-        big.write_text(ZeroOneMatrix.ones(5, 5).to_text())
+        big.write_text("\n".join(ZeroOneMatrix.ones(5, 5).row_strings()))
         code, out = run(capsys, ["contains", files["fixture"], str(big)])
         assert json.loads(out) == {"contains": False}
 
@@ -76,7 +76,7 @@ class TestCount:
 
     def test_non_square_host_has_no_supersaturation_bound(self, capsys, tmp_path):
         host = tmp_path / "wide.pat"
-        host.write_text(ZeroOneMatrix.ones(3, 4).to_text())
+        host.write_text("\n".join(ZeroOneMatrix.ones(3, 4).row_strings()))
         code, out = run(capsys, ["count", str(host), "--u", "2", "--t", "2", "--bounds"])
         doc = json.loads(out)
         assert code == 0 and doc["count"] == 18  # C(3,2) row pairs x C(4,2) column pairs
@@ -97,10 +97,10 @@ class TestTcut:
     def test_edges_match_full_hypergraph(self, capsys, tmp_path, t):
         rng = SplitMix64(0x7C07)
         hosts = [random_matrix(rng, 6, 7, 0.5) for _ in range(3)]
-        hosts += [COLUMN_2_PARTITE, ZeroOneMatrix.from_rows([[1, 0, 1], [0, 1, 1]])]
+        hosts += [COLUMN_2_PARTITE, ZeroOneMatrix.parse("101\n011")]
         for i, m in enumerate(hosts):
             path = tmp_path / f"host{i}.pat"
-            path.write_text(m.to_text())
+            path.write_text("\n".join(m.row_strings()))
             code, out = run(capsys, ["tcut", str(path), "--t", str(t), "--s", "1", "--trials", "1"])
             doc = json.loads(out)
             ref = build_column_hypergraph(m, t, 1)
@@ -120,7 +120,7 @@ class TestTcut:
     def test_threshold_past_the_float_range_is_inf(self, capsys, tmp_path):
         # 2 * 6^(400 - 1/400) is past the float range.
         path = tmp_path / "wide.pat"
-        path.write_text(ZeroOneMatrix.ones(2, 6).to_text())
+        path.write_text("\n".join(ZeroOneMatrix.ones(2, 6).row_strings()))
         code, out = run(capsys, ["tcut", str(path), "--t", "400", "--s", "1"])
         assert code == 0
         assert json.loads(out)["threshold"]["threshold"] == "inf"
@@ -192,7 +192,7 @@ class TestIncrement:
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_non_positive_u_rejected(self, capsys, files, u):
         column = files["dir"] / "column.pat"
-        column.write_text(ZeroOneMatrix.from_rows([[1], [1]]).to_text())
+        column.write_text("1\n1")
         argv = ["increment", files["host"], str(column), "--mode", "thm21", "--k", "2"]
         code = dispatch(argv + ["--u", u, "--depth", "0"])
         captured = capsys.readouterr()
@@ -217,9 +217,9 @@ class TestIncrement:
     @pytest.mark.parametrize("epsilon", ["400", "1e300"])
     def test_large_epsilon_trace_or_error_line(self, capsys, files, mode, epsilon):
         host = files["dir"] / "host16.pat"
-        host.write_text(random_matrix(SplitMix64(5), 16, 16, 0.5).to_text())
+        host.write_text("\n".join(random_matrix(SplitMix64(5), 16, 16, 0.5).row_strings()))
         pattern = files["dir"] / "doubly.pat"
-        pattern.write_text(DOUBLY_2_PARTITE.to_text())
+        pattern.write_text("\n".join(DOUBLY_2_PARTITE.row_strings()))
         argv = ["increment", str(host), str(pattern), "--mode", mode, "--k", "2", "--epsilon", epsilon]
         code = dispatch(argv)
         captured = capsys.readouterr()
@@ -356,7 +356,7 @@ class TestEx:
 
     def test_budget_exhaustion_exit_code(self, capsys, files, tmp_path):
         big = tmp_path / "big_n.pat"
-        big.write_text(K22.to_text())
+        big.write_text("\n".join(K22.row_strings()))
         code, out = run(capsys, ["--budget", "0.01", "ex", str(big), "--n", "6", "--mode", "bnb"])
         doc = json.loads(out)
         if doc["status"] == "lowerBound":

@@ -38,7 +38,7 @@ SIZES = [(2, n) for n in range(2, 7)] + [(3, n) for n in range(3, 7)] + [(4, n) 
 
 
 def identity(k: int) -> ZeroOneMatrix:
-    return ZeroOneMatrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
+    return ZeroOneMatrix([1 << i for i in range(k)], k)
 
 
 def identity_ex(n: int, k: int) -> int:
@@ -46,9 +46,7 @@ def identity_ex(n: int, k: int) -> int:
 
 
 def identity_witness(n: int, k: int) -> ZeroOneMatrix:
-    return ZeroOneMatrix.from_rows(
-        [[int(i < k - 1 or j < k - 1) for j in range(n)] for i in range(n)]
-    )
+    return ZeroOneMatrix([(1 << (n if i < k - 1 else k - 1)) - 1 for i in range(n)], n)
 
 
 @pytest.mark.parametrize("k, n", SIZES)
@@ -77,8 +75,12 @@ def plane_incidence(q: int) -> ZeroOneMatrix:
         for c in range(q)
         if (a, b, c) != (0, 0, 0) and [x for x in (a, b, c) if x][0] == 1
     ]
-    return ZeroOneMatrix.from_rows(
-        [[int(sum(x * y for x, y in zip(line, point)) % q == 0) for point in vectors] for line in vectors]
+    return ZeroOneMatrix(
+        [
+            sum(1 << j for j, point in enumerate(vectors) if sum(x * y for x, y in zip(line, point)) % q == 0)
+            for line in vectors
+        ],
+        len(vectors),
     )
 
 

@@ -49,11 +49,11 @@ class TestBalance:
         assert balance_violation(ZeroOneMatrix.ones(4, 5), 2) is None
 
     def test_unbalanced_diagnostic(self):
-        m = ZeroOneMatrix.from_rows([[1, 0], [0, 0], [0, 0], [0, 0]])
+        m = ZeroOneMatrix.parse("10\n00\n00\n00")
         assert "column 1" in balance_violation(m, 2)
 
     def test_all_zero_is_balanced(self):
-        assert balance_violation(ZeroOneMatrix.zeros(6, 3), 3) is None
+        assert balance_violation(ZeroOneMatrix([0] * 6, 3), 3) is None
 
     def test_divisibility_diagnostic(self):
         assert "divide" in balance_violation(ZeroOneMatrix.ones(4, 2), 3)
@@ -68,7 +68,7 @@ class TestEmbedBalanced:
         assert emb is not None and verify_embedding(ZeroOneMatrix.ones(4, 4), K22, emb)
 
     def test_zero_host(self):
-        assert embed_xmonotone_balanced(ZeroOneMatrix.zeros(4, 4), K22) is None
+        assert embed_xmonotone_balanced(ZeroOneMatrix([0] * 4, 4), K22) is None
 
     def test_wrong_certificate_stops_at_the_gate(self, monkeypatch):
         # A walk that handed back a column map off the host.
@@ -86,7 +86,7 @@ class TestEmbedBalanced:
             PreconditionError, match="^host is not 2-balanced: 2 does not divide row count 5$"
         ):
             embed_xmonotone_balanced(ZeroOneMatrix.ones(5, 4), K22)
-        unbalanced = ZeroOneMatrix.from_rows([[1, 1], [1, 1], [0, 0], [0, 0]])
+        unbalanced = ZeroOneMatrix.parse("11\n11\n00\n00")
         with pytest.raises(
             PreconditionError,
             match=r"^host is not 2-balanced: column 1 has unequal band counts \(2, 0\)$",
@@ -231,7 +231,7 @@ class TestDichotomy:
                         for ones in per_band:
                             for i in ones[:keep]:
                                 grid[i - 1][j - 1] = 1
-                    assert res.matrix == ZeroOneMatrix.from_rows(grid)
+                    assert res.matrix == ZeroOneMatrix.parse("\n".join("".join(map(str, row)) for row in grid))
                     assert res.weight == res.matrix.weight
                     truncated += res.matrix != sub
         assert truncated > 0

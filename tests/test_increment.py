@@ -404,7 +404,7 @@ class TestDrivers:
     @pytest.mark.parametrize("u", [0, -1])
     def test_rejects_non_positive_u(self, mode, u):
         # A one-column pattern has t = 1, so make_constants never sees u.
-        column = ZeroOneMatrix.from_rows([[1], [1]])
+        column = ZeroOneMatrix.parse("1\n1")
         with pytest.raises(DomainError, match=f"u must be positive, got {u}"):
             run_driver(ZeroOneMatrix.ones(8, 8), column, mode, k=2, u=u, depth=0)
 
@@ -416,7 +416,7 @@ class TestDrivers:
             run_driver(host, K22, "thm11", k=2, u=5, depth=1)
 
     def test_thm11_needs_two_column_parts(self):
-        identity = ZeroOneMatrix.from_rows([[1, 0], [0, 1]])
+        identity = ZeroOneMatrix.parse("10\n01")
         assert min_column_parts(identity)[0] == 1
         with pytest.raises(
             PreconditionError, match="^schedule driver needs a column partition with t >= 2$"
@@ -477,24 +477,48 @@ class TestDrivers:
     def test_checkpoint_on_an_exact_power(self):
         # z = log_5 125 is 3, but the ratio of float logs is
         # 3.0000000000000004, which put the checkpoint ceil((1 - 1/3) z) at 3.
-        trace = run_driver(ZeroOneMatrix.zeros(25, 125), ZeroOneMatrix.parse("111"), "thm21", k=5, depth=0)
+        trace = run_driver(ZeroOneMatrix([0] * 25, 125), ZeroOneMatrix.parse("111"), "thm21", k=5, depth=0)
         assert trace.levels[0].checks["contradictionCheckpointLevel"] == 2
         # z is e on every exact power n0 = k^e, and the factor 1 - 1/3 is
         # exact too: the float product ceil(0.6666666666666667 * 9) is 7.
         for k in range(2, 17):
             for e in range(1, 13):
                 if k**e <= 4096:
-                    trace = run_driver(ZeroOneMatrix.zeros(1, k**e), ZeroOneMatrix.parse("111"), "thm21", k=k)
+                    trace = run_driver(ZeroOneMatrix([0], k**e), ZeroOneMatrix.parse("111"), "thm21", k=k)
                     want = -(-2 * e // 3)
                     assert trace.levels[0].checks["contradictionCheckpointLevel"] == want, (k, e)
-        trace = run_driver(ZeroOneMatrix.zeros(1, 512), ZeroOneMatrix.parse("111"), "thm21", k=2, depth=0)
+        trace = run_driver(ZeroOneMatrix([0], 512), ZeroOneMatrix.parse("111"), "thm21", k=2, depth=0)
         assert trace.levels[0].checks["contradictionCheckpointLevel"] == 6
+
+    def test_rows_below_eps_power_on_an_exact_power(self):
+        # 5 rows against 3125^(1/5) = 5: not below, though the float power
+        # 3125 ** 0.2 is 5.000000000000001.
+        trace = run_driver(ZeroOneMatrix([0] * 5, 3125), ZeroOneMatrix.parse("11111"), "thm21", k=5, depth=0)
+        assert trace.levels[0].checks["rowsBelowEpsPower"] is False
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.6])
+    @pytest.mark.parametrize("text", ["111", "11111"])
+    def test_rows_below_eps_power_sweep(self, text, epsilon):
+        # rows < n0^(epsilon/t) with epsilon = p/q, in integers
+        a = ZeroOneMatrix.parse(text)
+        t = min_column_parts(a)[0]
+        p, q = Fraction(str(epsilon)).as_integer_ratio()
+        for k in range(2, 17):
+            for e in range(1, 13):
+                n0 = k**e
+                if n0 > 4096:
+                    break
+                for rows in (k**j for j in range(e + 1)):
+                    host = ZeroOneMatrix([0] * rows, n0)
+                    trace = run_driver(host, a, "thm21", k=k, epsilon=epsilon, depth=0)
+                    want = rows ** (t * q) < n0**p
+                    assert trace.levels[0].checks["rowsBelowEpsPower"] is want, (k, e, rows)
 
     @pytest.mark.parametrize("n0, epsilon, want", [(32, 0.6, 4), (1024, 0.6, 8), (1024, 0.3, 9)])
     def test_checkpoint_reads_epsilon_as_written(self, n0, epsilon, want):
         # The double nearest 0.6 lies below 3/5, and its exact ratio would
         # put ceil((1 - 0.2) * 5) = 4 at 5; the decimal 0.6 gives 4.
-        host = ZeroOneMatrix.zeros(1, n0)
+        host = ZeroOneMatrix([0], n0)
         trace = run_driver(host, ZeroOneMatrix.parse("111"), "thm21", k=2, epsilon=epsilon, depth=0)
         assert trace.levels[0].checks["contradictionCheckpointLevel"] == want
 

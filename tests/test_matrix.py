@@ -53,7 +53,7 @@ class TestParse:
         assert ZeroOneMatrix.from_json_dict(doc) == COLUMN_2_PARTITE
 
     def test_text_roundtrip(self):
-        assert ZeroOneMatrix.parse(COLUMN_2_PARTITE.to_text()) == COLUMN_2_PARTITE
+        assert ZeroOneMatrix.parse("\n".join(COLUMN_2_PARTITE.row_strings())) == COLUMN_2_PARTITE
 
     # int(s, 2) accepts the first four, so the character check must see them.
     @pytest.mark.parametrize("row", ["1_0", "0b1", "+1", "-1", " "])
@@ -64,7 +64,7 @@ class TestParse:
             ZeroOneMatrix.from_json_dict({"rows": 1, "cols": len(row), "data": [row]})
 
     def test_whitespace_inside_rows(self):
-        want = ZeroOneMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        want = ZeroOneMatrix.parse("101\n011")
         assert ZeroOneMatrix.parse("1 0 1\n0\t1 1") == want
         assert ZeroOneMatrix.from_json_dict({"rows": 2, "cols": 3, "data": ["1 0 1", "011"]}) == want
 
@@ -88,19 +88,6 @@ class TestParse:
     def test_constructor_rejects_empty_shapes(self, masks, cols):
         with pytest.raises(FormatError, match="^matrix needs at least one row and one column$"):
             ZeroOneMatrix(masks, cols)
-
-    @pytest.mark.parametrize(
-        "grid, want",
-        [
-            ([], "empty grid"),
-            ([[]], "matrix needs at least one row and one column"),
-            ([[1, 0], [1]], "ragged grid"),
-            ([[1, 2]], "entries must be 0 or 1"),
-        ],
-    )
-    def test_from_rows_rejects_bad_grids(self, grid, want):
-        with pytest.raises(FormatError, match=f"^{want}$"):
-            ZeroOneMatrix.from_rows(grid)
 
     @pytest.mark.parametrize("masks", [[0b100], [1, -1]])
     def test_constructor_rejects_masks_outside_the_columns(self, masks):
@@ -232,7 +219,7 @@ class TestRandomStream:
         # taken from the per-draw loop that the lane draw replaced
         rng = SplitMix64(1)
         m = random_matrix(rng, n, n, 0.3)
-        assert hashlib.sha256(m.to_text().encode()).hexdigest() == digest
+        assert hashlib.sha256("\n".join(m.row_strings()).encode()).hexdigest() == digest
         assert rng.state == (1 + n * n * GAMMA) & MASK64
 
     def test_threshold_equal_to_the_draw(self):
@@ -276,7 +263,7 @@ class TestCanonicalKey:
 
 class TestContainment:
     def test_single_entry(self):
-        m = ZeroOneMatrix.from_rows([[0, 1], [0, 0]])
+        m = ZeroOneMatrix.parse("01\n00")
         e = find_embedding(m, ZeroOneMatrix.parse("1"))
         assert e == Embedding(row_map=(1,), col_map=(2,))
 
@@ -318,8 +305,8 @@ class TestContainment:
 
     def test_zero_pattern_lines_constrain_dimensions_only(self):
         pat = ZeroOneMatrix.parse("00\n11")
-        assert find_embedding(ZeroOneMatrix.from_rows([[1, 1]]), pat) is None
-        host = ZeroOneMatrix.from_rows([[0, 0], [1, 1]])
+        assert find_embedding(ZeroOneMatrix.parse("11"), pat) is None
+        host = ZeroOneMatrix.parse("00\n11")
         assert find_embedding(host, pat) is not None
 
     def test_lexicographically_least_certificate(self):
@@ -382,7 +369,7 @@ class TestComponentLemma:
         assert find_embedding(ZeroOneMatrix.parse("100\n000\n001"), ident) == Embedding((1, 3), (1, 3))
 
     def test_weight_zero_pattern_skips_the_test(self):
-        assert find_embedding(ZeroOneMatrix.zeros(3, 2), ZeroOneMatrix.zeros(2, 2)) == Embedding((1, 2), (1, 2))
+        assert find_embedding(ZeroOneMatrix([0] * 3, 2), ZeroOneMatrix([0] * 2, 2)) == Embedding((1, 2), (1, 2))
 
     @BOUNDED
     @given(st.data())
@@ -573,8 +560,7 @@ class TestColumnMasks:
         m = random_matrix(rng, 5, 7, 0.5)
         built = [
             ZeroOneMatrix([0b101, 0b010, 0b111], 3),
-            ZeroOneMatrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 0]]),
-            ZeroOneMatrix.zeros(3, 4),
+            ZeroOneMatrix([0] * 3, 4),
             ZeroOneMatrix.ones(4, 3),
             ZeroOneMatrix.parse("0110\n1001\n0001"),
             ZeroOneMatrix.from_json_dict(COLUMN_2_PARTITE.to_json_dict()),

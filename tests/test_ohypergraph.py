@@ -23,7 +23,7 @@ class TestBuild:
         assert phi == {(1, 2): frozenset({1, 2})}
 
     def test_single_row(self):
-        phi = build_column_hypergraph(ZeroOneMatrix.from_rows([[1, 0, 1]]), 2, 1)
+        phi = build_column_hypergraph(ZeroOneMatrix.parse("101"), 2, 1)
         assert phi == {(1, 3): frozenset({1})}
 
     def test_width_guard(self):

@@ -19,7 +19,7 @@ I3 = ZeroOneMatrix.parse("100\n010\n001")
 def _equal_row_patterns_up_to_3x3():
     for rows, cols in product((1, 2, 3), repeat=2):
         for bits in range(1, 1 << cols):
-            yield ZeroOneMatrix.from_rows([[(bits >> j) & 1 for j in range(cols)]] * rows)
+            yield ZeroOneMatrix([bits] * rows, cols)
 
 
 def _mask_ranks(witness):
@@ -39,10 +39,10 @@ def _orbit(a):
     reversal."""
     images = []
     for m in (a, a.transpose()):
-        grid = [[m.entry(i, j) for j in range(1, m.cols + 1)] for i in range(1, m.rows + 1)]
+        rows = m.row_strings()
         for flip_rows, flip_cols in product((False, True), repeat=2):
-            g = grid[::-1] if flip_rows else grid
-            images.append(ZeroOneMatrix.from_rows([row[::-1] if flip_cols else row for row in g]))
+            g = rows[::-1] if flip_rows else rows
+            images.append(ZeroOneMatrix.parse("\n".join(row[::-1] if flip_cols else row for row in g)))
     return images
 
 
@@ -68,7 +68,7 @@ class TestBruteForce:
 
     def test_zero_weight_pattern_undefined(self):
         with pytest.raises(DomainError):
-            brute_force_ex(2, ZeroOneMatrix.zeros(1, 1))
+            brute_force_ex(2, ZeroOneMatrix([0], 1))
 
     @pytest.mark.parametrize("solve", [brute_force_ex, exact_ex, lambda n, a: deletion_lower_bound(n, a, 1)])
     def test_size_guard(self, solve):
@@ -85,8 +85,7 @@ class TestExactMatchesOracle:
         patterns = []
         for rows, cols in ((1, 1), (1, 2), (2, 1), (2, 2)):
             for bits in range(1, 1 << (rows * cols)):
-                grid = [[(bits >> (i * cols + j)) & 1 for j in range(cols)] for i in range(rows)]
-                patterns.append(ZeroOneMatrix.from_rows(grid))
+                patterns.append(ZeroOneMatrix([bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows)], cols))
         for a in patterns:
             for n in (1, 2, 3):
                 expect = brute_force_ex(n, a)
@@ -98,7 +97,7 @@ class TestExactMatchesOracle:
     def test_sweep_2x2_patterns_n4(self):
         # n = 4 puts every height k = 1..3 of the tail bound to work
         for bits in range(1, 16):
-            a = ZeroOneMatrix.from_rows([[(bits >> (2 * i + j)) & 1 for j in range(2)] for i in range(2)])
+            a = ZeroOneMatrix([bits >> (2 * i) & 3 for i in range(2)], 2)
             got = exact_ex(4, a)
             assert got.status == "exact"
             assert got.value == brute_force_ex(4, a).value, f"pattern {a.row_strings()}"
@@ -123,8 +122,7 @@ class TestExactMatchesOracle:
     def test_sweep_rectangular_patterns(self):
         for rows, cols in ((2, 3), (3, 2)):
             for bits in range(1, 1 << (rows * cols)):
-                grid = [[(bits >> (i * cols + j)) & 1 for j in range(cols)] for i in range(rows)]
-                a = ZeroOneMatrix.from_rows(grid)
+                a = ZeroOneMatrix([bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows)], cols)
                 assert exact_ex(3, a).value == brute_force_ex(3, a).value
 
     def test_known_values_n4(self):
@@ -186,8 +184,8 @@ class TestExactMatchesOracle:
         for rows, cols in product((2, 3), (1, 2, 3)):
             for bits in range(1 << (cols * (rows - 1))):
                 for j in range(cols):
-                    grid = [[(bits >> (i * cols + c)) & 1 for c in range(cols)] for i in range(rows - 1)]
-                    a = ZeroOneMatrix.from_rows(grid + [[int(c == j) for c in range(cols)]])
+                    upper = [bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows - 1)]
+                    a = ZeroOneMatrix(upper + [1 << j], cols)
                     for n in (3, 4):
                         got = exact_ex(n, a)
                         assert got.status == "exact"
