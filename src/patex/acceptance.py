@@ -369,18 +369,19 @@ def check_increment_soundness() -> tuple[bool, str]:
 
 
 def check_lambda_schedule() -> tuple[bool, str]:
-    worst = 0.0
+    # The recurrence, run in Fractions, is the reference for the closed form.
     for t in range(2, 6):
-        for cap in range(t + 2, 201):
-            sched = lambda_schedule(t, cap, 1.0)
-            vals = sched.lambdas  # lambda_u for u = t..cap+1
-            for u in range(t + 1, cap + 1):
-                worst = max(worst, abs(vals[u - t] - sched.closed_form(u)))
-            if any(a <= b for a, b in zip(vals, vals[1:])):
-                return False, f"schedule not strictly decreasing at t={t}, U={cap}"
-    if worst > 1e-12:
-        return False, f"recurrence vs closed form drift {worst} exceeds 1e-12"
-    return True, f"recurrence matches closed form within {worst:.3e} for t<=5, U<=200"
+        sched = lambda_schedule(t, 200, 1.0)
+        lams = [Fraction(1), 1 - Fraction(1, 2 * (t + 1)) + sched.epsilon0]
+        for u in range(t + 1, 200):
+            lams.append(lams[-1] - Fraction(t, (u - 1) * (u + 1)))
+        lams.append(Fraction(0))  # lambda_u for u = t..201
+        for u, lam in enumerate(lams, t):
+            if sched.value(u) != lam:
+                return False, f"t={t}: lambda_{u} = {sched.value(u)}, the recurrence gives {lam}"
+        if any(a <= b for a, b in zip(lams, lams[1:])):
+            return False, f"schedule not strictly decreasing at t={t}"
+    return True, "recurrence in Fractions equals the closed form exactly for t<=5, U=200"
 
 
 # ----------------------------------------------------------------------

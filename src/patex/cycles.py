@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Union
 
 from .classify import _cycle_tour, _x_monotone_core, is_cycle
 from .errors import DivisibilityError, DomainError, PreconditionError
@@ -108,7 +109,7 @@ class DichotomyResult:
 
 
 def dense_or_balanced(
-    m: ZeroOneMatrix, r_meta: int, s_meta: int, k: int, c: float
+    m: ZeroOneMatrix, r_meta: int, s_meta: int, k: int, c: Union[float, Fraction]
 ) -> DichotomyResult:
     """Constructive case split on an n x n host of weight >= c*n^(3/2):
     delete light columns (< c*sqrt(n)/2 ones), classify column-blocks sparse
@@ -117,7 +118,9 @@ def dense_or_balanced(
     surviving weight. A host with no heavy column goes through the same
     dense rule: band 1 and the first n/k columns. Runs for any k and any
     c > 0; flags record whether the weight precondition and the branch
-    invariant actually held."""
+    invariant actually held. Each of them, and the light cut, compares an
+    integer with c times a square root, so it is decided squared, in
+    integers, with c read as the decimal it was written as."""
     if m.rows != m.cols:
         raise PreconditionError("dichotomy needs a square host")
     n = m.rows
@@ -127,11 +130,15 @@ def dense_or_balanced(
         raise DomainError("pattern dimensions must be positive")
     if not 0 < c < math.inf:
         raise DomainError(f"c must be finite and positive, got {c}")
+    p, q = (Fraction(str(c)) ** 2).as_integer_ratio()  # c^2 = p/q
     w = m.weight
-    precondition = w >= c * n**1.5 - 1e-9
+    precondition = w * w * q >= p * n**3  # w >= c n^(3/2)
     band = n // k
     light_threshold = c * math.sqrt(n) / 2.0
-    weights = {j: s_c for j in range(1, n + 1) if (s_c := m.col_weight(j)) >= light_threshold}
+    # A kept column has weight s >= c sqrt(n)/2: the least such s has 4 s^2 q >= p n.
+    heavy = math.isqrt(p * n // (4 * q))
+    heavy += 4 * heavy * heavy * q < p * n
+    weights = {j: s_c for j in range(1, n + 1) if (s_c := m.col_weight(j)) >= heavy}
     details: dict = {
         "alpha": 1.0 / (2 * k),
         "lightThreshold": light_threshold,
@@ -184,7 +191,7 @@ def dense_or_balanced(
             weight=sub.weight,
             r=r_meta,
             weight_precondition_held=precondition,
-            invariant_holds=sub.weight >= 2 * c * (n / k) ** 1.5 - 1e-9,
+            invariant_holds=k**3 * sub.weight**2 * q >= 4 * p * n**3,  # >= 2c (n/k)^(3/2)
             details={**details, "case": 1, "band": i_star + 1},
         )
 
@@ -221,7 +228,7 @@ def dense_or_balanced(
     target = r_meta * s_meta * math.sqrt(m_cols) * (n * r_meta / k)
     ok = (
         balance_violation(result, r_meta) is None
-        and result.weight >= target - 1e-9
+        and (k * result.weight) ** 2 >= (r_meta**2 * s_meta * n) ** 2 * m_cols
     )
     return DichotomyResult(
         branch="balanced",
@@ -252,7 +259,7 @@ def cycle_driver(
     doubled, a balanced branch attempts the proper embedding. Returns a
     trace whose final level is an embedding, a failed balanced attempt, or
     exhaustion; the embedding, when found, passes `certified` against the
-    original host."""
+    original host. weightHolds is decided squared, like the dichotomy's flags."""
     if k < 2:
         raise DomainError("k must be at least 2")
     if depth is not None and depth < 0:
@@ -264,6 +271,8 @@ def cycle_driver(
         raise PreconditionError("driver needs a square host")
     r, s = a.rows, a.cols
     n0 = m.rows
+    c_exact = Fraction(str(c))
+    p, q = (c_exact**2).as_integer_ratio()
     rows_abs = list(range(1, m.rows + 1))
     cols_abs = list(range(1, m.cols + 1))
     cur = m
@@ -274,7 +283,7 @@ def cycle_driver(
         threshold = (2**i) * c * (n0 / k**i) ** 1.5
         checks = {
             "weightThreshold": threshold,
-            "weightHolds": cur.weight >= threshold - 1e-9,
+            "weightHolds": k ** (3 * i) * cur.weight**2 * q >= 4**i * p * n0**3,
             "rowIndices": list(rows_abs),
             "colIndices": list(cols_abs),
         }
@@ -298,7 +307,7 @@ def cycle_driver(
         if stop_reason is not None:
             levels.append(TraceLevel(branch="exhausted", **base))
             break
-        res = dense_or_balanced(cur, r, s, k, (2**i) * c)
+        res = dense_or_balanced(cur, r, s, k, c_exact * 2**i)
         checks["preconditionHeld"] = res.weight_precondition_held
         checks["invariantHolds"] = res.invariant_holds
         checks["branchWeight"] = res.weight

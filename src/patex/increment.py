@@ -19,7 +19,6 @@ counts are exact integers and oversized constants are handled in log10 space.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,58 +136,59 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
 class LambdaSchedule:
     """Decreasing weights lambda_t = 1, lambda_{t+1} = 1 - 1/(2(t+1)) + eps0,
     lambda_{u+1} = lambda_u - t/((u-1)(u+1)) for t+1 <= u <= U-1, and
-    lambda_{U+1} = 0, with eps0 = eps/(10 t^2). The closed form on t+1..U
-    is lambda_u = eps0 + t/(2(u-1)) + t/(2u)."""
+    lambda_{U+1} = 0, with eps0 = eps/(10 t^2). The recurrence solves to the
+    closed form lambda_u = eps0 + t/(2(u-1)) + t/(2u) on t+1..U, which
+    `value` returns exactly."""
 
     t: int
     U: int
-    epsilon0: float
-    lambdas: tuple[float, ...]  # lambdas[i] = lambda_{t+i}, i = 0..U+1-t
+    epsilon0: Fraction
 
-    def value(self, u: int) -> float:
+    def value(self, u: int) -> Fraction:
         if not (self.t <= u <= self.U + 1):
             raise InputError(f"u={u} outside {self.t}..{self.U + 1}")
-        return self.lambdas[u - self.t]
+        if u == self.t:
+            return Fraction(1)
+        if u == self.U + 1:
+            return Fraction(0)
+        return self.epsilon0 + Fraction(self.t * (2 * u - 1), 2 * u * (u - 1))
 
-    def closed_form(self, u: int) -> float:
-        if not (self.t + 1 <= u <= self.U):
-            raise InputError(f"closed form defined for {self.t + 1}..{self.U}")
-        return self.epsilon0 + self.t / (2.0 * (u - 1)) + self.t / (2.0 * u)
+    def types_of(self, i: Union[int, Fraction], z: Union[Fraction, float]) -> tuple[int, ...]:
+        """All u in t..U with 1 - lambda_u <= i/z <= 1 - lambda_{u+1} (z > 0),
+        decided exactly; a jump level has two. 1 - lambda_u is 0 at u = t
+        and increases on t+1..U+1 up to 1, so the types are the last u = w
+        with 1 - lambda_w <= i/z, and w - 1 on an equality; w is the width of
+        level 0 <= i < z. On t+1..U, with 1 - eps0 - i/z = r = p/q, that
+        bound is 2p u(u-1) <= tq(2u-1): u is at most the larger root of
+        2r u^2 - 2(r+t)u + t, whose floor an integer square root gives to
+        within one."""
+        t, U = self.t, self.U
+        (a, b), (c, d) = i.as_integer_ratio(), z.as_integer_ratio()  # i/z = ad/(bc)
+        if a * d >= b * c:
+            return (U,) if a * d == b * c else ()
+        e, f = self.epsilon0.as_integer_ratio()
+        q = b * c * f
+        p = q - b * c * e - a * d * f  # 1 - eps0 - i/z = p/q
+        # the sign of i/z - (1 - lambda_u) for t+1 <= u <= U
+        gap = lambda u: t * q * (2 * u - 1) - 2 * p * u * (u - 1)  # noqa: E731
+        if p <= 0:  # i/z >= 1 - eps0, past every bound below 1
+            w = U
+        else:
+            w = (p + t * q + math.isqrt(p * p + t * t * q * q)) // (2 * p)
+            w = max(t, min(U, w + (gap(w + 1) >= 0)))
+        types = (w - 1, w) if w > t and gap(w) == 0 else (w,)
+        return types if a >= 0 else tuple(u for u in types if u > t)  # 1 - lambda_t = 0 > i/z
 
-    def types_of(self, i: float, z: float) -> tuple[int, ...]:
-        """All u with z - z*lambda_u <= i <= z - z*lambda_{u+1}; a jump level
-        has two. For z >= 0 the keys z - z*lambda_u do not decrease with u,
-        so the matching u form one run, found by two bisections. The width
-        of level 0 <= i < z is the run's last u, the one with
-        z*lambda_{u+1} < z - i <= z*lambda_u (the keys run from 0 to z)."""
-        lams = self.lambdas
-        key = lambda v: z - z * v  # noqa: E731
-        first = bisect_left(lams, i, 1, len(lams), key=key) - 1
-        end = bisect_right(lams, i, 0, len(lams) - 1, key=key)
-        return tuple(range(self.t + first, self.t + end))
 
-
-@lru_cache(maxsize=8)  # a repeated call returns the same frozen schedule
-def lambda_schedule(t: int, U: int, epsilon: float) -> LambdaSchedule:
+def lambda_schedule(t: int, U: int, epsilon: Union[float, Fraction]) -> LambdaSchedule:
     if U <= t + 1:
         raise DomainError(f"need U > t+1 (got t={t}, U={U})")
     if t < 1:
         raise DomainError("t must be positive")
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    epsilon0 = epsilon / (10.0 * t * t)
-    lams = [0.0] * (U + 2 - t)
-    lams[0] = 1.0
-    lams[1] = 1.0 - 1.0 / (2.0 * (t + 1)) + epsilon0
-    for u in range(t + 1, U):
-        lams[u + 1 - t] = lams[u - t] - t / ((u - 1.0) * (u + 1.0))
-    lams[U + 1 - t] = 0.0
-    return LambdaSchedule(
-        t=t,
-        U=U,
-        epsilon0=epsilon0,
-        lambdas=tuple(lams),
-    )
+    # str() gives back the decimal the float was written as: 0.6 is 3/5.
+    return LambdaSchedule(t=t, U=U, epsilon0=Fraction(str(epsilon)) / (10 * t * t))
 
 
 # ----------------------------------------------------------------------
@@ -473,12 +473,21 @@ class IncrementTrace:
         }
 
 
-def _ceil_log(n: int, k: int) -> tuple[int, int]:
-    """(e, k^e) for the least e >= 0 with k^e >= n."""
-    e, power = 0, 1
-    while power < n:
-        e, power = e + 1, power * k
-    return e, power
+@lru_cache(maxsize=256)
+def _log(n: int, k: int) -> Union[Fraction, float]:
+    """log_k n for n >= 1 and k >= 2: the Fraction a/b when n = g^a and
+    k = g^b for k's least root g, and otherwise the ratio of float logs.
+    Then the log is irrational (n^q = k^p would make n a power of g), so a
+    comparison the float decides is never a tie."""
+    g, b = k, 1
+    for e in range(2, k.bit_length()):
+        root = round(k ** (1 / e))
+        if root**e == k:
+            g, b = root, e
+    a, rest = 0, n
+    while rest % g == 0:
+        a, rest = a + 1, rest // g
+    return Fraction(a, b) if rest == 1 else math.log(n) / math.log(k)
 
 
 def run_driver(
@@ -524,26 +533,19 @@ def run_driver(
     sizes = _part_sizes(cuts, a.cols, t)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
     n0 = m.cols
-    e, power = _ceil_log(n0, k)
-    # On an exact power n0 = k^e (n0 = 1 included) z is e, and epsilon is read
-    # exactly too: str() gives back the decimal the float was written as, so
-    # 0.6 is 3/5 and not the double just below it.
-    exact_eps = Fraction(str(epsilon)) if power == n0 else None
-    z = float(e) if exact_eps is not None else math.log(n0) / math.log(k)
+    z = _log(n0, k)  # a Fraction whenever it is rational
+    eps = Fraction(str(epsilon))  # as written: str(0.6) reads back as 3/5
 
     schedule = None
     if mode == "thm11":
         if t < 2:
             raise PreconditionError("schedule driver needs a column partition with t >= 2")
-        epsilon0 = epsilon / (10.0 * t * t)
-        cap_u = math.ceil(10.0 * t / epsilon0)
-        if cap_u > 1_000_000:
-            raise DomainError("epsilon too small to materialize the schedule")
+        cap_u = math.ceil(100 * t**3 / eps)
         if cap_u <= t + 1:
             raise DomainError(
                 f"epsilon too large for the schedule: U = {cap_u} must exceed t+1 = {t + 1}"
             )
-        schedule = lambda_schedule(t, cap_u, epsilon)
+        schedule = lambda_schedule(t, cap_u, eps)
         params["U"] = cap_u
     if grid:
         if m.rows != m.cols:
@@ -556,11 +558,8 @@ def run_driver(
 
     checkpoint = None  # the contradiction checkpoint level ceil((1 - epsilon/t) z)
     if not grid and z > 0:
-        if exact_eps is not None:
-            # z = e exactly: keep the factor exact too, or ceil((1 - 1/3) 9) is 7.
-            checkpoint = math.ceil((1 - exact_eps / t) * e)
-        else:
-            checkpoint = math.ceil((1 - epsilon / t) * z)
+        checkpoint = math.ceil((1 - eps / t) * z)
+        rows_log_cap = eps / t  # rows < n0^(epsilon/t): log_n0 rows < epsilon/t
 
     levels: list[TraceLevel] = []
     embedding = None
@@ -582,7 +581,7 @@ def run_driver(
             if i >= z:
                 stop_reason = "schedule-exhausted"
                 break
-            types = schedule.types_of(float(i), z)
+            types = schedule.types_of(i, z)
             u_lvl = types[-1]
         else:
             u_lvl = u_fixed
@@ -629,19 +628,9 @@ def run_driver(
         if checkpoint is not None:
             checks["contradictionCheckpointLevel"] = checkpoint
             checks["pastContradictionCheckpoint"] = i >= checkpoint
-            j, rows_power = _ceil_log(cur.rows, k)
-            if exact_eps is not None and rows_power == cur.rows:
-                # rows = k^j < n0^(p / (q t)) exactly when j t q < e p. The
-                # float power can miss an equality: 3125 ** 0.2 > 5.
-                below = j * t * exact_eps.denominator < e * exact_eps.numerator
-            else:
-                try:
-                    below = cur.rows < n0 ** (epsilon / t)
-                except OverflowError:  # the power is past the float range
-                    below = True
-            checks["rowsBelowEpsPower"] = below
+            checks["rowsBelowEpsPower"] = _log(cur.rows, n0) < rows_log_cap
         if schedule is not None:
-            checks["lambda"] = schedule.value(u_lvl)
+            checks["lambda"] = float(schedule.value(u_lvl))
             checks["types"] = list(types)
 
         base_level = dict(

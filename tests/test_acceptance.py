@@ -13,6 +13,7 @@ import dataclasses
 import io
 import itertools
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -145,7 +146,7 @@ def _printed(name):
 
 
 class TestGreenChecksFail:
-    """The FAIL branches of three green checks, each seen with a known-wrong
+    """The FAIL branches of six green checks, each seen with a known-wrong
     kernel patched into the suite."""
 
     def test_containment_kernel_that_finds_nothing(self, monkeypatch):
@@ -173,6 +174,38 @@ class TestGreenChecksFail:
             "FAIL t-cut-statistics: edge (7, 23) in [50]: frequency 0.0 vs exact 0.32 "
             "(tolerance 0.004425381339500586)\n"
         )
+
+    def test_lambda_value_off_at_one_u(self, monkeypatch):
+        value = increment.LambdaSchedule.value
+
+        def off_at_50(self, u):
+            return value(self, u) + (u == 50) * Fraction(1, 10**6)
+
+        monkeypatch.setattr(increment.LambdaSchedule, "value", off_at_50)
+        assert _printed("lambda-schedule-identity") == (
+            "FAIL lambda-schedule-identity: t=2: lambda_50 = 3205049/49000000, "
+            "the recurrence gives 641/9800\n"
+        )
+
+    def test_dichotomy_invariant_always_false(self, monkeypatch):
+        dense_or_balanced = acceptance.dense_or_balanced
+        monkeypatch.setattr(
+            acceptance,
+            "dense_or_balanced",
+            lambda *args: dataclasses.replace(dense_or_balanced(*args), invariant_holds=False),
+        )
+        assert _printed("dichotomy-soundness") == (
+            "FAIL dichotomy-soundness: dense family: branch=dense, invariant=False (k=2, n=8, f=0.7)\n"
+        )
+
+    def test_constants_k_off_by_one(self, monkeypatch):
+        make_constants = acceptance.make_constants
+        monkeypatch.setattr(
+            acceptance,
+            "make_constants",
+            lambda *args: dataclasses.replace(make_constants(*args), k=make_constants(*args).k + 1),
+        )
+        assert _printed("constants-arithmetic") == "FAIL constants-arithmetic: k = 17, expected 16\n"
 
 
 class TestRunnerFails:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -197,6 +198,33 @@ class TestDichotomy:
         res = dense_or_balanced(host, 2, 2, 4, c)
         assert not res.weight_precondition_held
 
+    @pytest.mark.parametrize("host, c", [
+        (ZeroOneMatrix.parse("10\n00"), 0.353553390594),
+        (ZeroOneMatrix([1] + [0] * 5, 6), 0.068041381745),
+    ])
+    def test_precondition_decided_squared(self, host, c):
+        # w = 1 against c n^(3/2), which is 1.0000000000020541 and about
+        # 1.000000000001 here: w^2 < c^2 n^3 exactly, with c read as written.
+        assert host.weight**2 < Fraction(str(c)) ** 2 * host.rows**3
+        assert not dense_or_balanced(host, 1, 1, 2, c=c).weight_precondition_held
+
+    @pytest.mark.parametrize("c", [1.0, 1 + 2**-52])
+    def test_light_cut_decided_squared(self, c):
+        # A column of weight 2 in a 16 x 16 host is light exactly when
+        # 4 * 2^2 < c^2 * 16, that is when c > 1.
+        host = ZeroOneMatrix([(1 << 16) - 1] * 2 + [0] * 14, 16)
+        res = dense_or_balanced(host, 2, 2, 2, c)
+        assert res.details["survivingColumns"] == (16 if c == 1 else 0)
+
+    @pytest.mark.parametrize("c", [1.0, 1 + 2**-52])
+    def test_dense_invariant_decided_squared(self, c):
+        # 16 ones in the 4 x 4 block against 2c (n/k)^(3/2) = 16c: a tie at
+        # c = 1, and a miss just above it, which a float slack let through.
+        host = ZeroOneMatrix([0b1111] * 4 + [0] * 4, 8)
+        res = dense_or_balanced(host, 2, 2, 2, c)
+        assert (res.branch, res.weight) == ("dense", 16)
+        assert res.invariant_holds is (c == 1)
+
     def test_balanced_branch_is_dominated_by_host(self, rng):
         for _ in range(10):
             host = random_matrix(rng, 16, 16, 0.6)
@@ -329,6 +357,14 @@ class TestCycleDriver:
         lvl = trace.levels[0]
         assert lvl.checks["weightThreshold"] == pytest.approx(64.0)
         assert lvl.checks["weightHolds"]
+
+    def test_weight_holds_decided_squared(self):
+        # Level 0: w = 1 against c 2^(3/2) = 1.0000000000020541, a miss
+        # exactly; the dichotomy's precondition reads c the same way.
+        trace = cycle_driver(ZeroOneMatrix.parse("10\n00"), ZeroOneMatrix.ones(2, 2), 2, 0.353553390594)
+        checks = trace.levels[0].checks
+        assert checks["weightHolds"] is False
+        assert checks["weightHolds"] == checks.get("preconditionHeld", False)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_rejects_k_below_two(self, k):

@@ -4,9 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import patex.increment as increment
 from conftest import (
+    BOUNDED,
     COLUMN_2_PARTITE,
     DOUBLY_2_PARTITE,
     K22,
@@ -109,10 +112,15 @@ class TestLambdaSchedule:
         assert sched.value(41) == 0.0
 
     def test_closed_form_and_tail(self):
+        # The recurrence, run in Fractions, against the exact closed form.
         sched = lambda_schedule(3, 60, 0.7)
+        assert sched.epsilon0 == Fraction(7, 900)
+        lam = 1 - Fraction(1, 8) + sched.epsilon0
         for u in range(4, 61):
-            assert sched.value(u) == pytest.approx(sched.closed_form(u), abs=1e-12)
-        assert sched.value(60) == pytest.approx(sched.epsilon0 + 3 / 118 + 3 / 120)
+            assert sched.value(u) == lam == sched.epsilon0 + Fraction(3, 2 * (u - 1)) + Fraction(3, 2 * u)
+            lam -= Fraction(3, (u - 1) * (u + 1))
+        assert sched.value(60) == sched.epsilon0 + Fraction(3, 118) + Fraction(3, 120)
+        assert sched.value(61) == 0
 
     def test_strictly_decreasing(self):
         sched = lambda_schedule(2, 100, 1.0)
@@ -122,9 +130,9 @@ class TestLambdaSchedule:
     def test_type_rule(self):
         # A level's width is its last type; the schedule ends at i = z.
         sched = lambda_schedule(2, 40, 1.0)
-        z = 5.0
-        assert sched.types_of(0.0, z) == (2,)
-        for i in (0.5, 1.0, 2.0, 4.0):
+        z = Fraction(5)
+        assert sched.types_of(0, z) == (2,)
+        for i in (Fraction(1, 2), 1, 2, 4):
             u = sched.types_of(i, z)[-1]
             assert z * sched.value(u + 1) < z - i <= z * sched.value(u)
         jumps = [z - z * sched.value(u) for u in range(3, 41)]
@@ -132,9 +140,9 @@ class TestLambdaSchedule:
 
     def test_jump_levels_have_two_types(self):
         sched = lambda_schedule(2, 40, 1.0)
-        z = 10.0
-        u = 3
-        assert set(sched.types_of(z - z * sched.value(u), z)) == {u - 1, u}
+        z = Fraction(10)
+        for u in range(3, 41):
+            assert sched.types_of(z - z * sched.value(u), z) == (u - 1, u)
 
     def test_domain_error(self):
         for _ in range(2):  # an error is never cached
@@ -147,14 +155,8 @@ class TestLambdaSchedule:
         sched = lambda_schedule(2, 5, 1.0)
         with pytest.raises(InputError, match=r"^u=1 outside 2\.\.6$"):
             sched.value(1)
-        with pytest.raises(InputError, match=r"^closed form defined for 3\.\.5$"):
-            sched.closed_form(2)
-
-    def test_repeated_call_returns_the_same_schedule(self):
-        sched = lambda_schedule(3, 2700, 1.0)
-        assert lambda_schedule(3, 2700, 1.0) is sched
-        fresh = lambda_schedule.__wrapped__(3, 2700, 1.0)
-        assert fresh is not sched and fresh == sched
+        with pytest.raises(InputError, match=r"^u=7 outside 2\.\.6$"):
+            sched.value(7)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_rejects_non_finite_epsilon(self, epsilon):
@@ -162,27 +164,28 @@ class TestLambdaSchedule:
             lambda_schedule(2, 40, epsilon)
 
     def test_lookups_match_defining_inequalities(self):
-        # The driver's z is log_k n0, and exactly j when n0 = k^j.
+        # The driver's z is log_k n0: a Fraction when it is rational, and a
+        # float otherwise, which the scan reads at its exact value.
         for t, eps, U in ((2, 1.0, 40), (3, 2.0, 60)):
             sched = lambda_schedule(t, U, eps)
-            lam = sched.value
-            for k in (2, 3, 4, 5, 16):
-                zs = {math.log(n) / math.log(k) for n in range(2, 65)} | {float(j) for j in range(1, 9)}
-                for z in sorted(zs):
-                    levels = [float(i) for i in range(math.ceil(z) + 2)]
-                    levels += [z - z * lam(u) for u in range(t + 1, U + 1)]
-                    for i in levels:
-                        rem = z - i
-                        typed, types = [], []
-                        for u in range(t, U + 1):
-                            if rem > 0 and z * lam(u + 1) < rem <= z * lam(u):
-                                typed.append(u)
-                            if z - z * lam(u) <= i <= z - z * lam(u + 1):
-                                types.append(u)
-                        assert sched.types_of(i, z) == tuple(types), (t, z, k, i)
-                        if i.is_integer():  # a level the driver gives a width
-                            assert typed == (types[-1:] if i < z else []), (t, z, k, i)
-
+            lam = [sched.value(u) for u in range(t, U + 2)]
+            zs = {increment._log(n, k) for k in (2, 3, 4, 5, 16) for n in range(2, 65)}
+            for z in sorted(zs | {Fraction(j) for j in range(1, 9)}):
+                zlam = [Fraction(z) * v for v in lam]  # z*lambda_u for u = t..U+1
+                levels = list(range(math.ceil(z) + 2))
+                if isinstance(z, Fraction):  # exact ties on the jumps
+                    levels += [z - v for v in zlam[1:-1]]
+                for i in levels:
+                    rem = Fraction(z) - i
+                    typed, types = [], []
+                    for u in range(t, U + 1):
+                        if rem > 0 and zlam[u + 1 - t] < rem <= zlam[u - t]:
+                            typed.append(u)
+                        if zlam[u + 1 - t] <= rem <= zlam[u - t]:
+                            types.append(u)
+                    assert sched.types_of(i, z) == tuple(types), (t, z, i)
+                    if Fraction(i).denominator == 1:  # a level the driver gives a width
+                        assert typed == (types[-1:] if i < z else []), (t, z, i)
 
     @pytest.mark.parametrize("t, U, eps", [(2, 40, 1.0), (3, 12, 0.5)])
     def test_type_of_matches_a_linear_scan(self, t, U, eps):
@@ -190,16 +193,87 @@ class TestLambdaSchedule:
         # z*lambda_{u+1} < z - i <= z*lambda_u, and on an integer level
         # 0 <= i < z it is the last type; no u has it elsewhere
         sched = lambda_schedule(t, U, eps)
-        lam = sched.value
-        for z in [q / 8 for q in range(81)] + [7.25, math.log(10) / math.log(3)]:
-            levels = [k / 4 for k in range(-4, 4 * math.ceil(z) + 6)]
-            levels += [z - z * lam(u) for u in range(t + 1, U + 1)]
+        for z in [Fraction(q, 8) for q in range(1, 81)] + [Fraction(29, 4), increment._log(10, 3)]:
+            zq = Fraction(z)  # a float z at its exact value
+            zlam = {u: zq * sched.value(u) for u in range(t, U + 2)}
+            levels = [Fraction(k, 4) for k in range(-4, 4 * math.ceil(z) + 6)]
+            levels += [zq - zlam[u] for u in range(t + 1, U + 1)]
             for i in levels:
-                rem = z - i
-                want = [u for u in range(t, U + 1) if rem > 0 and z * lam(u + 1) < rem <= z * lam(u)]
+                rem = zq - i
+                want = [u for u in range(t, U + 1) if rem > 0 and zlam[u + 1] < rem <= zlam[u]]
                 assert len(want) <= 1
-                if i.is_integer():
+                if i.denominator == 1:
                     assert want == (list(sched.types_of(i, z)[-1:]) if i < z else []), (z, i)
+                elif want:  # a jump or a level between integers
+                    assert want == list(sched.types_of(i, z)[-1:]), (z, i)
+
+    @BOUNDED
+    @given(
+        t=st.integers(1, 5),
+        U_extra=st.integers(2, 60),
+        eps=st.fractions(Fraction(1, 1000), 40, max_denominator=1000),
+        z=st.fractions(Fraction(1, 50), 30, max_denominator=50),
+        level=st.one_of(
+            st.fractions(-1, 31, max_denominator=12),
+            st.integers(0, 70).map(lambda u: ("jump", u)),
+        ),
+    )
+    def test_types_of_matches_a_fraction_scan(self, t, U_extra, eps, z, level):
+        # types_of against its defining inequalities z - z*lambda_u <= i <=
+        # z - z*lambda_{u+1}, scanned u by u in Fractions, with exact ties
+        # built in by putting i on a jump z - z*lambda_u.
+        U = t + U_extra
+        sched = lambda_schedule(t, U, eps)
+        lam = [sched.value(u) for u in range(t, U + 2)]
+        i = z - z * lam[min(level[1], U + 1 - t)] if isinstance(level, tuple) else level
+        want = tuple(
+            u for u in range(t, U + 1) if z - z * lam[u - t] <= i <= z - z * lam[u + 1 - t]
+        )
+        assert sched.types_of(i, z) == want
+
+    @BOUNDED
+    @given(
+        eps=st.fractions(Fraction(1, 10**6), 3, max_denominator=10**6),
+        x=st.fractions(0, 1, max_denominator=10**9),
+    )
+    def test_types_of_on_a_long_schedule(self, eps, x):
+        # U up to 4*10^8: the types satisfy the defining inequalities and
+        # their neighbours do not, which settles them since 1 - lambda_u
+        # increases on t+1..U+1.
+        t = 2
+        U = math.ceil(100 * t**3 / eps)
+        sched = lambda_schedule(t, U, eps)
+        bound = lambda u: 1 - sched.value(u)  # noqa: E731
+        types = sched.types_of(x, 1)
+        assert types and len(types) <= 2
+        assert all(bound(u) <= x <= bound(u + 1) for u in types)
+        lo, hi = types[0] - 1, types[-1] + 1
+        assert lo < t or not bound(lo) <= x <= bound(lo + 1)
+        assert hi > U or not bound(hi) <= x <= bound(hi + 1)
+
+
+class TestLog:
+    @BOUNDED
+    @given(g=st.integers(2, 30), a=st.integers(0, 40), b=st.integers(1, 8))
+    def test_common_powers_give_the_exact_ratio(self, g, a, b):
+        log = increment._log(g**a, g**b)
+        assert isinstance(log, Fraction) and log == Fraction(a, b)
+
+    @BOUNDED
+    @given(n=st.integers(1, 256), k=st.integers(2, 256))
+    def test_rational_exactly_when_a_power_relation_holds(self, n, k):
+        # For n, k <= 256, n^b = k^a needs no exponent above 8.
+        ratios = [Fraction(a, b) for a in range(9) for b in range(1, 9) if n**b == k**a]
+        log = increment._log(n, k)
+        if ratios:
+            assert isinstance(log, Fraction) and log == ratios[0]
+        else:
+            assert isinstance(log, float) and log == math.log(n) / math.log(k)
+
+    @pytest.mark.parametrize("n, k", [(10, 3), (2, 3), (12, 8), (6, 4), (3125, 2)])
+    def test_irrational_logs_are_floats(self, n, k):
+        assert increment._log(n, k) == math.log(n) / math.log(k)
+        assert isinstance(increment._log(n, k), float)
 
 
 class TestPartSizes:
@@ -423,10 +497,18 @@ class TestDrivers:
         ):
             run_driver(ZeroOneMatrix.ones(8, 8), identity, "thm11", k=2)
 
-    def test_thm11_rejects_a_schedule_too_large_to_build(self):
-        # t = 2, epsilon = 1e-4: U = ceil(20 / (1e-4 / 40)) = 8,000,000
-        with pytest.raises(DomainError, match="^epsilon too small to materialize the schedule$"):
-            run_driver(ZeroOneMatrix.ones(8, 8), K22, "thm11", k=2, epsilon=1e-4)
+    def test_thm11_runs_a_long_schedule(self):
+        # t = 2, epsilon = 1e-4: U = 100 t^3 / epsilon = 8,000,000, and no
+        # level builds the schedule.
+        host = random_matrix(SplitMix64(5), 16, 16, 0.3)
+        trace = run_driver(host, COLUMN_2_PARTITE, "thm11", k=2, epsilon=1e-4)
+        assert trace.params["U"] == 8_000_000
+        sched = lambda_schedule(2, 8_000_000, 1e-4)
+        for level in trace.levels:
+            u = level.u
+            assert level.checks["types"][-1] == u
+            assert 1 - sched.value(u) <= Fraction(level.level, 4) < 1 - sched.value(u + 1)
+            assert level.checks["lambda"] == float(sched.value(u))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(InputError, match="^unknown driver mode 'thm99'$"):
@@ -495,6 +577,34 @@ class TestDrivers:
         # 3125 ** 0.2 is 5.000000000000001.
         trace = run_driver(ZeroOneMatrix([0] * 5, 3125), ZeroOneMatrix.parse("11111"), "thm21", k=5, depth=0)
         assert trace.levels[0].checks["rowsBelowEpsPower"] is False
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_rows_below_eps_power_off_an_exact_power(self, k):
+        # 5 < 3125^(1/5) does not involve k: log_3125 5 = 1/5 exactly, for
+        # every k, though 3125 is a power of 5 only.
+        trace = run_driver(ZeroOneMatrix([0] * 5, 3125), ZeroOneMatrix.parse("11111"), "thm21", k=k, depth=0)
+        assert trace.levels[0].checks["rowsBelowEpsPower"] is False
+
+    def test_checkpoint_off_an_exact_power(self):
+        # z = log_4 512 = 9/2, so ceil((1 - 1/3) 9/2) = 3; the float route gave 4.
+        trace = run_driver(ZeroOneMatrix([0], 512), ZeroOneMatrix.parse("111"), "thm21", k=4, depth=0)
+        assert trace.levels[0].checks["contradictionCheckpointLevel"] == 3
+
+    def test_thm11_tie_on_an_exact_power(self):
+        # t = 2, eps = 2, z = 4: level 2 has i/z = 1/2 = 1 - lambda_5 exactly,
+        # so it is a jump level with types 4 and 5.
+        host = random_matrix(SplitMix64(0), 16, 16, 0.3)
+        trace = run_driver(host, COLUMN_2_PARTITE, "thm11", k=2, epsilon=2.0)
+        assert [lv.checks["types"] for lv in trace.levels] == [[2], [3], [4, 5]]
+        assert [lv.u for lv in trace.levels] == [2, 3, 5]
+
+    def test_thm11_tie_off_an_exact_power(self):
+        # z = log_25 125 = 3/2: level 1 has i/z = 2/3 = 1 - lambda_10 for
+        # t = 3, eps = 3/2, so its types are 9 and 10 and its width is 10.
+        host = ZeroOneMatrix([(1 << 125) - 1] * 25 + [0] * 600, 125)
+        trace = run_driver(host, ZeroOneMatrix.ones(3, 3), "thm11", k=25, epsilon=1.5)
+        assert [lv.checks["types"] for lv in trace.levels] == [[3], [9, 10]]
+        assert [lv.u for lv in trace.levels] == [3, 10]
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.6])
     @pytest.mark.parametrize("text", ["111", "11111"])

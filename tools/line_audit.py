@@ -12,8 +12,9 @@ intended to be unreachable; it is listed and counted apart.
     PYTHONPATH=src:tools python -m pytest -q -p line_audit
 
 Tracing slows the suite several times over, so it is not part of the test
-suite. CI runs it over `tests/test_classify.py` alone, to keep the plugin
-itself working; the report is read, not gated.
+suite. CI runs it over `tests/test_classify.py`, to keep the plugin itself
+working, and over `tests/test_increment.py`, where it requires the line
+`increment.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
