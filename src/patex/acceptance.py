@@ -372,7 +372,7 @@ def check_lambda_schedule() -> tuple[bool, str]:
     # The recurrence, run in Fractions, is the reference for the closed form.
     for t in range(2, 6):
         sched = lambda_schedule(t, 200, 1.0)
-        lams = [Fraction(1), 1 - Fraction(1, 2 * (t + 1)) + sched.epsilon0]
+        lams = [Fraction(1), 1 - Fraction(1, 2 * (t + 1)) + Fraction(1, 10 * t * t)]  # eps = 1
         for u in range(t + 1, 200):
             lams.append(lams[-1] - Fraction(t, (u - 1) * (u + 1)))
         lams.append(Fraction(0))  # lambda_u for u = t..201

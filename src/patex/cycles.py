@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from .classify import _cycle_tour, _x_monotone_core, is_cycle
 from .errors import DivisibilityError, DomainError, PreconditionError
-from .increment import IncrementTrace, TraceLevel
+from .increment import IncrementTrace, TraceLevel, _as_written
 from .matrix import Embedding, ZeroOneMatrix, _find_copy, certified
 
 
@@ -130,7 +130,7 @@ def dense_or_balanced(
         raise DomainError("pattern dimensions must be positive")
     if not 0 < c < math.inf:
         raise DomainError(f"c must be finite and positive, got {c}")
-    p, q = (Fraction(str(c)) ** 2).as_integer_ratio()  # c^2 = p/q
+    p, q = (_as_written(c) ** 2).as_integer_ratio()  # c^2 = p/q
     w = m.weight
     precondition = w * w * q >= p * n**3  # w >= c n^(3/2)
     band = n // k
@@ -271,7 +271,7 @@ def cycle_driver(
         raise PreconditionError("driver needs a square host")
     r, s = a.rows, a.cols
     n0 = m.rows
-    c_exact = Fraction(str(c))
+    c_exact = _as_written(c)
     p, q = (c_exact**2).as_integer_ratio()
     rows_abs = list(range(1, m.rows + 1))
     cols_abs = list(range(1, m.cols + 1))

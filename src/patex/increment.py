@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .classify import min_column_parts, min_row_parts
@@ -187,8 +186,12 @@ def lambda_schedule(t: int, U: int, epsilon: Union[float, Fraction]) -> LambdaSc
         raise DomainError("t must be positive")
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    # str() gives back the decimal the float was written as: 0.6 is 3/5.
-    return LambdaSchedule(t=t, U=U, epsilon0=Fraction(str(epsilon)) / (10 * t * t))
+    return LambdaSchedule(t=t, U=U, epsilon0=_as_written(epsilon) / (10 * t * t))
+
+
+def _as_written(x: Union[float, Fraction]) -> Fraction:
+    """x as the decimal it was written as (str(0.6) reads back as 3/5); a Fraction unchanged."""
+    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
 # ----------------------------------------------------------------------
@@ -473,12 +476,10 @@ class IncrementTrace:
         }
 
 
-@lru_cache(maxsize=256)
 def _log(n: int, k: int) -> Union[Fraction, float]:
-    """log_k n for n >= 1 and k >= 2: the Fraction a/b when n = g^a and
-    k = g^b for k's least root g, and otherwise the ratio of float logs.
-    Then the log is irrational (n^q = k^p would make n a power of g), so a
-    comparison the float decides is never a tie."""
+    """log_k n (n >= 1, k >= 2): a/b when n = g^a and k = g^b for k's least
+    root g, else the float ratio of logs. That log is irrational (n^q = k^p
+    would make n a power of g), so a comparison the float decides is no tie."""
     g, b = k, 1
     for e in range(2, k.bit_length()):
         root = round(k ** (1 / e))
@@ -534,7 +535,7 @@ def run_driver(
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
     n0 = m.cols
     z = _log(n0, k)  # a Fraction whenever it is rational
-    eps = Fraction(str(epsilon))  # as written: str(0.6) reads back as 3/5
+    eps = _as_written(epsilon)
 
     schedule = None
     if mode == "thm11":

@@ -193,7 +193,7 @@ class TestLambdaSchedule:
         # z*lambda_{u+1} < z - i <= z*lambda_u, and on an integer level
         # 0 <= i < z it is the last type; no u has it elsewhere
         sched = lambda_schedule(t, U, eps)
-        for z in [Fraction(q, 8) for q in range(1, 81)] + [Fraction(29, 4), increment._log(10, 3)]:
+        for z in [Fraction(q, 8) for q in range(81)] + [Fraction(29, 4), increment._log(10, 3)]:
             zq = Fraction(z)  # a float z at its exact value
             zlam = {u: zq * sched.value(u) for u in range(t, U + 2)}
             levels = [Fraction(k, 4) for k in range(-4, 4 * math.ceil(z) + 6)]
