@@ -479,7 +479,7 @@ class IncrementTrace:
 def _log(n: int, k: int) -> Union[Fraction, float]:
     """log_k n (n >= 1, k >= 2): a/b when n = g^a and k = g^b for k's least
     root g, else the float ratio of logs. That log is irrational (n^q = k^p
-    would make n a power of g), so a comparison the float decides is no tie."""
+    would make n a power of g), so a comparison the float decides is never a tie."""
     g, b = k, 1
     for e in range(2, k.bit_length()):
         root = round(k ** (1 / e))
