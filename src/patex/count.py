@@ -129,7 +129,8 @@ def count_copies(m: ZeroOneMatrix, u: int, t: int) -> CopyCount:
 @dataclass(frozen=True)
 class SupersatBound:
     """Supersaturation lower bound on the K_{u,t} count of an n x n matrix of
-    weight w: applicable when w > t*u*n^(2-1/u), and then
+    weight w: applicable when w > t*u*n^(2-1/u) (the float `threshold`),
+    decided exactly as w^u > (tu)^u n^(2u-1), and then
     count >= w^(tu) / (u^(ut-t+u) * t^t * n^(2ut-u-t))."""
 
     applicable: bool
@@ -151,14 +152,12 @@ def supersat_bound(w: int, n: int, u: int, t: int) -> SupersatBound:
     if u < 1 or t < 1:
         raise DomainError("u and t must be positive")
     threshold = t * u * n ** (2.0 - 1.0 / u)
-    applicable = w > threshold
+    applicable = int(w) ** u > (t * u) ** u * n ** (2 * u - 1)
     exact = Fraction(
         int(w) ** (t * u),
         u ** (u * t - t + u) * t**t * n ** (2 * u * t - u - t),
     )
-    return SupersatBound(
-        applicable=applicable, threshold=threshold, bound=float(exact), exact=exact
-    )
+    return SupersatBound(applicable=applicable, threshold=threshold, bound=float(exact), exact=exact)
 
 
 @dataclass(frozen=True)

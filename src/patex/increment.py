@@ -53,7 +53,9 @@ class ProofConstants:
 
     C0, C' and C outgrow floats at modest parameters, so they are kept only
     as their (always finite) log10 fields; the fields are exactly the keys
-    of the JSON form.
+    of the JSON form. When k < r, binom(k, r) = 0 has no log10, which is
+    taken as 0, as if binom(k, r) were 1: make_constants(2, 3, 2, 2, 100.0)
+    has k = 2 and log10_C0 = 4 log10 32.
     """
 
     t: int
@@ -180,13 +182,16 @@ class LambdaSchedule:
 
 
 def lambda_schedule(t: int, U: int, epsilon: Union[float, Fraction]) -> LambdaSchedule:
-    if U <= t + 1:
-        raise DomainError(f"need U > t+1 (got t={t}, U={U})")
     if t < 1:
         raise DomainError("t must be positive")
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    return LambdaSchedule(t=t, U=U, epsilon0=_as_written(epsilon) / (10 * t * t))
+    eps, cap = _as_written(epsilon), Fraction(5 * t * t, t + 1)
+    if eps >= cap:  # then lambda_{t+1} >= lambda_t = 1
+        raise DomainError(f"epsilon too large for the schedule: {epsilon} is not below 5t^2/(t+1) = {cap}")
+    if U <= t + 1:
+        raise DomainError(f"need U > t+1 (got t={t}, U={U})")
+    return LambdaSchedule(t=t, U=U, epsilon0=eps / (10 * t * t))
 
 
 def _as_written(x: Union[float, Fraction]) -> Fraction:
@@ -476,19 +481,23 @@ class IncrementTrace:
         }
 
 
-def _log(n: int, k: int) -> Union[Fraction, float]:
-    """log_k n (n >= 1, k >= 2): a/b when n = g^a and k = g^b for k's least
-    root g, else the float ratio of logs. That log is irrational (n^q = k^p
-    would make n a power of g), so a comparison the float decides is never a tie."""
+def _log(x: Union[int, Fraction], k: int) -> Union[Fraction, float]:
+    """log_k x (x > 0, k >= 2): a/b when x = g^a, a of either sign, and
+    k = g^b for k's least root g, else the float ratio of logs (for an int
+    x, math.log(x) / math.log(k)). That log is irrational (x^c = k^d would
+    make x a power of g), so a comparison the float decides is never a tie."""
     g, b = k, 1
     for e in range(2, k.bit_length()):
         root = round(k ** (1 / e))
         if root**e == k:
             g, b = root, e
-    a, rest = 0, n
+    p, q = x.as_integer_ratio()
+    a, rest = 0, max(p, q)  # p/q in lowest terms is a power of g only if p or q is 1
     while rest % g == 0:
         a, rest = a + 1, rest // g
-    return Fraction(a, b) if rest == 1 else math.log(n) / math.log(k)
+    if rest == 1 and min(p, q) == 1:
+        return Fraction(a if q == 1 else -a, b)
+    return (math.log(p) - math.log(q)) / math.log(k)
 
 
 def run_driver(
@@ -542,10 +551,6 @@ def run_driver(
         if t < 2:
             raise PreconditionError("schedule driver needs a column partition with t >= 2")
         cap_u = math.ceil(100 * t**3 / eps)
-        if cap_u <= t + 1:
-            raise DomainError(
-                f"epsilon too large for the schedule: U = {cap_u} must exceed t+1 = {t + 1}"
-            )
         schedule = lambda_schedule(t, cap_u, eps)
         params["U"] = cap_u
     if grid:
@@ -555,7 +560,7 @@ def run_driver(
 
     u_fixed = u if u is not None else t
     constants = make_constants(t, a.rows, a.cols, u_fixed, epsilon) if t >= 2 else None
-    rate = 2 + epsilon if grid else 1 + epsilon
+    r0 = 2 if grid else 1  # the chain's rate is r0 + epsilon
 
     checkpoint = None  # the contradiction checkpoint level ceil((1 - epsilon/t) z)
     if not grid and z > 0:
@@ -602,18 +607,23 @@ def run_driver(
                     "toWidth": u_lvl,
                     "steppingApplicable": sb.applicable,
                     "steppingBound": sb.bound,
-                    "steppingHolds": (not sb.applicable) or actual >= sb.bound,
+                    # actual >= N^((w+1)/w) n0^(-t/w) / 2, in integers
+                    "steppingHolds": not sb.applicable
+                    or (2 * actual) ** width * n0**t >= counted ** (width + 1),
                 }
         try:
-            chain = n_base / (k ** (rate * i))
+            chain = n_base / (k ** ((r0 + epsilon) * i))
         except OverflowError:
             # The power is past the float range; n_base >= 1 past level 0.
-            chain = math.exp(math.log(n_base) - rate * i * math.log(k))
+            chain = math.exp(math.log(n_base) - (r0 + epsilon) * i * math.log(k))
         checks["chainLowerBound"] = chain
-        # Far down the chain the bound underflows to 0.0, but it is
-        # positive whenever n_base is, so no copies cannot meet it.
-        checks["chainHolds"] = count >= chain and (count > 0 or n_base == 0)
+        # count >= n_base / k^((r0 + eps) i), exactly
+        checks["chainHolds"] = count >= n_base or (
+            count > 0 and _log(Fraction(n_base, count), k) <= (r0 + eps) * i
+        )
         if constants is not None:
+            # Decided in log10: C has no exact value, as k comes from a float
+            # power when 1/epsilon is not an integer (`_ceil_power`).
             # A horizontal level keeps every column, so cur.cols is n0 there.
             ref = max(u_lvl * math.log10(cur.rows), t * math.log10(cur.cols))
             thr_log10 = constants.log10_C + ref

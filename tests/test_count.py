@@ -89,6 +89,23 @@ class TestSupersatBound:
     def test_inapplicable_below_threshold(self):
         sb = supersat_bound(16, 4, 2, 2)
         assert not sb.applicable and sb.threshold == 32.0
+        assert sb.to_json_dict() == {"applicable": False, "threshold": 32.0, "bound": 4.0}
+
+    def test_inapplicable_on_the_threshold(self):
+        # w = 6 * 46656^(11/6) = 6^12 exactly: not above the threshold
+        sb = supersat_bound(46656**2, 46656, 6, 1)
+        assert 46656**2 == 6**12 and not sb.applicable
+
+    @BOUNDED
+    @given(u=st.integers(1, 6), t=st.integers(1, 6), extra=st.integers(1, 30), nudge=st.integers(-1, 1))
+    def test_applicable_against_an_integer_oracle(self, u, t, extra, nudge):
+        # n = m^u makes the threshold t*u*n^(2-1/u) the integer t*u*m^(2u-1);
+        # w is put on it or next to it, and m > tu keeps w <= n^2.
+        m = t * u + extra
+        n, threshold = m**u, t * u * m ** (2 * u - 1)
+        w = threshold + nudge
+        assert w <= n * n
+        assert supersat_bound(w, n, u, t).applicable is (w > threshold)
 
     def test_pinned_value(self):
         sb = supersat_bound(5000, 100, 2, 2)
@@ -121,6 +138,7 @@ class TestSteppingBound:
         thr = 2 * math.comb(8, 2)
         assert stepping_bound(thr, 8, 2, 2).applicable
         assert not stepping_bound(thr - 1, 8, 2, 2).applicable
+        assert stepping_bound(0, 8, 2, 2).to_json_dict() == {"applicable": False, "threshold": thr, "bound": 0.0}
 
     def test_repaired_form_holds_on_random_hosts(self, rng):
         # with the 1/(u+1)^2 factor restored and the matching threshold

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import patex.increment as increment
@@ -20,7 +20,7 @@ from conftest import (
     random_matrix,
 )
 from patex.classify import min_column_parts, min_row_parts
-from patex.count import _count_copies, count_copies
+from patex.count import _Count, _count_copies, count_copies
 from patex.errors import DivisibilityError, DomainError, InputError, PreconditionError
 from patex.increment import (
     _part_sizes,
@@ -86,6 +86,14 @@ class TestConstants:
         trace = run_driver(host, K22, "thm21", k=2, epsilon=1e-4, depth=1)
         doc = json.loads(json.dumps(trace.to_json_dict()))
         assert doc["constants"]["k"] is None
+
+    def test_k_below_r_takes_binom_k_r_as_one(self):
+        # k = ceil(24^(1/100)) = 2 < r = 3: binom(k, r) = 0 has no log10, and
+        # the constants take it as 0, as if binom(k, r) were 1.
+        pc = make_constants(2, 3, 2, 2, 100.0)
+        assert pc.k == 2 and math.comb(pc.k, 3) == 0
+        assert pc.log10_C0 == 4 * math.log10(32)  # (log10(8 t^t) + 0) / delta
+        assert pc.log10_Cprime == math.log10(8) + (2 - 0.25) * pc.log10_C0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -163,6 +171,17 @@ class TestLambdaSchedule:
         with pytest.raises(DomainError, match="epsilon"):
             lambda_schedule(2, 40, epsilon)
 
+    def test_epsilon_too_large_for_the_schedule(self):
+        # From eps = 5t^2/(t+1) on, lambda_{t+1} = 1 - 1/(2(t+1)) + eps/(10t^2)
+        # is at least lambda_t = 1, and the schedule is not decreasing.
+        with pytest.raises(DomainError, match="^epsilon too large for the schedule"):
+            lambda_schedule(1, 100, 2.5)
+        assert lambda_schedule(1, 100, 2.4).value(2) < 1
+        with pytest.raises(DomainError, match="^epsilon too large for the schedule"):
+            lambda_schedule(2, 100, 8.0)
+        with pytest.raises(DomainError, match="^epsilon too large for the schedule"):
+            run_driver(ZeroOneMatrix.ones(4, 4), COLUMN_2_PARTITE, "thm11", k=2, epsilon=8)
+
     def test_lookups_match_defining_inequalities(self):
         # The driver's z is log_k n0: a Fraction when it is rational, and a
         # float otherwise, which the scan reads at its exact value.
@@ -209,19 +228,25 @@ class TestLambdaSchedule:
 
     @BOUNDED
     @given(
-        t=st.integers(1, 5),
+        t_eps=st.integers(1, 5).flatmap(
+            # eps below 5t^2/(t+1), where the schedule decreases
+            lambda t: st.tuples(
+                st.just(t),
+                st.fractions(Fraction(1, 1000), Fraction(-(-5000 * t * t // (t + 1)) - 1, 1000), max_denominator=1000),
+            )
+        ),
         U_extra=st.integers(2, 60),
-        eps=st.fractions(Fraction(1, 1000), 40, max_denominator=1000),
         z=st.fractions(Fraction(1, 50), 30, max_denominator=50),
         level=st.one_of(
             st.fractions(-1, 31, max_denominator=12),
             st.integers(0, 70).map(lambda u: ("jump", u)),
         ),
     )
-    def test_types_of_matches_a_fraction_scan(self, t, U_extra, eps, z, level):
+    def test_types_of_matches_a_fraction_scan(self, t_eps, U_extra, z, level):
         # types_of against its defining inequalities z - z*lambda_u <= i <=
         # z - z*lambda_{u+1}, scanned u by u in Fractions, with exact ties
         # built in by putting i on a jump z - z*lambda_u.
+        t, eps = t_eps
         U = t + U_extra
         sched = lambda_schedule(t, U, eps)
         lam = [sched.value(u) for u in range(t, U + 2)]
@@ -274,6 +299,19 @@ class TestLog:
     def test_irrational_logs_are_floats(self, n, k):
         assert increment._log(n, k) == math.log(n) / math.log(k)
         assert isinstance(increment._log(n, k), float)
+
+    @BOUNDED
+    @given(g=st.integers(2, 30), a=st.integers(0, 40), c=st.integers(0, 40), b=st.integers(1, 8))
+    def test_fractions_of_common_powers_give_the_exact_ratio(self, g, a, c, b):
+        log = increment._log(Fraction(g**a, g**c), g**b)
+        assert isinstance(log, Fraction) and log == Fraction(a - c, b)
+
+    @pytest.mark.parametrize("x, k", [(Fraction(2, 3), 6), (Fraction(8, 3), 2), (Fraction(1, 10), 3)])
+    def test_other_fractions_give_floats(self, x, k):
+        # no power of k, though 2 * 3 = 6 and 8 = 2^3 are
+        log = increment._log(x, k)
+        assert isinstance(log, float)
+        assert log == (math.log(x.numerator) - math.log(x.denominator)) / math.log(k)
 
 
 class TestPartSizes:
@@ -411,6 +449,30 @@ class TestSymmetricStep:
     def test_rejects_k_below_one(self, k):
         with pytest.raises(DivisibilityError, match=f"^{k} must divide both dimensions 8x8$"):
             symmetric_increment_step(ZeroOneMatrix.ones(8, 8), K22, k)
+
+
+def _table_counts(table):
+    """A stand-in for the driver's `_count_copies`: (rows, width) -> count,
+    or -> (count, band counts) for a walk with the bands."""
+
+    def count(m, u, t, k=1):
+        value = table[m.rows, u]
+        if not isinstance(value, tuple):
+            return value
+        walked = _Count(value[0])
+        walked.bands = value[1]
+        return walked
+
+    return count
+
+
+def _iroot(x, q):
+    """floor(x^(1/q)) for an integer x >= 0, by bisection."""
+    lo, hi = 0, 1 << (x.bit_length() // q + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**q <= x else (lo, mid - 1)
+    return lo
 
 
 class TestDrivers:
@@ -676,6 +738,87 @@ class TestDrivers:
         # 856 / 2^1203 and 856 / 2^1604 are positive: 21 copies meet the
         # first, no copies miss the second.
         assert [lv.checks["chainHolds"] for lv in trace.levels] == [True, True, True, True, False]
+
+    def test_chain_holds_on_a_count_past_two_to_the_53(self):
+        # The bound at level 0 is the level's own count, which float() rounds up.
+        trace = run_driver(ZeroOneMatrix.ones(88, 88), COLUMN_2_PARTITE, "thm21", k=2, u=12, depth=0)
+        assert trace.levels[0].count == math.comb(88, 12) * math.comb(88, 2) == 786163583391089904
+        assert trace.levels[0].checks["chainHolds"] is True
+
+    def test_chain_tie(self, monkeypatch):
+        # 11 copies at level 1 meet n_base / 31^(1 + 9) = 11 * 31^10 / 31^10 exactly.
+        table = {(31, 2): (11 * 31**10, (11,) + (0,) * 30)}
+        monkeypatch.setattr(increment, "_count_copies", _table_counts(table))
+        trace = run_driver(ZeroOneMatrix([0] * 31, 4), COLUMN_2_PARTITE, "thm21", k=31, epsilon=9.0, depth=1)
+        assert [lv.count for lv in trace.levels] == [11 * 31**10, 11]
+        assert [lv.checks["chainHolds"] for lv in trace.levels] == [True, True]
+
+    def test_stepping_tie(self, monkeypatch):
+        # N = 44100 = 210^2 copies of K_{2,2} handed down give the bound
+        # N^(3/2) * 105^(-2/2) / 2 = 44100 exactly, which 44100 copies of
+        # K_{3,2} meet; the displayed float lies above it.
+        table = {(2, 2): (10**6, (44100, 0)), (1, 3): 44100}
+        monkeypatch.setattr(increment, "_count_copies", _table_counts(table))
+        trace = run_driver(ZeroOneMatrix([0] * 2, 105), COLUMN_2_PARTITE, "thm11", k=2, epsilon=1.0)
+        assert trace.levels[1].checks["jump"] == {
+            "fromWidth": 2,
+            "toWidth": 3,
+            "steppingApplicable": True,
+            "steppingBound": 44100.00000000001,
+            "steppingHolds": True,
+        }
+
+    @BOUNDED
+    @given(
+        k=st.integers(2, 5),
+        depth=st.integers(1, 2),
+        p=st.integers(1, 20),
+        q=st.integers(1, 20),
+        counts=st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+        nudge=st.integers(-1, 1),
+    )
+    def test_chain_against_an_integer_oracle(self, k, depth, p, q, counts, nudge):
+        # thm21 with counts from a table: level i holds when
+        # count^q * k^((q + p) i) >= n_base^q for eps = p/q. n_base is put
+        # on the last level's bound, or next to it, so a tie comes whenever
+        # q divides (q + p) * depth.
+        eps = Fraction(p, q)
+        last = counts[depth - 1]
+        n_base = max(1, _iroot(last**q * k ** ((q + p) * depth), q) + nudge)
+        table = {(k**depth, 2): (n_base, (counts[0],) * k), (1, 2): counts[1]}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(increment, "_count_copies", _table_counts(table))
+            trace = run_driver(ZeroOneMatrix([0] * k**depth, 4), COLUMN_2_PARTITE, "thm21", k=k, epsilon=eps, depth=depth)
+        assert trace.levels[0].count == n_base
+        for lv in trace.levels:
+            want = lv.count**q * k ** ((q + p) * lv.level) >= n_base**q
+            assert lv.checks["chainHolds"] is want, (lv.level, lv.count)
+
+    @BOUNDED
+    @given(
+        n=st.integers(6, 133),
+        g=st.one_of(st.integers(1, 600), st.integers(1, 4).map(lambda j: ("tie", j))),
+        nudge=st.integers(-1, 1),
+    )
+    # two of the ties whose float bound lies above the integer
+    @example(n=91, g=("tie", 3), nudge=0)
+    @example(n=117, g=("tie", 1), nudge=0)
+    def test_stepping_against_a_fraction_oracle(self, n, g, nudge):
+        # thm11 steps from width u = 2 to 3 at level 1 on n0 = n columns,
+        # with N = g^2 copies handed down: the bound N^(3/2) n^(-2/2) / 2 is
+        # g^3 / (2n), which a g that 2n divides makes an integer; actual is
+        # put on it or next to it.
+        if isinstance(g, tuple):
+            g = 2 * n * g[1]
+        actual = max(0, g**3 // (2 * n) + nudge)
+        table = {(2, 2): (g * g, (g * g, 0)), (1, 3): actual}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(increment, "_count_copies", _table_counts(table))
+            trace = run_driver(ZeroOneMatrix([0] * 2, n), COLUMN_2_PARTITE, "thm11", k=2, epsilon=1.0)
+        jump = trace.levels[1].checks["jump"]
+        applicable = g * g >= n * (n - 1)
+        assert (jump["fromWidth"], jump["toWidth"], jump["steppingApplicable"]) == (2, 3, applicable)
+        assert jump["steppingHolds"] is (not applicable or actual >= Fraction(g**3, 2 * n))
 
     @pytest.mark.parametrize("epsilon", [400.0, 1e300])
     def test_large_epsilon_schedule_error_names_epsilon(self, epsilon):

@@ -13,8 +13,9 @@ intended to be unreachable; it is listed and counted apart.
 
 Tracing slows the suite several times over, so it is not part of the test
 suite. CI runs it over `tests/test_classify.py`, to keep the plugin itself
-working, and over `tests/test_increment.py`, where it requires the line
-`increment.py: 0 of N never ran`.
+working; over `tests/test_increment.py`, where it requires the line
+`increment.py: 0 of N never ran`; and over `tests/test_count.py`, where it
+requires `count.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
