@@ -32,6 +32,7 @@ from .errors import BudgetError, InputError, PatexError
 from .increment import _json_safe, run_driver
 from .matrix import ZeroOneMatrix, find_embedding
 from .ohypergraph import (
+    _within_three_sigma,
     avoidance_threshold,
     cut_hits,
     cut_probability,
@@ -179,11 +180,10 @@ def _cmd_tcut(args) -> int:
     for e in islice(edges, 5):
         exact = cut_probability(e, n)
         hits = cut_hits(e, n, args.trials, rng)
-        p = float(exact)
         freq = within = None
         if args.trials:
             freq = hits / args.trials
-            within = abs(freq - p) <= 3.0 * (p * (1 - p) / args.trials) ** 0.5
+            within = _within_three_sigma(hits, args.trials, exact)
         mc.append(
             {
                 "edge": list(e),

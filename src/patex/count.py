@@ -189,3 +189,8 @@ def stepping_bound(n_copies: int, n: int, u: int, t: int) -> SteppingBound:
             math.log(n_copies) * (u + 1) / u - math.log(n) * t / u - math.log(2.0)
         )
     return SteppingBound(applicable=applicable, threshold=threshold, bound=bound)
+
+
+def _stepping_holds(n_copies: int, actual: int, n: int, u: int, t: int) -> bool:
+    """actual >= N^((u+1)/u) * n^(-t/u) / 2 for N = n_copies, in integers."""
+    return (2 * actual) ** u * n**t >= n_copies ** (u + 1)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .classify import min_column_parts, min_row_parts
-from .count import _count_copies, stepping_bound, supersat_bound
+from .count import _count_copies, _stepping_holds, stepping_bound, supersat_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
 from .matrix import Embedding, ZeroOneMatrix, _find_copy, certified
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
@@ -458,6 +458,8 @@ def _json_safe(obj):
             return "inf" if obj > 0 else "-inf"
         if math.isnan(obj):
             return "nan"
+    if type(obj) is Fraction:  # an epsilon or c passed exactly
+        return float(obj)
     return obj
 
 
@@ -477,7 +479,7 @@ class IncrementTrace:
             "levels": [lv.to_json_dict() for lv in self.levels],
             "embedding": self.embedding.to_json_dict() if self.embedding else None,
             "stopReason": self.stop_reason,
-            "constants": self.constants.to_json_dict() if self.constants else None,
+            "constants": _json_safe(self.constants.to_json_dict()) if self.constants else None,
         }
 
 
@@ -488,7 +490,10 @@ def _log(x: Union[int, Fraction], k: int) -> Union[Fraction, float]:
     make x a power of g), so a comparison the float decides is never a tie."""
     g, b = k, 1
     for e in range(2, k.bit_length()):
-        root = round(k ** (1 / e))
+        # floor(k^(1/e)) by Newton's method on ints, from above
+        root = 1 << -(-k.bit_length() // e)
+        while (nxt := ((e - 1) * root + k // root ** (e - 1)) // e) < root:
+            root = nxt
         if root**e == k:
             g, b = root, e
     p, q = x.as_integer_ratio()
@@ -607,9 +612,8 @@ def run_driver(
                     "toWidth": u_lvl,
                     "steppingApplicable": sb.applicable,
                     "steppingBound": sb.bound,
-                    # actual >= N^((w+1)/w) n0^(-t/w) / 2, in integers
                     "steppingHolds": not sb.applicable
-                    or (2 * actual) ** width * n0**t >= counted ** (width + 1),
+                    or _stepping_holds(counted, actual, n0, width, t),
                 }
         try:
             chain = n_base / (k ** ((r0 + epsilon) * i))

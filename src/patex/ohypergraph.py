@@ -198,6 +198,11 @@ def cut_probability(e: Sequence[int], n: int) -> Fraction:
     return p
 
 
+def _within_three_sigma(hits: int, trials: int, p: Fraction) -> bool:
+    """|hits/trials - p| <= 3 sqrt(p(1-p)/trials), squared and exact."""
+    return (hits - trials * p) ** 2 <= 9 * trials * p * (1 - p)
+
+
 def cut_hits(e: Sequence[int], n: int, trials: int, rng: SplitMix64) -> int:
     """How many of `trials` random t-cuts of [n] cut the edge x_1 < ... < x_t.
     A cut is t-1 points i_1..i_{t-1}, each rng.below(n) + 1, drawn in order

@@ -125,6 +125,17 @@ class TestTcut:
         assert code == 0
         assert json.loads(out)["threshold"]["threshold"] == "inf"
 
+    def test_three_sigma_tie_is_within_tolerance(self, capsys, tmp_path):
+        # 35 hits of 49 on an edge with p = 1/2 is exactly three sigma out:
+        # |35/49 - 1/2| = 3/14 = 3 * sqrt((1/4) / 49).
+        path = tmp_path / "row.pat"
+        path.write_text("1010")
+        code, out = run(capsys, ["--seed", "137", "tcut", str(path), "--t", "2", "--s", "1", "--trials", "49"])
+        assert code == 0
+        assert json.loads(out)["monteCarlo"] == [
+            {"edge": [1, 3], "exact": "1/2", "trials": 49, "hits": 35, "frequency": 35 / 49, "withinTolerance": True}
+        ]
+
     def test_negative_trials_rejected(self, capsys, files):
         code = dispatch(["tcut", files["fixture"], "--t", "2", "--s", "1", "--trials", "-5"])
         captured = capsys.readouterr()
@@ -212,6 +223,15 @@ class TestIncrement:
         code, out = run(capsys, argv + ["--epsilon", "0.0001"])
         summary = json.loads(out.strip().splitlines()[-1])
         assert code == 0 and summary["constants"]["k"] is None
+
+    def test_k_past_the_float_range(self, capsys, files):
+        # k = 10^400 has no float; its least root 10 is found in integers.
+        argv = ["increment", files["host"], files["fixture"], "--mode", "thm21", "--k", str(10**400)]
+        code = dispatch(argv)
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0 and len(lines) == 2
+        assert json.loads(lines[0])["level"] == 0
+        assert json.loads(lines[-1])["stopReason"] == "divisibility"
 
     @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
     @pytest.mark.parametrize("epsilon", ["400", "1e300"])

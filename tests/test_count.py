@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import BOUNDED, COLUMN_2_PARTITE, K22, oracle_count_copies, random_matrix
 from patex.count import (
     _count_copies,
+    _stepping_holds,
     count_copies,
     stepping_bound,
     supersat_bound,
@@ -142,18 +143,20 @@ class TestSteppingBound:
 
     def test_repaired_form_holds_on_random_hosts(self, rng):
         # with the 1/(u+1)^2 factor restored and the matching threshold
-        # (2(u+1)^2)^(u/(u+1)) * binom(n,t), the bound is sound
+        # (2(u+1)^2)^(u/(u+1)) * binom(n,t), the bound is sound; both are
+        # raised to integer powers: N^(u+1) >= (2(u+1)^2)^u binom(n,t)^(u+1)
+        # and (2 (u+1)^2 actual)^u n^t >= N^(u+1)
         checked = 0
         while checked < 80:
             u = 2 if checked % 2 == 0 else 3
             n = 8
             m = random_matrix(rng, n, n, 0.55 + 0.4 * rng.random())
             n_copies = count_copies(m, u, 2).count
-            threshold = (2 * (u + 1) ** 2) ** (u / (u + 1)) * math.comb(n, 2)
-            if n_copies < threshold:
+            if n_copies ** (u + 1) < (2 * (u + 1) ** 2) ** u * math.comb(n, 2) ** (u + 1):
                 continue
-            sb = stepping_bound(n_copies, n, u, 2)
-            assert count_copies(m, u + 1, 2).count >= sb.bound / (u + 1) ** 2 * (1 - 1e-9)
+            actual = count_copies(m, u + 1, 2).count
+            assert (2 * (u + 1) ** 2 * actual) ** u * n**2 >= n_copies ** (u + 1)
+            assert _stepping_holds(n_copies, (u + 1) ** 2 * actual, n, u, 2)
             checked += 1
 
     def test_stated_constant_fails_at_width_three(self):
@@ -165,7 +168,10 @@ class TestSteppingBound:
         actual = count_copies(m, 4, 2).count
         assert sb.applicable
         assert actual == 1960 and sb.bound > actual
-        assert actual >= sb.bound / 16  # corrected constant holds
+        # the stated bound fails and the corrected constant holds, in integers
+        assert (2 * actual) ** 3 * 8**2 < n_copies**4 <= (2 * 16 * actual) ** 3 * 8**2
+        assert not _stepping_holds(n_copies, actual, 8, 3, 2)
+        assert _stepping_holds(n_copies, 16 * actual, 8, 3, 2)
 
     @pytest.mark.parametrize("n_copies", [10**12 - 1, 10**12, 10**12 + 1, 10**15])
     @pytest.mark.parametrize("n, u, t", [(8, 2, 2), (64, 3, 2), (1000, 1, 3)])

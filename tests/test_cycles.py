@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -365,6 +366,13 @@ class TestCycleDriver:
         checks = trace.levels[0].checks
         assert checks["weightHolds"] is False
         assert checks["weightHolds"] == checks.get("preconditionHeld", False)
+
+    def test_fraction_c_reports_as_its_float(self):
+        docs = [
+            json.dumps(cycle_driver(ZeroOneMatrix.ones(6, 6), SIX_CYCLES_3X3[0], 2, c, depth=1).to_json_dict())
+            for c in (Fraction(1, 2), 0.5)
+        ]
+        assert docs[0] == docs[1]
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_rejects_k_below_two(self, k):

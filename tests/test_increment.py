@@ -20,7 +20,7 @@ from conftest import (
     random_matrix,
 )
 from patex.classify import min_column_parts, min_row_parts
-from patex.count import _Count, _count_copies, count_copies
+from patex.count import _Count, _count_copies, _stepping_holds, count_copies
 from patex.errors import DivisibilityError, DomainError, InputError, PreconditionError
 from patex.increment import (
     _part_sizes,
@@ -305,6 +305,13 @@ class TestLog:
     def test_fractions_of_common_powers_give_the_exact_ratio(self, g, a, c, b):
         log = increment._log(Fraction(g**a, g**c), g**b)
         assert isinstance(log, Fraction) and log == Fraction(a - c, b)
+
+    @pytest.mark.parametrize("g", [2**60 + 3, 10**400 + 1])
+    def test_roots_past_the_float_range(self, g):
+        # k = g^2 past 2^53, or past every float: k's least root is found
+        # in integers.
+        log = increment._log(g**3, g**2)
+        assert isinstance(log, Fraction) and log == Fraction(3, 2)
 
     @pytest.mark.parametrize("x, k", [(Fraction(2, 3), 6), (Fraction(8, 3), 2), (Fraction(1, 10), 3)])
     def test_other_fractions_give_floats(self, x, k):
@@ -819,12 +826,21 @@ class TestDrivers:
         applicable = g * g >= n * (n - 1)
         assert (jump["fromWidth"], jump["toWidth"], jump["steppingApplicable"]) == (2, 3, applicable)
         assert jump["steppingHolds"] is (not applicable or actual >= Fraction(g**3, 2 * n))
+        assert _stepping_holds(g * g, actual, n, 2, 2) is (actual >= Fraction(g**3, 2 * n))
 
     @pytest.mark.parametrize("epsilon", [400.0, 1e300])
     def test_large_epsilon_schedule_error_names_epsilon(self, epsilon):
         host = random_matrix(SplitMix64(5), 16, 16, 0.5)
         with pytest.raises(DomainError, match="^epsilon too large for the schedule"):
             run_driver(host, DOUBLY_2_PARTITE, "thm11", k=2, epsilon=epsilon)
+
+    def test_fraction_epsilon_reports_as_its_float(self):
+        host = random_matrix(SplitMix64(5), 16, 16, 0.5)
+        docs = [
+            json.dumps(run_driver(host, DOUBLY_2_PARTITE, "thm21", k=2, epsilon=eps).to_json_dict())
+            for eps in (Fraction(1), 1.0)
+        ]
+        assert docs[0] == docs[1]
 
     def test_trace_json_roundtrip(self):
         host = deletion_lower_bound(16, K22, 2).witness
@@ -915,8 +931,13 @@ class TestCountsOnce:
                     continue
                 sub = host.submatrix(*level.row_range, *level.col_range)
                 low = prev.u
-                sb = stepping_bound(oracle_count_copies(sub, low, t), host.cols, low, t)
-                holds = not sb.applicable or oracle_count_copies(sub, low + 1, t) >= sb.bound
+                n_copies = oracle_count_copies(sub, low, t)
+                sb = stepping_bound(n_copies, host.cols, low, t)
+
+                def meets(actual):  # actual >= N^((low+1)/low) n^(-t/low) / 2
+                    return (2 * actual) ** low * host.cols**t >= n_copies ** (low + 1)
+
+                holds = not sb.applicable or meets(oracle_count_copies(sub, low + 1, t))
                 assert level.checks["jump"] == {
                     "fromWidth": low,
                     "toWidth": level.u,
@@ -924,7 +945,7 @@ class TestCountsOnce:
                     "steppingBound": sb.bound,
                     "steppingHolds": holds,
                 }
-                seen.add((level.u == low + 1, holds and level.count < sb.bound))
+                seen.add((level.u == low + 1, holds and not meets(level.count)))
         assert {(True, False), (False, False), (False, True)} <= seen
 
     @pytest.mark.parametrize("u, k", [(2, 2), (2, 4), (3, 2), (4, 4)])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,6 +8,7 @@ from conftest import COLUMN_2_PARTITE, random_matrix
 from patex.errors import DivisibilityError, DomainError, InputError
 from patex.matrix import ZeroOneMatrix
 from patex.ohypergraph import (
+    _within_three_sigma,
     avoidance_threshold,
     build_column_hypergraph,
     cut_hits,
@@ -219,6 +221,18 @@ class TestCuts:
                 )
                 assert Fraction(hits, n ** (t - 1)) == cut_probability(e, n)
 
+    @pytest.mark.parametrize("m", [4, 7, 20, 999])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_three_sigma_ties(self, m, sign):
+        # p = 1/2 over m^2 trials: sigma = 1/(2m), so h = (m^2 +- 3m)/2 hits
+        # lie exactly three sigma out, and one more hit further lies outside
+        # (m >= 4 keeps every count within 0..m^2).
+        half, trials = Fraction(1, 2), m * m
+        h = (trials + sign * 3 * m) // 2
+        assert _within_three_sigma(h, trials, half)
+        assert not _within_three_sigma(h + sign, trials, half)
+        assert _within_three_sigma(h - sign, trials, half)
+
     def test_monte_carlo_within_tolerance(self):
         rng = SplitMix64(424242)
         e, n = (3, 9), 12
@@ -299,6 +313,13 @@ class TestAvoidanceThreshold:
     def test_delta_decreasing_in_s(self):
         deltas = [avoidance_threshold(100, 3, s).delta for s in (1, 2, 3, 4)]
         assert deltas == sorted(deltas, reverse=True)
+
+    def test_json_form(self):
+        at = avoidance_threshold(16, 2, 2)
+        assert at.to_json_dict() == {"n": 16, "t": 2, "s": 2, "delta": 0.25, "gamma": 0.25, "threshold": at.threshold}
+
+    def test_threshold_past_the_float_range_is_inf(self):
+        assert avoidance_threshold(10**300, 2, 1).threshold == math.inf
 
     def test_gamma_companion(self):
         at = avoidance_threshold(10, 3, 2)

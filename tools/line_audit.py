@@ -13,9 +13,9 @@ intended to be unreachable; it is listed and counted apart.
 
 Tracing slows the suite several times over, so it is not part of the test
 suite. CI runs it over `tests/test_classify.py`, to keep the plugin itself
-working; over `tests/test_increment.py`, where it requires the line
-`increment.py: 0 of N never ran`; and over `tests/test_count.py`, where it
-requires `count.py: 0 of N never ran`.
+working, and over `tests/test_<module>.py` for each of `increment`, `count`,
+`cycles`, `cache` and `ohypergraph`, where it requires the line
+`<module>.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
