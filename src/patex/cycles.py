@@ -128,9 +128,7 @@ def dense_or_balanced(
         raise DivisibilityError(f"{k} does not divide {n}")
     if r_meta < 1 or s_meta < 1:
         raise DomainError("pattern dimensions must be positive")
-    if not 0 < c < math.inf:
-        raise DomainError(f"c must be finite and positive, got {c}")
-    p, q = (_as_written(c) ** 2).as_integer_ratio()  # c^2 = p/q
+    p, q = (_as_written(c, "c") ** 2).as_integer_ratio()  # c^2 = p/q
     w = m.weight
     precondition = w * w * q >= p * n**3  # w >= c n^(3/2)
     band = n // k
@@ -264,14 +262,12 @@ def cycle_driver(
         raise DomainError("k must be at least 2")
     if depth is not None and depth < 0:
         raise DomainError(f"depth must be at least 0, got {depth}")
-    if not 0 < c < math.inf:
-        raise DomainError(f"c must be finite and positive, got {c}")
+    c_exact = _as_written(c, "c")
     _require_xmonotone_cycle(a)
     if m.rows != m.cols:
         raise PreconditionError("driver needs a square host")
     r, s = a.rows, a.cols
     n0 = m.rows
-    c_exact = _as_written(c)
     p, q = (c_exact**2).as_integer_ratio()
     rows_abs = list(range(1, m.rows + 1))
     cols_abs = list(range(1, m.cols + 1))

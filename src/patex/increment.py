@@ -52,10 +52,11 @@ class ProofConstants:
         c      = t^(-t^2-t)
 
     C0, C' and C outgrow floats at modest parameters, so they are kept only
-    as their (always finite) log10 fields; the fields are exactly the keys
-    of the JSON form. When k < r, binom(k, r) = 0 has no log10, which is
-    taken as 0, as if binom(k, r) were 1: make_constants(2, 3, 2, 2, 100.0)
-    has k = 2 and log10_C0 = 4 log10 32.
+    as their log10 fields, finite unless 1/eps is near the end of the float
+    range; the fields are exactly the keys of the JSON form. When k < r,
+    binom(k, r) = 0 has no log10, which is taken as 0, as if binom(k, r)
+    were 1: make_constants(2, 3, 2, 2, 100.0) has k = 2 and
+    log10_C0 = 4 log10 32.
     """
 
     t: int
@@ -75,20 +76,21 @@ class ProofConstants:
         return asdict(self)
 
 
-def _ceil_power(base: Fraction, inv_exponent: float) -> tuple[Optional[int], float]:
-    """ceil(base^inv_exponent) with its log10. Integer exponents are handled
-    exactly on rationals below 10^4000 (str() of a longer int fails under
-    Python's default 4,300-digit limit); otherwise float, materialized only
-    below 10^15."""
-    log10_raw = math.log10(base) * inv_exponent
-    rounded = round(inv_exponent)
-    if abs(inv_exponent - rounded) < 1e-12 and rounded >= 1 and log10_raw < 4000:
-        q = base**rounded
+def _ceil_power(base: Fraction, eps: Fraction) -> tuple[Optional[int], float]:
+    """ceil(base^(1/eps)) with its log10, for base > 1 and eps as written.
+    When 1/eps is an integer the power is exact on rationals below 10^4000
+    (str() of a longer int fails under Python's default 4,300-digit limit);
+    otherwise it is a float, materialized only below 10^15 and never below
+    2, since base^(1/eps) > 1."""
+    inv = 1 / eps
+    log10_raw = math.log10(base) / float(eps)  # inf past the float range
+    if inv.denominator == 1 and log10_raw < 4000:
+        q = base**inv.numerator
         k = -((-q.numerator) // q.denominator)
         return k, math.log10(k)
     if log10_raw > 15:
         return None, log10_raw
-    k = math.ceil(float(base) ** inv_exponent)
+    k = max(2, math.ceil(float(base) ** float(inv)))
     return k, math.log10(k)
 
 
@@ -97,10 +99,9 @@ def make_constants(t: int, r: int, s: int, u: int, epsilon: float) -> ProofConst
         raise DomainError("t must be at least 2")
     if min(r, s, u) < 1:
         raise DomainError("r, s, u must be positive")
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    eps = _as_written(epsilon, "epsilon")
     base = Fraction(4 * r ** (t - 1) * t**t, math.factorial(t))
-    k, log10_k = _ceil_power(base, 1.0 / epsilon)
+    k, log10_k = _ceil_power(base, eps)
     if k is not None:
         comb_k_r = math.comb(k, r)
         log10_comb = math.log10(comb_k_r) if comb_k_r > 0 else 0.0
@@ -184,9 +185,7 @@ class LambdaSchedule:
 def lambda_schedule(t: int, U: int, epsilon: Union[float, Fraction]) -> LambdaSchedule:
     if t < 1:
         raise DomainError("t must be positive")
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    eps, cap = _as_written(epsilon), Fraction(5 * t * t, t + 1)
+    eps, cap = _as_written(epsilon, "epsilon"), Fraction(5 * t * t, t + 1)
     if eps >= cap:  # then lambda_{t+1} >= lambda_t = 1
         raise DomainError(f"epsilon too large for the schedule: {epsilon} is not below 5t^2/(t+1) = {cap}")
     if U <= t + 1:
@@ -194,9 +193,15 @@ def lambda_schedule(t: int, U: int, epsilon: Union[float, Fraction]) -> LambdaSc
     return LambdaSchedule(t=t, U=U, epsilon0=eps / (10 * t * t))
 
 
-def _as_written(x: Union[float, Fraction]) -> Fraction:
-    """x as the decimal it was written as (str(0.6) reads back as 3/5); a Fraction unchanged."""
-    return x if isinstance(x, Fraction) else Fraction(str(x))
+def _as_written(x: Union[float, Fraction], name: str) -> Fraction:
+    """x as the decimal it was written as (str(0.6) reads back as 3/5), a
+    Fraction unchanged; x needs a finite, positive float, as reports write one."""
+    try:
+        if 0 < float(x) < math.inf:
+            return x if isinstance(x, Fraction) else Fraction(str(x))
+    except OverflowError:  # a Fraction past the float range
+        pass
+    raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
 # ----------------------------------------------------------------------
@@ -541,15 +546,13 @@ def run_driver(
         raise DomainError(f"u must be positive, got {u}")
     if u is not None and mode == "thm11":
         raise DomainError("thm11 chooses the width per level; u is not accepted")
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    eps = _as_written(epsilon, "epsilon")
     grid = mode == "thm12"
     t, cuts = min_column_parts(a)
     sizes = _part_sizes(cuts, a.cols, t)
     params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
     n0 = m.cols
     z = _log(n0, k)  # a Fraction whenever it is rational
-    eps = _as_written(epsilon)
 
     schedule = None
     if mode == "thm11":

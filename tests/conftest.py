@@ -12,6 +12,7 @@ acceptance suite's own, imported from there.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -32,6 +33,14 @@ from patex.rng import SplitMix64
 
 # Settings for every property test: fixed examples, no example database.
 BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+
+# An epsilon or c with no finite, positive float, which a report could not write.
+NO_FLOAT = [
+    math.nan,
+    math.inf,
+    pytest.param(Fraction(10**400), id="10^400"),
+    pytest.param(Fraction(1, 10**400), id="10^-400"),
+]
 
 
 def graph_oracle(m):

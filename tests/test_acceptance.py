@@ -146,7 +146,7 @@ def _printed(name):
 
 
 class TestGreenChecksFail:
-    """The FAIL branches of six green checks, each seen with a known-wrong
+    """The FAIL branches of ten green checks, each seen with a known-wrong
     kernel patched into the suite."""
 
     def test_containment_kernel_that_finds_nothing(self, monkeypatch):
@@ -206,6 +206,31 @@ class TestGreenChecksFail:
             lambda *args: dataclasses.replace(make_constants(*args), k=make_constants(*args).k + 1),
         )
         assert _printed("constants-arithmetic") == "FAIL constants-arithmetic: k = 17, expected 16\n"
+
+    def test_column_partition_off(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "min_column_parts", lambda a: (3, (1, 2)))
+        assert _printed("canonical-fixtures") == (
+            "FAIL canonical-fixtures: column fixture classified as (3, (1, 2))\n"
+        )
+
+    def test_count_kernel_that_finds_nothing(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "_count_copies", lambda m, u, t: 0)
+        assert _printed("supersaturation-inequality") == (
+            "FAIL supersaturation-inequality: count 0 below bound 5665873984/707281 at n=29, (u,t)=(2,2)\n"
+        )
+
+    def test_balanced_embedder_that_finds_nothing(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "embed_xmonotone_balanced", lambda m, a: None)
+        assert _printed("balanced-embedding-guarantee") == (
+            "FAIL balanced-embedding-guarantee: no embedding at n=4, m=21, w=84 > 73.32121111929344\n"
+        )
+
+    def test_report_that_differs_per_run(self, monkeypatch):
+        runs = itertools.count()
+        monkeypatch.setattr(acceptance, "_determinism_report", lambda cache_dir: str(next(runs)))
+        assert _printed("end-to-end-determinism") == (
+            "FAIL end-to-end-determinism: reports differ between two clean-cache runs\n"
+        )
 
 
 class TestRunnerFails:

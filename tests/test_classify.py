@@ -15,6 +15,7 @@ from conftest import (
 )
 from patex.classify import (
     _cycle_tour,
+    _x_monotone_core,
     is_acyclic,
     is_cycle,
     is_permutation,
@@ -182,12 +183,21 @@ class TestXMonotone:
         assert flags == [straddle_ok(m) for m in mats]
         assert any(flags) and not all(flags)  # both kinds exist at length 8
 
+    def test_core_skips_a_row_without_a_segment(self):
+        # An all-zero row is no horizontal segment and crosses no vertical line.
+        assert _x_monotone_core(ZeroOneMatrix.parse("110\n000\n011\n101"))
+        bent = next(m for m in enumerate_cycles(8) if not is_x_monotone(m))
+        assert not _x_monotone_core(ZeroOneMatrix.parse("\n".join(["0" * bent.cols, *bent.row_strings()])))
+
 
 class TestWinding:
     def test_square_cycle_positive(self):
         prof = winding_profile(K22)
         assert prof.faces == ((1,),)
         assert winding_profile(K22).positive
+
+    def test_json_form(self):
+        assert winding_profile(K22).to_json_dict() == {"row0": 1, "col0": 1, "faces": [[1]]}
 
     def test_reversal_negates(self):
         for m in SIX_CYCLES_3X3 + (K22,):

@@ -200,6 +200,19 @@ class TestIncrement:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "epsilon" in captured.err
 
+    def test_epsilon_past_the_float_range(self, capsys, files):
+        # 1/eps is past the float range: k is not materialized, every log10
+        # constant is inf, and no level meets the increment precondition.
+        argv = ["increment", files["host"], files["k22"], "--mode", "thm21", "--k", "2"]
+        code, out = run(capsys, argv + ["--epsilon", "1e-320"])
+        *levels, summary = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and summary["stopReason"] == "embedded"
+        constants = summary["constants"]
+        assert constants["epsilon"] == 1e-320 and constants["k"] is None
+        assert [constants[f] for f in ("log10_k", "log10_C0", "log10_Cprime", "log10_C")] == ["inf"] * 4
+        assert [lv["checks"]["incrementThresholdLog10"] for lv in levels] == ["inf"]
+        assert [lv["checks"]["incrementPreconditionHolds"] for lv in levels] == [False]
+
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_non_positive_u_rejected(self, capsys, files, u):
         column = files["dir"] / "column.pat"

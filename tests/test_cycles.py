@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import K22, SIX_CYCLES_3X3, graph_oracle, random_matrix
+from conftest import K22, NO_FLOAT, SIX_CYCLES_3X3, graph_oracle, random_matrix
 from patex import cycles
 from patex.cycles import (
     balance_violation,
@@ -297,7 +297,7 @@ class TestDichotomy:
         with pytest.raises(DomainError, match="^pattern dimensions must be positive$"):
             dense_or_balanced(ZeroOneMatrix.ones(4, 4), r_meta, s_meta, 2, 1.0)
 
-    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("c", [*NO_FLOAT, -math.inf])
     def test_rejects_non_finite_c(self, c):
         with pytest.raises(DomainError, match="c must be finite"):
             dense_or_balanced(ZeroOneMatrix.ones(4, 4), 2, 2, 2, c)
@@ -379,7 +379,7 @@ class TestCycleDriver:
         with pytest.raises(DomainError, match="k must be at least 2"):
             cycle_driver(ZeroOneMatrix.ones(4, 4), K22, k, 1.0)
 
-    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    @pytest.mark.parametrize("c", NO_FLOAT)
     def test_rejects_non_finite_c(self, c):
         # depth 0 stops before the first dichotomy, so the driver checks c itself
         with pytest.raises(DomainError, match="c must be finite"):

@@ -13,6 +13,7 @@ from conftest import (
     COLUMN_2_PARTITE,
     DOUBLY_2_PARTITE,
     K22,
+    NO_FLOAT,
     SIX_CYCLES_3X3,
     oracle_count_copies,
     oracle_embedding,
@@ -50,8 +51,8 @@ class TestConstants:
     def test_defining_inequalities(self):
         for args in ((2, 2, 2, 2, 1.0), (2, 3, 2, 2, 1.0), (3, 2, 2, 3, 1.0)):
             pc = make_constants(*args)
-            base = 4 * args[1] ** (args[0] - 1) * args[0] ** args[0] / math.factorial(args[0])
-            assert pc.k >= base ** (1.0 / args[4]) - 1e-9
+            base = Fraction(4 * args[1] ** (args[0] - 1) * args[0] ** args[0], math.factorial(args[0]))
+            assert pc.k - 1 < base <= pc.k  # eps = 1, so k = ceil(base)
             comb = math.comb(pc.k, args[1])
             # C0^delta >= 8 t^t binom(k, r), C' = 8 binom(k, r) C0^(t-delta)
             # within a relative 1e-9, and C >= max(C', 4 binom(ru, u)), in log10.
@@ -67,9 +68,21 @@ class TestConstants:
         assert pc.k is None and pc.log10_k > 15
         assert pc.log10_C > 300
 
-    def test_float_exponent_materializes_below_the_cap(self):
-        pc = make_constants(2, 2, 2, 2, 0.7)  # 1/eps not an integer, k below 10^15
-        assert pc.k == 53 == math.ceil(16 ** (1 / 0.7))
+    @pytest.mark.parametrize(
+        "epsilon, k",
+        [
+            (0.7, 53),  # 16^(10/7) = 52.50...
+            # 16^(1/eps) > 1, though its float is 1.0.
+            (1e17, 2),
+            (1e300, 2),
+            # 1.0/eps rounds to 3.0, but as written 1/eps = 10^16/3333333333333333
+            # is above 3, so 16^(1/eps) is above 4096.
+            (0.3333333333333333, 4097),
+        ],
+    )
+    def test_float_exponent_materializes_below_the_cap(self, epsilon, k):
+        # 1/eps is not an integer, and k is below 10^15.
+        assert make_constants(2, 2, 2, 2, epsilon).k == k
 
     def test_integral_exponent_materializes_exactly(self):
         pc = make_constants(2, 2, 2, 2, 0.05)  # 1/eps = 20, exact rational power
@@ -106,9 +119,9 @@ class TestConstants:
         with pytest.raises(DomainError, match="^r, s, u must be positive$"):
             make_constants(2, r, s, u, 1.0)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon", NO_FLOAT)
     def test_rejects_non_finite_epsilon(self, epsilon):
-        with pytest.raises(DomainError, match="epsilon"):
+        with pytest.raises(DomainError, match="^epsilon must be finite and positive, got"):
             make_constants(2, 2, 2, 2, epsilon)
 
 
@@ -166,9 +179,9 @@ class TestLambdaSchedule:
         with pytest.raises(InputError, match=r"^u=7 outside 2\.\.6$"):
             sched.value(7)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon", NO_FLOAT)
     def test_rejects_non_finite_epsilon(self, epsilon):
-        with pytest.raises(DomainError, match="epsilon"):
+        with pytest.raises(DomainError, match="^epsilon must be finite and positive, got"):
             lambda_schedule(2, 40, epsilon)
 
     def test_epsilon_too_large_for_the_schedule(self):
@@ -531,9 +544,9 @@ class TestDrivers:
             run_driver(ZeroOneMatrix.ones(8, 16), K22, "thm12", k=2)
 
     @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    @pytest.mark.parametrize("epsilon", NO_FLOAT)
     def test_rejects_non_finite_epsilon(self, mode, epsilon):
-        with pytest.raises(DomainError, match="epsilon"):
+        with pytest.raises(DomainError, match="^epsilon must be finite and positive, got"):
             run_driver(ZeroOneMatrix.ones(8, 8), K22, mode, k=2, epsilon=epsilon)
 
     @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])

@@ -12,10 +12,9 @@ intended to be unreachable; it is listed and counted apart.
     PYTHONPATH=src:tools python -m pytest -q -p line_audit
 
 Tracing slows the suite several times over, so it is not part of the test
-suite. CI runs it over `tests/test_classify.py`, to keep the plugin itself
-working, and over `tests/test_<module>.py` for each of `increment`, `count`,
-`cycles`, `cache` and `ohypergraph`, where it requires the line
-`<module>.py: 0 of N never ran`.
+suite. CI runs it over `tests/test_<module>.py` for each of `increment`,
+`count`, `cycles`, `cache`, `ohypergraph` and `classify`, where it requires
+the line `<module>.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
@@ -74,7 +73,8 @@ def _body_lines(path: Path) -> dict[int, str]:
     return {n: text[n - 1].strip() for n in sorted(found)}
 
 
-def pytest_configure(config):
+def pytest_load_initial_conftests(early_config, parser, args):
+    # Before the conftests load, so the package code they import is traced.
     global _prefix
     _prefix = str(_package_dir()) + "/"
     threading.settrace(_global)
