@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError
 from .matrix import ZeroOneMatrix
@@ -119,6 +119,19 @@ def _walk(
     return tuple(bands), total
 
 
+def _display(direct: Callable[[], float], log: Callable[[], float]) -> float:
+    """A display float, which decides nothing: direct(), or exp(log()) when
+    direct() leaves the float range on the way, or inf when the value itself
+    lies past it (reports write it "inf")."""
+    try:
+        return direct()
+    except OverflowError:
+        try:
+            return math.exp(log())
+        except OverflowError:
+            return math.inf
+
+
 def count_copies(m: ZeroOneMatrix, u: int, t: int) -> CopyCount:
     """Exact number of K_{u,t} copies as an arbitrary-precision integer."""
     if u < 1 or t < 1:
@@ -151,13 +164,16 @@ def supersat_bound(w: int, n: int, u: int, t: int) -> SupersatBound:
         raise DomainError("n must be positive")
     if u < 1 or t < 1:
         raise DomainError("u and t must be positive")
-    threshold = t * u * n ** (2.0 - 1.0 / u)
+    threshold = _display(
+        lambda: t * u * n ** (2.0 - 1.0 / u), lambda: math.log(t * u) + (2 - 1 / u) * math.log(n)
+    )
     applicable = int(w) ** u > (t * u) ** u * n ** (2 * u - 1)
     exact = Fraction(
         int(w) ** (t * u),
         u ** (u * t - t + u) * t**t * n ** (2 * u * t - u - t),
     )
-    return SupersatBound(applicable=applicable, threshold=threshold, bound=float(exact), exact=exact)
+    bound = _display(lambda: float(exact), lambda: math.log(exact.numerator) - math.log(exact.denominator))
+    return SupersatBound(applicable=applicable, threshold=threshold, bound=bound, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -180,13 +196,11 @@ def stepping_bound(n_copies: int, n: int, u: int, t: int) -> SteppingBound:
         raise DomainError("u and t must be positive")
     threshold = 2 * math.comb(n, t)
     applicable = n_copies >= threshold
-    if n_copies <= 0:
-        bound = 0.0
-    elif n_copies < 10**12:
-        bound = 0.5 * float(n_copies) ** ((u + 1) / u) * float(n) ** (-t / u)
-    else:
-        bound = math.exp(
-            math.log(n_copies) * (u + 1) / u - math.log(n) * t / u - math.log(2.0)
+    bound = 0.0
+    if n_copies > 0:
+        bound = _display(
+            lambda: 0.5 * float(n_copies) ** ((u + 1) / u) * float(n) ** (-t / u),
+            lambda: math.log(n_copies) * (u + 1) / u - math.log(n) * t / u - math.log(2.0),
         )
     return SteppingBound(applicable=applicable, threshold=threshold, bound=bound)
 

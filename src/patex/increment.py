@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .classify import min_column_parts, min_row_parts
-from .count import _count_copies, _stepping_holds, stepping_bound, supersat_bound
+from .count import _count_copies, _display, _stepping_holds, stepping_bound, supersat_bound
 from .errors import DivisibilityError, DomainError, InputError, PreconditionError
 from .matrix import Embedding, ZeroOneMatrix, _find_copy, certified
 # build_column_hypergraph is unused here but stays bound: perfbench/spans.py
@@ -201,6 +201,9 @@ def _as_written(x: Union[float, Fraction], name: str) -> Fraction:
             return x if isinstance(x, Fraction) else Fraction(str(x))
     except OverflowError:  # a Fraction past the float range
         pass
+    if isinstance(x, (int, Fraction)) and max(x.numerator, x.denominator, key=abs).bit_length() > 64:
+        # by its size: str() of an int past 4,300 digits raises ValueError
+        x = f"a {x.numerator.bit_length()}-bit numerator over a {x.denominator.bit_length()}-bit denominator"
     raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
@@ -510,15 +513,55 @@ def _log(x: Union[int, Fraction], k: int) -> Union[Fraction, float]:
     return (math.log(p) - math.log(q)) / math.log(k)
 
 
+def _level_checks(
+    count: int, n_base: int, rows: int, cols: int, weight: int, i: int, width: int,
+    jump: Optional[tuple[int, int, int]], *, k: int, t: int, n0: int, r0: int, eps: Fraction,
+    constants: Optional[ProofConstants], checkpoint: Optional[int],
+) -> dict:
+    """The checks of level i from its numbers alone: its K_{width,t} count,
+    level 0's count n_base, its shape and weight, and at a width jump the
+    width above, the count handed down and the K_{that width + 1,t} count.
+    The rest is the run's; eps is epsilon as written. Each verdict is exact
+    but the precondition's, and every float beside them is for display."""
+    checks: dict = {}
+    if jump is not None:
+        low, handed, actual = jump
+        sb = stepping_bound(handed, n0, low, t)
+        checks["jump"] = {
+            "fromWidth": low,
+            "toWidth": width,
+            "steppingApplicable": sb.applicable,
+            "steppingBound": sb.bound,
+            "steppingHolds": not sb.applicable or _stepping_holds(handed, actual, n0, low, t),
+        }
+    rate = r0 + float(eps)
+    checks["chainLowerBound"] = _display(
+        lambda: n_base / k ** (rate * i), lambda: math.log(n_base) - rate * i * math.log(k)
+    )
+    # count >= n_base / k^((r0 + eps) i), exactly
+    checks["chainHolds"] = count >= n_base or (
+        count > 0 and _log(Fraction(n_base, count), k) <= (r0 + eps) * i
+    )
+    if constants is not None:
+        # Decided in log10: C has no exact value, as k comes from a float
+        # power when 1/epsilon is not an integer (`_ceil_power`).
+        thr_log10 = constants.log10_C + max(width * math.log10(rows), t * math.log10(cols))
+        checks["incrementThresholdLog10"] = thr_log10
+        checks["incrementPreconditionHolds"] = count > 0 and math.log10(count) > thr_log10
+    if i == 0:
+        supers = supersat_bound(weight, n0, t, t)  # at u = t
+        checks["supersaturationLowerBound"] = supers.bound
+        checks["supersaturationHolds"] = count >= supers.exact
+    if checkpoint is not None:
+        checks["contradictionCheckpointLevel"] = checkpoint
+        checks["pastContradictionCheckpoint"] = i >= checkpoint
+        checks["rowsBelowEpsPower"] = _log(rows, n0) < eps / t
+    return checks
+
+
 def run_driver(
-    m: ZeroOneMatrix,
-    a: ZeroOneMatrix,
-    mode: str,
-    *,
-    k: int,
-    depth: Optional[int] = None,
-    epsilon: float = 1.0,
-    u: Optional[int] = None,
+    m: ZeroOneMatrix, a: ZeroOneMatrix, mode: str, *, k: int, depth: Optional[int] = None,
+    epsilon: float = 1.0, u: Optional[int] = None,
 ) -> IncrementTrace:
     """Iterate the increment step, recording per level the exact counts, the
     closed-form threshold checks, stepping-up checks at width jumps, and the
@@ -558,29 +601,23 @@ def run_driver(
     if mode == "thm11":
         if t < 2:
             raise PreconditionError("schedule driver needs a column partition with t >= 2")
-        cap_u = math.ceil(100 * t**3 / eps)
-        schedule = lambda_schedule(t, cap_u, eps)
-        params["U"] = cap_u
+        params["U"] = math.ceil(100 * t**3 / eps)
+        schedule = lambda_schedule(t, params["U"], eps)
     if grid:
         if m.rows != m.cols:
             raise PreconditionError("symmetric driver needs a square host")
         t = max(t, min_row_parts(a)[0])
-
     u_fixed = u if u is not None else t
     constants = make_constants(t, a.rows, a.cols, u_fixed, epsilon) if t >= 2 else None
-    r0 = 2 if grid else 1  # the chain's rate is r0 + epsilon
-
-    checkpoint = None  # the contradiction checkpoint level ceil((1 - epsilon/t) z)
-    if not grid and z > 0:
-        checkpoint = math.ceil((1 - eps / t) * z)
-        rows_log_cap = eps / t  # rows < n0^(epsilon/t): log_n0 rows < epsilon/t
+    run = dict(
+        k=k, t=t, n0=n0, r0=2 if grid else 1, eps=eps, constants=constants,
+        # the contradiction checkpoint level ceil((1 - epsilon/t) z)
+        checkpoint=math.ceil((1 - eps / t) * z) if not grid and z > 0 else None,
+    )
 
     levels: list[TraceLevel] = []
     embedding = None
-    cur = m
-    row_off = 0
-    col_off = 0
-    i = 0
+    cur, row_off, col_off, i = m, 0, 0, 0
     # (width, K_{width,t} count of cur) from the step above, which counted
     # the block it chose (the grid step at width t); None at level 0.
     above: Optional[tuple[int, int]] = None
@@ -590,77 +627,22 @@ def run_driver(
         # divides its rows (a level that it does not divide takes no step).
         return _count_copies(cur, width, t, k if cur.rows % k == 0 else 1)
 
-    while True:
-        if schedule is not None:
-            if i >= z:
-                stop_reason = "schedule-exhausted"
-                break
-            types = schedule.types_of(i, z)
-            u_lvl = types[-1]
-        else:
-            u_lvl = u_fixed
-        checks: dict = {}
+    while schedule is None or i < z:
+        types = schedule.types_of(i, z) if schedule is not None else (u_fixed,)
+        width = types[-1]
+        jump = None
         if above is None:
-            count = n_base = level_count(u_lvl)  # n_base anchors the chain bound
+            count = n_base = level_count(width)  # n_base anchors the chain bound
         else:
-            width, counted = above
-            count = counted if u_lvl == width else level_count(u_lvl)
-            if schedule is not None and u_lvl > width:
-                # The width grew: the stepping-up bound from the count above
-                # against this block's K_{width+1,t} count.
-                sb = stepping_bound(counted, n0, width, t)
-                actual = count if u_lvl == width + 1 else level_count(width + 1)
-                checks["jump"] = {
-                    "fromWidth": width,
-                    "toWidth": u_lvl,
-                    "steppingApplicable": sb.applicable,
-                    "steppingBound": sb.bound,
-                    "steppingHolds": not sb.applicable
-                    or _stepping_holds(counted, actual, n0, width, t),
-                }
-        try:
-            chain = n_base / (k ** ((r0 + epsilon) * i))
-        except OverflowError:
-            # The power is past the float range; n_base >= 1 past level 0.
-            chain = math.exp(math.log(n_base) - (r0 + epsilon) * i * math.log(k))
-        checks["chainLowerBound"] = chain
-        # count >= n_base / k^((r0 + eps) i), exactly
-        checks["chainHolds"] = count >= n_base or (
-            count > 0 and _log(Fraction(n_base, count), k) <= (r0 + eps) * i
-        )
-        if constants is not None:
-            # Decided in log10: C has no exact value, as k comes from a float
-            # power when 1/epsilon is not an integer (`_ceil_power`).
-            # A horizontal level keeps every column, so cur.cols is n0 there.
-            ref = max(u_lvl * math.log10(cur.rows), t * math.log10(cur.cols))
-            thr_log10 = constants.log10_C + ref
-            checks["incrementThresholdLog10"] = thr_log10
-            checks["incrementPreconditionHolds"] = (
-                count > 0 and math.log10(count) > thr_log10
-            )
-        if i == 0:
-            # At u = t: t^(-t^2-t) w^(t^2) / n^(2t^2-2t).
-            supers = supersat_bound(cur.weight, n0, t, t)
-            checks["supersaturationLowerBound"] = supers.bound
-            checks["supersaturationHolds"] = count >= supers.exact
-        if checkpoint is not None:
-            checks["contradictionCheckpointLevel"] = checkpoint
-            checks["pastContradictionCheckpoint"] = i >= checkpoint
-            checks["rowsBelowEpsPower"] = _log(cur.rows, n0) < rows_log_cap
+            low, handed = above
+            count = handed if width == low else level_count(width)
+            if schedule is not None and width > low:
+                jump = (low, handed, count if width == low + 1 else level_count(low + 1))
+        checks = _level_checks(count, n_base, cur.rows, cur.cols, cur.weight, i, width, jump, **run)
         if schedule is not None:
-            checks["lambda"] = float(schedule.value(u_lvl))
+            checks["lambda"] = float(schedule.value(width))
             checks["types"] = list(types)
-
-        base_level = dict(
-            level=i,
-            row_range=(row_off + 1, row_off + cur.rows),
-            col_range=(col_off + 1, col_off + cur.cols),
-            weight=cur.weight,
-            u=u_lvl,
-            count=int(count),  # without the band counts it may carry
-            checks=checks,
-        )
-
+        step = stop_reason = None
         if count == 0:
             stop_reason = "no-copies"
         elif depth is not None and i >= depth:
@@ -668,44 +650,32 @@ def run_driver(
         elif cur.rows % k or (grid and cur.cols % k):
             stop_reason = "divisibility"
         else:
-            stop_reason = None
-        if stop_reason is not None:
-            levels.append(TraceLevel(branch="exhausted", **base_level))
-            break
-
-        if grid:
-            step = symmetric_increment_step(cur, a, k, count if u_lvl == t else None)
-        else:
-            step = _horizontal_step(cur, a, u_lvl, k, sizes, count)
-        checks["heavySearch"] = [h.to_json_dict() for h in step.heavy]
-
-        if step.kind == "embedded":
-            embedding = certified(m, a, step.embedding.shifted(row_off, col_off))
-            levels.append(TraceLevel(branch="embedded", **base_level))
-            stop_reason = "embedded"
-            break
-
+            if grid:
+                step = symmetric_increment_step(cur, a, k, count if width == t else None)
+            else:
+                step = _horizontal_step(cur, a, width, k, sizes, count)
+            checks["heavySearch"] = [h.to_json_dict() for h in step.heavy]
+            if step.kind == "embedded":
+                embedding = certified(m, a, step.embedding.shifted(row_off, col_off))
+                stop_reason = "embedded"
         levels.append(
             TraceLevel(
-                branch="densified",
-                block=step.block,
-                guarantee_met=step.guarantee_met,
-                **base_level,
+                level=i, row_range=(row_off + 1, row_off + cur.rows), col_range=(col_off + 1, col_off + cur.cols),
+                weight=cur.weight, u=width, checks=checks,
+                count=int(count),  # without the band counts it may carry
+                branch=step.kind if step else "exhausted",
+                block=step and step.block, guarantee_met=step and step.guarantee_met,
             )
         )
+        if stop_reason is not None:
+            break
         # A horizontal step's col_range spans every column of cur.
         (rlo, rhi), (clo, chi) = step.row_range, step.col_range
         cur = cur.submatrix(rlo, rhi, clo, chi)
-        row_off += rlo - 1
-        col_off += clo - 1
-        above = (t if grid else u_lvl, step.count)
+        row_off, col_off = row_off + rlo - 1, col_off + clo - 1
+        above = (t if grid else width, step.count)
         i += 1
+    else:  # the schedule ran out of levels
+        stop_reason = "schedule-exhausted"
 
-    return IncrementTrace(
-        mode=mode,
-        params=params,
-        levels=levels,
-        embedding=embedding,
-        stop_reason=stop_reason,
-        constants=constants,
-    )
+    return IncrementTrace(mode, params, levels, embedding, stop_reason, constants)

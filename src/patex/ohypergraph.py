@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Sequence
 
+from .count import _display
 from .errors import DivisibilityError, DomainError, InputError
 from .matrix import ZeroOneMatrix
 from .rng import SplitMix64
@@ -298,8 +299,7 @@ def avoidance_threshold(n: int, t: int, s: int) -> AvoidanceThreshold:
         raise DomainError("n, t, s must be positive")
     delta = 1.0 / (t * s ** (t - 1))
     gamma = (t - 1.0) / (t * s ** (t - 1))
-    try:
-        threshold = 2.0 * n ** (t - delta)
-    except OverflowError:  # the power is past the float range
-        threshold = math.inf
+    threshold = _display(
+        lambda: 2.0 * n ** (t - delta), lambda: math.log(2.0) + (t - delta) * math.log(n)
+    )
     return AvoidanceThreshold(n=n, t=t, s=s, delta=delta, gamma=gamma, threshold=threshold)

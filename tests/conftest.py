@@ -40,6 +40,7 @@ NO_FLOAT = [
     math.inf,
     pytest.param(Fraction(10**400), id="10^400"),
     pytest.param(Fraction(1, 10**400), id="10^-400"),
+    pytest.param(Fraction(10**5000), id="10^5000"),
 ]
 
 

@@ -83,6 +83,14 @@ class TestCount:
         assert doc["supersatBound"] is None
         assert doc["steppingBound"] == stepping_bound(18, 4, 2, 2).to_json_dict()
 
+    def test_stepping_bound_past_the_float_range_is_inf(self, capsys, tmp_path):
+        # 3 binom(1100, 550) copies of K_{550,2}, about 10^330, exceed a float
+        host = tmp_path / "tall.pat"
+        host.write_text("\n".join(["111"] * 1100))
+        code, out = run(capsys, ["count", str(host), "--u", "550", "--t", "2", "--bounds"])
+        doc = json.loads(out)
+        assert code == 0 and doc["steppingBound"]["applicable"] and doc["steppingBound"]["bound"] == "inf"
+
 
 class TestTcut:
     def test_report_shape(self, capsys, files):
@@ -212,6 +220,17 @@ class TestIncrement:
         assert [constants[f] for f in ("log10_k", "log10_C0", "log10_Cprime", "log10_C")] == ["inf"] * 4
         assert [lv["checks"]["incrementThresholdLog10"] for lv in levels] == ["inf"]
         assert [lv["checks"]["incrementPreconditionHolds"] for lv in levels] == [False]
+
+    def test_chain_bound_past_the_float_range_is_inf(self, capsys, tmp_path):
+        # n_base = 3 binom(1100, 550) copies of K_{550,2}, about 10^330
+        host, pattern = tmp_path / "tall.pat", tmp_path / "pair.pat"
+        host.write_text("\n".join(["111"] * 1100))
+        pattern.write_text("11")
+        argv = ["increment", str(host), str(pattern), "--mode", "thm21", "--k", "2", "--u", "550", "--depth", "0"]
+        code, out = run(capsys, argv)
+        level, summary = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and summary["stopReason"] == "depth-reached"
+        assert level["checks"]["chainLowerBound"] == "inf" and level["checks"]["chainHolds"] is True
 
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_non_positive_u_rejected(self, capsys, files, u):

@@ -87,6 +87,14 @@ def test_banded_count_matches_oracle(host, u, t):
 
 
 class TestSupersatBound:
+    def test_bound_past_the_float_range_is_inf(self):
+        # w^717 / (717^717 n^716) with w = n^2 = 1950^2 is 1950^718 / 717^717,
+        # about 10^314.8
+        sb = supersat_bound(1950**2, 1950, 1, 717)
+        assert sb.bound == math.inf and sb.exact > 10**314
+        # float(10**400) overflows, and so does t u n^(2 - 1/u) = 10^400
+        assert supersat_bound(1, 10**400, 1, 1).threshold == math.inf
+
     def test_inapplicable_below_threshold(self):
         sb = supersat_bound(16, 4, 2, 2)
         assert not sb.applicable and sb.threshold == 32.0
@@ -178,6 +186,10 @@ class TestSteppingBound:
     def test_log_space_branch_matches_the_float_formula(self, n_copies, n, u, t):
         formula = 0.5 * float(n_copies) ** ((u + 1) / u) * float(n) ** (-t / u)
         assert stepping_bound(n_copies, n, u, t).bound == pytest.approx(formula, rel=1e-9)
+
+    def test_bound_past_the_float_range_is_inf(self):
+        # (10^400)^(3/2) / 20 is past the float range, in logs as well
+        assert stepping_bound(10**400, 10, 2, 2).bound == math.inf
 
     def test_log_space_branch_past_the_float_range(self):
         # float(10**400) overflows; 0.5 * (10**400)**(3/2) / 10**300 does not

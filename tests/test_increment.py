@@ -124,6 +124,18 @@ class TestConstants:
         with pytest.raises(DomainError, match="^epsilon must be finite and positive, got"):
             make_constants(2, 2, 2, 2, epsilon)
 
+    @pytest.mark.parametrize(
+        "epsilon, size",
+        [
+            (Fraction(10**5000), "a 16610-bit numerator over a 1-bit denominator"),
+            (Fraction(1, 10**5000), "a 1-bit numerator over a 16610-bit denominator"),
+        ],
+    )
+    def test_rejected_epsilon_past_the_digit_limit_is_given_by_its_size(self, epsilon, size):
+        # str() of an int past 4,300 digits raises ValueError
+        with pytest.raises(DomainError, match=f"^epsilon must be finite and positive, got {size}$"):
+            make_constants(2, 2, 2, 2, epsilon)
+
 
 class TestLambdaSchedule:
     def test_start_value(self):
@@ -1034,6 +1046,42 @@ class TestCountsOnce:
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "f9b635bb22fc3aa4ba0f8614b538c399b8c236a761f8d1551becf231f148e73b"
         )
+
+
+class TestLevelChecks:
+    """A level's checks follow from its recorded numbers and the run's fixed
+    values alone, which is what lets a report be re-checked level by level."""
+
+    @pytest.mark.parametrize("mode", ["thm21", "thm12", "thm11"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recomputed_from_each_levels_numbers(self, mode, seed):
+        grid = mode == "thm12"
+        jumps = 0
+        for n, a, epsilon in ((16, K22, 1.0), (32, DOUBLY_2_PARTITE, 0.6), (64, COLUMN_2_PARTITE, 1.0)):
+            host = random_matrix(SplitMix64(seed), n, n, 0.5)
+            trace = run_driver(host, a, mode, k=2, epsilon=epsilon)
+            t = max(min_column_parts(a)[0], min_row_parts(a)[0] if grid else 0)
+            eps = Fraction(str(epsilon))
+            z = increment._log(n, 2)
+            run = dict(
+                k=2, t=t, n0=n, r0=2 if grid else 1, eps=eps, constants=trace.constants,
+                checkpoint=None if grid else math.ceil((1 - eps / t) * z),
+            )
+            n_base = trace.levels[0].count
+            for lv, above in zip(trace.levels, [None, *trace.levels]):
+                (r1, r2), (c1, c2) = lv.row_range, lv.col_range
+                jump = None
+                if mode == "thm11" and above is not None and lv.u > above.u:
+                    # the count handed down and the next width's, recounted
+                    block = host.submatrix(r1, r2, c1, c2)
+                    counts = [count_copies(block, w, t).count for w in (above.u, above.u + 1)]
+                    jump = (above.u, *counts)
+                    jumps += 1
+                level = (lv.count, n_base, r2 - r1 + 1, c2 - c1 + 1, lv.weight, lv.level, lv.u, jump)
+                recorded = {key: v for key, v in lv.checks.items() if key not in ("heavySearch", "lambda", "types")}
+                assert increment._level_checks(*level, **run) == recorded, (n, lv.level)
+        if mode == "thm11":
+            assert jumps > 0
 
 
 class TestJsonSafe:
