@@ -467,7 +467,8 @@ def _json_safe(obj):
         if math.isnan(obj):
             return "nan"
     if type(obj) is Fraction:  # an epsilon or c passed exactly
-        return float(obj)
+        # its float if that reads back as obj, else "p/q": verdicts follow from what is written
+        return float(obj) if Fraction(str(float(obj))) == obj else str(obj)
     return obj
 
 

@@ -4,7 +4,8 @@ ex(n, A) is the maximum weight of an n x n matrix avoiding the pattern A.
 Three routes are provided: a brute-force enumerator over all 2^(n^2)
 matrices with early containment pruning and one weight bound (the oracle),
 a row-by-row branch-and-bound with incremental containment detection per
-increasing choice of host columns, and a randomized construction (sample,
+increasing choice of host columns (one int per search state, a lane per
+matched-row count; see `_Levels`), and a randomized construction (sample,
 then destroy every copy by deleting one 1-entry) that yields certified
 A-free lower-bound witnesses. The branch-and-bound has three bounds: the
 exact extremal numbers of the shorter k x n matrices it solves first (the
@@ -23,11 +24,12 @@ A-free and has the claimed weight.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError, FormatError, UnsupportedError
 from .matrix import ZeroOneMatrix, canonical_key, find_embedding, random_matrix
@@ -175,56 +177,68 @@ def brute_force_ex(n: int, a: ZeroOneMatrix) -> ExtremalRecord:
 _MEMO_CAP = 4096  # entries kept by `_Levels.forbidden`
 
 
+@functools.cache
+def _mask_order(w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row masks of width w, heaviest first and then by value, with
+    their weights."""
+    order = tuple(sorted(range(1 << w), key=lambda m: (-m.bit_count(), m)))
+    return order, tuple(m.bit_count() for m in order)
+
+
 class _Levels:
     """Incremental containment detector for hosts of width w. Fix an
     increasing choice C of a.cols host columns; pattern row i then needs the
     host bits need_C[i]. Matching each pattern row to the earliest later host
     row that covers its need is optimal, so per C a prefix only records how
-    many pattern rows it matches. A state is a sequence `levels`, where
-    `levels[i]` is the bitset of the choices whose count is i. A row `mask`
-    completes a copy exactly when `covers[-1][mask] & levels[-1]` is
-    nonzero."""
+    many pattern rows it matches. A state is one int of a.rows lanes of
+    `lane` bits, one bit per choice: lane i, bits [i * lane, (i + 1) * lane),
+    holds the choices whose count is i. A row `mask` completes a copy exactly
+    when `covers[-1][mask] & (state >> top)` is nonzero.
 
-    __slots__ = ("covers", "steps", "singles", "forbidden_memo", "start")
+    `steps[mask]` places `covers[i][mask]` in lane i for every i below the
+    top lane, so `moved = state & steps[mask]` holds the choices that the
+    row moves up one lane, and the child state is
+    `state + moved * ((1 << lane) - 1)`: each moved bit is cleared and set
+    again one lane up. No carry crosses a lane: each choice sits in exactly
+    one lane and moves up at most one, so the bit it lands on is clear, and
+    nothing moves out of the top lane."""
+
+    __slots__ = ("covers", "steps", "singles", "forbidden_memo", "start", "lane", "top")
 
     def __init__(self, a: ZeroOneMatrix, w: int):
         choices = list(combinations(range(w), a.cols))
+        self.lane = len(choices)
+        self.top = (a.rows - 1) * self.lane
         # covers[i][mask]: the choices whose need for pattern row i lies
-        # inside mask; each need is placed, then ORed up to its supersets
-        # one bit at a time.
+        # inside mask; each distinct need is ORed into all its supersets.
         self.covers = []
         for pm in a.row_masks:
-            cover = [0] * (1 << w)
+            by_need: dict[int, int] = {}
             for c, cols in enumerate(choices):
-                cover[sum(1 << col for j, col in enumerate(cols) if pm >> j & 1)] |= 1 << c
-            for bit in (1 << b for b in range(w)):
-                for mask in range(1 << w):
-                    if mask & bit:
-                        cover[mask] |= cover[mask ^ bit]
+                need = sum(1 << col for j, col in enumerate(cols) if pm >> j & 1)
+                by_need[need] = by_need.get(need, 0) | 1 << c
+            cover = [0] * (1 << w)
+            for need, chosen in by_need.items():
+                sup = need
+                while sup < 1 << w:
+                    cover[sup] |= chosen
+                    sup = (sup + 1) | need
             self.covers.append(cover)
-        # (level, covers of its pattern row), from the second-to-last level up
-        self.steps = tuple((i, self.covers[i]) for i in range(a.rows - 2, -1, -1))
+        self.steps = [
+            sum(self.covers[i][mask] << i * self.lane for i in range(a.rows - 1))
+            for mask in range(1 << w)
+        ]
         # (column bit, the choices its single-column row completes)
         self.singles = tuple((1 << c, self.covers[-1][1 << c]) for c in range(w))
         # forbidden() by `ready`: a search asks again and again for few values
         # (609 at most for I3, n = 7, over 11M nodes); emptied when full
         self.forbidden_memo: dict[int, int] = {}
-        self.start = ((1 << len(choices)) - 1,) + (0,) * (a.rows - 1)
-
-    def advance(self, levels: Sequence[int], mask: int) -> list[int]:
-        """The levels after a row `mask` that completes no copy; the caller
-        tests containment first."""
-        grown = list(levels)
-        for i, cover in self.steps:
-            moved = grown[i] & cover[mask]
-            if moved:
-                grown[i] ^= moved
-                grown[i + 1] |= moved
-        return grown
+        # every choice at count 0; also the all-ones mask of one lane
+        self.start = (1 << self.lane) - 1
 
     def forbidden(self, ready: int) -> int:
         """The host columns c such that the row holding only c completes a
-        copy for some choice in `ready`; given levels[-1], those whose row
+        copy for some choice in `ready`; given the top lane, those whose row
         completes a copy. When the pattern's last row has a single 1-entry,
         every row holding such a c does."""
         out = self.forbidden_memo.get(ready)
@@ -250,7 +264,9 @@ def exact_ex(
 ) -> ExtremalRecord:
     """Branch-and-bound filling the matrix row by row, run bottom-up over
     heights k = 1..n to compute tail[k] = ex(k x n; A). Containment is
-    detected incrementally per increasing choice of host columns. The
+    detected incrementally per increasing choice of host columns, in one
+    int per node: lane i holds the choices that have matched i pattern rows,
+    and a child moves those its row advances up one lane (`_Levels`). The
     bottom rows of an A-free matrix form an A-free matrix of their own, so
     with r rows left the completion weighs at most tail[r]: each height is
     pruned by the heights solved before it, and the heaviest-first mask
@@ -317,10 +333,7 @@ def exact_ex(
     # cover solve width n only.
     pin = a.rows >= 2 and a.row_masks[-1].bit_count() == 1
     widths = range(1, n + 1) if pin else (n,)
-    per_width = {}
-    for w in widths:
-        mask_order = sorted(range(1 << w), key=lambda m: (-m.bit_count(), m))
-        per_width[w] = mask_order, [m.bit_count() for m in mask_order], _Levels(a, w)
+    detectors = {w: _Levels(a, w) for w in widths}
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tail = [[0] * (n + 1)]  # tail[k][w] = ex(k x w; A) for the widths solved
     tail_rows: tuple[int, ...] = ()  # a witness for tail[-1][n]
@@ -331,11 +344,11 @@ def exact_ex(
     timed_out = False
     open_bound = -1
 
-    def rec(rows_left: int, levels: Sequence[int], weight: int, start: int, forbidden: int, tied: int):
+    def rec(rows_left: int, state: int, weight: int, start: int, forbidden: int, tied: int):
         nonlocal best, best_rows, nodes, timed_out, open_bound
         tail_below = tail[rows_left - 1]
         below = tail_below[w]
-        ready = levels[-1]
+        ready = state >> top
         first = None
         for i in range(start, size):
             row_weight = weight + weights[i]
@@ -364,9 +377,10 @@ def exact_ex(
                 best = row_weight
                 best_rows = (*rows_sofar, mask)
                 continue
+            moved = state & steps[mask]
             child_forbidden = forbidden
             if pin:
-                newly_ready = levels[-2] & makes_ready[mask]
+                newly_ready = moved >> below_top
                 if newly_ready:
                     child_forbidden |= forbidden_of(newly_ready)
                 # the width bound, decided before the child is built
@@ -375,7 +389,7 @@ def exact_ex(
             rows_sofar.append(mask)
             rec(
                 rows_left - 1,
-                advance(levels, mask),
+                state + moved * lane_ones,
                 row_weight,
                 i if sorted_rows else first,
                 child_forbidden,
@@ -386,9 +400,12 @@ def exact_ex(
     for k in range(1, n + 1):
         solved = [0] * (n + 1)
         for w in widths:
-            mask_order, weights, detector = per_width[w]
-            size, advance, forbidden_of = len(mask_order), detector.advance, detector.forbidden
-            completes, makes_ready = detector.covers[-1], detector.covers[-2] if pin else None
+            mask_order, weights = _mask_order(w)
+            detector = detectors[w]
+            size, steps, forbidden_of = len(mask_order), detector.steps, detector.forbidden
+            completes, lane_ones = detector.covers[-1], detector.start
+            top = detector.top
+            below_top = top - detector.lane  # lane r - 2, read on the pin path only
             best, best_rows = -1, None
             rec(k, detector.start, 0, 0, 0, ((1 << w) - 1) >> 1 if double_lex else 0)
             if timed_out:

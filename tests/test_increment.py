@@ -867,6 +867,20 @@ class TestDrivers:
         ]
         assert docs[0] == docs[1]
 
+    def test_fraction_epsilon_without_a_decimal_float_reports_as_p_over_q(self):
+        # 1/3 puts the checkpoint at level 5 and its float 0.3333333333333333
+        # at level 6, so the report writes 1/3 itself, and a run from the
+        # written value reproduces it
+        def report(epsilon):
+            trace = run_driver(ZeroOneMatrix([0], 64), ZeroOneMatrix.parse("11"), "thm21", k=2, epsilon=epsilon, depth=0)
+            return trace.to_json_dict()
+
+        doc = report(Fraction(1, 3))
+        assert doc["params"]["epsilon"] == doc["constants"]["epsilon"] == "1/3"
+        assert doc["levels"][0]["checks"]["contradictionCheckpointLevel"] == 5
+        assert report(Fraction(doc["params"]["epsilon"])) == doc
+        assert report(0.3333333333333333)["levels"][0]["checks"]["contradictionCheckpointLevel"] == 6
+
     def test_trace_json_roundtrip(self):
         host = deletion_lower_bound(16, K22, 2).witness
         trace = run_driver(host, K22, "thm21", k=4, depth=1)

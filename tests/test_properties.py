@@ -7,6 +7,8 @@ component test can rule a pattern out, and the banded mode of the
 containment kernel. Also the text and JSON row formats against per-character
 references."""
 
+import functools
+import operator
 from itertools import combinations, product
 
 from hypothesis import given
@@ -20,10 +22,19 @@ from patex.matrix import Embedding, ZeroOneMatrix, _find_copy, find_embedding
 from patex.search import _Levels
 
 
-def completes_copy(detector: _Levels, levels: tuple, mask: int) -> bool:
+def completes_copy(detector: _Levels, state: int, mask: int) -> bool:
     """exact_ex's containment test: the row completes a copy for some
-    choice that has matched every earlier pattern row."""
-    return bool(detector.covers[-1][mask] & levels[-1])
+    choice in the top lane, one that has matched every earlier pattern row."""
+    return bool(detector.covers[-1][mask] & state >> detector.top)
+
+
+def child(detector: _Levels, state: int, mask: int) -> int:
+    """exact_ex's child state: the choices the row moves go up one lane."""
+    return state + (state & detector.steps[mask]) * detector.start
+
+
+def lanes(detector: _Levels, state: int, rows: int) -> list[int]:
+    return [state >> i * detector.lane & detector.start for i in range(rows)]
 
 
 @st.composite
@@ -38,22 +49,26 @@ def matrices(draw, max_rows: int, max_cols: int, min_rows: int = 1) -> ZeroOneMa
 @given(matrices(6, 6), matrices(3, 3))
 def test_levels_stop_at_the_first_containing_prefix(host, a):
     detector = _Levels(a, host.cols)
-    levels = detector.start
+    state = detector.start
     for k in range(1, host.rows + 1):
         mask = host.row_masks[k - 1]
         prefix = ZeroOneMatrix(host.row_masks[:k], host.cols)
         contained = oracle_embedding(prefix, a) is not None
-        assert completes_copy(detector, levels, mask) == contained, f"prefix of {k} rows"
+        assert completes_copy(detector, state, mask) == contained, f"prefix of {k} rows"
         if contained:
             break
-        levels = detector.advance(levels, mask)
+        state = child(detector, state, mask)
+        # no carry crossed a lane: every choice sits in exactly one lane
+        assert state >> detector.top + detector.lane == 0
+        assert sum(lane.bit_count() for lane in lanes(detector, state, a.rows)) == detector.lane
+        assert functools.reduce(operator.or_, lanes(detector, state, a.rows)) == detector.start
 
 
 @BOUNDED
 @given(matrices(6, 6), matrices(3, 3))
 def test_forbidden_columns_are_those_whose_single_row_completes_a_copy(host, a):
     detector = _Levels(a, host.cols)
-    levels = detector.start
+    state = detector.start
     for k in range(host.rows + 1):
         prefix = list(host.row_masks[:k])
         expected = sum(
@@ -61,32 +76,32 @@ def test_forbidden_columns_are_those_whose_single_row_completes_a_copy(host, a):
             for c in range(host.cols)
             if oracle_embedding(ZeroOneMatrix(prefix + [1 << c], host.cols), a) is not None
         )
-        assert detector.forbidden(levels[-1]) == expected, f"prefix of {k} rows"
-        if k == host.rows or completes_copy(detector, levels, host.row_masks[k]):
+        assert detector.forbidden(state >> detector.top) == expected, f"prefix of {k} rows"
+        if k == host.rows or completes_copy(detector, state, host.row_masks[k]):
             break
-        levels = detector.advance(levels, host.row_masks[k])
+        state = child(detector, state, host.row_masks[k])
 
 
 @BOUNDED
 @given(matrices(6, 6), matrices(3, 3, min_rows=2))
 def test_forbidden_columns_carried_down_match_those_recomputed(host, a):
     # exact_ex's width bound: each row ORs in only the columns of the
-    # choices it moves to the last level
+    # choices it moves to the top lane
     detector = _Levels(a, host.cols)
-    levels = detector.start
+    state = detector.start
     carried = 0
     for k, mask in enumerate(host.row_masks, 1):
-        newly_ready = levels[-2] & detector.covers[-2][mask]
-        if completes_copy(detector, levels, mask):
+        newly_ready = (state & detector.steps[mask]) >> detector.top - detector.lane
+        if completes_copy(detector, state, mask):
             break
-        levels = detector.advance(levels, mask)
+        state = child(detector, state, mask)
         carried |= detector.forbidden(newly_ready)
         expected = sum(
             1 << c
             for c in range(host.cols)
             if oracle_embedding(ZeroOneMatrix(host.row_masks[:k] + (1 << c,), host.cols), a) is not None
         )
-        assert carried == detector.forbidden(levels[-1]) == expected, f"prefix of {k} rows"
+        assert carried == detector.forbidden(state >> detector.top) == expected, f"prefix of {k} rows"
 
 
 @st.composite
@@ -111,13 +126,13 @@ def test_a_row_that_completes_a_copy_completes_one_under_a_longer_prefix(instanc
     completes = []
     for rows in (prefix, prefix + extra):
         completes.append(oracle_embedding(ZeroOneMatrix(rows + [mask], cols), a) is not None)
-        levels = detector.start
+        state = detector.start
         for m in rows:
-            if completes_copy(detector, levels, m):
+            if completes_copy(detector, state, m):
                 break
-            levels = detector.advance(levels, m)
+            state = child(detector, state, m)
         else:
-            assert completes_copy(detector, levels, mask) == completes[-1]
+            assert completes_copy(detector, state, mask) == completes[-1]
     if completes[0]:
         assert completes[1]
 

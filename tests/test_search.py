@@ -7,9 +7,9 @@ import pytest
 import patex.search as search
 from conftest import COLUMN_2_PARTITE, IDENTITY2, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
 from patex.count import count_copies
-from patex.errors import BudgetError, DomainError, UnsupportedError
+from patex.errors import BudgetError, DomainError, FormatError, UnsupportedError
 from patex.matrix import ZeroOneMatrix, find_embedding
-from patex.search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
+from patex.search import ExtremalRecord, brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
 
 R12 = ZeroOneMatrix.ones(1, 2)
 L = ZeroOneMatrix.parse("11\n10")
@@ -456,3 +456,23 @@ class TestTable:
             a = ZeroOneMatrix.ones(u, t)
             rec = exact_ex(4, a)
             assert count_copies(rec.witness, u, t).count == 0
+
+
+class TestRecordJson:
+    def test_round_trip(self):
+        rec = exact_ex(4, L, budget_seconds=5.0)
+        doc = rec.to_json_dict()
+        back = ExtremalRecord.from_json_dict(doc)
+        assert back == rec and back.to_json_dict() == doc
+
+    def test_missing_key(self):
+        doc = exact_ex(3, K22).to_json_dict()
+        del doc["value"]
+        with pytest.raises(FormatError, match="^bad extremal record: 'value'$"):
+            ExtremalRecord.from_json_dict(doc)
+
+    def test_bad_witness(self):
+        doc = exact_ex(3, K22).to_json_dict()
+        doc["witness"]["data"] = doc["witness"]["data"][:-1]
+        with pytest.raises(FormatError, match="^matrix document row count mismatch$"):
+            ExtremalRecord.from_json_dict(doc)

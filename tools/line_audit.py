@@ -13,8 +13,8 @@ intended to be unreachable; it is listed and counted apart.
 
 Tracing slows the suite several times over, so it is not part of the test
 suite. CI runs it over `tests/test_<module>.py` for each of `increment`,
-`count`, `cycles`, `cache`, `ohypergraph`, `classify` and `cli`, where it
-requires the line `<module>.py: 0 of N never ran`.
+`count`, `cycles`, `cache`, `ohypergraph`, `classify`, `cli` and `search`,
+where it requires the line `<module>.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
