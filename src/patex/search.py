@@ -17,7 +17,8 @@ branch-and-bound detect containment from one lemma in two separate
 implementations, and the oracle uses neither the branch-and-bound's two
 symmetry rules (sorted rows, and for all-ones patterns double-lex rows and
 columns) nor any of its three bounds, so it checks the detector, the rules
-and the bounds.
+and the bounds. The per-width caches `_mask_order`, `_choices` and
+`_supersets` hold the search tables that all patterns share.
 Every record carries its witness, which re-verifies independently: it is
 A-free and has the claimed weight.
 """
@@ -28,7 +29,8 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import or_
 from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError, FormatError, UnsupportedError
@@ -185,6 +187,18 @@ def _mask_order(w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return order, tuple(m.bit_count() for m in order)
 
 
+@functools.cache
+def _choices(w: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Per pattern column j, the j-th bit of each s-of-w column choice."""
+    return tuple(zip(*((1 << col for col in cols) for cols in combinations(range(w), s))))
+
+
+@functools.cache
+def _supersets(w: int, need: int) -> tuple[int, ...]:
+    """The masks of width w that contain need, ascending."""
+    return tuple(mask for mask in range(need, 1 << w) if mask & need == need)
+
+
 class _Levels:
     """Incremental containment detector for hosts of width w. Fix an
     increasing choice C of a.cols host columns; pattern row i then needs the
@@ -201,33 +215,39 @@ class _Levels:
     `state + moved * ((1 << lane) - 1)`: each moved bit is cleared and set
     again one lane up. No carry crosses a lane: each choice sits in exactly
     one lane and moves up at most one, so the bit it lands on is clear, and
-    nothing moves out of the top lane."""
+    nothing moves out of the top lane.
+
+    A row's needs OR the `_choices` bits its 1-entries pick; `_supersets`
+    (at most 3^w masks over all needs) spreads each need over `covers`."""
 
     __slots__ = ("covers", "steps", "singles", "forbidden_memo", "start", "lane", "top")
 
     def __init__(self, a: ZeroOneMatrix, w: int):
-        choices = list(combinations(range(w), a.cols))
-        self.lane = len(choices)
+        self.lane = math.comb(w, a.cols)
         self.top = (a.rows - 1) * self.lane
         # covers[i][mask]: the choices whose need for pattern row i lies
         # inside mask; each distinct need is ORed into all its supersets.
         self.covers = []
+        by_row: dict[int, list[int]] = {}
         for pm in a.row_masks:
-            by_need: dict[int, int] = {}
-            for c, cols in enumerate(choices):
-                need = sum(1 << col for j, col in enumerate(cols) if pm >> j & 1)
-                by_need[need] = by_need.get(need, 0) | 1 << c
-            cover = [0] * (1 << w)
-            for need, chosen in by_need.items():
-                sup = need
-                while sup < 1 << w:
-                    cover[sup] |= chosen
-                    sup = (sup + 1) | need
-            self.covers.append(cover)
-        self.steps = [
-            sum(self.covers[i][mask] << i * self.lane for i in range(a.rows - 1))
-            for mask in range(1 << w)
-        ]
+            if pm not in by_row:
+                needs: Iterable[int] = repeat(0, self.lane)
+                for j, bits in enumerate(_choices(w, a.cols)):
+                    if pm >> j & 1:
+                        needs = map(or_, needs, bits)
+                by_need: dict[int, int] = {}
+                for c, need in enumerate(needs):
+                    by_need[need] = by_need.get(need, 0) | 1 << c
+                cover = by_row[pm] = [0] * (1 << w)
+                for need, chosen in by_need.items():
+                    for sup in _supersets(w, need):
+                        cover[sup] |= chosen
+            self.covers.append(by_row[pm])
+        # steps by Horner's rule from lane r - 2 down, one comprehension a row
+        lane, steps = self.lane, (self.covers[-2] if a.rows > 1 else [0] * (1 << w))
+        for cover in self.covers[-3::-1]:
+            steps = [step << lane | c for step, c in zip(steps, cover)]
+        self.steps = steps
         # (column bit, the choices its single-column row completes)
         self.singles = tuple((1 << c, self.covers[-1][1 << c]) for c in range(w))
         # forbidden() by `ready`: a search asks again and again for few values

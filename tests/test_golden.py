@@ -1,9 +1,8 @@
 """Golden small-pattern extremal table: `exact_ex` on every nonzero pattern up
-to 3x3 at n = 3 and 4, and on those with at most six 1-entries at n = 5
-(1,973 records, about 5 s). Each line of `golden/exact_ex_small.jsonl` holds
-the value, status, tailBounds, node count and witness rows of one
-(pattern, n), so a change to the search that moves any of them, `nodes`
-included, fails here with the first differing line.
+to 3x3 at n = 3, 4 and 5 (2,019 records, about 5 s). Each line of
+`golden/exact_ex_small.jsonl` holds the value, status, tailBounds, node count
+and witness rows of one (pattern, n), so a change to the search that moves
+any of them, `nodes` included, fails here with the first differing line.
 
 Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`; a
 change that moves a line names it and the reason in CHANGES.md.
@@ -27,8 +26,7 @@ def _cases():
     ]
     for n in (3, 4, 5):
         for a in patterns:
-            if n < 5 or a.weight <= 6:
-                yield a, n
+            yield a, n
 
 
 def _line(a: ZeroOneMatrix, n: int) -> str:
@@ -50,7 +48,7 @@ def _line(a: ZeroOneMatrix, n: int) -> str:
 def test_exact_ex_small_table():
     want = TABLE.read_text().splitlines()
     got = [_line(a, n) for a, n in _cases()]
-    assert len(got) == len(want) == 1973
+    assert len(got) == len(want) == 2019
     for i, (g, w) in enumerate(zip(got, want), 1):
         assert g == w, f"line {i} differs:\n  golden: {w}\n  now:    {g}"
 

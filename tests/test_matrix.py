@@ -106,6 +106,35 @@ class TestParse:
         with pytest.raises(FormatError, match="^bad embedding document: 'colMap'$"):
             Embedding.from_json_dict({"rowMap": [1]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": 2, "cols": 2, "data": ["01", "# a comment"]},
+            {"rows": 2, "cols": 2, "data": ["01", ""]},
+            {"rows": 2, "cols": 3, "data": ["01", "10"]},
+        ],
+        ids=["comment-row", "blank-row", "wrong-cols"],
+    )
+    def test_json_dimension_mismatch_rejected(self, doc):
+        # the text parser skips comment and blank rows, so the row count
+        # only fails after parsing
+        with pytest.raises(FormatError, match="^matrix document dimension mismatch$"):
+            ZeroOneMatrix.from_json_dict(doc)
+
+    def test_hash_and_repr(self):
+        copy = ZeroOneMatrix.parse("\n".join(COLUMN_2_PARTITE.row_strings()))
+        assert copy is not COLUMN_2_PARTITE
+        assert hash(copy) == hash(COLUMN_2_PARTITE)
+        assert len({copy, COLUMN_2_PARTITE, K22}) == 2
+        assert repr(COLUMN_2_PARTITE) == "ZeroOneMatrix(4x4, weight=8)"
+
+    def test_embedding_json_roundtrip_and_shift(self):
+        e = Embedding(row_map=(1, 3), col_map=(2, 4))
+        doc = e.to_json_dict()
+        assert doc == {"rowMap": [1, 3], "colMap": [2, 4]}
+        assert Embedding.from_json_dict(doc) == e
+        assert e.shifted(2, 5) == Embedding(row_map=(3, 5), col_map=(7, 9))
+
 
 class TestRandomStream:
     """random_matrix draws each row in 128-bit lanes of one int; its entries

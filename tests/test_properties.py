@@ -1,11 +1,12 @@
 """Property tests against enumeration oracles on random hosts up to 6x6 and
-patterns up to 3x3 (fragmented hosts and their patterns are larger): the branch-and-bound's containment detector (where a
-prefix first contains the pattern, and which single-column rows would
-complete a copy, and that a row completing a copy still does under a
-longer prefix), `find_embedding`, also on fragmented hosts where its
-component test can rule a pattern out, and the banded mode of the
-containment kernel. Also the text and JSON row formats against per-character
-references."""
+patterns up to 3x3 (fragmented hosts and their patterns are larger): the
+branch-and-bound's containment detector (its tables against their
+definitions on patterns up to 4x4, where a prefix first contains the
+pattern, and which single-column rows would complete a copy, and that a row
+completing a copy still does under a longer prefix), `find_embedding`, also
+on fragmented hosts where its component test can rule a pattern out, and the
+banded mode of the containment kernel. Also the text and JSON row formats
+against per-character references."""
 
 import functools
 import operator
@@ -102,6 +103,45 @@ def test_forbidden_columns_carried_down_match_those_recomputed(host, a):
             if oracle_embedding(ZeroOneMatrix(host.row_masks[:k] + (1 << c,), host.cols), a) is not None
         )
         assert carried == detector.forbidden(state >> detector.top) == expected, f"prefix of {k} rows"
+
+
+def reference_levels(a: ZeroOneMatrix, w: int) -> dict:
+    """`_Levels(a, w)`'s tables from their definitions: need_C[i] by a loop
+    over the columns of each choice C, covers[i][mask] the choices whose
+    need lies inside mask, and steps[mask] = sum of covers[i][mask] << i * lane
+    over every pattern row i but the last."""
+    choices = list(combinations(range(w), a.cols))
+    lane = len(choices)
+    covers = []
+    for pm in a.row_masks:
+        needs = []
+        for cols in choices:
+            need = 0
+            for j, col in enumerate(cols):
+                if pm >> j & 1:
+                    need |= 1 << col
+            needs.append(need)
+        covers.append(
+            [sum(1 << c for c, need in enumerate(needs) if need & mask == need) for mask in range(1 << w)]
+        )
+    return {
+        "covers": covers,
+        "steps": [sum(covers[i][mask] << i * lane for i in range(a.rows - 1)) for mask in range(1 << w)],
+        "singles": tuple((1 << c, covers[-1][1 << c]) for c in range(w)),
+        "lane": lane,
+        "top": (a.rows - 1) * lane,
+        "start": (1 << lane) - 1,
+    }
+
+
+@BOUNDED
+@given(matrices(4, 4), st.integers(1, 7))
+def test_levels_tables_match_their_definitions(a, w):
+    # patterns up to 4x4 with zero rows and columns, at widths below the
+    # pattern's too (no choice at all)
+    detector = _Levels(a, w)
+    for name, want in reference_levels(a, w).items():
+        assert getattr(detector, name) == want, name
 
 
 @st.composite

@@ -7,14 +7,16 @@ that records line events only in frames whose file lies in the imported
 line that never ran, grouped by module, with per-module counts. Module and
 class bodies are left out: they run at import. Processes the tests spawn
 are not traced. A never-run line that ends in `# unreachable: <reason>` is
-intended to be unreachable; it is listed and counted apart.
+intended to be unreachable; it is listed and counted apart. Each package
+file's source is read once, when tracing starts, so a file edited during
+the run still reports the line numbers that the traced code ran under.
 
     PYTHONPATH=src:tools python -m pytest -q -p line_audit
 
 Tracing slows the suite several times over, so it is not part of the test
 suite. CI runs it over `tests/test_<module>.py` for each of `increment`,
-`count`, `cycles`, `cache`, `ohypergraph`, `classify`, `cli` and `search`,
-where it requires the line `<module>.py: 0 of N never ran`.
+`count`, `cycles`, `cache`, `ohypergraph`, `classify`, `cli`, `search` and
+`matrix`, where it requires the line `<module>.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from pathlib import Path
 
 # file name -> lines seen running, or None for a file outside the package
 _hits: dict[str, set[int] | None] = {}
+# package file -> its source as it stood when tracing started
+_sources: dict[Path, str] = {}
 _prefix = ""
 _UNREACHABLE = re.compile(r"#\s*unreachable:\s*\S.*$")
 
@@ -55,10 +59,9 @@ def _global(frame, event, arg):
     return local
 
 
-def _body_lines(path: Path) -> dict[int, str]:
+def _body_lines(path: Path, source: str) -> dict[int, str]:
     """Line number -> source text of every line that holds bytecode inside a
     function, lambda or comprehension body (the `def` line excluded)."""
-    source = path.read_text()
     text = source.splitlines()
     found: set[int] = set()
     stack = [compile(source, str(path), "exec")]
@@ -76,7 +79,9 @@ def _body_lines(path: Path) -> dict[int, str]:
 def pytest_load_initial_conftests(early_config, parser, args):
     # Before the conftests load, so the package code they import is traced.
     global _prefix
-    _prefix = str(_package_dir()) + "/"
+    package = _package_dir()
+    _prefix = str(package) + "/"
+    _sources.update((path, path.read_text()) for path in sorted(package.glob("*.py")))
     threading.settrace(_global)
     sys.settrace(_global)
 
@@ -92,8 +97,8 @@ def pytest_terminal_summary(terminalreporter):
     total = missed = 0
     per_module = []
     intended = []
-    for path in sorted(_package_dir().glob("*.py")):
-        body = _body_lines(path)
+    for path, source in _sources.items():
+        body = _body_lines(path, source)
         ran = _hits.get(str(path)) or set()
         never = []
         for n, src in body.items():
