@@ -52,9 +52,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n); rejection sampling avoids modulo bias."""
+        """Uniform integer in [0, n) for 0 < n <= 2^64; rejection sampling
+        avoids modulo bias. Past 2^64 no draw could be accepted."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
+        if n > 1 << 64:
+            raise ValueError("below() needs a bound of at most 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()

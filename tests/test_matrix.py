@@ -204,6 +204,16 @@ class TestRandomStream:
         with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
             SplitMix64(11).below(bound)
 
+    @pytest.mark.parametrize("bound", [2**64 + 1, 2**65])
+    def test_below_needs_a_bound_of_at_most_2_to_the_64(self, bound):
+        # past 2^64 the rejection limit is 0 and no draw would be accepted
+        with pytest.raises(ValueError, match=r"^below\(\) needs a bound of at most 2\^64$"):
+            SplitMix64(11).below(bound)
+
+    def test_below_2_to_the_64_is_the_raw_draw(self):
+        rng, twin = SplitMix64(11), SplitMix64(11)
+        assert [rng.below(2**64) for _ in range(3)] == [twin.next_u64() for _ in range(3)]
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_non_positive_count_draws_nothing(self, count):
         rng = SplitMix64(11)
