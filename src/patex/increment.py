@@ -594,7 +594,7 @@ def run_driver(
     grid = mode == "thm12"
     t, cuts = min_column_parts(a)
     sizes = _part_sizes(cuts, a.cols, t)
-    params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode}
+    params = {"k": k, "depth": depth, "epsilon": epsilon, "mode": mode, "u": u}
     n0 = m.cols
     z = _log(n0, k)  # a Fraction whenever it is rational
 

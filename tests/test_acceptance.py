@@ -245,6 +245,43 @@ class TestGreenChecksFail:
         )
         assert _printed("constants-arithmetic") == "FAIL constants-arithmetic: k = 17, expected 16\n"
 
+    @pytest.mark.parametrize(
+        "kernel, only_identity, line",
+        [
+            ("brute_force_ex", False, "brute force ex(2, 2x2 all-ones) = 4, expected 3"),
+            ("brute_force_ex", True, "brute force ex(3, identity) = 6, expected 5"),
+            ("exact_ex", True, "branch-and-bound ex(3, identity) = 6"),
+        ],
+    )
+    def test_extremal_kernel_off_by_one(self, monkeypatch, kernel, only_identity, line):
+        solve = getattr(acceptance, kernel)
+
+        def off_by_one(n, a):
+            rec = solve(n, a)
+            return dataclasses.replace(rec, value=rec.value + (not only_identity or a == acceptance.IDENTITY2))
+
+        monkeypatch.setattr(acceptance, kernel, off_by_one)
+        assert _printed("extremal-regression") == f"FAIL extremal-regression: {line}\n"
+
+    @pytest.mark.parametrize(
+        "field, change, line",
+        [
+            ("delta", lambda v: 2 * v, "delta = 0.5, expected 1/4"),
+            ("c", lambda v: 2 * v, "c = 0.03125, expected 2^-6"),
+            ("log10_C0", lambda v: v - 1, "defining inequality for C0 fails at (2, 2, 2, 2, 1.0)"),
+            ("log10_Cprime", lambda v: v + 1, "log-space vs direct relative drift 9.000000000000885 exceeds 1e-9"),
+        ],
+    )
+    def test_constants_field_off(self, monkeypatch, field, change, line):
+        make_constants = acceptance.make_constants
+
+        def off(*args):
+            pc = make_constants(*args)
+            return dataclasses.replace(pc, **{field: change(getattr(pc, field))})
+
+        monkeypatch.setattr(acceptance, "make_constants", off)
+        assert _printed("constants-arithmetic") == f"FAIL constants-arithmetic: {line}\n"
+
     def test_column_partition_off(self, monkeypatch):
         monkeypatch.setattr(acceptance, "min_column_parts", lambda a: (3, (1, 2)))
         assert _printed("canonical-fixtures") == (

@@ -4,18 +4,33 @@ to 3x3 at n = 3, 4 and 5 (2,019 records, about 5 s). Each line of
 and witness rows of one (pattern, n), so a change to the search that moves
 any of them, `nodes` included, fails here with the first differing line.
 
+Three more checks read the table without calling `exact_ex`, so a wrong
+value cannot pass by being regenerated from the search it pins. Oracle:
+each value equals `brute_force_ex` at n = 3 and 4 (n = 5 with PATEX_SLOW=1,
+about 20 s). Witness: each line is "exact", and its n x n witness is free
+under `oracle_embedding` and weighs the value, as does the last tail bound.
+Orbit law: ex is the same on all 8 images of a pattern under transposition,
+row reversal and column reversal, each again a pattern up to 3x3.
+
 Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`; a
-change that moves a line names it and the reason in CHANGES.md.
+change that moves a line names it and the reason in CHANGES.md. The
+regenerated table is still checked against the oracle at n <= 4 and the
+orbit law.
 """
 
 import json
+import os
 from itertools import product
 from pathlib import Path
 
+import pytest
+
+from conftest import oracle_embedding
 from patex.matrix import ZeroOneMatrix
-from patex.search import exact_ex
+from patex.search import brute_force_ex, exact_ex
 
 TABLE = Path(__file__).parent / "golden" / "exact_ex_small.jsonl"
+SLOW = pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 20 s; set PATEX_SLOW=1")
 
 
 def _cases():
@@ -45,12 +60,53 @@ def _line(a: ZeroOneMatrix, n: int) -> str:
     )
 
 
+def _matrix(text: str) -> ZeroOneMatrix:
+    return ZeroOneMatrix.parse(text.replace("/", "\n"))
+
+
+def _images(rows: list[str]):
+    """The 8 images of a pattern's rows under transposition, row reversal
+    and column reversal."""
+    for g in (rows, ["".join(col) for col in zip(*rows)]):
+        for flip_rows, flip_cols in product((False, True), repeat=2):
+            yield [row[::-1] if flip_cols else row for row in (g[::-1] if flip_rows else g)]
+
+
+@pytest.fixture(scope="module")
+def records():
+    return [json.loads(line) for line in TABLE.read_text().splitlines()]
+
+
 def test_exact_ex_small_table():
     want = TABLE.read_text().splitlines()
     got = [_line(a, n) for a, n in _cases()]
     assert len(got) == len(want) == 2019
     for i, (g, w) in enumerate(zip(got, want), 1):
         assert g == w, f"line {i} differs:\n  golden: {w}\n  now:    {g}"
+
+
+@pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=SLOW)])
+def test_values_match_the_oracle(records, n):
+    lines = [rec for rec in records if rec["n"] == n]
+    assert len(lines) == 673
+    for rec in lines:
+        assert brute_force_ex(n, _matrix(rec["pattern"])).value == rec["value"], rec
+
+
+def test_witnesses_are_free_and_weigh_the_value(records):
+    for rec in records:
+        n, witness = rec["n"], _matrix(rec["witness"])
+        assert rec["status"] == "exact", rec
+        assert (witness.rows, witness.cols) == (n, n), rec
+        assert witness.weight == rec["value"] == rec["tailBounds"][-1], rec
+        assert oracle_embedding(witness, _matrix(rec["pattern"])) is None, rec
+
+
+def test_values_agree_across_the_orbit(records):
+    value = {(rec["pattern"], rec["n"]): rec["value"] for rec in records}
+    for (pattern, n), v in value.items():
+        for image in _images(pattern.split("/")):
+            assert value["/".join(image), n] == v, (pattern, image, n)
 
 
 if __name__ == "__main__":

@@ -881,6 +881,17 @@ class TestDrivers:
         assert report(Fraction(doc["params"]["epsilon"])) == doc
         assert report(0.3333333333333333)["levels"][0]["checks"]["contradictionCheckpointLevel"] == 6
 
+    @pytest.mark.parametrize("mode", ["thm21", "thm12"])
+    def test_trace_reruns_from_its_own_params(self, mode):
+        # u = 3 is not the default width t = 2, so a report that left u out
+        # would not say how it was made
+        host = random_matrix(SplitMix64(5), 16, 16, 0.5)
+        doc = run_driver(host, K22, mode, k=2, u=3).to_json_dict()
+        params = json.loads(json.dumps(doc))["params"]
+        assert params["u"] == 3
+        assert run_driver(host, K22, **params).to_json_dict() == doc
+        assert run_driver(host, K22, mode, k=2).to_json_dict()["levels"] != doc["levels"]
+
     def test_trace_json_roundtrip(self):
         host = deletion_lower_bound(16, K22, 2).witness
         trace = run_driver(host, K22, "thm21", k=4, depth=1)
@@ -1046,7 +1057,8 @@ class TestCountsOnce:
     def test_dense_six_cycle_trace_pinned(self):
         # A dense 64 x 64 host at k = 4: t = 3 and r = 3, so all four 3-of-4
         # labels occur and the first class in order embeds. The digest was
-        # recorded before the label walk was rewritten.
+        # recorded before the label walk was rewritten, and again when
+        # `params` gained `u`.
         host = random_matrix(SplitMix64(0x99), 64, 64, 0.3)
         trace = run_driver(host, SIX_CYCLES_3X3[0], "thm21", k=4)
         (search,) = trace.levels[0].checks["heavySearch"]
@@ -1058,7 +1070,7 @@ class TestCountsOnce:
         }
         doc = json.dumps(trace.to_json_dict(), sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "f9b635bb22fc3aa4ba0f8614b538c399b8c236a761f8d1551becf231f148e73b"
+            "016f8044b721ad2a679b096b6e93e1c0975e6171efa6f194e475df089ee21671"
         )
 
 

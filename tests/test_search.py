@@ -34,18 +34,6 @@ def _columns(witness):
     return [tuple(witness.entry(i, j) for i in range(1, witness.rows + 1)) for j in range(1, witness.cols + 1)]
 
 
-def _orbit(a):
-    """The 8 images of a under transposition, row reversal and column
-    reversal."""
-    images = []
-    for m in (a, a.transpose()):
-        rows = m.row_strings()
-        for flip_rows, flip_cols in product((False, True), repeat=2):
-            g = rows[::-1] if flip_rows else rows
-            images.append(ZeroOneMatrix.parse("\n".join(row[::-1] if flip_cols else row for row in g)))
-    return images
-
-
 class TestBruteForce:
     def test_single_one(self):
         rec = brute_force_ex(1, ZeroOneMatrix.ones(1, 1))
@@ -86,48 +74,14 @@ class TestExactMatchesOracle:
         for rows, cols in ((1, 1), (1, 2), (2, 1), (2, 2)):
             for bits in range(1, 1 << (rows * cols)):
                 patterns.append(ZeroOneMatrix([bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows)], cols))
+        # n = 3 is in the golden table, checked against the oracle
         for a in patterns:
-            for n in (1, 2, 3):
+            for n in (1, 2):
                 expect = brute_force_ex(n, a)
                 got = exact_ex(n, a)
                 assert got.status == "exact"
                 assert got.value == expect.value, f"pattern {a.row_strings()} n={n}"
                 assert find_embedding(got.witness, a) is None
-
-    def test_sweep_2x2_patterns_n4(self):
-        # n = 4 puts every height k = 1..3 of the tail bound to work
-        for bits in range(1, 16):
-            a = ZeroOneMatrix([bits >> (2 * i) & 3 for i in range(2)], 2)
-            got = exact_ex(4, a)
-            assert got.status == "exact"
-            assert got.value == brute_force_ex(4, a).value, f"pattern {a.row_strings()}"
-            assert got.witness.weight == got.value
-            assert oracle_embedding(got.witness, a) is None
-            assert got.provenance["tailBounds"][-1] == got.value
-
-    def test_sweep_zero_lines_n4(self):
-        # all-zero last rows and all-zero columns leave some pattern rows or
-        # columns with no bits for the containment checks to test
-        for text in (
-            "11/00", "10/01/00", "11/11/00", "010/101/000", "011/110/000",
-            "10/10", "101/101", "100/001", "010/010/011", "10/00/01",
-        ):
-            a = ZeroOneMatrix.parse(text.replace("/", "\n"))
-            got = exact_ex(4, a)
-            assert got.status == "exact"
-            assert got.value == brute_force_ex(4, a).value, f"pattern {text}"
-            assert got.witness.weight == got.value
-            assert oracle_embedding(got.witness, a) is None
-
-    def test_sweep_rectangular_patterns(self):
-        for rows, cols in ((2, 3), (3, 2)):
-            for bits in range(1, 1 << (rows * cols)):
-                a = ZeroOneMatrix([bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows)], cols)
-                assert exact_ex(3, a).value == brute_force_ex(3, a).value
-
-    def test_known_values_n4(self):
-        assert exact_ex(4, K22).value == 9
-        assert exact_ex(4, R12).value == 4
 
     def test_tail_bounds_are_rectangular_optima(self):
         rec = exact_ex(5, K22)
@@ -176,24 +130,6 @@ class TestExactMatchesOracle:
         assert rec.status == "exact" and rec.value == value
         assert rec.witness.weight == value
         assert oracle_embedding(rec.witness, a) is None
-
-    def test_sweep_last_row_single_one(self):
-        # every pattern the width bound covers: 2-3 rows, 1-3 columns, a
-        # last row of weight one (other rows may be zero)
-        cases = 0
-        for rows, cols in product((2, 3), (1, 2, 3)):
-            for bits in range(1 << (cols * (rows - 1))):
-                for j in range(cols):
-                    upper = [bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows - 1)]
-                    a = ZeroOneMatrix(upper + [1 << j], cols)
-                    for n in (3, 4):
-                        got = exact_ex(n, a)
-                        assert got.status == "exact"
-                        assert got.value == brute_force_ex(n, a).value, f"pattern {a.row_strings()} n={n}"
-                        assert got.witness.weight == got.value
-                        assert oracle_embedding(got.witness, a) is None
-                        cases += 1
-        assert cases == 524
 
     def test_equal_row_patterns_sorted_witnesses(self):
         # containment of an equal-row pattern depends only on the multiset
@@ -254,12 +190,6 @@ class TestExactMatchesOracle:
             assert rec.status == "exact" and rec.value == value
             assert rec.witness.weight == value
             assert oracle_embedding(rec.witness, a) is None
-
-    def test_ex_is_equal_across_the_orbit(self):
-        for a in (K22, ZeroOneMatrix.ones(2, 3), ZeroOneMatrix.parse("11\n10"), ZeroOneMatrix.parse("100\n010\n001"),
-                  *SIX_CYCLES_3X3[:2]):
-            values = {exact_ex(4, image).value for image in _orbit(a)}
-            assert len(values) == 1, f"pattern {a.row_strings()}: {values}"
 
     def test_zarankiewicz_n8(self):
         rec = exact_ex(8, K22)
