@@ -339,11 +339,19 @@ def check_increment_soundness() -> tuple[bool, str]:
         step = density_increment_step(host, a, u=t, k=k)
         if step.kind != "embedded":
             return False, f"planted instance {i} not embedded (pattern {a.rows}x{a.cols})"
+    copies = 0
     for i in range(100):
-        host = deletion_lower_bound(16, K22, seed=1000 + i).witness
+        # Band q holds its 1-entries in columns 4q+1..4q+4 alone, at a
+        # density of its own: every K_{2,2} copy lies inside one band, no
+        # column pair is heavy, and the band counts differ.
+        masks = []
+        for q in range(4):
+            p = (rng.below(6) + 4) / 10
+            masks += [rng.bernoulli_mask(4, p) << 4 * q for _ in range(4)]
+        host = ZeroOneMatrix(masks, 16)
         step = density_increment_step(host, K22, u=2, k=4)
         if step.kind != "densified":
-            return False, f"pattern-free host {i} did not densify"
+            return False, f"banded host {i} did not densify"
         # Each block counted alone, by enumeration, checks the step's
         # one-walk band counts.
         per_block = [
@@ -357,7 +365,11 @@ def check_increment_soundness() -> tuple[bool, str]:
             return False, f"host {i}: narrow total mismatch"
         if step.count * 4 < step.narrow_total:
             return False, f"host {i}: pigeonhole floor violated"
-    return True, "100 planted instances embedded with verified certificates; 100 pattern-free hosts densified with exact recounts and pigeonhole floor"
+        copies += step.narrow_total
+    return True, (
+        "100 planted instances embedded with verified certificates; 100 banded hosts "
+        f"({copies} K_{{2,2}} copies, each inside one band) densified with exact recounts and pigeonhole floor"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -47,18 +47,18 @@ NO_FLOAT = [
 def graph_oracle(m):
     """(edges, vertices, components, degrees) of the bipartite graph whose
     vertices are the rows and columns holding a 1-entry and whose edges are
-    the 1-entries, by a plain depth-first search over an edge list."""
+    the 1-entries, by a plain depth-first search over an edge list; each
+    component is given as its (rows, columns) count."""
     edges = [(("r", i), ("c", j)) for i in range(1, m.rows + 1) for j in range(1, m.cols + 1) if m.entry(i, j)]
     degree = {}
     for u, v in edges:
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
-    seen, components = set(), 0
+    seen, components = set(), []
     for root in degree:
         if root in seen:
             continue
-        components += 1
-        stack = [root]
+        stack, members = [root], [root]
         seen.add(root)
         while stack:
             x = stack.pop()
@@ -67,6 +67,9 @@ def graph_oracle(m):
                 if y is not None and y not in seen:
                     seen.add(y)
                     stack.append(y)
+                    members.append(y)
+        rows = sum(side == "r" for side, _ in members)
+        components.append((rows, len(members) - rows))
     return len(edges), len(degree), components, degree
 
 

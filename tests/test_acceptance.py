@@ -168,7 +168,7 @@ class TestIncrementSoundnessFails:
         monkeypatch.setattr(increment, "_count_copies", lambda *args: count(*args) + 1)
         assert acceptance.check_increment_soundness() == (
             False,
-            "host 0: block recount 0 != reported 1",
+            "host 0: block recount 9 != reported 10",
         )
 
 
@@ -206,11 +206,6 @@ def _first_applicable_dropped(real):
     """A `supersat_bound` that reports the first applicable host inapplicable."""
     calls = itertools.count()
     return _replaced(lambda sb: sb.applicable and next(calls) == 0, applicable=False)(real)
-
-
-# 16 x 16, all ones in rows 1-4: the step densifies it to block 1, whose 720
-# K_{2,2} copies are the host's only ones.
-ONE_HEAVY_BAND = ZeroOneMatrix([(1 << 16) - 1] * 4 + [0] * 12, 16)
 
 
 def _lightest_block(real):
@@ -289,8 +284,8 @@ LATER_BRANCHES = [
     ),
     pytest.param(
         "density-increment-soundness",
-        {"deletion_lower_bound": _replaced(_always, witness=ZeroOneMatrix.ones(16, 16))},
-        "FAIL density-increment-soundness: pattern-free host 0 did not densify",
+        {"density_increment_step": _replaced(lambda step: step.kind == "densified", kind="embedded")},
+        "FAIL density-increment-soundness: banded host 0 did not densify",
         id="host-not-pattern-free",
     ),
     pytest.param(
@@ -301,10 +296,7 @@ LATER_BRANCHES = [
     ),
     pytest.param(
         "density-increment-soundness",
-        {
-            "deletion_lower_bound": _replaced(_always, witness=ONE_HEAVY_BAND),
-            "density_increment_step": _lightest_block,
-        },
+        {"density_increment_step": _lightest_block},
         "FAIL density-increment-soundness: host 0: pigeonhole floor violated",
         id="lightest-block",
     ),

@@ -428,7 +428,7 @@ class TestEnumerate:
             for masks in product(pairs, repeat=side):
                 m = ZeroOneMatrix(masks, side)
                 _, vertices, components, degree = graph_oracle(m)
-                if vertices == 2 * side and components == 1 and set(degree.values()) == {2}:
+                if vertices == 2 * side and len(components) == 1 and set(degree.values()) == {2}:
                     want.append(m)
             assert sorted(want, key=lambda m: m.row_strings()) == enumerate_cycles(2 * side)
 

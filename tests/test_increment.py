@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -1056,9 +1055,9 @@ class TestCountsOnce:
 
     def test_dense_six_cycle_trace_pinned(self):
         # A dense 64 x 64 host at k = 4: t = 3 and r = 3, so all four 3-of-4
-        # labels occur and the first class in order embeds. The digest was
-        # recorded before the label walk was rewritten, and again when
-        # `params` gained `u`.
+        # labels occur and the first class in order embeds. The whole trace
+        # is pinned byte for byte in the CLI corpus, as the case
+        # `increment random64.pat six-cycle-a.pat --mode thm21 --k 4`.
         host = random_matrix(SplitMix64(0x99), 64, 64, 0.3)
         trace = run_driver(host, SIX_CYCLES_3X3[0], "thm21", k=4)
         (search,) = trace.levels[0].checks["heavySearch"]
@@ -1068,10 +1067,6 @@ class TestCountsOnce:
             "labelClasses": 4,
             "labelClassesExamined": 1,
         }
-        doc = json.dumps(trace.to_json_dict(), sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "016f8044b721ad2a679b096b6e93e1c0975e6171efa6f194e475df089ee21671"
-        )
 
 
 class TestLevelChecks:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BOUNDED, COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, oracle_embedding, random_matrix
+from conftest import BOUNDED, COLUMN_2_PARTITE, K22, SIX_CYCLES_3X3, graph_oracle, oracle_embedding, random_matrix
 from patex import matrix
 from patex.errors import FormatError, InputError
 from patex.matrix import (
@@ -354,26 +354,6 @@ class TestContainment:
         assert e.row_map == (1, 2) and e.col_map == (1, 2)
 
 
-def component_sizes(m: ZeroOneMatrix) -> list[tuple[int, int]]:
-    """(rows, columns) of each component of the 1-entries' bipartite graph
-    with an edge, by flood fill from each unvisited nonzero row."""
-    sizes, done = [], set()
-    for start in range(m.rows):
-        if start in done or not m.row_masks[start]:
-            continue
-        rows, cols, grew = {start}, m.row_masks[start], True
-        while grew:
-            grew = False
-            for i, mask in enumerate(m.row_masks):
-                if i not in rows and mask & cols:
-                    rows.add(i)
-                    cols |= mask
-                    grew = True
-        done |= rows
-        sizes.append((len(rows), cols.bit_count()))
-    return sizes
-
-
 class TestComponentLemma:
     # Connected with a zero row: r' = 2 nonzero rows, s' = 3 columns.
     PATH = ZeroOneMatrix.parse("110\n000\n011")
@@ -415,7 +395,7 @@ class TestComponentLemma:
     def test_matches_flood_fill(self, data):
         cols = data.draw(st.integers(1, 7))
         m = ZeroOneMatrix(data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=1, max_size=7)), cols)
-        sizes = component_sizes(m)
+        _, _, sizes, _ = graph_oracle(m)
         for need_rows in range(1, m.rows + 2):
             for need_cols in range(1, m.cols + 2):
                 fits = any(r >= need_rows and c >= need_cols for r, c in sizes)
