@@ -81,8 +81,9 @@ def _emit_trace(doc: dict, fmt: str) -> None:
 
 
 def _cell_text(v) -> str:
-    """A flattened value as one cell: lists and dicts as sorted-key JSON."""
-    return json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)
+    """A flattened value as one cell: a string as itself, anything else as
+    its sorted-key JSON (true, false and null included)."""
+    return v if isinstance(v, str) else json.dumps(v, sort_keys=True)
 
 
 def _csv_cell(v) -> str:
@@ -327,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--cache-dir", default=None, help=f"result cache (or ${CACHE_ENV})")
     parser.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
-    parser.add_argument("--budget", type=float, default=None, help="seconds")
+    parser.add_argument("--budget", type=int, default=None, help="search nodes per branch-and-bound run of ex")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="structural predicates of a pattern")

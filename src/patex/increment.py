@@ -187,7 +187,7 @@ def lambda_schedule(t: int, U: int, epsilon: Union[float, Fraction]) -> LambdaSc
         raise DomainError("t must be positive")
     eps, cap = _as_written(epsilon, "epsilon"), Fraction(5 * t * t, t + 1)
     if eps >= cap:  # then lambda_{t+1} >= lambda_t = 1
-        raise DomainError(f"epsilon too large for the schedule: {epsilon} is not below 5t^2/(t+1) = {cap}")
+        raise DomainError(f"epsilon too large for the schedule: {_json_safe(eps)} is not below 5t^2/(t+1) = {cap}")
     if U <= t + 1:
         raise DomainError(f"need U > t+1 (got t={t}, U={U})")
     return LambdaSchedule(t=t, U=U, epsilon0=eps / (10 * t * t))

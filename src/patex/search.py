@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import or_
@@ -273,15 +272,14 @@ class _Levels:
         return out
 
 
-def check_budget(budget_seconds: Optional[float]) -> None:
-    """Reject a budget that is not a finite number of seconds >= 0."""
-    if budget_seconds is not None and not 0 <= budget_seconds < math.inf:
-        raise DomainError(f"budget must be a finite number of seconds >= 0, got {budget_seconds}")
+def check_budget(budget_nodes: Optional[int]) -> None:
+    """Reject a budget that is not an int >= 0, counted in search nodes; a
+    float, such as an old budget in seconds, is refused too."""
+    if budget_nodes is not None and (type(budget_nodes) is not int or budget_nodes < 0):
+        raise DomainError(f"budget must be a number of search nodes >= 0, got {budget_nodes!r}")
 
 
-def exact_ex(
-    n: int, a: ZeroOneMatrix, budget_seconds: Optional[float] = None
-) -> ExtremalRecord:
+def exact_ex(n: int, a: ZeroOneMatrix, budget_nodes: Optional[int] = None) -> ExtremalRecord:
     """Branch-and-bound filling the matrix row by row, run bottom-up over
     heights k = 1..n to compute tail[k] = ex(k x n; A). Containment is
     detected incrementally per increasing choice of host columns, in one
@@ -332,18 +330,20 @@ def exact_ex(
     the row cap: rows stay sorted, so each row below weighs at most the
     first mask kept.
 
-    On budget exhaustion at height k the best witness found is returned as
-    a lower bound: a k-row (or (k-1)-row) witness padded with all-zero top
-    rows when the pattern's first row is nonzero, with all-zero bottom rows
-    when only its last row is, else the all-zero matrix. The upper bound is
-    the open bound on ex(k x n) plus n per row above it. When the budget
-    runs out at a width below n, only the (k-1)-row width-n witness is
-    padded (an all-zero pattern column could embed in added zero columns),
-    and the upper bound is ex((k-1) x n) plus n per remaining row;
-    correctness never degrades."""
+    A budget of N search nodes (budget_nodes) lets the search expand at
+    most N nodes, so a budget-limited record is the same on every run and
+    its `nodes` is N. On budget exhaustion at height k the best witness
+    found is returned as a lower bound: a k-row (or (k-1)-row) witness
+    padded with all-zero top rows when the pattern's first row is nonzero,
+    with all-zero bottom rows when only its last row is, else the all-zero
+    matrix. The upper bound is the open bound on ex(k x n) plus n per row
+    above it. When the budget runs out at a width below n, only the
+    (k-1)-row width-n witness is padded (an all-zero pattern column could
+    embed in added zero columns), and the upper bound is ex((k-1) x n) plus
+    n per remaining row; correctness never degrades."""
     if n < 1:
         raise DomainError("n must be positive")
-    check_budget(budget_seconds)
+    check_budget(budget_nodes)
     trivial = _trivial_record(n, a, "branch-and-bound")
     if trivial is not None:
         return trivial
@@ -354,7 +354,6 @@ def exact_ex(
     pin = a.rows >= 2 and a.row_masks[-1].bit_count() == 1
     widths = range(1, n + 1) if pin else (n,)
     detectors = {w: _Levels(a, w) for w in widths}
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tail = [[0] * (n + 1)]  # tail[k][w] = ex(k x w; A) for the widths solved
     tail_rows: tuple[int, ...] = ()  # a witness for tail[-1][n]
     best = -1
@@ -374,14 +373,11 @@ def exact_ex(
             row_weight = weight + weights[i]
             if row_weight + below <= best:
                 return
-            if timed_out:
-                open_bound = max(open_bound, row_weight + below)
-                return
-            nodes += 1
-            if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            if timed_out or (budget_nodes is not None and nodes >= budget_nodes):
                 timed_out = True
                 open_bound = max(open_bound, row_weight + below)
                 return
+            nodes += 1
             mask = mask_order[i]
             if completes[mask] & ready:
                 continue
@@ -440,8 +436,8 @@ def exact_ex(
         "nodes": nodes,
         "tailBounds": [row[n] for row in tail[1:]],
     }
-    if budget_seconds is not None:
-        provenance["budgetSeconds"] = budget_seconds
+    if budget_nodes is not None:
+        provenance["budgetNodes"] = budget_nodes
     if timed_out:
         if w == n:
             upper = max(best, open_bound) + n * (n - k)
@@ -522,19 +518,19 @@ def deletion_lower_bound(n: int, a: ZeroOneMatrix, seed: int) -> ExtremalRecord:
 def extremal_table(
     a: ZeroOneMatrix,
     n_range: Iterable[int],
-    budget_seconds: Optional[float] = None,
+    budget_nodes: Optional[int] = None,
     cache=None,
 ) -> list[ExtremalRecord]:
     """Per-n records, strongest-known-first through the cache, each from one
-    exact_ex call at most. A budget-limited record may be a lower bound, so
-    the values may decrease from one n to the next; each record's status
-    says whether it is exact."""
+    exact_ex call at most, each call with budget_nodes search nodes. A
+    budget-limited record may be a lower bound, so the values may decrease
+    from one n to the next; each record's status says whether it is exact."""
     ns = sorted(set(int(n) for n in n_range))
 
     def compute(n: int) -> ExtremalRecord:
         rec = cache.get(a, n) if cache is not None else None
         if rec is None or rec.status != "exact":
-            rec = exact_ex(n, a, budget_seconds)
+            rec = exact_ex(n, a, budget_nodes)
             if cache is not None:
                 rec = cache.put(a, rec)
         return rec

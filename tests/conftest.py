@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's search kernels: containment is
 checked by enumerating every increasing injection pair, copy counts by
-enumerating every (row-subset, column-subset) pair, the bipartite graph of a
+enumerating every (row-subset, column-subset) pair, a banded copy by
+enumerating every row choice from the bands, the bipartite graph of a
 pattern by a depth-first search over its edge list, winding numbers by the
 angle-summation point-in-polygon rule. The canonical fixtures, the
 containment and copy-count oracles and the planted increment hosts are the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import settings
@@ -71,6 +73,22 @@ def graph_oracle(m):
         rows = sum(side == "r" for side, _ in members)
         components.append((rows, len(members) - rows))
     return len(edges), len(degree), components, degree
+
+
+def oracle_banded_copy(host, a, bands):
+    """The first copy of a in host whose i-th pattern row lands in bands[i]
+    (1-based host rows), as (row map, column map) or None: row choices in
+    the order of the bands' product, then increasing column subsets."""
+    ones = a.one_entries()
+    return next(
+        (
+            (rows, cols)
+            for rows in product(*bands)
+            for cols in combinations(range(1, host.cols + 1), a.cols)
+            if all(host.entry(rows[i - 1], cols[j - 1]) for (i, j) in ones)
+        ),
+        None,
+    )
 
 
 def oracle_winding(tour, y: float, x: float) -> int:

@@ -87,7 +87,8 @@ CASES = [fmt + argv for argv in REPORTS for fmt in ("", "--format csv ", "--form
     *(f"increment random16.pat doubly.pat --mode {m} --k 2 --epsilon {e}" for e in ("400", "1e300") for m in MODES),
     "increment random64.pat six-cycle-a.pat --mode thm21 --k 4",
     "cycles dichotomy host.pat --k 2 --c 5 --r 2 --s 2",
-    "--budget 0 ex k22.pat --n 6",
+    *(f"--budget {budget} ex k22.pat --n 6" for budget in ("0", "1023")),
+    "--budget 2000000 ex six-cycle-a.pat --n 7",
     "ex k22.pat --n 3 --n-to 3",
     "ex k22.pat --n 7 --mode exact",
     # error lines
@@ -106,8 +107,8 @@ CASES = [fmt + argv for argv in REPORTS for fmt in ("", "--format csv ", "--form
     "cycles dichotomy host.pat --k 2 --c nan --r 2 --s 2",
     "cycles drive host.pat k22.pat --k 2 --c 0",
     "cycles dichotomy host.pat --k 2 --c -0.5 --r 2 --s 2",
-    *(f"--budget {budget} ex k22.pat --n 4" for budget in ("nan", "-1")),
-    *(f"--budget nan ex k22.pat --n 3 --mode {mode}" for mode in ("exact", "random")),
+    "--budget -1 ex k22.pat --n 4",
+    *(f"--budget -1 ex k22.pat --n 3 --mode {mode}" for mode in ("exact", "random")),
     "ex k22.pat --n 5 --n-to 3",
     *(f"ex k22.pat --n 2 --n-to 3 --mode {mode}" for mode in ("exact", "random")),
     "--cache-dir k22.pat ex k22.pat --n 3",
@@ -303,12 +304,14 @@ class TestIncrement:
         assert code == 0
         assert "stopReason = embedded" in out.splitlines()
         assert "embedding.rowMap = [1, 3]" in out.splitlines()
+        assert "params.depth = null" in out.splitlines()
         (line,) = [line for line in out.splitlines() if line.startswith("levels = ")]
         assert [lv["branch"] for lv in json.loads(line[len("levels = "):])] == ["embedded"]
         code, out, _ = reports["--format csv " + THM21]
         header, row = csv.reader(out.splitlines())
         cells = dict(zip(header, row))
         assert code == 0 and cells["stopReason"] == "embedded" and cells["mode"] == "thm21"
+        assert cells["params.depth"] == cells["params.u"] == "null"
         assert json.loads(cells["embedding.rowMap"]) == [1, 3]
         assert [lv["branch"] for lv in json.loads(cells["levels"])] == ["embedded"]
 
@@ -443,29 +446,43 @@ class TestEx:
             assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_budget_exhaustion_exit_code(self, reports):
-        # A zero budget stops the search at its first clock check, node 1024.
-        code, out, _ = reports["--budget 0 ex k22.pat --n 6"]
+        # --budget counts search nodes: a budget-limited record's nodes is its budget
+        for budget, value, upper, tail in ((0, 0, 36, []), (1023, 15, 20, [6, 7, 9, 12, 14])):
+            code, out, _ = reports[f"--budget {budget} ex k22.pat --n 6"]
+            doc = json.loads(out)
+            assert code == 2 and (doc["status"], doc["value"]) == ("lowerBound", value)
+            assert doc["provenance"] == {
+                "budgetNodes": budget, "gap": upper - value, "nodes": budget,
+                "solver": "branch-and-bound", "tailBounds": tail, "upperBound": upper,
+            }
+        code, out, _ = reports["--budget 2000000 ex six-cycle-a.pat --n 7"]
         doc = json.loads(out)
-        assert code == 2 and doc["status"] == "lowerBound" and doc["provenance"]["nodes"] == 1024
+        assert code == 2 and (doc["value"], doc["provenance"]["upperBound"]) == (23, 39)
+        assert ZeroOneMatrix.from_json_dict(doc["witness"]).row_strings() == (
+            "0000000", "0000000", "1111111", "1110100", "1101010", "0111001", "0001111",
+        )
 
-    @pytest.mark.parametrize("budget", ["nan", "-1"])
-    def test_budget_outside_zero_to_inf_rejected(self, reports, budget):
-        err = _error(reports[f"--budget {budget} ex k22.pat --n 4"])
-        assert err.startswith("error:") and "budget" in err
+    @pytest.mark.parametrize("budget", ["nan", "-1", "0.5"])
+    def test_budget_outside_zero_to_inf_rejected(self, capsys, workdir, budget):
+        # argparse refuses a budget that is no int, such as seconds;
+        # check_budget refuses a negative one
+        assert dispatch(["--budget", budget, "ex", "k22.pat", "--n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget" in captured.err
 
     @pytest.mark.parametrize("mode", ["exact", "random"])
     def test_budget_checked_in_every_mode(self, reports, mode):
-        err = _error(reports[f"--budget nan ex k22.pat --n 3 --mode {mode}"])
-        assert err.startswith("error: budget must be a finite number of seconds >= 0")
+        err = _error(reports[f"--budget -1 ex k22.pat --n 3 --mode {mode}"])
+        assert err == "error: budget must be a number of search nodes >= 0, got -1\n"
 
     def test_budget_checked_on_a_warm_cache_hit(self, capsys, workdir):
         cache = ["--cache-dir", "cache"]
         code, _ = run(capsys, cache + ["ex", "k22.pat", "--n", "3"])
         assert code == 0
-        code = dispatch(cache + ["--budget", "nan", "ex", "k22.pat", "--n", "3"])
+        code = dispatch(cache + ["--budget", "-1", "ex", "k22.pat", "--n", "3"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: budget must be a finite number of seconds >= 0")
+        assert captured.err == "error: budget must be a number of search nodes >= 0, got -1\n"
 
     def test_table_as_csv(self, reports):
         code, out, _ = reports["--format csv ex k22.pat --n 2 --n-to 3"]

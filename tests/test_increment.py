@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -854,9 +855,14 @@ class TestDrivers:
 
     @pytest.mark.parametrize("epsilon", [400.0, 1e300])
     def test_large_epsilon_schedule_error_names_epsilon(self, epsilon):
+        # epsilon as reports write it: its float (1e+300), not the exact
+        # integer the driver reads it as
         host = random_matrix(SplitMix64(5), 16, 16, 0.5)
-        with pytest.raises(DomainError, match="^epsilon too large for the schedule"):
+        written = re.escape(repr(epsilon))
+        with pytest.raises(DomainError, match=f"^epsilon too large for the schedule: {written} is not below"):
             run_driver(host, DOUBLY_2_PARTITE, "thm11", k=2, epsilon=epsilon)
+        with pytest.raises(DomainError, match="^epsilon too large for the schedule: 20/3 is not below"):
+            run_driver(host, DOUBLY_2_PARTITE, "thm11", k=2, epsilon=Fraction(20, 3))
 
     def test_fraction_epsilon_reports_as_its_float(self):
         host = random_matrix(SplitMix64(5), 16, 16, 0.5)

@@ -10,14 +10,14 @@ against per-character references."""
 
 import functools
 import operator
-from itertools import combinations, product
+from itertools import combinations
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
-from conftest import BOUNDED, oracle_embedding
+from conftest import BOUNDED, oracle_banded_copy, oracle_embedding
 from patex.errors import FormatError
 from patex.matrix import Embedding, ZeroOneMatrix, _find_copy, find_embedding
 from patex.search import _Levels
@@ -268,16 +268,8 @@ def banded_instances(draw):
 @given(banded_instances())
 def test_banded_search_returns_the_first_banded_copy(instance):
     host, a, bands = instance
-    ones = a.one_entries()
-    expected = next(
-        (
-            Embedding(rows, cs)
-            for rows in product(*(range(lo, hi + 1) for lo, hi in bands))
-            for cs in combinations(range(1, host.cols + 1), a.cols)
-            if all(host.entry(rows[i - 1], cs[j - 1]) for (i, j) in ones)
-        ),
-        None,
-    )
+    found = oracle_banded_copy(host, a, [range(lo, hi + 1) for lo, hi in bands])
+    expected = None if found is None else Embedding(*found)
     assert _find_copy(host, a, bands) == expected
 
 

@@ -221,10 +221,9 @@ class TestExactMatchesOracle:
         assert rec.witness.weight == value
         assert oracle_embedding(rec.witness, a) is None
 
-    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="up to 25 s a case; set PATEX_SLOW=1")
-    @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)])
+    @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="up to a minute a case; set PATEX_SLOW=1")
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
     def test_all_ones_patterns_match_the_oracle_at_n6_slow(self, rows, cols):
-        # 3 x 1 and 3 x 2 are left out: the oracle takes about a minute on each
         a = ZeroOneMatrix.ones(rows, cols)
         got, expect = exact_ex(6, a), brute_force_ex(6, a)
         assert got.status == expect.status == "exact"
@@ -245,74 +244,80 @@ class TestExactMatchesOracle:
         assert oracle_embedding(rec.witness, a) is None
 
     def test_budget_bound_stays_above_the_capped_search(self):
-        # a zero budget stops at node 1024 inside height 2; the open bound
-        # is read from the capped `below`, and must still cover z(7;2) = 21
-        rec = exact_ex(7, K22, budget_seconds=0)
-        assert rec.status == "lowerBound"
-        assert rec.provenance["upperBound"] >= 21
-        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
-        assert rec.witness.weight == rec.value
+        # 1023 nodes stop inside height 4; the open bound is read from the
+        # capped `below`, and must still cover z(7;2) = 21
+        rec = exact_ex(7, K22, budget_nodes=1023)
+        assert _stopped(rec) == ("lowerBound", 10, 39, 29, 1023)
+        assert rec.witness.row_strings() == ("0000000",) * 4 + ("1111110", "1000001", "0100001")
         assert oracle_embedding(rec.witness, K22) is None
 
     def test_budget_exhaustion_degrades_status_not_correctness(self):
-        rec = exact_ex(6, K22, budget_seconds=0.02)
-        assert rec.status in ("exact", "lowerBound")
+        # the search proves ex(6, K22) = 16 in 1246 nodes: one node fewer
+        # has found the optimum but not closed the gap
+        full = exact_ex(6, K22)
+        assert full.provenance["nodes"] == 1246
+        rec = exact_ex(6, K22, budget_nodes=1245)
+        assert _stopped(rec) == ("lowerBound", 16, 17, 1, 1245)
+        assert rec.witness == full.witness
         assert find_embedding(rec.witness, K22) is None
         assert oracle_embedding(rec.witness, K22) is None
-        assert rec.witness.weight == rec.value
-        if rec.status == "lowerBound":
-            assert rec.provenance["gap"] >= 0
-            assert rec.provenance["upperBound"] >= rec.value
-            assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
-            assert rec.provenance["upperBound"] >= 16  # z(6;2)
+        rec = exact_ex(6, K22, budget_nodes=1246)
+        assert rec.status == "exact" and rec.witness == full.witness
+        assert rec.provenance == {**full.provenance, "budgetNodes": 1246}
 
     def test_budget_exhaustion_with_zero_pattern_row(self):
-        # zero top rows could host the pattern's zero row, so the padded
-        # witness is not allowed here; a zero budget stops at node 1024
+        # zero top rows could host the pattern's zero row, so the 3-row
+        # incumbent is padded with zero bottom rows instead
         a = ZeroOneMatrix.parse("00\n11\n11")
-        below = exact_ex(4, a).value
-        rec = exact_ex(6, a, budget_seconds=0)
-        assert rec.status == "lowerBound"
+        rec = exact_ex(6, a, budget_nodes=1023)
+        assert _stopped(rec) == ("lowerBound", 13, 35, 22, 1023)
+        assert rec.witness.row_strings() == ("111111", "111111", "100000") + ("000000",) * 3
         assert oracle_embedding(rec.witness, a) is None
-        assert rec.witness.weight == rec.value
-        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
-        assert rec.provenance["upperBound"] >= below
+        assert rec.provenance["upperBound"] >= exact_ex(4, a).value
 
     def test_budget_exhaustion_pads_on_the_safe_side(self):
-        # the zero middle row rules out neither padding side: the solved
-        # 2-row optimum (two full rows) keeps the pattern out under four
-        # zero top rows because the pattern's first row is nonzero
+        # the zero middle row rules out neither padding side: the 3-row
+        # incumbent keeps the pattern out under three zero top rows because
+        # the pattern's first row is nonzero
         a = ZeroOneMatrix.parse("11\n00\n11")
-        rec = exact_ex(6, a, budget_seconds=0)
-        assert rec.status == "lowerBound"
-        assert rec.value >= 12
-        assert rec.witness.weight == rec.value
+        rec = exact_ex(6, a, budget_nodes=1023)
+        assert _stopped(rec) == ("lowerBound", 13, 35, 22, 1023)
+        assert rec.witness.row_strings() == ("000000",) * 3 + ("111111", "111111", "100000")
         assert oracle_embedding(rec.witness, a) is None
-        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
 
     @pytest.mark.parametrize(
         "a, n, below", [(I3, 6, 20), (L, 8, 15), (ZeroOneMatrix.parse("100\n010"), 7, 19)]
     )
     def test_budget_exhaustion_inside_a_narrower_width(self, a, n, below):
-        # a zero budget stops at node 1024 while a width below n is being
-        # solved: only width-n rows may be padded into the witness. `100/010`
-        # has an all-zero column, which would embed in the zero columns that
-        # pad a narrower incumbent out to n columns
-        rec = exact_ex(n, a, budget_seconds=0)
-        assert rec.status == "lowerBound"
-        assert rec.provenance["nodes"] == 1024
+        # 1023 nodes stop while a width below n is being solved: only
+        # width-n rows may be padded into the witness. `100/010` has an
+        # all-zero column, which would embed in the zero columns that pad a
+        # narrower incumbent out to n columns
+        rec = exact_ex(n, a, budget_nodes=1023)
+        value, upper, witness = {
+            6: (14, 32, ("000000",) * 3 + ("111111", "111111", "110000")),
+            8: (9, 57, ("00000000",) * 6 + ("11111111", "00000001")),
+            7: (11, 39, ("0000000",) * 4 + ("1111111", "1000001", "1000001")),
+        }[n]
+        assert _stopped(rec) == ("lowerBound", value, upper, upper - value, 1023)
+        assert rec.witness.row_strings() == witness
         assert oracle_embedding(rec.witness, a) is None
-        assert rec.witness.weight == rec.value
-        assert rec.provenance["upperBound"] >= below
-        assert rec.provenance["gap"] == rec.provenance["upperBound"] - rec.value
+        assert upper >= below
         # ex((k-1) x n) plus n per row from height k on
         tail = rec.provenance["tailBounds"]
-        assert rec.provenance["upperBound"] == tail[-1] + n * (n - len(tail))
+        assert upper == tail[-1] + n * (n - len(tail))
 
-    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0, -1, 0.5])
     def test_rejects_budget_outside_zero_to_inf(self, budget):
-        with pytest.raises(DomainError, match="budget"):
-            exact_ex(4, K22, budget_seconds=budget)
+        # a budget counts search nodes: a negative one or any float (seconds) is refused
+        with pytest.raises(DomainError, match="budget must be a number of search nodes >= 0"):
+            exact_ex(4, K22, budget_nodes=budget)
+
+
+def _stopped(rec) -> tuple:
+    """(status, value, upperBound, gap, nodes) of a record."""
+    p = rec.provenance
+    return rec.status, rec.value, p.get("upperBound"), p.get("gap"), p["nodes"]
 
 
 class TestDeletion:
@@ -359,18 +364,23 @@ class TestTable:
     def test_zero_budget_table_runs_each_n_once(self, monkeypatch):
         calls = []
 
-        def counted(n, a, budget_seconds=None):
+        def counted(n, a, budget_nodes=None):
             calls.append(n)
-            return exact_ex(n, a, budget_seconds)
+            return exact_ex(n, a, budget_nodes)
 
         monkeypatch.setattr(search, "exact_ex", counted)
-        table = extremal_table(K22, range(2, 8), budget_seconds=0)
+        table = extremal_table(K22, range(2, 8), budget_nodes=1023)
         assert calls == [2, 3, 4, 5, 6, 7]
-        assert table == [exact_ex(n, K22, 0) for n in range(2, 8)]
-        # n = 5 finishes below node 1024. Lower bounds from a zero budget
+        assert table == [exact_ex(n, K22, 1023) for n in range(2, 8)]
+        # n = 5 finishes in 358 nodes. Lower bounds from one budget per n
         # need not increase with n.
-        assert [r.value for r in table[3:]] == [12, 15, 10]
+        assert [(r.value, r.provenance["nodes"]) for r in table[3:]] == [(12, 358), (15, 1023), (10, 1023)]
         assert [r.status for r in table[3:]] == ["exact", "lowerBound", "lowerBound"]
+        # a zero budget expands no node at all
+        zero = extremal_table(K22, range(2, 8), budget_nodes=0)
+        assert [(r.value, r.provenance["upperBound"], r.provenance["nodes"]) for r in zero] == [
+            (0, n * n, 0) for n in range(2, 8)
+        ]
 
     def test_cache_integration(self, tmp_path):
         from patex.cache import CacheStore
@@ -390,7 +400,7 @@ class TestTable:
 
 class TestRecordJson:
     def test_round_trip(self):
-        rec = exact_ex(4, L, budget_seconds=5.0)
+        rec = exact_ex(4, L, budget_nodes=10**6)
         doc = rec.to_json_dict()
         back = ExtremalRecord.from_json_dict(doc)
         assert back == rec and back.to_json_dict() == doc
