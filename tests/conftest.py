@@ -103,6 +103,17 @@ def oracle_winding(tour, y: float, x: float) -> int:
     return round(total / (2 * math.pi))
 
 
+def bernoulli_calls(rng: SplitMix64, count: int, p: float) -> int:
+    """Bit j set when the j-th of `count` rng.bernoulli(p) calls succeeds:
+    the per-draw reference that `bernoulli_mask` and `random_matrix` must
+    reproduce."""
+    mask = 0
+    for j in range(count):
+        if rng.bernoulli(p):
+            mask |= 1 << j
+    return mask
+
+
 @pytest.fixture
 def rng():
     return SplitMix64(0xACE)
