@@ -20,7 +20,8 @@ edge (puts its j-th vertex in the j-th part) and cut_hits counts the hits
 over seeded trials, the one sampler of the library. Last comes the
 exhaustive search of a completion map for an ordered complete t-partite
 sub-hypergraph (parts of prescribed sizes, each part entirely before the
-next, every transversal an edge).
+next, every transversal an edge): every part draws its columns from those
+that extend each transversal of the earlier parts towards an edge.
 """
 
 from __future__ import annotations
@@ -234,48 +235,39 @@ def find_ordered_complete_t_partite(
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """Exhaustive search over vertices 1..n for parts V_1..V_t with
     |V_i| = sizes[i], max(V_i) < min(V_{i+1}), and every transversal t-tuple
-    an edge of the completion map (as heavy_label_classes builds it). Returns
-    the lexicographically least witness or None; no false negatives at any
-    size, intended for desk-scale n."""
+    an edge of the completion map (as heavy_label_classes builds it). Every
+    V_i is chosen, in lexicographic order, from the columns v that leave room
+    for the later parts and for which p + (v,) begins an edge for each
+    transversal p of the earlier parts. No witness holds a column this cuts,
+    so the first witness found is the lexicographically least; None when
+    there is none. Intended for desk-scale n."""
     if not sizes or any(x < 1 for x in sizes):
         raise DomainError(f"need {len(sizes)} positive part sizes, got {tuple(sizes)}")
-    # Else the search tries every choice of the first t - 1 parts: `patex tcut
-    # --t 4 --s 2` on a 64-column host with no t-edge would take 45.6 s.
-    if not completions:
-        return None
     t = len(sizes)
-    suffix_need = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        suffix_need[i] = suffix_need[i + 1] + sizes[i]
-    chosen: list[tuple[int, ...]] = []
+    # reach[i][p] (len(p) = i): bit v set when p + (v,) begins an edge.
+    reach = [completions]
+    for _ in range(t - 1):
+        shorter: dict[tuple[int, ...], int] = {}
+        for p in reach[0]:
+            q = p[:-1]
+            shorter[q] = shorter.get(q, 0) | 1 << p[-1]
+        reach.insert(0, shorter)
+    room = [sum(sizes[i + 1 :]) for i in range(t)]
 
-    def rec(part_idx: int, min_start: int) -> Optional[tuple]:
-        pool_hi = n - suffix_need[part_idx + 1]
-        if part_idx == t - 1:
-            # Last part separates per vertex: v joins iff every prefix
-            # transversal extended by v is an edge.
-            cand = ((1 << (pool_hi + 1)) - 1) & (-1 << min_start)
-            for p in product(*chosen):
-                cand &= completions.get(p, 0)
-                if not cand:
-                    return None
-            if cand.bit_count() < sizes[part_idx]:
-                return None
-            part = []
-            for _ in range(sizes[part_idx]):
-                low = cand & -cand
-                part.append(low.bit_length() - 1)
-                cand ^= low
-            return tuple(chosen) + (tuple(part),)
-        for combo in combinations(range(min_start, pool_hi + 1), sizes[part_idx]):
-            chosen.append(combo)
-            res = rec(part_idx + 1, combo[-1] + 1)
-            if res is not None:
-                return res
-            chosen.pop()
+    def rec(parts: tuple) -> Optional[tuple]:
+        i = len(parts)
+        if i == t:
+            return parts
+        lo = parts[-1][-1] + 1 if parts else 1
+        cand = (1 << max(lo, n - room[i] + 1)) - (1 << lo)
+        for p in product(*parts):
+            cand &= reach[i].get(p, 0)
+        for part in combinations([v for v in range(lo, n + 1) if cand >> v & 1], sizes[i]):
+            if (found := rec(parts + (part,))) is not None:
+                return found
         return None
 
-    return rec(0, 1)
+    return rec(())
 
 
 @dataclass(frozen=True)

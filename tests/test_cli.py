@@ -51,6 +51,11 @@ INPUTS = {
     "random16.pat": _text(random_matrix(SplitMix64(5), 16, 16, 0.5)),
     "random64.pat": _text(random_matrix(SplitMix64(0x99), 64, 64, 0.3)),
     "not-utf8.pat": b"1\xff\n",
+    # one t-edge (row 1, columns 1-4) in 64 columns: the t-partite search
+    # must cut every prefix rather than try each choice of the first parts
+    "oneedge64.pat": "\n".join(["1111" + "0" * 60] + ["0" * 64] * 63),
+    # 2-balanced, with no proper K22
+    "alt.pat": "10\n01\n10\n01",
 }
 
 MODES = ("thm21", "thm12", "thm11")
@@ -81,6 +86,9 @@ CASES = [fmt + argv for argv in REPORTS for fmt in ("", "--format csv ", "--form
     "tcut ones2x6.pat --t 400 --s 1",
     "--seed 137 tcut row.pat --t 2 --s 1 --trials 49",
     "tcut fixture.pat --t 2 --s 1 --trials 0",
+    "tcut oneedge64.pat --t 4 --s 2 --trials 100",
+    "count host.pat --u 2 --t 2",
+    "cycles embed alt.pat k22.pat",
     *(f"increment host.pat k22.pat --mode thm21 --k 2 --epsilon {eps}" for eps in ("1e-320", "0.0001")),
     "increment tall.pat pair.pat --mode thm21 --k 2 --u 550 --depth 0",
     f"increment host.pat fixture.pat --mode thm21 --k {10**400}",
@@ -225,6 +233,9 @@ class TestCount:
         assert doc["steppingBound"]["applicable"] is True
         assert doc["steppingBound"]["threshold"] == 12
 
+    def test_count_without_bounds(self, reports):
+        assert _docs(reports["count host.pat --u 2 --t 2"]) == [{"u": 2, "t": 2, "count": 36}]
+
     def test_non_square_host_has_no_supersaturation_bound(self, reports):
         (doc,) = _docs(reports["count ones3x4.pat --u 2 --t 2 --bounds"])
         assert doc["count"] == 18  # C(3,2) row pairs x C(4,2) column pairs
@@ -280,6 +291,11 @@ class TestTcut:
 
     def test_negative_trials_rejected(self, reports):
         assert _error(reports["tcut fixture.pat --t 2 --s 1 --trials -5"]).startswith("error:")
+
+    def test_one_edge_host_has_no_parts(self, reports):
+        (doc,) = _docs(reports["tcut oneedge64.pat --t 4 --s 2 --trials 100"])
+        assert doc["edgeCount"] == 1 and doc["foundParts"] is None
+        assert [entry["edge"] for entry in doc["monteCarlo"]] == [[1, 2, 3, 4]]
 
     def test_zero_trials_report_no_frequency(self, reports):
         (doc,) = _docs(reports["tcut fixture.pat --t 2 --s 1 --trials 0"])
@@ -377,6 +393,11 @@ class TestCycles:
     def test_embed(self, reports):
         (doc,) = _docs(reports["cycles embed host.pat k22.pat"])
         assert doc["embedded"] and doc["proper"]
+
+    def test_embed_finds_no_proper_copy(self, reports):
+        # alt.pat repeats 10/01, so its two columns share no row: it is
+        # 2-balanced (no error) and holds no copy of K22
+        assert _docs(reports["cycles embed alt.pat k22.pat"]) == [{"embedded": False, "r": 2}]
 
     def test_dichotomy(self, reports):
         (doc,) = _docs(reports["cycles dichotomy host.pat --k 2 --c 0.2 --r 2 --s 2"])

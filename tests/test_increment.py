@@ -514,6 +514,20 @@ class TestDrivers:
         assert trace.levels[0].branch == "embedded"
         assert verify_embedding(ZeroOneMatrix.ones(16, 16), K22, trace.embedding)
 
+    def test_one_part_pattern_runs_without_constants(self):
+        # The identity 10/01 is one column part (t = 1): the proof constants
+        # need t >= 2, so the trace has none and no level holds the
+        # increment-threshold checks; the t-partite search has one part.
+        host, a = ZeroOneMatrix.ones(8, 8), ZeroOneMatrix.parse("10\n01")
+        assert min_column_parts(a)[0] == 1
+        trace = run_driver(host, a, "thm21", k=2)
+        assert trace.stop_reason == "embedded"
+        assert verify_embedding(host, a, trace.embedding)
+        assert trace.constants is None
+        doc = json.loads(json.dumps(trace.to_json_dict()))
+        assert doc["constants"] is None
+        assert not [key for level in doc["levels"] for key in level["checks"] if key.startswith("increment")]
+
     def test_wrong_certificate_stops_at_the_gate(self, monkeypatch):
         # A step whose walk handed back a non-increasing row map.
         monkeypatch.setattr(increment, "_find_copy", lambda m, a, bands: Embedding((1, 1), (1, 2)))

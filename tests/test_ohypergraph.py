@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+import patex.ohypergraph as ohypergraph
 from conftest import COLUMN_2_PARTITE, random_matrix
 from patex.errors import DivisibilityError, DomainError, InputError
 from patex.matrix import ZeroOneMatrix
@@ -269,30 +270,55 @@ class TestTPartiteSearch:
     def test_empty(self):
         assert find_ordered_complete_t_partite(4, (2, 2), {}) is None
 
-    def test_agrees_with_oracle_on_random_instances(self, rng):
-        for _ in range(60):
-            n = 8
-            density = 0.35 + 0.45 * rng.random()
+    @staticmethod
+    def check_against_oracle(rng, t, n, shapes, instances):
+        """The search against the oracle on random t-uniform edge sets over
+        1..n, from sparse to dense, for each part-size vector in shapes;
+        both found and absent answers must occur."""
+        answers = set()
+        for _ in range(instances):
+            density = 0.05 + 0.8 * rng.random()
             edges = frozenset(
-                e for e in combinations(range(1, n + 1), 2) if rng.bernoulli(density)
+                e for e in combinations(range(1, n + 1), t) if rng.bernoulli(density)
             )
-            for sizes in ((1, 1), (2, 2), (1, 3)):
+            for sizes in shapes:
                 found = find_ordered_complete_t_partite(n, sizes, completion_map(edges))
                 assert found == oracle_t_partite(n, edges, sizes)
+                answers.add(found is None)
                 if found:
                     for tr in product(*found):
                         assert tuple(sorted(tr)) in edges
-                    assert max(found[0]) < min(found[1])
+                    assert all(max(a) < min(b) for a, b in zip(found, found[1:]))
+        assert answers == {True, False}
+
+    # The last part-size vector of each call sums past n; for t >= 2 the
+    # later parts alone need more than n + 1 columns, so the first part's
+    # range would end below its start.
+    def test_agrees_with_oracle_on_random_instances(self, rng):
+        self.check_against_oracle(rng, 1, 8, ((1,), (3,), (9,)), 60)
+        self.check_against_oracle(rng, 2, 8, ((1, 1), (2, 2), (1, 3), (1, 10)), 60)
+        self.check_against_oracle(rng, 4, 7, ((1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1), (1, 3, 3, 3)), 60)
 
     def test_three_uniform(self, rng):
-        for _ in range(20):
-            n = 7
-            edges = frozenset(
-                e for e in combinations(range(1, n + 1), 3) if rng.bernoulli(0.6)
-            )
-            for sizes in ((1, 2, 1), (2, 1, 2)):
-                found = find_ordered_complete_t_partite(n, sizes, completion_map(edges))
-                assert found == oracle_t_partite(n, edges, sizes)
+        self.check_against_oracle(rng, 3, 7, ((1, 2, 1), (2, 1, 2), (1, 4, 5)), 40)
+
+    @pytest.mark.parametrize("cols, t, s", [(24, 4, 2), (32, 4, 2), (40, 3, 3)])
+    def test_one_edge_host_tries_no_part(self, monkeypatch, cols, t, s):
+        # Only row 1, columns 1..4, holds 1s, so the one t-edge starts at
+        # column 1 and the first part, of s >= 2 columns, has one candidate.
+        # A search without the prefix cut tries thousands of part choices.
+        m = ZeroOneMatrix([0b1111] + [0] * (cols - 1), cols)
+        completions = heavy_label_classes(m, t, 1, 1)[(1,)]
+        tries = []
+
+        def counted(pool, r):
+            for part in combinations(pool, r):
+                tries.append(part)
+                yield part
+
+        monkeypatch.setattr(ohypergraph, "combinations", counted)
+        assert find_ordered_complete_t_partite(cols, [s] * t, completions) is None
+        assert tries == []
 
     def test_size_vector_validation(self):
         completions = completion_map({(1, 2)})

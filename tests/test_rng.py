@@ -62,6 +62,16 @@ class TestSplitMix64:
         rng, twin = SplitMix64(11), SplitMix64(11)
         assert [rng.below(2**64) for _ in range(3)] == [twin.next_u64() for _ in range(3)]
 
+    def test_below_rejects_a_draw_at_the_limit_and_draws_again(self):
+        # For n = 2^63 + 1 the limit 2^64 - (2^64 mod n) is n itself, and
+        # the first draw of seed 0 lies at or above it.
+        n = 2**63 + 1
+        rng, twin = SplitMix64(0), SplitMix64(0)
+        first, second = twin.next_u64(), twin.next_u64()
+        assert (1 << 64) - (1 << 64) % n == 0x8000000000000001 <= first
+        assert rng.below(n) == second % n
+        assert rng.state == twin.state  # two draws, no more
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_non_positive_count_draws_nothing(self, count):
         rng = SplitMix64(11)
