@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cache import CacheStore
 from .classify import (
@@ -35,7 +35,7 @@ from .cycles import (
     enumerate_cycles,
 )
 from .increment import density_increment_step, lambda_schedule, make_constants
-from .matrix import ZeroOneMatrix, find_embedding, random_matrix, verify_embedding
+from .matrix import Embedding, ZeroOneMatrix, find_embedding, random_matrix, verify_embedding
 from .ohypergraph import _within_three_sigma, cut_hits, cut_probability
 from .rng import SplitMix64
 from .search import brute_force_ex, deletion_lower_bound, exact_ex, extremal_table
@@ -87,17 +87,18 @@ def _sample_distinct(rng: SplitMix64, count: int, hi: int) -> list[int]:
 
 
 def oracle_embedding(
-    m: ZeroOneMatrix, a: ZeroOneMatrix
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    m: ZeroOneMatrix, a: ZeroOneMatrix, bands: Optional[Sequence[Iterable[int]]] = None
+) -> Optional[Embedding]:
     """Independent route: enumerate every increasing row/column injection
-    and return the first 1-based (rows, cols) pair that fits, or None."""
+    and return the first 1-based one that fits, or None. With `bands`, the
+    rows come from their product: row i from bands[i]."""
     if a.rows > m.rows or a.cols > m.cols:
         return None
     ones = a.one_entries()
-    for rows in combinations(range(1, m.rows + 1), a.rows):
+    for rows in combinations(range(1, m.rows + 1), a.rows) if bands is None else product(*bands):
         for cols in combinations(range(1, m.cols + 1), a.cols):
             if all(m.entry(rows[i - 1], cols[j - 1]) for (i, j) in ones):
-                return rows, cols
+                return Embedding(rows, cols)
     return None
 
 

@@ -1,20 +1,20 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library's search kernels: containment is
-checked by enumerating every increasing injection pair, copy counts by
-enumerating every (row-subset, column-subset) pair, a banded copy by
-enumerating every row choice from the bands, the bipartite graph of a
-pattern by a depth-first search over its edge list, winding numbers by the
-angle-summation point-in-polygon rule. The canonical fixtures, the
-containment and copy-count oracles and the planted increment hosts are the
-acceptance suite's own, imported from there.
+checked by enumerating every increasing injection pair (or row choice from
+given bands), copy counts by enumerating every (row-subset, column-subset)
+pair, the bipartite graph of a pattern by a depth-first search over its
+edge list, winding numbers by the angle-summation point-in-polygon rule.
+The canonical fixtures, the containment and copy-count oracles and the
+planted increment hosts are the acceptance suite's own, imported from there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -32,6 +32,8 @@ from patex.acceptance import (  # noqa: F401 -- fixtures and oracles shared with
 )
 from patex.matrix import ZeroOneMatrix, random_matrix  # noqa: F401 -- shared sampler
 from patex.rng import SplitMix64
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))  # the golden-file renderers
 
 # Settings for every property test: fixed examples, no example database.
 BOUNDED = settings(max_examples=300, deadline=2000, derandomize=True, database=None)
@@ -73,22 +75,6 @@ def graph_oracle(m):
         rows = sum(side == "r" for side, _ in members)
         components.append((rows, len(members) - rows))
     return len(edges), len(degree), components, degree
-
-
-def oracle_banded_copy(host, a, bands):
-    """The first copy of a in host whose i-th pattern row lands in bands[i]
-    (1-based host rows), as (row map, column map) or None: row choices in
-    the order of the bands' product, then increasing column subsets."""
-    ones = a.one_entries()
-    return next(
-        (
-            (rows, cols)
-            for rows in product(*bands)
-            for cols in combinations(range(1, host.cols + 1), a.cols)
-            if all(host.entry(rows[i - 1], cols[j - 1]) for (i, j) in ones)
-        ),
-        None,
-    )
 
 
 def oracle_winding(tour, y: float, x: float) -> int:

@@ -1,6 +1,6 @@
 """Acceptance gate: every criterion runs at its stated tolerance, printing
 one pass/fail line, and the suite's report must equal the pinned
-`golden/verify_suite.out` byte for byte.
+`golden/verify_suite.out` byte for byte (see `tools/golden.py`).
 
 The stepping-up criterion is a known red: the stated closed-form bound is
 false (it omits a 1/(u+1)^2 factor its own derivation requires; the all-ones
@@ -9,28 +9,25 @@ violations and verifies the repaired form instead. The test is strict-xfail:
 it will start failing loudly if the check ever turns green.
 """
 
-import contextlib
 import dataclasses
-import io
 import itertools
 import math
 import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+import golden
 import patex.acceptance as acceptance
 import patex.cycles as cycles
 import patex.increment as increment
-from patex.acceptance import CHECKS, SIX_CYCLES_3X3, run_suite
+from patex.acceptance import CHECKS, SIX_CYCLES_3X3
 from patex.classify import PartiteProfile
 from patex.cli import dispatch
 from patex.count import _count_copies
 from patex.matrix import Embedding, ZeroOneMatrix
 
 NAMES = [name for name, _ in CHECKS]
-GOLDEN = Path(__file__).parent / "golden" / "verify_suite.out"
 
 # Each check's wall-time bound in seconds. The suite's verdicts ignore wall
 # time; these bounds are this gate's own, and the end-to-end determinism
@@ -50,17 +47,9 @@ TIME_BOUNDS = {
 }
 
 
-def _run_captured(filter_substring=None):
-    """run_suite's results and the report it printed on standard output."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        results = run_suite(filter_substring)
-    return results, buf.getvalue()
-
-
 @pytest.fixture(scope="module")
 def suite_run():
-    results, report = _run_captured()
+    results, report = golden.capture_suite()
     return {"results": {r.name: r for r in results}, "report": report}
 
 
@@ -136,10 +125,11 @@ def test_criterion_11_constants(suite_run):
 def test_criterion_12_determinism(suite_run):
     """The report, the determinism check's digest included, is the pinned
     one. After a change that moves it on purpose, re-pin it with
-    `patex verify-suite > tests/golden/verify_suite.out` and name the moved
-    lines in CHANGES.md."""
+    `PYTHONPATH=src python tools/golden.py pin verify_suite.out` and name
+    the moved lines in CHANGES.md."""
     _assert_criterion(suite_run, "end-to-end-determinism")
-    assert suite_run["report"] == GOLDEN.read_text()
+    diff = golden.first_difference("verify_suite.out", suite_run["report"])
+    assert diff is None, diff
 
 
 def test_every_check_ran(suite_run):
@@ -173,7 +163,7 @@ class TestIncrementSoundnessFails:
 
 
 def _printed(name):
-    return _run_captured(name)[1]
+    return golden.capture_suite(name)[1]
 
 
 def _copy_below_the_host(m, a, bands=None):

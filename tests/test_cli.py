@@ -1,176 +1,41 @@
 """CLI reports pinned in one golden corpus, and the fields of them that a
-re-pin must keep. Each line of `CASES` runs once through `dispatch`, in a
-fresh working directory holding `INPUTS`, so error lines name bare file
-names; `golden/cli_reports.txt` holds each case's stdout (after `1|`),
-stderr (after `2|`) and exit code. Re-pin with `PYTHONPATH=src python
-tests/test_cli.py` and name each moved case in CHANGES.md. Tests that
+re-pin must keep. `tools/golden.py` holds the corpus: each line of its
+`CASES` runs once through `dispatch`, in a fresh working directory holding
+its `INPUTS`, so error lines name bare file names; `golden/cli_reports.txt`
+holds each case's stdout (after `1|`), stderr (after `2|`) and exit code.
+Check or re-pin it with `PYTHONPATH=src python tools/golden.py check|pin
+cli_reports.txt` and name each moved case in CHANGES.md. Tests that
 compare a report with an independent computation, need cache files, a
 subprocess or a closed pipe, or print argparse text (which differs across
 Python versions) run their own commands.
 """
 
-import contextlib
 import csv
-import io
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import COLUMN_2_PARTITE, DOUBLY_2_PARTITE, K22, SIX_CYCLES_3X3, random_matrix
+import golden
+from conftest import COLUMN_2_PARTITE, K22, random_matrix
 from patex.cli import CACHE_ENV, dispatch, main
 from patex.count import stepping_bound
 from patex.matrix import Embedding, ZeroOneMatrix, verify_embedding
 from patex.ohypergraph import build_column_hypergraph
 from patex.rng import SplitMix64
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_reports.txt"
-
-
-def _text(m: ZeroOneMatrix) -> str:
-    return "\n".join(m.row_strings())
-
-
-INPUTS = {
-    "host.pat": _text(ZeroOneMatrix.ones(4, 4)),
-    "fixture.pat": _text(COLUMN_2_PARTITE),
-    "k22.pat": _text(K22),
-    "ones5x5.pat": _text(ZeroOneMatrix.ones(5, 5)),
-    "ones3x4.pat": _text(ZeroOneMatrix.ones(3, 4)),
-    "ones2x6.pat": _text(ZeroOneMatrix.ones(2, 6)),
-    "tall.pat": "\n".join(["111"] * 1100),
-    "pair.pat": "11",
-    "column.pat": "1\n1",
-    "row.pat": "1010",
-    "doubly.pat": _text(DOUBLY_2_PARTITE),
-    "six-cycle-a.pat": _text(SIX_CYCLES_3X3[0]),
-    "random16.pat": _text(random_matrix(SplitMix64(5), 16, 16, 0.5)),
-    "random64.pat": _text(random_matrix(SplitMix64(0x99), 64, 64, 0.3)),
-    "not-utf8.pat": b"1\xff\n",
-    # one t-edge (row 1, columns 1-4) in 64 columns: the t-partite search
-    # must cut every prefix rather than try each choice of the first parts
-    "oneedge64.pat": "\n".join(["1111" + "0" * 60] + ["0" * 64] * 63),
-    # 2-balanced, with no proper K22
-    "alt.pat": "10\n01\n10\n01",
-}
-
-MODES = ("thm21", "thm12", "thm11")
-
-# Reports that the corpus holds in JSON (the default), CSV and text.
-REPORTS = [
-    "classify fixture.pat",
-    "classify k22.pat",
-    "contains fixture.pat k22.pat",
-    "contains fixture.pat ones5x5.pat",
-    "count host.pat --u 2 --t 2 --bounds",
-    "tcut fixture.pat --t 2 --s 1 --trials 2000",
-    *(f"increment host.pat k22.pat --mode {mode} --k 2" for mode in MODES),
-    "cycles enumerate --length 6",
-    "cycles embed host.pat k22.pat",
-    "cycles dichotomy host.pat --k 2 --c 0.2 --r 2 --s 2",
-    "cycles drive host.pat k22.pat --k 2 --c 0.2",
-    "ex k22.pat --n 3",
-    "ex k22.pat --n 4 --mode exact",
-    "--seed 17 ex k22.pat --n 8 --mode random",
-    "ex k22.pat --n 2 --n-to 3",
-]
-
-CASES = [fmt + argv for argv in REPORTS for fmt in ("", "--format csv ", "--format text ")] + [
-    # values at the edge of the float range, ties and budgets
-    "count ones3x4.pat --u 2 --t 2 --bounds",
-    "count tall.pat --u 550 --t 2 --bounds",
-    "tcut ones2x6.pat --t 400 --s 1",
-    "--seed 137 tcut row.pat --t 2 --s 1 --trials 49",
-    "tcut fixture.pat --t 2 --s 1 --trials 0",
-    "tcut oneedge64.pat --t 4 --s 2 --trials 100",
-    "count host.pat --u 2 --t 2",
-    "cycles embed alt.pat k22.pat",
-    *(f"increment host.pat k22.pat --mode thm21 --k 2 --epsilon {eps}" for eps in ("1e-320", "0.0001")),
-    "increment tall.pat pair.pat --mode thm21 --k 2 --u 550 --depth 0",
-    f"increment host.pat fixture.pat --mode thm21 --k {10**400}",
-    *(f"increment random16.pat doubly.pat --mode {m} --k 2 --epsilon {e}" for e in ("400", "1e300") for m in MODES),
-    "increment random64.pat six-cycle-a.pat --mode thm21 --k 4",
-    "cycles dichotomy host.pat --k 2 --c 5 --r 2 --s 2",
-    *(f"--budget {budget} ex k22.pat --n 6" for budget in ("0", "1023")),
-    "--budget 2000000 ex six-cycle-a.pat --n 7",
-    "ex k22.pat --n 3 --n-to 3",
-    "ex k22.pat --n 7 --mode exact",
-    # error lines
-    "tcut fixture.pat --t 0 --s 1",
-    "tcut fixture.pat --t 2 --s 0",
-    "tcut fixture.pat --t 2 --s 1 --trials -5",
-    *(f"increment host.pat k22.pat --mode thm21 --k 2 --epsilon {eps}" for eps in ("nan", "inf")),
-    "increment host.pat k22.pat --mode thm21 --k 2 --depth -3",
-    *(f"increment host.pat column.pat --mode thm21 --k 2 --u {u} --depth 0" for u in ("0", "-1")),
-    "increment host.pat k22.pat --mode thm11 --k 2 --u 5",
-    "cycles enumerate --length 3",
-    *(f"cycles drive host.pat k22.pat --k {k} --c 1" for k in ("0", "1")),
-    "cycles drive host.pat k22.pat --k 2 --c 1 --depth -1",
-    "cycles drive host.pat k22.pat --k 2 --c nan",
-    "cycles drive host.pat k22.pat --k 2 --c inf --depth 0",
-    "cycles dichotomy host.pat --k 2 --c nan --r 2 --s 2",
-    "cycles drive host.pat k22.pat --k 2 --c 0",
-    "cycles dichotomy host.pat --k 2 --c -0.5 --r 2 --s 2",
-    "--budget -1 ex k22.pat --n 4",
-    *(f"--budget -1 ex k22.pat --n 3 --mode {mode}" for mode in ("exact", "random")),
-    "ex k22.pat --n 5 --n-to 3",
-    *(f"ex k22.pat --n 2 --n-to 3 --mode {mode}" for mode in ("exact", "random")),
-    "--cache-dir k22.pat ex k22.pat --n 3",
-    "verify-suite --filter no-such-check",
-    "count not-utf8.pat --u 1 --t 1",
-    "tcut missing.pat --t 2 --s 1",
-    "classify .",
-]
-
-
-def _write_inputs(directory: Path) -> None:
-    for name, content in INPUTS.items():
-        (directory / name).write_bytes(content if isinstance(content, bytes) else content.encode())
-
-
-def _run_corpus(directory: Path) -> dict[str, tuple[int, str, str]]:
-    """(exit code, stdout, stderr) of each case, run in `directory`."""
-    _write_inputs(directory)
-    reports = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(directory)
-        mp.delenv(CACHE_ENV, raising=False)
-        for argv in CASES:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = dispatch(argv.split())
-            reports[argv] = code, out.getvalue(), err.getvalue()
-    return reports
-
-
-def _corpus(reports) -> str:
-    lines = []
-    for argv in CASES:
-        code, out, err = reports[argv]
-        lines.append(f"$ patex {argv}")
-        for tag, text in (("1|", out), ("2|", err)):
-            assert text == "" or text.endswith("\n"), f"patex {argv}: output ends inside a line"
-            lines += [tag + line for line in text.split("\n")[:-1]]
-        lines.append(f"exit {code}")
-    return "\n".join(lines) + "\n"
-
 
 @pytest.fixture(scope="module")
-def reports(tmp_path_factory):
-    return _run_corpus(tmp_path_factory.mktemp("corpus"))
+def reports():
+    return golden.run_corpus()
 
 
 def test_corpus(reports):
-    got, want = _corpus(reports).splitlines(), GOLDEN.read_text().splitlines()
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            case = next(line for line in reversed(got[: i + 1]) if line.startswith("$ patex "))
-            pytest.fail(f"`{case[2:]}` differs at corpus line {i + 1}:\n  golden: {w}\n  now:    {g}")
-    assert len(got) == len(want), "the corpus and the case table end at different cases"
+    diff = golden.first_difference("cli_reports.txt", golden.corpus_text(reports))
+    assert diff is None, diff
 
 
 def _docs(report) -> list:
@@ -188,12 +53,10 @@ def _error(report) -> str:
 
 
 @pytest.fixture
-def workdir(tmp_path, monkeypatch):
+def workdir():
     """A fresh working directory holding the corpus inputs."""
-    _write_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    return tmp_path
+    with golden.corpus_directory() as directory:
+        yield directory
 
 
 def run(capsys, argv):
@@ -262,7 +125,7 @@ class TestTcut:
         hosts += [COLUMN_2_PARTITE, ZeroOneMatrix.parse("101\n011")]
         for i, m in enumerate(hosts):
             path = tmp_path / f"host{i}.pat"
-            path.write_text(_text(m))
+            path.write_text("\n".join(m.row_strings()))
             code, out = run(capsys, ["tcut", str(path), "--t", str(t), "--s", "1", "--trials", "1"])
             doc = json.loads(out)
             ref = build_column_hypergraph(m, t, 1)
@@ -374,7 +237,7 @@ class TestIncrement:
         level, summary = _docs(reports[f"increment host.pat fixture.pat --mode thm21 --k {10**400}"])
         assert level["level"] == 0 and summary["stopReason"] == "divisibility"
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", golden.MODES)
     @pytest.mark.parametrize("epsilon", ["400", "1e300"])
     def test_large_epsilon_trace_or_error_line(self, reports, mode, epsilon):
         report = reports[f"increment random16.pat doubly.pat --mode {mode} --k 2 --epsilon {epsilon}"]
@@ -618,8 +481,3 @@ class TestModuleEntryPoint:
             main()
         assert exc.value.code == 0
         assert "PASS canonical-fixtures" in capsys.readouterr().out
-
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as directory:
-        GOLDEN.write_text(_corpus(_run_corpus(Path(directory))))

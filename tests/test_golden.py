@@ -16,53 +16,32 @@ n: no pattern's value falls from n = 3 to 4 to 5. Containment law: ex(n, B)
 B is free of A; Tier-1 takes a seeded sample of the pattern pairs, and
 PATEX_SLOW=1 all of them (169,512 contained (B, A, n) triples, about 2 s).
 
-Regenerate the table with `PYTHONPATH=src python tests/test_golden.py`; a
-change that moves a line names it and the reason in CHANGES.md. The
-regenerated table is still checked against the oracle at n <= 4 and the
-orbit law.
+Lines at n = 5 that pin what the search could move unseen: `11/11` has
+tailBounds z(k, 5; 2), the rectangular optima. The width bound and the row
+cap move only `nodes` of `11/10`, `100/010/001` and `100/100/100`;
+`100/100/100` takes 1,215 nodes, not 987, if a row's forbidden columns
+replace the parent's rather than join them. `110/011/101` (six-cycle-a)
+gets the row cap but not the width bound.
+
+`tools/golden.py` checks and re-pins the table; a change that moves a line
+names it and the reason in CHANGES.md. The re-pinned table is still checked
+against the oracle at n <= 4 and the orbit law.
 """
 
 import json
 import os
 import random
 from itertools import product
-from pathlib import Path
 
 import pytest
 
+import golden
 from conftest import oracle_embedding
 from patex.matrix import ZeroOneMatrix
-from patex.search import brute_force_ex, exact_ex
+from patex.search import brute_force_ex
 
-TABLE = Path(__file__).parent / "golden" / "exact_ex_small.jsonl"
+TABLE = "exact_ex_small.jsonl"
 SLOW = pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="slow; set PATEX_SLOW=1")
-
-
-def _cases():
-    patterns = [
-        ZeroOneMatrix([bits >> (i * cols) & ((1 << cols) - 1) for i in range(rows)], cols)
-        for rows, cols in product((1, 2, 3), repeat=2)
-        for bits in range(1, 1 << (rows * cols))
-    ]
-    for n in (3, 4, 5):
-        for a in patterns:
-            yield a, n
-
-
-def _line(a: ZeroOneMatrix, n: int) -> str:
-    rec = exact_ex(n, a)
-    return json.dumps(
-        {
-            "pattern": "/".join(a.row_strings()),
-            "n": n,
-            "value": rec.value,
-            "status": rec.status,
-            "tailBounds": rec.provenance["tailBounds"],
-            "nodes": rec.provenance["nodes"],
-            "witness": "/".join(rec.witness.row_strings()),
-        },
-        separators=(",", ":"),
-    )
 
 
 def _matrix(text: str) -> ZeroOneMatrix:
@@ -79,15 +58,13 @@ def _images(rows: list[str]):
 
 @pytest.fixture(scope="module")
 def records():
-    return [json.loads(line) for line in TABLE.read_text().splitlines()]
+    return [json.loads(line) for line in (golden.GOLDEN / TABLE).read_text().splitlines()]
 
 
-def test_exact_ex_small_table():
-    want = TABLE.read_text().splitlines()
-    got = [_line(a, n) for a, n in _cases()]
-    assert len(got) == len(want) == 2019
-    for i, (g, w) in enumerate(zip(got, want), 1):
-        assert g == w, f"line {i} differs:\n  golden: {w}\n  now:    {g}"
+def test_exact_ex_small_table(records):
+    assert len(records) == 2019
+    diff = golden.first_difference(TABLE, golden.render_table())
+    assert diff is None, diff
 
 
 @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=SLOW)])
@@ -133,8 +110,3 @@ def test_values_do_not_fall_under_containment(values, pairs):
         if inner != outer and oracle_embedding(matrices[outer], matrices[inner]) is not None:
             for n in (3, 4, 5):
                 assert values[inner, n] <= values[outer, n], (inner, outer, n)
-
-
-if __name__ == "__main__":
-    TABLE.parent.mkdir(exist_ok=True)
-    TABLE.write_text("".join(_line(a, n) + "\n" for a, n in _cases()))

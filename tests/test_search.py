@@ -29,6 +29,13 @@ def _mask_ranks(witness):
     return [rank[m] for m in witness.row_masks]
 
 
+def _assert_exact(rec, a, value):
+    """An exact record of `value` whose witness weighs it and is A-free
+    under the oracle."""
+    assert rec.status == "exact" and rec.value == rec.witness.weight == value, (a.row_strings(), rec.n)
+    assert oracle_embedding(rec.witness, a) is None, (a.row_strings(), rec.n)
+
+
 def _columns(witness):
     """The witness's columns, each read top-down."""
     return [tuple(witness.entry(i, j) for i in range(1, witness.rows + 1)) for j in range(1, witness.cols + 1)]
@@ -77,33 +84,7 @@ class TestExactMatchesOracle:
         # n = 3 is in the golden table, checked against the oracle
         for a in patterns:
             for n in (1, 2):
-                expect = brute_force_ex(n, a)
-                got = exact_ex(n, a)
-                assert got.status == "exact"
-                assert got.value == expect.value, f"pattern {a.row_strings()} n={n}"
-                assert find_embedding(got.witness, a) is None
-
-    def test_tail_bounds_are_rectangular_optima(self):
-        rec = exact_ex(5, K22)
-        assert rec.provenance["tailBounds"] == [5, 6, 8, 10, 12]  # z(k, 5; 2)
-        assert rec.provenance["nodes"] == 358
-
-    @pytest.mark.parametrize(
-        "a, witness, tail_bounds, nodes",
-        [
-            (L, "11111/00001/00001/00001/00001", [5, 6, 7, 8, 9], 435),
-            (I3, "11111/11111/11000/11000/11000", [5, 10, 12, 14, 16], 4970),
-            # 1,215 nodes if a row's forbidden columns replace, not join, the parent's
-            (ZeroOneMatrix.parse("100\n100\n100"), "11111/11111/00011/00011/00011", [5, 10, 12, 14, 16], 987),
-        ],
-    )
-    def test_width_bound_pins(self, a, witness, tail_bounds, nodes):
-        # the width bound and the row cap move only the node count:
-        # witnesses and tailBounds are those of the search without them
-        rec = exact_ex(5, a)
-        assert "/".join(rec.witness.row_strings()) == witness
-        assert rec.provenance["tailBounds"] == tail_bounds
-        assert rec.provenance["nodes"] == nodes
+                _assert_exact(exact_ex(n, a), a, brute_force_ex(n, a).value)
 
     @pytest.mark.parametrize("a, n", [(L, 6), (I3, 6)])
     def test_forbidden_memo_emptied_when_full(self, monkeypatch, a, n):
@@ -116,20 +97,10 @@ class TestExactMatchesOracle:
         assert got.provenance["nodes"] == want.provenance["nodes"]
         assert got.provenance["tailBounds"] == want.provenance["tailBounds"]
 
-    def test_plain_path_pin(self):
-        # six-cycle-a gets the row cap but not the width bound
-        rec = exact_ex(5, SIX_CYCLES_3X3[0])
-        assert "/".join(rec.witness.row_strings()) == "11111/11110/11001/01101/00111"
-        assert rec.provenance["tailBounds"] == [5, 10, 12, 15, 18]
-        assert rec.provenance["nodes"] == 5572
-
     @pytest.mark.parametrize("a, n, value", [(L, 7, 13), (I3, 6, 20)])
     def test_width_bound_regressions(self, a, n, value):
         # L: 2n - 1; I_k: (k - 1)(2n - k + 1)
-        rec = exact_ex(n, a)
-        assert rec.status == "exact" and rec.value == value
-        assert rec.witness.weight == value
-        assert oracle_embedding(rec.witness, a) is None
+        _assert_exact(exact_ex(n, a), a, value)
 
     def test_equal_row_patterns_sorted_witnesses(self):
         # containment of an equal-row pattern depends only on the multiset
@@ -141,10 +112,7 @@ class TestExactMatchesOracle:
             all_ones = a.weight == a.rows * a.cols
             for n in range(max(a.rows, a.cols), 6 if all_ones else 5):
                 got = exact_ex(n, a)
-                assert got.status == "exact"
-                assert got.value == brute_force_ex(n, a).value, f"pattern {a.row_strings()} n={n}"
-                assert got.witness.weight == got.value
-                assert oracle_embedding(got.witness, a) is None
+                _assert_exact(got, a, brute_force_ex(n, a).value)
                 ranks = _mask_ranks(got.witness)
                 assert ranks == sorted(ranks)
                 if all_ones:
@@ -158,15 +126,11 @@ class TestExactMatchesOracle:
         # the largest n the oracle accepts; six-cycle-a and column-2-partite
         # have no closed form, I3's is (k - 1)(2n - k + 1)
         got = exact_ex(6, a)
-        expect = brute_force_ex(6, a)
-        assert got.status == expect.status == "exact"
-        assert got.value == expect.value == value
+        for rec in (got, brute_force_ex(6, a)):
+            _assert_exact(rec, a, value)
         if a is I3:
             assert got.provenance["nodes"] == 220689
             assert got.provenance["tailBounds"] == [6, 12, 14, 16, 18, 20]
-        for rec in (got, expect):
-            assert rec.witness.weight == value
-            assert oracle_embedding(rec.witness, a) is None
 
     @pytest.mark.parametrize(
         "text, value",
@@ -187,15 +151,10 @@ class TestExactMatchesOracle:
         # the oracle uses none of exact_ex's symmetry rules and bounds
         a = ZeroOneMatrix.parse(text.replace("/", "\n"))
         for rec in (brute_force_ex(5, a), exact_ex(5, a)):
-            assert rec.status == "exact" and rec.value == value
-            assert rec.witness.weight == value
-            assert oracle_embedding(rec.witness, a) is None
+            _assert_exact(rec, a, value)
 
     def test_zarankiewicz_n8(self):
-        rec = exact_ex(8, K22)
-        assert rec.status == "exact" and rec.value == 24  # z(8;2), Guy's tables
-        assert rec.witness.weight == 24
-        assert oracle_embedding(rec.witness, K22) is None
+        _assert_exact(exact_ex(8, K22), K22, 24)  # z(8;2), Guy's tables
 
     @pytest.mark.parametrize(
         "n, value",
@@ -207,19 +166,13 @@ class TestExactMatchesOracle:
         ],
     )
     def test_zarankiewicz_n9_to_n13(self, n, value):
-        rec = exact_ex(n, K22)
-        assert rec.status == "exact" and rec.value == value
-        assert rec.witness.weight == value
-        assert oracle_embedding(rec.witness, K22) is None
+        _assert_exact(exact_ex(n, K22), K22, value)
 
     @pytest.mark.parametrize("a, value", [(ZeroOneMatrix.ones(2, 3), 39), (ZeroOneMatrix.ones(3, 3), 49)])
     def test_all_ones_pins_n9(self, a, value):
         # the search with sorted rows only, and no column rule, gives the
         # same values in 20 s and 343 s
-        rec = exact_ex(9, a)
-        assert rec.status == "exact" and rec.value == value
-        assert rec.witness.weight == value
-        assert oracle_embedding(rec.witness, a) is None
+        _assert_exact(exact_ex(9, a), a, value)
 
     @pytest.mark.skipif(os.environ.get("PATEX_SLOW") != "1", reason="up to a minute a case; set PATEX_SLOW=1")
     @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
@@ -240,8 +193,7 @@ class TestExactMatchesOracle:
         assert ranks == sorted(ranks)
         columns = _columns(rec.witness)
         assert columns == sorted(columns, reverse=True)
-        assert rec.witness.weight == rec.value
-        assert oracle_embedding(rec.witness, a) is None
+        _assert_exact(rec, a, rec.value)
 
     def test_budget_bound_stays_above_the_capped_search(self):
         # 1023 nodes stop inside height 4; the open bound is read from the
@@ -284,6 +236,15 @@ class TestExactMatchesOracle:
         assert _stopped(rec) == ("lowerBound", 13, 35, 22, 1023)
         assert rec.witness.row_strings() == ("000000",) * 3 + ("111111", "111111", "100000")
         assert oracle_embedding(rec.witness, a) is None
+
+    def test_budget_exhaustion_with_zero_first_and_last_rows(self):
+        # zero rows padded on either side could hold the pattern's zero first
+        # or last row, so no incumbent is padded. The bound is correct but
+        # weak: rows 1 and 5 all ones give an A-free matrix of weight 10,
+        # which peeling the pattern's zero boundary rows would reach
+        rec = exact_ex(5, ZeroOneMatrix.parse("000\n111\n000"), budget_nodes=5)
+        assert _stopped(rec) == ("lowerBound", 0, 25, 25, 5) and rec.provenance["tailBounds"] == [5, 10]
+        assert rec.witness.row_strings() == ("00000",) * 5
 
     @pytest.mark.parametrize(
         "a, n, below", [(I3, 6, 20), (L, 8, 15), (ZeroOneMatrix.parse("100\n010"), 7, 19)]
